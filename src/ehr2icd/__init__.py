@@ -47,7 +47,7 @@ from .normalization import (
     normalize_age,
     normalize_date,
     normalize_gender,
-    normalize_record,
+    normalize_with_reason,
 )
 from .report import StatsReport, aggregate, bin_age, emit_report
 from .samples import sample_path

@@ -9,14 +9,15 @@ configuration error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from pathlib import Path
 
 from . import __version__
 from .config import PipelineConfig, apply_overrides, load_config
-from .dictionary import build_lexicon, dict_annotate, read_extra_terms
-from .errors import ConfigError, DataError, EmptyCorpus
+from .dictionary import build_lexicon, dict_annotate, read_terms
+from .errors import ConfigError, DataError
 from .evaluation import (
     compare_annotators,
     render_percent,
@@ -24,9 +25,14 @@ from .evaluation import (
     write_outcomes_csv,
 )
 from .ingestion import drop_missing, load_dataset, read_header
-from .linker import assign, load_kb, write_standard_csv, read_standard_csv
+from .linker import (
+    StandardRecord,
+    assign,
+    load_kb,
+    read_standard_csv,
+    write_standard_csv,
+)
 from .ner import (
-    EntitySpan,
     load_model,
     predict,
     read_corpus,
@@ -34,6 +40,7 @@ from .ner import (
     split_corpus,
     train_tagger,
 )
+from .ner.corpus import read_annotations
 from .normalization import NormalizedRecord, normalize_with_reason
 from .report import aggregate, emit_report
 
@@ -116,7 +123,10 @@ def _add_config_flags(p) -> None:
 
 
 def _effective_config(args, **overrides) -> PipelineConfig:
-    config = load_config(args.config) if getattr(args, "config", None) else PipelineConfig()
+    config = load_config(args.config) if args.config else PipelineConfig()
+    if getattr(args, "stoplist", None):
+        terms = read_terms(args.stoplist)
+        overrides["stoplist"] = frozenset(term.lower() for term in terms)
     return apply_overrides(config, **overrides)
 
 
@@ -124,31 +134,46 @@ def _diag(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _read_stoplist(path) -> frozenset[str]:
-    entries = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            entries.append(line.lower())
-    return frozenset(entries)
+def _normalize_file(path) -> tuple[list[NormalizedRecord], dict[str, int]]:
+    """Front half of the pipeline: load, drop missing, normalize.
 
-
-def _normalize_file(path):
-    """Shared front half of the pipeline: load, drop missing, normalize."""
-    header = read_header(path)
+    Returns the normalized records and the number of dropped rows by reason.
+    """
     records = load_dataset(path)
     kept = drop_missing(records)
-    missing = len(records) - len(kept)
+    reasons = {"missing": len(records) - len(kept), "gender": 0, "age": 0, "date": 0}
     normalized: list[NormalizedRecord] = []
-    reasons = {"missing": missing, "gender": 0, "age": 0, "date": 0}
     for record in kept:
         result, reason = normalize_with_reason(record)
         if result is None:
             reasons[reason] += 1
         else:
             normalized.append(result)
-    dropped = len(records) - len(normalized)
-    return header, records, normalized, dropped, reasons
+    return normalized, reasons
+
+
+def _histogram(reasons: dict[str, int]) -> str:
+    return ", ".join(f"{k}={v}" for k, v in reasons.items())
+
+
+def _tagger_spans(model):
+    """Span source that tags each record's diagnosis text with ``model``."""
+    return lambda record: predict(model, record.diagnosis_text)
+
+
+def _standard_rows(normalized, spans_of, kb, config) -> list[StandardRecord]:
+    """Link every record: one standard row per span, one NA row for none."""
+    rows: list[StandardRecord] = []
+    expected = 0
+    for record in normalized:
+        spans = spans_of(record)
+        expected += max(1, len(spans))
+        rows.extend(assign(record, spans, kb, config.lookup_k, config.score_threshold))
+    if len(rows) != expected:
+        raise RuntimeError(
+            f"row accounting violated: {len(rows)} standard rows, expected {expected}"
+        )
+    return rows
 
 
 def _normalized_row(record: NormalizedRecord, header: list[str]) -> list[str]:
@@ -168,33 +193,28 @@ def _normalized_row(record: NormalizedRecord, header: list[str]) -> list[str]:
 
 
 def cmd_normalize(args) -> int:
-    import csv
-
-    header, _, normalized, dropped, reasons = _normalize_file(args.input)
+    normalized, reasons = _normalize_file(args.input)
+    header = read_header(args.input)
     with Path(args.output).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for record in normalized:
             writer.writerow(_normalized_row(record, header))
-    histogram = ", ".join(f"{k}={v}" for k, v in reasons.items())
-    _diag(f"normalize: kept {len(normalized)} rows, dropped {dropped} ({histogram})")
+    _diag(
+        f"normalize: kept {len(normalized)} rows, "
+        f"dropped {sum(reasons.values())} ({_histogram(reasons)})"
+    )
     return 0
 
 
 def cmd_train(args) -> int:
-    stoplist_entries = None
-    if args.stoplist:
-        stoplist_entries = tuple(sorted(_read_stoplist(args.stoplist)))
     config = _effective_config(
         args,
         seed=args.seed,
         epochs=args.epochs,
         train_fraction=args.train_fraction,
-        stoplist=stoplist_entries,
     )
     corpus = read_corpus(args.corpus)
-    if not corpus:
-        raise EmptyCorpus()
     train, test = split_corpus(corpus, config.train_fraction, config.seed)
     model = train_tagger(train, epochs=config.epochs, seed=config.seed)
     save_model(model, args.model_out)
@@ -203,7 +223,7 @@ def cmd_train(args) -> int:
         from .evaluation import evaluate_annotator
 
         summary, _ = evaluate_annotator(
-            test, lambda text: predict(model, text), frozenset(config.stoplist)
+            test, lambda text: predict(model, text), config.stoplist
         )
         _diag(
             "train: held-out accuracy "
@@ -216,11 +236,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_annotate(args) -> int:
-    model = load_model(args.model)
-    _, _, normalized, _, _ = _normalize_file(args.input)
+    spans_of = _tagger_spans(load_model(args.model))
+    normalized, _ = _normalize_file(args.input)
     with Path(args.output).open("w", encoding="utf-8") as fh:
         for record in normalized:
-            spans = predict(model, record.diagnosis_text)
+            spans = spans_of(record)
             fh.write(
                 json.dumps(
                     {
@@ -236,21 +256,6 @@ def cmd_annotate(args) -> int:
     return 0
 
 
-def _read_annotations(path) -> dict[int, list[EntitySpan]]:
-    spans_by_row: dict[int, list[EntitySpan]] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        obj = json.loads(line)
-        content = obj["content"]
-        spans_by_row[obj["row_index"]] = [
-            EntitySpan(start, end, content[start:end], label)
-            for start, end, label in obj.get("entities", [])
-        ]
-    return spans_by_row
-
-
 def cmd_link(args) -> int:
     config = _effective_config(
         args,
@@ -262,31 +267,23 @@ def cmd_link(args) -> int:
     if not config.kb_path:
         raise ConfigError("link requires --kb (or kb_path in the config)")
     kb = load_kb(config.kb_path)
-    _, _, normalized, _, _ = _normalize_file(args.input)
+    normalized, _ = _normalize_file(args.input)
 
     if args.annotations:
-        spans_by_row = _read_annotations(args.annotations)
+        spans_by_row = read_annotations(args.annotations)
         missing = [r.row_index for r in normalized if r.row_index not in spans_by_row]
         if missing:
             raise DataError(
-                f"annotations file lacks rows {missing[:5]} (and possibly more)"
+                f"{args.annotations}: no annotations for rows {missing[:5]} "
+                "(and possibly more)"
             )
-        span_source = lambda record: spans_by_row[record.row_index]
+        spans_of = lambda record: spans_by_row[record.row_index]
     elif config.model_path:
-        model = load_model(config.model_path)
-        span_source = lambda record: predict(model, record.diagnosis_text)
+        spans_of = _tagger_spans(load_model(config.model_path))
     else:
         raise ConfigError("link requires --annotations or --model")
 
-    rows = []
-    expected = 0
-    for record in normalized:
-        spans = span_source(record)
-        expected += max(1, len(spans))
-        rows.extend(
-            assign(record, spans, kb, config.lookup_k, config.score_threshold)
-        )
-    assert len(rows) == expected, "row accounting violated"
+    rows = _standard_rows(normalized, spans_of, kb, config)
     write_standard_csv(args.output, rows)
     _diag(f"link: wrote {len(rows)} standard rows for {len(normalized)} records")
     return 0
@@ -303,24 +300,17 @@ def cmd_evaluate(args) -> int:
         raise ConfigError("evaluate requires --kb (or kb_path in the config)")
     if not config.model_path:
         raise ConfigError("evaluate requires --model (or model_path in the config)")
-    stoplist = (
-        _read_stoplist(args.stoplist)
-        if args.stoplist
-        else frozenset(config.stoplist)
-    )
     corpus = read_corpus(args.corpus)
-    if not corpus:
-        raise EmptyCorpus()
     model = load_model(config.model_path)
     kb = load_kb(config.kb_path)
-    extras = read_extra_terms(config.extra_terms_path) if config.extra_terms_path else ()
+    extras = read_terms(config.extra_terms_path) if config.extra_terms_path else ()
     lexicon = build_lexicon(kb, extras)
 
     result = compare_annotators(
         corpus,
         lambda text: predict(model, text),
         lambda text: dict_annotate(text, lexicon),
-        stoplist,
+        config.stoplist,
     )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -364,17 +354,8 @@ def cmd_pipeline(args) -> int:
     kb = load_kb(config.kb_path)
     model = load_model(config.model_path)
 
-    _, records, normalized, dropped, reasons = _normalize_file(args.input)
-    rows = []
-    expected = 0
-    na_rows = 0
-    for record in normalized:
-        spans = predict(model, record.diagnosis_text)
-        expected += max(1, len(spans))
-        assigned = assign(record, spans, kb, config.lookup_k, config.score_threshold)
-        na_rows += sum(1 for row in assigned if row.icd10_code is None)
-        rows.extend(assigned)
-    assert len(rows) == expected, "row accounting violated"
+    normalized, reasons = _normalize_file(args.input)
+    rows = _standard_rows(normalized, _tagger_spans(model), kb, config)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -382,10 +363,11 @@ def cmd_pipeline(args) -> int:
     report = aggregate(rows)
     emit_report(report, out_dir / "report", args.format)
 
-    histogram = ", ".join(f"{k}={v}" for k, v in reasons.items())
+    dropped = sum(reasons.values())
     _diag(
-        f"pipeline: input_rows={len(records)} normalized={len(normalized)} "
-        f"dropped={dropped} ({histogram}) standard_rows={len(rows)} na_rows={na_rows}"
+        f"pipeline: input_rows={len(normalized) + dropped} normalized={len(normalized)} "
+        f"dropped={dropped} ({_histogram(reasons)}) standard_rows={len(rows)} "
+        f"na_rows={report.na_rows}"
     )
     return 0
 

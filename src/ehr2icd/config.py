@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, MalformedFile
+from .evaluation import DEFAULT_STOPLIST
+from .textio import read_text
 
 DEFAULT_SEED = 13
-DEFAULT_STOPLIST = ("disease", "pain", "condition", "problem")
 
 
 @dataclass(frozen=True)
@@ -18,7 +18,7 @@ class PipelineConfig:
     train_fraction: float = 0.7
     epochs: int = 10
     seed: int = DEFAULT_SEED
-    stoplist: tuple[str, ...] = DEFAULT_STOPLIST
+    stoplist: frozenset[str] = DEFAULT_STOPLIST  # lowercased terms
     lookup_k: int = 4
     score_threshold: float = 0.0
     extra_terms_path: str | None = None
@@ -41,7 +41,7 @@ _PARSERS = {
     "train_fraction": float,
     "epochs": int,
     "seed": int,
-    "stoplist": lambda v: tuple(s.strip() for s in v.split(",") if s.strip()),
+    "stoplist": lambda v: frozenset(s.strip().lower() for s in v.split(",") if s.strip()),
     "lookup_k": int,
     "score_threshold": float,
     "extra_terms_path": str,
@@ -52,8 +52,8 @@ def load_config(path) -> PipelineConfig:
     """Parse a key=value file; blank lines and '#' comments are ignored."""
     values = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+        text = read_text(path)
+    except (OSError, MalformedFile) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()

@@ -10,11 +10,11 @@ its offsets are directly comparable with the learned tagger's.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable
 
 from .ner.spans import EntitySpan, make_span
 from .ner.tokenizer import tokenize
+from .textio import read_text
 
 
 @dataclass(frozen=True)
@@ -48,10 +48,11 @@ def build_lexicon(kb, extra_terms: Iterable[str] = ()) -> Lexicon:
     return Lexicon(terms=terms, max_term_tokens=longest)
 
 
-def read_extra_terms(path) -> list[str]:
-    """One term per line; blank lines and '#' comments are ignored."""
+def read_terms(path) -> list[str]:
+    """A term file (extra lexicon terms or a stoplist): one term per line,
+    blank lines and '#' comments ignored."""
     terms = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in read_text(path).splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue

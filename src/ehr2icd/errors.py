@@ -23,8 +23,9 @@ class MissingAttribute(DataError):
 
 
 class MalformedFile(DataError):
-    def __init__(self, path, row: int, detail: str):
-        super().__init__(f"{path}: row {row}: {detail}")
+    def __init__(self, path, row: int | None, detail: str):
+        where = f" row {row}:" if row is not None else ""
+        super().__init__(f"{path}:{where} {detail}")
         self.path = path
         self.row = row
 

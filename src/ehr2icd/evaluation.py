@@ -95,13 +95,6 @@ def classify_text(
     return FALSE
 
 
-def accuracy(summary: EvalSummary) -> float:
-    """(exact + partial) / total; total must be positive."""
-    if summary.total == 0:
-        raise ZeroDivisionError("cannot compute accuracy over zero texts")
-    return (summary.n_exact + summary.n_partial) / summary.total
-
-
 def render_percent(true_count: int, total: int) -> str:
     """Integer percent of true results, truncated (matches the published table)."""
     return f"{100 * true_count // total}%"

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import MalformedFile, MissingAttribute
+from .textio import open_input
 
 REQUIRED_COLUMNS = ("Gender", "Age", "Diagnosis", "Diagnosis Date")
 
@@ -42,7 +43,7 @@ class RawRecord:
 
 def read_header(path) -> list[str]:
     """Return the header row of a CSV file."""
-    with Path(path).open(encoding="utf-8", newline="") as fh:
+    with open_input(path, newline="") as fh:
         for row in csv.reader(fh):
             return row
     raise MalformedFile(path, 1, "empty file: header row required")
@@ -54,15 +55,8 @@ def load_dataset(path) -> list[RawRecord]:
     Raises MissingAttribute if any of the four standard headers is absent
     and MalformedFile for rows whose cell count disagrees with the header.
     """
-    path = Path(path)
-    try:
-        with path.open(encoding="utf-8", newline="") as fh:
-            try:
-                rows = list(csv.reader(fh))
-            except csv.Error as exc:
-                raise MalformedFile(path, 0, str(exc)) from exc
-    except UnicodeDecodeError as exc:
-        raise MalformedFile(path, 0, f"not valid UTF-8: {exc}") from exc
+    with open_input(path, newline="") as fh:
+        rows = list(csv.reader(fh))
     if not rows:
         raise MalformedFile(path, 1, "empty file: header row required")
 

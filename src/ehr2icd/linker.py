@@ -20,6 +20,7 @@ from .errors import DuplicateCode, InvalidCode, MalformedFile
 from .ner.spans import EntitySpan
 from .ner.tokenizer import tokenize
 from .normalization import DateTriple, NormalizedRecord, normalize_date
+from .textio import open_input, read_text
 
 # Uppercase letter, two digits, optional "." plus one or two alphanumerics.
 CODE_RE = re.compile(r"^[A-Z][0-9]{2}(?:\.[A-Za-z0-9]{1,2})?$")
@@ -91,7 +92,7 @@ def load_kb(path) -> KnowledgeBase:
     path = Path(path)
     entries: list[KBEntry] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -210,8 +211,7 @@ def write_standard_csv(path, rows: list[StandardRecord]) -> None:
 
 
 def read_standard_csv(path) -> list[StandardRecord]:
-    path = Path(path)
-    with path.open(encoding="utf-8", newline="") as fh:
+    with open_input(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(header) != STANDARD_HEADER:
@@ -220,13 +220,19 @@ def read_standard_csv(path) -> list[StandardRecord]:
         for n, cells in enumerate(reader, start=2):
             if len(cells) != len(STANDARD_HEADER):
                 raise MalformedFile(path, n, "wrong number of cells")
+            try:
+                age = int(cells[1])
+            except ValueError:
+                age = 0
+            if age < 1:
+                raise MalformedFile(path, n, f"age {cells[1]!r} is not a whole number >= 1")
             date = normalize_date(cells[3])
             if date is None:
                 raise MalformedFile(path, n, f"unparseable date {cells[3]!r}")
             rows.append(
                 StandardRecord(
                     gender=cells[0],
-                    age_years=int(cells[1]),
+                    age_years=age,
                     diagnosis_date=date,
                     diagnosis_text=cells[2],
                     icd10_code=cells[4] or None,

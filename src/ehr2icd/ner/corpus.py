@@ -7,7 +7,7 @@ Two newline-delimited JSON formats are understood:
   inclusive start/end character offsets, and ``metadata.status``;
 * the internal format written by this package: one object per line with
   ``content`` and ``entities`` as [start, end, label] triples using
-  exclusive ends.
+  exclusive ends. Annotations files add an integer ``row_index`` per line.
 
 External offsets are inclusive at the right edge and are shifted by one
 during conversion. Only records whose status is "done" are kept, and only
@@ -21,42 +21,74 @@ import random
 from pathlib import Path
 
 from ..errors import EmptyCorpus, MalformedFile, OffsetOutOfRange, OverlapError
+from ..textio import read_text
 from .spans import DISEASE_LABEL, AnnotatedExample, EntitySpan
 
 _ACCEPTED_LABELS = ("Disease Name", DISEASE_LABEL)
 
 
-def convert_external_annotations(document: str) -> list[AnnotatedExample]:
-    """Convert an external annotation export (one JSON object per line)."""
-    examples = []
-    for lineno, line in enumerate(document.splitlines(), start=1):
+def _json_objects(path, text: str):
+    """Yield (line number, object) for each non-blank line of ``text``."""
+    # Split on "\n" only: JSON strings may hold U+2028 and other characters
+    # that str.splitlines() would also break lines at.
+    for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
         if not line:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedFile("<annotations>", lineno, f"invalid JSON: {exc}") from exc
-        status = (obj.get("metadata") or {}).get("status")
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise MalformedFile(path, lineno, f"invalid JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise MalformedFile(path, lineno, "record is not a JSON object")
+        yield lineno, obj
+
+
+def _content(path, lineno: int, obj: dict) -> str:
+    content = obj.get("content")
+    if not isinstance(content, str):
+        raise MalformedFile(path, lineno, "record has no content string")
+    try:
+        # A "\ud800" escape decodes to a lone surrogate, which no output
+        # file could hold.
+        content.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        detail = f"content is not valid Unicode: {exc.reason}"
+        raise MalformedFile(path, lineno, detail) from exc
+    return content
+
+
+def _objects(path, lineno: int, value, what: str) -> list[dict]:
+    """A JSON list of objects; null or absent reads as empty."""
+    value = value or []
+    if not isinstance(value, list) or not all(isinstance(v, dict) for v in value):
+        raise MalformedFile(path, lineno, f"{what} must be a list of objects")
+    return value
+
+
+def convert_external_annotations(
+    document: str, path="<annotations>"
+) -> list[AnnotatedExample]:
+    """Convert an external annotation export (one JSON object per line)."""
+    examples = []
+    for lineno, obj in _json_objects(path, document):
+        metadata = obj.get("metadata")
+        status = metadata.get("status") if isinstance(metadata, dict) else None
         if status is not None and status != "done":
             continue
-        content = obj.get("content")
-        if not isinstance(content, str):
-            raise MalformedFile("<annotations>", lineno, "record has no content string")
+        content = _content(path, lineno, obj)
         spans = []
-        for annotation in obj.get("annotation") or []:
+        for annotation in _objects(path, lineno, obj.get("annotation"), "annotation"):
             labels = annotation.get("label") or []
-            if isinstance(labels, str):
+            if not isinstance(labels, list):
                 labels = [labels]
             if not any(label in _ACCEPTED_LABELS for label in labels):
                 continue
-            for point in annotation.get("points") or []:
+            for point in _objects(path, lineno, annotation.get("points"), "points"):
                 start = point.get("start")
                 end_inclusive = point.get("end")
                 if not isinstance(start, int) or not isinstance(end_inclusive, int):
-                    raise MalformedFile(
-                        "<annotations>", lineno, "point offsets must be integers"
-                    )
+                    raise MalformedFile(path, lineno, "point offsets must be integers")
                 end = end_inclusive + 1
                 if not (0 <= start < end <= len(content)):
                     raise OffsetOutOfRange(
@@ -83,31 +115,47 @@ def _build_example(content: str, spans: list[EntitySpan], record: int) -> Annota
     return AnnotatedExample(content=content, spans=tuple(spans))
 
 
+def _entity(path, lineno: int, content: str, item) -> EntitySpan:
+    """One internal-format entity: [start, end] or [start, end, label], end exclusive."""
+    valid = isinstance(item, list) and len(item) in (2, 3)
+    if valid:
+        start, end = item[0], item[1]
+        label = item[2] if len(item) == 3 else DISEASE_LABEL
+        valid = isinstance(start, int) and isinstance(end, int) and isinstance(label, str)
+    if not valid:
+        raise MalformedFile(
+            path, lineno, "each entity must be [start, end] or [start, end, label]"
+        )
+    if not (0 <= start < end <= len(content)):
+        raise OffsetOutOfRange(lineno, f"entity ({start}, {end}) exceeds content length")
+    return EntitySpan(start, end, content[start:end], label)
+
+
+def _internal_records(path, text: str):
+    """Yield (line number, object, example) for each record of the internal format."""
+    for lineno, obj in _json_objects(path, text):
+        content = _content(path, lineno, obj)
+        entities = obj.get("entities") or []
+        if not isinstance(entities, list):
+            raise MalformedFile(path, lineno, "entities must be a list")
+        spans = [_entity(path, lineno, content, item) for item in entities]
+        yield lineno, obj, _build_example(content, spans, lineno)
+
+
 def read_internal(path) -> list[AnnotatedExample]:
     """Read the internal newline-delimited corpus format."""
-    examples = []
-    with Path(path).open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedFile(path, lineno, f"invalid JSON: {exc}") from exc
-            content = obj.get("content")
-            if not isinstance(content, str):
-                raise MalformedFile(path, lineno, "record has no content string")
-            spans = []
-            for item in obj.get("entities") or []:
-                start, end, label = item[0], item[1], item[2] if len(item) > 2 else DISEASE_LABEL
-                if not (0 <= start < end <= len(content)):
-                    raise OffsetOutOfRange(
-                        lineno, f"entity ({start}, {end}) exceeds content length"
-                    )
-                spans.append(EntitySpan(start, end, content[start:end], label))
-            examples.append(_build_example(content, spans, lineno))
-    return examples
+    return [example for _, _, example in _internal_records(path, read_text(path))]
+
+
+def read_annotations(path) -> dict[int, tuple[EntitySpan, ...]]:
+    """Read an annotations file: the internal format plus each record's ``row_index``."""
+    spans_by_row = {}
+    for lineno, obj, example in _internal_records(path, read_text(path)):
+        row_index = obj.get("row_index")
+        if not isinstance(row_index, int):
+            raise MalformedFile(path, lineno, "record has no integer row_index")
+        spans_by_row[row_index] = example.spans
+    return spans_by_row
 
 
 def write_internal(path, examples: list[AnnotatedExample]) -> None:
@@ -121,24 +169,22 @@ def write_internal(path, examples: list[AnnotatedExample]) -> None:
 
 
 def read_corpus(path) -> list[AnnotatedExample]:
-    """Read a corpus file, auto-detecting external vs internal schema."""
-    text = Path(path).read_text(encoding="utf-8")
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            first = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedFile(path, 1, f"invalid JSON: {exc}") from exc
+    """Read a non-empty corpus file, auto-detecting external vs internal schema."""
+    text = read_text(path)
+    examples = []
+    for lineno, first in _json_objects(path, text):
         if "annotation" in first:
-            return convert_external_annotations(text)
-        if "entities" in first:
-            return read_internal(path)
-        raise MalformedFile(
-            path, 1, "records carry neither 'annotation' nor 'entities'"
-        )
-    raise EmptyCorpus(f"{path} contains no records")
+            examples = convert_external_annotations(text, path)
+        elif "entities" in first:
+            examples = [example for _, _, example in _internal_records(path, text)]
+        else:
+            raise MalformedFile(
+                path, lineno, "records carry neither 'annotation' nor 'entities'"
+            )
+        break
+    if not examples:
+        raise EmptyCorpus(f"{path} contains no examples")
+    return examples
 
 
 def split_corpus(

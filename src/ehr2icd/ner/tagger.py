@@ -22,6 +22,7 @@ from ..errors import (
     OverlapError,
     UnsupportedModelVersion,
 )
+from ..textio import read_text
 from .biluo import O, TAGS, TagSequence, decode_biluo, encode_biluo
 from .spans import AnnotatedExample, EntitySpan
 from .tokenizer import tokenize
@@ -221,18 +222,28 @@ def save_model(model: TaggerModel, path) -> None:
 
 
 def load_model(path) -> TaggerModel:
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     if not lines or lines[0].split("\t") != [_MAGIC, _FORMAT]:
         raise MalformedFile(path, 1, "not a tagger model file")
-    meta = {}
+    # Header lines are "key<TAB>value" in any order; the first line with
+    # another key starts the weights.
+    meta = {"features": "<missing>", "epochs": 0, "seed": 0}
     body_start = 1
-    for line in lines[1:4]:
-        key, _, value = line.partition("\t")
-        meta[key] = value
+    while body_start < len(lines):
+        key, _, value = lines[body_start].partition("\t")
+        if key not in meta:
+            break
         body_start += 1
-    if meta.get("features") != FEATURE_TEMPLATE:
-        raise UnsupportedModelVersion(meta.get("features", "<missing>"))
+        if key != "features":
+            try:
+                value = int(value)
+            except ValueError as exc:
+                raise MalformedFile(
+                    path, body_start, f"{key} {value!r} is not an integer"
+                ) from exc
+        meta[key] = value
+    if meta["features"] != FEATURE_TEMPLATE:
+        raise UnsupportedModelVersion(meta["features"])
     weights: Weights = {}
     for lineno, line in enumerate(lines[body_start:], start=body_start + 1):
         if not line:
@@ -241,10 +252,14 @@ def load_model(path) -> TaggerModel:
         if len(parts) != 3:
             raise MalformedFile(path, lineno, "weight lines need feature, tag, value")
         feat, tag, value = parts
-        weights.setdefault(feat, {})[tag] = float(value)
+        try:
+            weights.setdefault(feat, {})[tag] = float(value)
+        except ValueError as exc:
+            detail = f"weight {value!r} is not a number"
+            raise MalformedFile(path, lineno, detail) from exc
     return TaggerModel(
         weights=weights,
-        epochs=int(meta.get("epochs", 0)),
-        seed=int(meta.get("seed", 0)),
+        epochs=meta["epochs"],
+        seed=meta["seed"],
         feature_template=meta["features"],
     )

@@ -101,16 +101,14 @@ def normalize_date(raw: str) -> Optional[DateTriple]:
     return DateTriple(day, month, year)
 
 
-def normalize_record(record: RawRecord) -> Optional[NormalizedRecord]:
-    """Normalize all three demographics; None when any of them is NA."""
-    normalized, _ = normalize_with_reason(record)
-    return normalized
-
-
 def normalize_with_reason(
     record: RawRecord,
 ) -> tuple[Optional[NormalizedRecord], Optional[str]]:
-    """Like normalize_record but also names the first failing field."""
+    """Normalize all three demographics, or name the first field that is NA.
+
+    Returns (record, None) on success and (None, "gender" | "age" | "date")
+    when a record is dropped.
+    """
     gender = normalize_gender(record.gender_raw)
     if gender is None:
         return None, "gender"

@@ -10,7 +10,7 @@ import time
 from conftest import GOLDEN_DIR
 
 from ehr2icd.cli import main
-from ehr2icd.dictionary import build_lexicon, dict_annotate, read_extra_terms
+from ehr2icd.dictionary import build_lexicon, dict_annotate, read_terms
 from ehr2icd.evaluation import evaluate_annotator, render_percent
 from ehr2icd.ingestion import RawRecord, drop_missing, load_dataset
 from ehr2icd.linker import code_to_category, load_kb, lookup, read_standard_csv
@@ -28,7 +28,7 @@ from ehr2icd.normalization import (
     normalize_age,
     normalize_date,
     normalize_gender,
-    normalize_record,
+    normalize_with_reason,
 )
 from ehr2icd.report import aggregate
 from ehr2icd.samples import sample_path
@@ -93,7 +93,7 @@ def test_normalization_golden_suite():
         for i, (g, a, d, t) in enumerate(FIG4_INPUT)
     ]
     normalized = [
-        result for r in drop_missing(records) if (result := normalize_record(r))
+        result for r in drop_missing(records) if (result := normalize_with_reason(r)[0])
     ]
     produced = [
         (n.gender, str(n.age_years), n.diagnosis_text, n.diagnosis_date.render())
@@ -207,7 +207,7 @@ def test_comparative_direction():
     model = train_tagger(train, epochs=10, seed=13)
 
     kb = load_kb(sample_path("sample_kb.tsv"))
-    extras = read_extra_terms(sample_path("extra_terms.txt"))
+    extras = read_terms(sample_path("extra_terms.txt"))
     lexicon = build_lexicon(kb, extras)
 
     tagger_summary, _ = evaluate_annotator(
@@ -259,7 +259,7 @@ def test_end_to_end_golden_run(tmp_path):
     model = load_model(sample_path("sample_model.txt"))
     records = load_dataset(sample_path("sample_ehr.csv"))
     normalized = [
-        n for r in drop_missing(records) if (n := normalize_record(r)) is not None
+        n for r in drop_missing(records) if (n := normalize_with_reason(r)[0]) is not None
     ]
     expected_rows = sum(
         max(1, len(predict(model, n.diagnosis_text))) for n in normalized

@@ -1,10 +1,13 @@
 import json
 
+import pytest
 from conftest import GOLDEN_DIR
+from hypothesis import given, settings, strategies as st
 
 from ehr2icd.cli import main
 from ehr2icd.ner import AnnotatedExample, EntitySpan
 from ehr2icd.ner.corpus import write_internal
+from ehr2icd.samples import sample_path
 
 RAW_CSV = (
     "Gender,Age,Diagnosis,Diagnosis Date\n"
@@ -360,3 +363,130 @@ def test_bad_config_exits_1(tmp_path, capsys):
     )
     assert rc == 1
     assert "no_such_key" in capsys.readouterr().err
+
+
+NOT_UTF8 = b"Gender,Age\n\xff\xfe\n"
+MODEL_HEAD = "ehr2icd-tagger\t1\nfeatures\tv1\nepochs\t10\nseed\t13\n"
+STANDARD_HEAD = (
+    "Gender,Age,Diagnosis,Diagnosis Date,ICD_10 Code,ICD_10 Name,ICD_10 Category\n"
+)
+LINK = ["link", "--input", "{norm}", "--output", "{out}/s.csv"]
+TRAIN = ["train", "--model-out", "{out}/m.txt", "--corpus"]
+EVALUATE = [
+    "evaluate", "--corpus", "{corpus}", "--kb", "{kb}", "--model", "{model}",
+    "--out-dir", "{out}",
+]
+
+# (command, contents of the file that replaces "{bad}", expected exit code)
+MALFORMED_INPUTS = {
+    "raw-export-normalize": (
+        ["normalize", "--output", "{out}/n.csv", "--input"], NOT_UTF8, 2
+    ),
+    "raw-export-pipeline": (
+        ["pipeline", "--kb", "{kb}", "--model", "{model}", "--out-dir", "{out}", "--input"],
+        NOT_UTF8,
+        2,
+    ),
+    "kb": ([*LINK, "--model", "{model}", "--kb"], NOT_UTF8, 2),
+    "model": ([*LINK, "--kb", "{kb}", "--model"], NOT_UTF8, 2),
+    "model-weight": (
+        [*LINK, "--kb", "{kb}", "--model"], (MODEL_HEAD + "bias\tO\tx\n").encode(), 2
+    ),
+    "model-epochs": (
+        [*LINK, "--kb", "{kb}", "--model"],
+        MODEL_HEAD.replace("\t10", "\tten").encode(),
+        2,
+    ),
+    "corpus": (TRAIN, NOT_UTF8, 2),
+    "corpus-line-not-object": (TRAIN, b"1\n", 2),
+    "corpus-entity-not-list": (TRAIN, b'{"content": "Cystitis", "entities": [5]}\n', 2),
+    "corpus-lone-surrogate": (
+        TRAIN,
+        b'{"content": "\\ud800 Cystitis", "entities": [[2, 10]]}\n'
+        b'{"content": "Cystitis", "entities": [[0, 8]]}\n'
+        b'{"content": "a Cystitis", "entities": [[2, 10]]}\n',
+        2,
+    ),
+    "annotations-no-content": (
+        [*LINK, "--kb", "{kb}", "--annotations"],
+        b'{"row_index": 1, "entities": []}\n',
+        2,
+    ),
+    "annotations-short-entity": (
+        [*LINK, "--kb", "{kb}", "--annotations"],
+        b'{"row_index": 1, "content": "Tonsillitis", "entities": [[0]]}\n',
+        2,
+    ),
+    "annotations-invalid-json": (
+        [*LINK, "--kb", "{kb}", "--annotations"], b'{"row_index": 1,\n', 2
+    ),
+    "standard": (["report", "--out-dir", "{out}", "--input"], NOT_UTF8, 2),
+    "standard-age-not-integer": (
+        ["report", "--out-dir", "{out}", "--input"],
+        (STANDARD_HEAD + "Female,x,Cystitis,9/4/1439,,,\n").encode(),
+        2,
+    ),
+    "standard-age-zero": (
+        ["report", "--out-dir", "{out}", "--input"],
+        (STANDARD_HEAD + "Female,0,Cystitis,9/4/1439,,,\n").encode(),
+        2,
+    ),
+    "stoplist": ([*EVALUATE, "--stoplist"], NOT_UTF8, 2),
+    "extra-terms": ([*EVALUATE, "--extra-terms"], NOT_UTF8, 2),
+    "config": ([*LINK, "--config"], NOT_UTF8, 1),
+}
+
+
+def _argv(template, bad, tmp_path):
+    files = {
+        "bad": bad,
+        "out": tmp_path / "out",
+        "norm": _write(tmp_path, "n.csv", NORMALIZED_CSV),
+        "kb": sample_path("sample_kb.tsv"),
+        "model": sample_path("sample_model.txt"),
+        "corpus": sample_path("sample_corpus.jsonl"),
+    }
+    return [arg.format(**files) for arg in [*template, "{bad}"]]
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exits_with_code_naming_file(case, tmp_path, capsys):
+    template, contents, code = MALFORMED_INPUTS[case]
+    bad = tmp_path / "bad_input"
+    bad.write_bytes(contents)
+    # An uncaught exception (a traceback) fails the test here.
+    assert main(_argv(template, bad, tmp_path)) == code
+    assert str(bad) in capsys.readouterr().err
+
+
+MAIN_INPUT_COMMANDS = [
+    ["normalize", "--output", "{out}/n.csv", "--input"],
+    TRAIN,
+    ["annotate", "--model", "{model}", "--output", "{out}/a.jsonl", "--input"],
+    ["link", "--kb", "{kb}", "--model", "{model}", "--output", "{out}/s.csv", "--input"],
+    ["evaluate", "--kb", "{kb}", "--model", "{model}", "--out-dir", "{out}", "--corpus"],
+    ["report", "--out-dir", "{out}", "--input"],
+    ["pipeline", "--kb", "{kb}", "--model", "{model}", "--out-dir", "{out}", "--input"],
+]
+# Valid starts of each input format, so that generated files get past the
+# first line often enough to reach the later checks.
+FORMAT_PREFIXES = [
+    b"",
+    b"Gender,Age,Diagnosis,Diagnosis Date\n",
+    STANDARD_HEAD.encode(),
+    b'{"content": "Cystitis", "entities": [',
+    b'{"content": "Cystitis", "annotation": [',
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    template=st.sampled_from(MAIN_INPUT_COMMANDS),
+    prefix=st.sampled_from(FORMAT_PREFIXES),
+    tail=st.one_of(st.binary(max_size=64), st.text(max_size=64).map(str.encode)),
+)
+def test_any_main_input_bytes_exit_0_1_or_2(tmp_path_factory, template, prefix, tail):
+    tmp_path = tmp_path_factory.mktemp("any_bytes")
+    bad = tmp_path / "input"
+    bad.write_bytes(prefix + tail)
+    assert main(_argv(template, bad, tmp_path)) in (0, 1, 2)

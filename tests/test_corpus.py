@@ -45,6 +45,14 @@ def test_point_beyond_content_raises():
     assert err.value.record == 1
 
 
+def test_line_separator_inside_content_keeps_record_whole():
+    # json.dumps(ensure_ascii=False) writes U+2028 raw; only "\n" ends a record.
+    document = _external_record("Cystitis\u2028", [{"start": 0, "end": 7}])
+    document = document.replace("\\u2028", "\u2028")
+    [example] = convert_external_annotations(document)
+    assert example.content == "Cystitis\u2028"
+
+
 def test_non_done_records_skipped():
     pending = _external_record("ANXIETY", [{"start": 0, "end": 6}], status="pending")
     done = _external_record("Cystitis", [{"start": 0, "end": 7}])

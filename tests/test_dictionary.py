@@ -5,7 +5,7 @@ from ehr2icd.dictionary import (
     build_lexicon,
     dict_annotate,
     normalize_term,
-    read_extra_terms,
+    read_terms,
 )
 from ehr2icd.linker import KBEntry
 
@@ -95,7 +95,7 @@ def test_empty_terms_are_skipped():
 def test_extra_terms_file(tmp_path):
     path = tmp_path / "terms.txt"
     path.write_text("# comment\n\nshortness of breath\n  asthma  \n")
-    assert read_extra_terms(path) == ["shortness of breath", "asthma"]
+    assert read_terms(path) == ["shortness of breath", "asthma"]
 
 
 def test_lexicon_is_frozen():

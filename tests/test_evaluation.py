@@ -6,7 +6,6 @@ from ehr2icd.evaluation import (
     FALSE,
     PARTIAL,
     EvalSummary,
-    accuracy,
     classify_text,
     compare_annotators,
     evaluate_annotator,
@@ -88,7 +87,7 @@ def test_summary_arithmetic():
     summary = EvalSummary.from_counts(3, 1, 1)
     assert summary.total == 5
     assert summary.n_true == 4
-    assert accuracy(summary) == pytest.approx(0.8)
+    assert summary.accuracy == pytest.approx(0.8)
 
 
 def test_summary_counts_must_sum():

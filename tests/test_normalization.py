@@ -7,7 +7,6 @@ from ehr2icd.normalization import (
     normalize_age,
     normalize_date,
     normalize_gender,
-    normalize_record,
     normalize_with_reason,
 )
 
@@ -103,9 +102,9 @@ def test_date_render_parse_identity(day, month, year):
 def _raw(gender, age, diagnosis, date):
     return RawRecord(gender, age, diagnosis, date, row_index=1)
 
-
 def test_normalize_record_cystitis_row():
-    record = normalize_record(_raw("F", "20", "Cystitis", "9/4/1439"))
+    record, reason = normalize_with_reason(_raw("F", "20", "Cystitis", "9/4/1439"))
+    assert reason is None
     assert record.gender == "Female"
     assert record.age_years == 20
     assert record.diagnosis_date == DateTriple(9, 4, 1439)
@@ -113,11 +112,13 @@ def test_normalize_record_cystitis_row():
 
 
 def test_normalize_record_textual_date_dropped():
-    assert normalize_record(_raw("female", "40", "Ischemic Heart Disease", "5 years ago")) is None
+    assert normalize_with_reason(
+        _raw("female", "40", "Ischemic Heart Disease", "5 years ago")
+    ) == (None, "date")
 
 
 def test_normalize_record_year_marker_age():
-    record = normalize_record(_raw("M", "6 yr", "Autism", "29/1/1439"))
+    record, _ = normalize_with_reason(_raw("M", "6 yr", "Autism", "29/1/1439"))
     assert (record.gender, record.age_years) == ("Male", 6)
     assert record.diagnosis_date == DateTriple(29, 1, 1439)
 
@@ -136,7 +137,7 @@ def test_drop_iff_any_na():
                     or normalize_age(age) is None
                     or normalize_date(date) is None
                 )
-                assert (normalize_record(record) is None) == any_na
+                assert (normalize_with_reason(record)[0] is None) == any_na
 
 
 def test_failure_reason_names_first_failing_field():
@@ -148,5 +149,5 @@ def test_failure_reason_names_first_failing_field():
 
 def test_diagnosis_text_passes_through_verbatim():
     text = "  The disease is Gastroenteritis  "
-    record = normalize_record(_raw("F", "20", text, "9/4/1439"))
+    record, _ = normalize_with_reason(_raw("F", "20", text, "9/4/1439"))
     assert record.diagnosis_text == text
