@@ -30,16 +30,22 @@ class MalformedFile(DataError):
         self.row = row
 
 
-class OffsetOutOfRange(DataError):
-    def __init__(self, record: int, detail: str):
-        super().__init__(f"record {record}: {detail}")
+class RecordError(DataError):
+    """A problem within one record; ``path`` names its file when it came from one."""
+
+    def __init__(self, record: int, detail: str, path=None):
+        where = f"record {record}:" if path is None else f"{path}: row {record}:"
+        super().__init__(f"{where} {detail}")
         self.record = record
+        self.path = path
 
 
-class OverlapError(DataError):
-    def __init__(self, record: int, detail: str):
-        super().__init__(f"record {record}: {detail}")
-        self.record = record
+class OffsetOutOfRange(RecordError):
+    """An entity's offsets fall outside its record's content."""
+
+
+class OverlapError(RecordError):
+    """Two spans of one record overlap."""
 
 
 class MisalignedSpan(DataError):

@@ -1,26 +1,38 @@
 """ICD-10 knowledge base, ranked lookup, and standard-record assembly.
 
-Lookup scores candidates by token-set Jaccard similarity between the query
-and each entry's best name or synonym (case-folded, punctuation stripped),
-sorted by score descending with ties broken by code. Assignment takes the
-top-ranked candidate per recognized disease; rows whose lookup comes up
-empty keep NA in all three ICD fields so they stay available for manual
-coding.
+Each entry's name and synonyms are its surfaces. At load, every surface is
+tokenized once (case-folded alphanumeric runs, punctuation dropped) and the
+KB is compiled into a surface-level inverted index: token -> ascending
+surface ids, plus each surface's entry and token count. A lookup counts,
+from the postings of its query tokens, how many tokens each surface shares
+with the query; the token-set Jaccard score is then
+shared / (query size + surface size - shared). An entry scores by its best
+surface (the name wins a tie with a synonym), and candidates are ranked by
+score descending with ties broken by code. Assignment takes the top-ranked
+candidate per recognized disease; rows whose lookup comes up empty keep NA
+in all three ICD fields so they stay available for manual coding.
 """
 
 from __future__ import annotations
 
 import csv
+import heapq
 import re
+from array import array
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Optional
 
 from .errors import DuplicateCode, InvalidCode, MalformedFile
 from .ner.spans import EntitySpan
-from .ner.tokenizer import tokenize
 from .normalization import DateTriple, NormalizedRecord, normalize_date
 from .textio import open_input, read_text
+
+# [^\W_] is a letter or digit: exactly the tokens of ner.tokenizer that start
+# with an alphanumeric character.
+_WORD_RE = re.compile(r"[^\W_]+")
 
 # Uppercase letter, two digits, optional "." plus one or two alphanumerics.
 CODE_RE = re.compile(r"^[A-Z][0-9]{2}(?:\.[A-Za-z0-9]{1,2})?$")
@@ -44,11 +56,25 @@ class KBEntry:
 
 
 @dataclass(frozen=True)
+class SurfaceIndex:
+    """The KB compiled for lookup.
+
+    Surfaces are numbered entry by entry, the name first, then the synonyms
+    in order. Typed arrays keep the index small on a large KB.
+    """
+
+    postings: dict[str, array]  # token -> ascending surface ids
+    entry_of: array  # surface id -> entry id
+    size: array  # surface id -> number of distinct tokens
+    name_surface: array  # entry id -> surface id of its name
+
+
+@dataclass(frozen=True)
 class KnowledgeBase:
-    """Entries plus a token-level inverted index; immutable after load."""
+    """Entries plus their compiled surface index; immutable after load."""
 
     entries: tuple[KBEntry, ...]
-    index: dict[str, tuple[int, ...]]
+    index: SurfaceIndex
 
 
 @dataclass(frozen=True)
@@ -73,18 +99,27 @@ class StandardRecord:
 
 def query_tokens(text: str) -> set[str]:
     """Case-folded alphanumeric tokens; punctuation tokens are dropped."""
-    return {t.text.lower() for t in tokenize(text) if t.text[0].isalnum()}
+    return {word.lower() for word in _WORD_RE.findall(text)}
 
 
-def build_index(entries: tuple[KBEntry, ...]) -> dict[str, tuple[int, ...]]:
-    index: dict[str, list[int]] = {}
-    for i, entry in enumerate(entries):
-        tokens: set[str] = set()
+def build_index(entries: tuple[KBEntry, ...]) -> SurfaceIndex:
+    postings: dict[str, array] = {}
+    entry_of = array("I")
+    size = array("I")
+    name_surface = array("I")
+    for entry_id, entry in enumerate(entries):
+        name_surface.append(len(size))
         for surface in (entry.name, *entry.synonyms):
-            tokens |= query_tokens(surface)
-        for token in tokens:
-            index.setdefault(token, []).append(i)
-    return {token: tuple(ids) for token, ids in index.items()}
+            tokens = query_tokens(surface)
+            surface_id = len(size)
+            for token in tokens:
+                ids = postings.get(token)
+                if ids is None:
+                    postings[token] = ids = array("I")
+                ids.append(surface_id)
+            entry_of.append(entry_id)
+            size.append(len(tokens))
+    return SurfaceIndex(postings, entry_of, size, name_surface)
 
 
 def load_kb(path) -> KnowledgeBase:
@@ -123,26 +158,39 @@ def lookup(term: str, kb: KnowledgeBase, k: int = 4) -> list[LinkCandidate]:
     query = query_tokens(term)
     if not query:
         return []
-    candidate_ids: set[int] = set()
-    for token in query:
-        candidate_ids.update(kb.index.get(token, ()))
-    candidates = []
-    for entry_id in sorted(candidate_ids):
-        entry = kb.entries[entry_id]
-        best_score = 0.0
-        best_via = "name"
-        for via, surface in (("name", entry.name), *(("synonym", s) for s in entry.synonyms)):
-            surface_tokens = query_tokens(surface)
-            shared = len(query & surface_tokens)
-            if shared == 0:
-                continue
-            score = shared / len(query | surface_tokens)
-            if score > best_score:
-                best_score, best_via = score, via
-        if best_score > 0.0:
-            candidates.append(LinkCandidate(entry=entry, score=best_score, matched_via=best_via))
-    candidates.sort(key=lambda c: (-c.score, c.entry.code))
-    return candidates[:k]
+    index = kb.index
+    shared = Counter(chain.from_iterable(index.postings.get(t, ()) for t in query))
+    n_query, entry_of, size = len(query), index.entry_of, index.size
+    # Surfaces are walked in id order and only a strictly greater score
+    # replaces an entry's best, so the name (its first surface) wins a tie
+    # with any of its synonyms. Every score here is > 0.
+    best_score: dict[int, float] = {}
+    best_surface: dict[int, int] = {}
+    for surface_id, count in sorted(shared.items()):
+        # Same integers as |query & surface| / |query | surface|.
+        score = count / (n_query + size[surface_id] - count)
+        entry_id = entry_of[surface_id]
+        if score > best_score.get(entry_id, 0.0):
+            best_score[entry_id] = score
+            best_surface[entry_id] = surface_id
+    # Only entries scoring at least the k-th best score can make the top k;
+    # finding that score first keeps the keyed ranking to a few entries.
+    ranked = best_score.keys()
+    if len(best_score) > k:
+        floor = heapq.nlargest(k, best_score.values())[-1]
+        ranked = [e for e, score in best_score.items() if score >= floor]
+    entries = kb.entries
+    top = heapq.nsmallest(k, ranked, key=lambda e: (-best_score[e], entries[e].code))
+    return [
+        LinkCandidate(
+            entry=entries[entry_id],
+            score=best_score[entry_id],
+            matched_via="name"
+            if best_surface[entry_id] == index.name_surface[entry_id]
+            else "synonym",
+        )
+        for entry_id in top
+    ]
 
 
 def code_to_category(code: str) -> str:

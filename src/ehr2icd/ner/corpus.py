@@ -95,22 +95,26 @@ def convert_external_annotations(
                         lineno,
                         f"point ({start}, {end_inclusive}) exceeds content of "
                         f"length {len(content)}",
+                        path,
                     )
                 spans.append(
                     EntitySpan(start, end, content[start:end], DISEASE_LABEL)
                 )
-        examples.append(_build_example(content, spans, lineno))
+        examples.append(_build_example(path, lineno, content, spans))
     return examples
 
 
-def _build_example(content: str, spans: list[EntitySpan], record: int) -> AnnotatedExample:
+def _build_example(
+    path, lineno: int, content: str, spans: list[EntitySpan]
+) -> AnnotatedExample:
     spans = sorted(spans, key=lambda s: (s.start, s.end))
     for previous, current in zip(spans, spans[1:]):
         if previous.end > current.start:
             raise OverlapError(
-                record,
+                lineno,
                 f"spans ({previous.start}, {previous.end}) and "
                 f"({current.start}, {current.end}) overlap",
+                path,
             )
     return AnnotatedExample(content=content, spans=tuple(spans))
 
@@ -127,7 +131,8 @@ def _entity(path, lineno: int, content: str, item) -> EntitySpan:
             path, lineno, "each entity must be [start, end] or [start, end, label]"
         )
     if not (0 <= start < end <= len(content)):
-        raise OffsetOutOfRange(lineno, f"entity ({start}, {end}) exceeds content length")
+        detail = f"entity ({start}, {end}) exceeds content length"
+        raise OffsetOutOfRange(lineno, detail, path)
     return EntitySpan(start, end, content[start:end], label)
 
 
@@ -139,7 +144,7 @@ def _internal_records(path, text: str):
         if not isinstance(entities, list):
             raise MalformedFile(path, lineno, "entities must be a list")
         spans = [_entity(path, lineno, content, item) for item in entities]
-        yield lineno, obj, _build_example(content, spans, lineno)
+        yield lineno, obj, _build_example(path, lineno, content, spans)
 
 
 def read_internal(path) -> list[AnnotatedExample]:
@@ -193,7 +198,8 @@ def split_corpus(
     """Deterministically shuffle and partition a corpus.
 
     The first floor(n * train_fraction) shuffled examples become the training
-    half; together the two halves are exactly the input.
+    half; together the two halves are exactly the input. A corpus too small
+    to leave the training half any example is rejected.
     """
     if not corpus:
         raise EmptyCorpus()
@@ -204,4 +210,9 @@ def split_corpus(
     # The epsilon keeps exact products like 1000 * 0.7 from landing below the
     # integer they equal mathematically.
     cut = int(len(items) * train_fraction + 1e-9)
+    if cut == 0:
+        raise EmptyCorpus(
+            f"training split is empty: train_fraction {train_fraction} of "
+            f"{len(items)} example(s) leaves none to train on"
+        )
     return items[:cut], items[cut:]

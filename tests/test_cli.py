@@ -103,6 +103,17 @@ def test_train_rejects_overlapping_record(tmp_path, capsys):
     assert "2" in capsys.readouterr().err
 
 
+def test_train_on_too_small_corpus_names_the_empty_split(tmp_path, capsys):
+    one_line = '{"content": "Cystitis", "entities": [[0, 8]]}\n'
+    corpus = _write(tmp_path, "corpus.jsonl", one_line)
+    model = tmp_path / "m.model"
+    assert main(["train", "--corpus", str(corpus), "--model-out", str(model)]) == 2
+    err = capsys.readouterr().err
+    assert "training split is empty" in err
+    assert "train_fraction 0.7 of 1 example" in err
+    assert not model.exists()
+
+
 def test_annotate_then_link_matches_direct_link(tmp_path, sample_kb_path):
     corpus, _ = _micro_corpus(tmp_path)
     model = tmp_path / "m.model"
@@ -400,6 +411,18 @@ MALFORMED_INPUTS = {
     "corpus": (TRAIN, NOT_UTF8, 2),
     "corpus-line-not-object": (TRAIN, b"1\n", 2),
     "corpus-entity-not-list": (TRAIN, b'{"content": "Cystitis", "entities": [5]}\n', 2),
+    "corpus-entity-past-content": (
+        TRAIN, b'{"content": "Cystitis", "entities": [[0, 15, "Disease"]]}\n', 2
+    ),
+    "corpus-entities-overlap": (
+        TRAIN, b'{"content": "Colon cancer", "entities": [[0, 12], [6, 12]]}\n', 2
+    ),
+    "corpus-point-past-content": (
+        TRAIN,
+        b'{"content": "Cystitis", "metadata": {"status": "done"}, "annotation": '
+        b'[{"label": ["Disease Name"], "points": [{"start": 0, "end": 20}]}]}\n',
+        2,
+    ),
     "corpus-lone-surrogate": (
         TRAIN,
         b'{"content": "\\ud800 Cystitis", "entities": [[2, 10]]}\n'

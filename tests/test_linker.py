@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_kb
 
+from ehr2icd import linker
 from ehr2icd.errors import DuplicateCode, InvalidCode
 from ehr2icd.linker import (
     KBEntry,
@@ -10,11 +12,13 @@ from ehr2icd.linker import (
     code_to_category,
     load_kb,
     lookup,
+    query_tokens,
     read_standard_csv,
     write_standard_csv,
     STANDARD_HEADER,
 )
 from ehr2icd.ner.spans import make_span
+from ehr2icd.ner.tokenizer import tokenize
 from ehr2icd.normalization import DateTriple, NormalizedRecord
 
 TABLE9_FILE = (
@@ -128,6 +132,16 @@ def test_synonym_match_reported():
     assert candidate.score == pytest.approx(1.0)
 
 
+def test_name_wins_a_tie_with_a_synonym_sharing_other_tokens():
+    # Name and synonym each share one of the two query tokens (score 1/3).
+    # Across 20 word pairs, set iteration meets the synonym's token first
+    # for some of them; the name must win every tie all the same.
+    for i in range(20):
+        kb = make_kb(KBEntry("A00", f"common n{i}", (f"common s{i}",)))
+        [candidate] = lookup(f"n{i} s{i}", kb)
+        assert (candidate.score, candidate.matched_via) == (1 / 3, "name")
+
+
 def test_rank_monotone_under_helpful_token():
     # Adding a query token present in A's name must not push A below an
     # entry that gains nothing from it.
@@ -136,6 +150,107 @@ def test_rank_monotone_under_helpful_token():
     after = [c.entry.code for c in lookup("alpha beta", kb)]
     assert before.index("A00") >= before.index("B00")
     assert after.index("A00") <= after.index("B00")
+
+
+def _oracle_tokens(text):
+    return {t.text.lower() for t in tokenize(text) if t.text[0].isalnum()}
+
+
+def _oracle_lookup(term, entries):
+    """Reference ranking: re-tokenize and score every surface of every entry."""
+    query = _oracle_tokens(term)
+    candidates = []
+    for entry in entries:
+        best_score, best_via = 0.0, "name"
+        for via, surface in (("name", entry.name), *(("synonym", s) for s in entry.synonyms)):
+            surface_tokens = _oracle_tokens(surface)
+            shared = len(query & surface_tokens)
+            if shared == 0:
+                continue
+            score = shared / len(query | surface_tokens)
+            if score > best_score:
+                best_score, best_via = score, via
+        if best_score > 0.0:
+            candidates.append((entry, best_score, best_via))
+    candidates.sort(key=lambda c: (-c[1], c[0].code))
+    return candidates
+
+
+# Repeated, non-ASCII, digit-only and stop-like words, plus punctuation that
+# the tokenizer splits off (the underscore included).
+WORDS = ["alpha", "Beta", "gamma", "Straße", "δέλτα", "ünï", "x2", "10", "٣", "of", "with"]
+PUNCTUATION = ["-", ",", "/", "+", "(", ")", "_"]
+SURFACES = st.builds(
+    lambda parts, sep: sep.join(parts),
+    st.lists(st.sampled_from(WORDS + PUNCTUATION), min_size=1, max_size=5),
+    st.sampled_from([" ", "", "-"]),
+)
+CODES = [f"{letter}{n:02d}" for letter in "ABJ" for n in (0, 9, 15, 41)] + ["A00.1", "J15.9"]
+
+
+@st.composite
+def kbs_and_terms(draw):
+    # Codes drawn in random order, so entries are out of code order.
+    codes = draw(st.lists(st.sampled_from(CODES), min_size=1, max_size=8, unique=True))
+    entries = []
+    for code in codes:
+        # Reusing an earlier name makes whole entries tie.
+        name = draw(st.one_of(SURFACES, *(st.just(e.name) for e in entries[-2:])))
+        words = name.split()
+        # Same tokens in another order, or one word swapped: both can tie
+        # with the name on the score.
+        reordered = " ".join(reversed(words))
+        swapped = " ".join(words[:-1] + [draw(st.sampled_from(WORDS))])
+        synonym = st.one_of(
+            SURFACES, st.sampled_from([name, name.upper(), reordered, swapped]),
+            st.sampled_from(PUNCTUATION),
+        )
+        entries.append(KBEntry(code, name, tuple(draw(st.lists(synonym, max_size=3)))))
+    # A term made of the KB's own words shares tokens with many surfaces.
+    kb_words = sorted({w for e in entries for s in (e.name, *e.synonyms) for w in s.split()})
+    mixed = st.lists(st.sampled_from(kb_words), min_size=1, max_size=3).map(" ".join)
+    return entries, draw(st.one_of(SURFACES, mixed))
+
+
+@settings(max_examples=100, deadline=None)
+@given(kbs_and_terms())
+def test_lookup_matches_per_candidate_oracle(kb_and_term):
+    entries, term = kb_and_term
+    kb = make_kb(*entries)
+    expected = _oracle_lookup(term, entries)
+    for k in range(1, len(expected) + 3):
+        got = [(c.entry, c.score, c.matched_via) for c in lookup(term, kb, k=k)]
+        assert got == expected[:k]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text())
+def test_query_tokens_are_the_alphanumeric_tokens(text):
+    assert query_tokens(text) == _oracle_tokens(text)
+
+
+@pytest.mark.parametrize("size", [50, 500])
+def test_lookup_tokenizes_only_the_query(size, monkeypatch):
+    kb = make_kb(
+        *(
+            KBEntry(f"A{i // 10:02d}.{i % 10}", f"shared disease {i}", ("shared",))
+            for i in range(size)
+        )
+    )
+    calls = {"query_tokens": 0, "tokenize": 0}
+
+    def counted(name, real):
+        def wrapper(text):
+            calls[name] += 1
+            return real(text)
+
+        return wrapper
+
+    monkeypatch.setattr(linker, "query_tokens", counted("query_tokens", linker.query_tokens))
+    monkeypatch.setattr(linker, "tokenize", counted("tokenize", tokenize), raising=False)
+    assert len(lookup("shared", kb, k=4)) == 4
+    # Only the query is tokenized (query_tokens may do so through tokenize).
+    assert calls["query_tokens"] == 1 and calls["tokenize"] <= 1
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import DATA_DIR
 
+from ehr2icd.errors import MalformedFile
 from ehr2icd.linker import StandardRecord, read_standard_csv
 from ehr2icd.normalization import DateTriple
 from ehr2icd.report import (
@@ -132,6 +133,25 @@ def test_csv_roundtrip(tmp_path):
     report = aggregate(rows)
     emit_report(report, tmp_path)
     assert read_report(tmp_path) == report
+
+
+@pytest.mark.parametrize(
+    "name,contents,detail",
+    [
+        ("by_category.csv", b"Category,Count\nA06,\xff\n", "not valid UTF-8"),
+        ("by_category.csv", b"Category,Count\nA06,x\n", "row 2: cell 'x' is not an integer"),
+        ("by_month.csv", b"Year,Month,Count\n1439,4,3\n1439,May,1\n", "row 3:"),
+        ("summary.csv", b"Key,Value\nna_rows,0\n", "no total_rows row"),
+    ],
+    ids=["not-utf8", "count-not-integer", "month-not-integer", "no-total-rows"],
+)
+def test_read_report_rejects_malformed_file_naming_it(tmp_path, name, contents, detail):
+    emit_report(aggregate(read_standard_csv(DATA_DIR / "standard_20.csv")), tmp_path)
+    (tmp_path / name).write_bytes(contents)
+    with pytest.raises(MalformedFile) as err:
+        read_report(tmp_path)
+    assert str(tmp_path / name) in str(err.value)
+    assert detail in str(err.value)
 
 
 def test_json_document_has_all_sections(tmp_path):
