@@ -43,6 +43,7 @@ from .ner import (
 from .ner.corpus import read_annotations
 from .normalization import NormalizedRecord, normalize_with_reason
 from .report import aggregate, emit_report
+from .textio import atomic_write
 
 
 class _Parser(argparse.ArgumentParser):
@@ -195,7 +196,7 @@ def _normalized_row(record: NormalizedRecord, header: list[str]) -> list[str]:
 def cmd_normalize(args) -> int:
     normalized, reasons = _normalize_file(args.input)
     header = read_header(args.input)
-    with Path(args.output).open("w", encoding="utf-8", newline="") as fh:
+    with atomic_write(args.output, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for record in normalized:
@@ -238,7 +239,7 @@ def cmd_train(args) -> int:
 def cmd_annotate(args) -> int:
     spans_of = _tagger_spans(load_model(args.model))
     normalized, _ = _normalize_file(args.input)
-    with Path(args.output).open("w", encoding="utf-8") as fh:
+    with atomic_write(args.output) as fh:
         for record in normalized:
             spans = spans_of(record)
             fh.write(
@@ -320,9 +321,8 @@ def cmd_evaluate(args) -> int:
         "tagger": summary_to_dict(result.summary_a),
         "dictionary": summary_to_dict(result.summary_b),
     }
-    (out_dir / "summary.json").write_text(
-        json.dumps(summary_doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    with atomic_write(out_dir / "summary.json") as fh:
+        fh.write(json.dumps(summary_doc, indent=2, sort_keys=True) + "\n")
 
     print("Annotator,True result,False result,Accuracy")
     for name, summary in (("tagger", result.summary_a), ("dictionary", result.summary_b)):

@@ -31,11 +31,18 @@ class MalformedFile(DataError):
 
 
 class RecordError(DataError):
-    """A problem within one record; ``path`` names its file when it came from one."""
+    """A problem within one record.
 
-    def __init__(self, record: int, detail: str, path=None):
-        where = f"record {record}:" if path is None else f"{path}: row {record}:"
-        super().__init__(f"{where} {detail}")
+    ``path`` names its file when it came from one; ``record`` is None for
+    spans checked outside any record, whose caller names them.
+    """
+
+    def __init__(self, record: int | None, detail: str, path=None):
+        if path is not None:
+            detail = f"{path}: row {record}: {detail}"
+        elif record is not None:
+            detail = f"record {record}: {detail}"
+        super().__init__(detail)
         self.record = record
         self.path = path
 

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Iterable
 
 from .ner.spans import AnnotatedExample, EntitySpan
+from .textio import atomic_write
 
 EXACT = "Exact"
 PARTIAL = "Partial"
@@ -137,7 +137,7 @@ def compare_annotators(
 
 
 def write_outcomes_csv(path, rows: Iterable[OutcomeRow]) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["record_id", "gold_text", "predicted", "classification"])
         for row in rows:

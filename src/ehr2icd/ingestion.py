@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .errors import MalformedFile, MissingAttribute
-from .textio import open_input
+from .textio import atomic_write, open_input
 
 REQUIRED_COLUMNS = ("Gender", "Age", "Diagnosis", "Diagnosis Date")
 
@@ -106,7 +105,7 @@ def drop_missing(records: list[RawRecord]) -> list[RawRecord]:
 
 def write_dataset(path, records: list[RawRecord], header: list[str]) -> None:
     """Write records back to CSV under the given header order."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for record in records:

@@ -8,9 +8,12 @@ from the postings of its query tokens, how many tokens each surface shares
 with the query; the token-set Jaccard score is then
 shared / (query size + surface size - shared). An entry scores by its best
 surface (the name wins a tie with a synonym), and candidates are ranked by
-score descending with ties broken by code. Assignment takes the top-ranked
-candidate per recognized disease; rows whose lookup comes up empty keep NA
-in all three ICD fields so they stay available for manual coding.
+score descending with ties broken by code. Since a ranking depends only on
+the query's token set and k, each KnowledgeBase keeps the rankings of recent
+queries in a bounded LRU cache; ``lookup`` returns a fresh list on every
+call. Assignment takes the top-ranked candidate per recognized disease;
+rows whose lookup comes up empty keep NA in all three ICD fields so they
+stay available for manual coding.
 """
 
 from __future__ import annotations
@@ -20,19 +23,23 @@ import heapq
 import re
 from array import array
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from itertools import chain
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import DuplicateCode, InvalidCode, MalformedFile
 from .ner.spans import EntitySpan
 from .normalization import DateTriple, NormalizedRecord, normalize_date
-from .textio import open_input, read_text
+from .textio import atomic_write, open_input, read_text
 
 # [^\W_] is a letter or digit: exactly the tokens of ner.tokenizer that start
 # with an alphanumeric character.
 _WORD_RE = re.compile(r"[^\W_]+")
+
+# Distinct (query token set, k) rankings each KnowledgeBase keeps.
+LOOKUP_CACHE_SIZE = 1024
 
 # Uppercase letter, two digits, optional "." plus one or two alphanumerics.
 CODE_RE = re.compile(r"^[A-Z][0-9]{2}(?:\.[A-Za-z0-9]{1,2})?$")
@@ -75,6 +82,17 @@ class KnowledgeBase:
 
     entries: tuple[KBEntry, ...]
     index: SurfaceIndex
+    _ranked: Callable[[frozenset[str], int], tuple[LinkCandidate, ...]] = field(
+        init=False, compare=False, repr=False
+    )
+
+    def __post_init__(self):
+        rank = partial(_rank, self.entries, self.index)
+        object.__setattr__(self, "_ranked", lru_cache(LOOKUP_CACHE_SIZE)(rank))
+
+    def __reduce__(self):
+        # Pickle the fields only; unpickling starts an empty cache.
+        return KnowledgeBase, (self.entries, self.index)
 
 
 @dataclass(frozen=True)
@@ -158,7 +176,12 @@ def lookup(term: str, kb: KnowledgeBase, k: int = 4) -> list[LinkCandidate]:
     query = query_tokens(term)
     if not query:
         return []
-    index = kb.index
+    return list(kb._ranked(frozenset(query), k))
+
+
+def _rank(
+    entries: tuple[KBEntry, ...], index: SurfaceIndex, query: frozenset[str], k: int
+) -> tuple[LinkCandidate, ...]:
     shared = Counter(chain.from_iterable(index.postings.get(t, ()) for t in query))
     n_query, entry_of, size = len(query), index.entry_of, index.size
     # Surfaces are walked in id order and only a strictly greater score
@@ -179,9 +202,8 @@ def lookup(term: str, kb: KnowledgeBase, k: int = 4) -> list[LinkCandidate]:
     if len(best_score) > k:
         floor = heapq.nlargest(k, best_score.values())[-1]
         ranked = [e for e, score in best_score.items() if score >= floor]
-    entries = kb.entries
     top = heapq.nsmallest(k, ranked, key=lambda e: (-best_score[e], entries[e].code))
-    return [
+    return tuple(
         LinkCandidate(
             entry=entries[entry_id],
             score=best_score[entry_id],
@@ -190,7 +212,7 @@ def lookup(term: str, kb: KnowledgeBase, k: int = 4) -> list[LinkCandidate]:
             else "synonym",
         )
         for entry_id in top
-    ]
+    )
 
 
 def code_to_category(code: str) -> str:
@@ -241,7 +263,7 @@ def assign(
 
 def write_standard_csv(path, rows: list[StandardRecord]) -> None:
     """Write the 7-attribute output; NA fields become empty cells."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(STANDARD_HEADER)
         for row in rows:

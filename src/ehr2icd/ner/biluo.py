@@ -57,7 +57,7 @@ def encode_biluo(tokens: list[Token], spans: list[EntitySpan]) -> TagSequence:
                 f"with token boundaries"
             )
         if any(tags[k] != O for k in covered):
-            raise OverlapError(0, f"span ({span.start}, {span.end}) overlaps another span")
+            raise OverlapError(None, f"span ({span.start}, {span.end}) overlaps another span")
         if len(covered) == 1:
             tags[covered[0]] = U
         else:

@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import json
 import random
-from pathlib import Path
 
 from ..errors import EmptyCorpus, MalformedFile, OffsetOutOfRange, OverlapError
-from ..textio import read_text
+from ..textio import atomic_write, read_text
 from .spans import DISEASE_LABEL, AnnotatedExample, EntitySpan
 
 _ACCEPTED_LABELS = ("Disease Name", DISEASE_LABEL)
@@ -164,7 +163,7 @@ def read_annotations(path) -> dict[int, tuple[EntitySpan, ...]]:
 
 
 def write_internal(path, examples: list[AnnotatedExample]) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for example in examples:
             record = {
                 "content": example.content,

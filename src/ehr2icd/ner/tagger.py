@@ -5,14 +5,22 @@ single-threaded updates, and weight averaging over all update ticks. Tag
 scores are summed per (feature, tag) weight; ties break in the fixed TAGS
 order, except that a token for which no tag has any evidence at all stays
 outside any entity (an untrained model therefore predicts nothing).
+
+A TaggerModel is compiled once, when it is built: each feature's weights are
+packed into a vector in TAGS order (0.0 for an absent tag), so scoring a
+token adds a few vectors, in the same feature order as the sparse weights
+and with bit-identical sums. The spans of each text are kept in a bounded,
+per-model LRU cache, since exports repeat a few hundred diagnosis texts
+across thousands of rows; ``predict`` returns a fresh list on every call.
 """
 
 from __future__ import annotations
 
 import random
 from collections import defaultdict
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import dataclass, field
+from functools import lru_cache, partial
+from typing import Callable
 
 from ..errors import (
     EmptyCorpus,
@@ -22,8 +30,8 @@ from ..errors import (
     OverlapError,
     UnsupportedModelVersion,
 )
-from ..textio import read_text
-from .biluo import O, TAGS, TagSequence, decode_biluo, encode_biluo
+from ..textio import atomic_write, read_text
+from .biluo import B, I, L, O, TAGS, U, TagSequence, decode_biluo, encode_biluo
 from .spans import AnnotatedExample, EntitySpan
 from .tokenizer import tokenize
 
@@ -33,17 +41,36 @@ _FORMAT = "1"
 _BOUNDARY_LEFT = "-START-"
 _BOUNDARY_RIGHT = "-END-"
 
+# Distinct texts whose spans each model keeps.
+PREDICT_CACHE_SIZE = 1024
+
 Weights = dict[str, dict[str, float]]
+Vector = tuple[float, float, float, float, float]  # weights of B, I, L, U, O
 
 
 @dataclass(frozen=True)
 class TaggerModel:
-    """Immutable trained model: sparse (feature, tag) weights plus metadata."""
+    """Immutable trained model: sparse (feature, tag) weights plus metadata.
+
+    ``weights`` must not be changed after construction: the packed vectors
+    and the span cache are derived from it then.
+    """
 
     weights: Weights
     epochs: int
     seed: int
     feature_template: str = FEATURE_TEMPLATE
+    _spans: Callable[[str], tuple[EntitySpan, ...]] = field(
+        init=False, compare=False, repr=False
+    )
+
+    def __post_init__(self):
+        tag_text = partial(_tag_text, _pack(self.weights))
+        object.__setattr__(self, "_spans", lru_cache(PREDICT_CACHE_SIZE)(tag_text))
+
+    def __reduce__(self):
+        # Pickle the fields only; unpickling compiles the model again.
+        return TaggerModel, (self.weights, self.epochs, self.seed, self.feature_template)
 
 
 def _shape(token: str) -> str:
@@ -91,6 +118,18 @@ def _score_tags(weights: Weights, feats: list[str]) -> dict[str, float]:
         for tag, weight in per_tag.items():
             scores[tag] += weight
     return scores
+
+
+def _pack(weights: Weights) -> dict[str, Vector]:
+    known = set(TAGS)
+    vectors = {}
+    for feat, per_tag in weights.items():
+        if not known.issuperset(per_tag):
+            unknown = sorted(per_tag.keys() - known)
+            raise ValueError(f"feature {feat!r} has weights for unknown tags {unknown}")
+        get = per_tag.get
+        vectors[feat] = (get(B, 0.0), get(I, 0.0), get(L, 0.0), get(U, 0.0), get(O, 0.0))
+    return vectors
 
 
 def _best_tag(scores: dict[str, float]) -> str:
@@ -190,20 +229,49 @@ def train_tagger(
 
 def predict(model: TaggerModel, text: str) -> list[EntitySpan]:
     """Greedily tag the text and decode the (repaired) tags into spans."""
+    return list(model._spans(text))
+
+
+def _tag_text(vectors: dict[str, Vector], text: str) -> tuple[EntitySpan, ...]:
     tokens = tokenize(text)
     if not tokens:
-        return []
+        return ()
     lower = [t.text.lower() for t in tokens]
     shapes = [_shape(t.text) for t in tokens]
+    get = vectors.get
     prev = _BOUNDARY_LEFT
     tags = []
     for i in range(len(tokens)):
-        feats = _features(lower, shapes, i, prev)
-        tag = _best_tag(_score_tags(model.weights, feats))
+        # The sums of _score_tags, tag by tag: the same weights are added in
+        # the same feature order. The 0.0s of absent tags change nothing: a
+        # sum that starts at +0.0 never becomes -0.0, and x + 0.0 == x.
+        sb = si = sl = su = so = 0.0
+        for feat in _features(lower, shapes, i, prev):
+            vector = get(feat)
+            if vector is not None:
+                vb, vi, vl, vu, vo = vector
+                sb += vb
+                si += vi
+                sl += vl
+                su += vu
+                so += vo
+        # _best_tag on these scores: the first strict maximum in TAGS order,
+        # or O when every score is zero.
+        tag, best = B, sb
+        if si > best:
+            tag, best = I, si
+        if sl > best:
+            tag, best = L, sl
+        if su > best:
+            tag, best = U, su
+        if so > best:
+            tag = O
+        if sb == si == sl == su == so == 0.0:
+            tag = O
         tags.append(tag)
         prev = tag
     sequence = TagSequence(tokens=tuple(tokens), tags=tuple(tags))
-    return decode_biluo(sequence, text)
+    return tuple(decode_biluo(sequence, text))
 
 
 def save_model(model: TaggerModel, path) -> None:
@@ -218,7 +286,8 @@ def save_model(model: TaggerModel, path) -> None:
         per_tag = model.weights[feat]
         for tag in sorted(per_tag):
             lines.append(f"{feat}\t{tag}\t{per_tag[tag]!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_write(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def load_model(path) -> TaggerModel:
@@ -252,6 +321,8 @@ def load_model(path) -> TaggerModel:
         if len(parts) != 3:
             raise MalformedFile(path, lineno, "weight lines need feature, tag, value")
         feat, tag, value = parts
+        if tag not in TAGS:
+            raise MalformedFile(path, lineno, f"unknown tag {tag!r}")
         try:
             weights.setdefault(feat, {})[tag] = float(value)
         except ValueError as exc:

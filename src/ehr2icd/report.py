@@ -17,7 +17,7 @@ from typing import Iterable
 
 from .errors import MalformedFile, UnwritablePath
 from .linker import StandardRecord
-from .textio import open_input
+from .textio import atomic_write, open_input
 
 CSV_FILES = (
     "by_category.csv",
@@ -100,7 +100,7 @@ def emit_report(report: StatsReport, out_dir, fmt: str = "csv") -> list[Path]:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    with path.open("w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -148,10 +148,8 @@ def _emit_json(report: StatsReport, out_dir: Path) -> list[Path]:
         "na_rows": report.na_rows,
     }
     path = out_dir / "report.json"
-    path.write_text(
-        json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
     return [path]
 
 

@@ -1,8 +1,10 @@
-"""Open UTF-8 input files so that unreadable content names the file."""
+"""Open UTF-8 input files so that unreadable content names the file, and
+write output files whole or not at all."""
 
 from __future__ import annotations
 
 import csv
+import os
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -30,3 +32,33 @@ def read_text(path) -> str:
     """The whole of a UTF-8 file, with line endings translated to ``\\n``."""
     with open_input(path) as fh:
         return fh.read()
+
+
+@contextmanager
+def atomic_write(path, newline=None):
+    """Open ``path`` for writing as UTF-8 text, replacing it only on success.
+
+    The text goes to a new temporary file in the destination's directory,
+    which ``os.replace`` moves onto ``path`` once the block ends without an
+    exception; otherwise the temporary file is removed and ``path`` is left
+    as it was. A destination that exists but is not a regular file (a
+    device or a pipe) is written directly. CSV writers pass ``newline=""``.
+    """
+    path = Path(path)
+    if path.exists() and not path.is_file():
+        with path.open("w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        return
+    temporary = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        # Mode "x" creates the file with the same permissions as "w" would.
+        fh = temporary.open("x", encoding="utf-8", newline=newline)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
+    try:
+        with fh:
+            yield fh
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise

@@ -1,9 +1,11 @@
+import csv
 import json
 
 import pytest
 from conftest import GOLDEN_DIR
 from hypothesis import given, settings, strategies as st
 
+from ehr2icd import cli
 from ehr2icd.cli import main
 from ehr2icd.ner import AnnotatedExample, EntitySpan
 from ehr2icd.ner.corpus import write_internal
@@ -327,6 +329,40 @@ def test_pipeline_json_report_format(
     assert document["na_rows"] == 5
 
 
+@pytest.mark.parametrize("command", ["pipeline", "link"])
+def test_tagger_and_linker_called_once_per_normalized_record(
+    command, tmp_path, monkeypatch, sample_kb_path, sample_model_path, sample_ehr_300_path
+):
+    # The benchmark's trace counts texts, spans and lookups from these calls,
+    # so per-text caching must stay behind predict and lookup, not in the CLI.
+    normalized = tmp_path / "normalized.csv"
+    assert main(["normalize", "--input", str(sample_ehr_300_path), "--output", str(normalized)]) == 0
+    with normalized.open(newline="") as fh:
+        texts = [row["Diagnosis"] for row in csv.DictReader(fh)]
+    assert len(set(texts)) < len(texts)  # repeated texts would hit a cache
+    predicted, assigned = [], []
+
+    def counted(calls, real, key):
+        def wrapper(*args, **kwargs):
+            calls.append(key(*args))
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "predict", counted(predicted, cli.predict, lambda m, t: t))
+    monkeypatch.setattr(
+        cli, "assign", counted(assigned, cli.assign, lambda r, *_: r.diagnosis_text)
+    )
+    common = ["--kb", str(sample_kb_path), "--model", str(sample_model_path)]
+    if command == "pipeline":
+        argv = ["pipeline", "--input", str(sample_ehr_300_path), "--out-dir", str(tmp_path / "o")]
+    else:
+        argv = ["link", "--input", str(normalized), "--output", str(tmp_path / "s.csv")]
+    assert main(argv + common) == 0
+    assert predicted == texts
+    assert assigned == texts
+
+
 def test_config_file_and_flag_override(tmp_path, sample_kb_path, sample_model_path):
     config = _write(
         tmp_path,
@@ -402,6 +438,11 @@ MALFORMED_INPUTS = {
     "model": ([*LINK, "--kb", "{kb}", "--model"], NOT_UTF8, 2),
     "model-weight": (
         [*LINK, "--kb", "{kb}", "--model"], (MODEL_HEAD + "bias\tO\tx\n").encode(), 2
+    ),
+    "model-unknown-tag": (
+        [*LINK, "--kb", "{kb}", "--model"],
+        (MODEL_HEAD + "bias\tX-Disease\t1.0\n").encode(),
+        2,
     ),
     "model-epochs": (
         [*LINK, "--kb", "{kb}", "--model"],

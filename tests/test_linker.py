@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,6 +8,7 @@ from conftest import make_kb
 from ehr2icd import linker
 from ehr2icd.errors import DuplicateCode, InvalidCode
 from ehr2icd.linker import (
+    LOOKUP_CACHE_SIZE,
     KBEntry,
     assign,
     build_index,
@@ -353,3 +356,45 @@ def test_standard_csv_roundtrip(tmp_path, table9_kb):
     first_line = path.read_text().splitlines()[0]
     assert first_line == ",".join(STANDARD_HEADER)
     assert read_standard_csv(path) == rows
+
+
+def test_lookup_cache_keys_on_k(table9_kb):
+    assert len(lookup("Diabetes", table9_kb, 1)) == 1
+    assert len(lookup("diabetes", table9_kb, 4)) == 4
+
+
+def test_mutating_lookup_result_leaves_cache_intact(table9_kb):
+    candidates = lookup("diabetic nephropathy", table9_kb, 4)
+    expected = list(candidates)
+    candidates.clear()
+    assert lookup("Diabetic  Nephropathy", table9_kb, 4) == expected
+    assert lookup("diabetic nephropathy", table9_kb, 4) is not expected
+
+
+def test_lookup_cache_stays_bounded_and_exact():
+    entries = tuple(
+        KBEntry(f"A{i // 10:02d}.{i % 10}", f"shared disease w{i}") for i in range(200)
+    )
+    kb = make_kb(*entries)
+    terms = [f"shared w{i} w{i + 1}" for i in range(LOOKUP_CACHE_SIZE + 40)]
+    first = [lookup(term, kb, k=3) for term in terms]
+    assert kb._ranked.cache_info().currsize <= LOOKUP_CACHE_SIZE
+    fresh = make_kb(*entries)
+    assert [lookup(term, kb, k=3) for term in terms] == first
+    assert [lookup(term, fresh, k=3) for term in terms] == first
+    assert kb._ranked.cache_info().currsize <= LOOKUP_CACHE_SIZE
+
+
+def test_lookup_caches_are_per_knowledge_base():
+    first = make_kb(KBEntry("A00", "Cholera"), KBEntry("B00", "Herpes"))
+    second = make_kb(KBEntry("J00", "Cholera infection"))
+    assert [c.entry.code for c in lookup("cholera", first)] == ["A00"]
+    assert [(c.entry.code, c.score) for c in lookup("cholera", second)] == [("J00", 0.5)]
+    assert [c.entry.code for c in lookup("cholera", first)] == ["A00"]
+
+
+def test_knowledge_base_pickles_without_its_cache(table9_kb):
+    expected = lookup("diabetic cataract", table9_kb)
+    copy = pickle.loads(pickle.dumps(table9_kb))
+    assert copy == table9_kb
+    assert lookup("diabetic cataract", copy) == expected

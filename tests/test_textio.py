@@ -1,0 +1,79 @@
+import os
+import stat
+import threading
+
+import pytest
+
+from ehr2icd.linker import StandardRecord, write_standard_csv
+from ehr2icd.normalization import DateTriple
+from ehr2icd.textio import atomic_write
+
+
+class Boom(Exception):
+    pass
+
+
+def test_atomic_write_replaces_destination_on_success(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_text("old\n")
+    with atomic_write(path, newline="") as fh:
+        fh.write("new\r\n")
+    assert path.read_bytes() == b"new\r\n"
+    assert os.listdir(tmp_path) == ["out.csv"]
+
+
+def test_failed_write_leaves_neither_destination_nor_temporary(tmp_path):
+    path = tmp_path / "out.csv"
+    with pytest.raises(Boom):
+        with atomic_write(path) as fh:
+            fh.write("half a file")
+            fh.flush()
+            # The partial text is in a temporary file, not at the destination.
+            assert not path.exists() and len(os.listdir(tmp_path)) == 1
+            raise Boom()
+    assert os.listdir(tmp_path) == []
+
+
+def test_failed_write_keeps_previous_destination(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_text("previous run\n")
+    with pytest.raises(Boom):
+        with atomic_write(path) as fh:
+            fh.write("half a file")
+            raise Boom()
+    assert path.read_text() == "previous run\n"
+    assert os.listdir(tmp_path) == ["out.csv"]
+
+
+def test_writer_failing_mid_rows_leaves_no_file(tmp_path):
+    def rows():
+        yield StandardRecord("Female", 20, DateTriple(9, 4, 1439), "Cystitis")
+        raise Boom()
+
+    path = tmp_path / "standard.csv"
+    with pytest.raises(Boom):
+        write_standard_csv(path, rows())
+    assert os.listdir(tmp_path) == []
+
+
+def test_missing_directory_error_names_destination(tmp_path):
+    path = tmp_path / "no_such_dir" / "out.csv"
+    with pytest.raises(FileNotFoundError) as err:
+        with atomic_write(path):
+            pass
+    assert err.value.filename == str(path)
+
+
+def test_non_regular_destination_is_written_directly(tmp_path):
+    # A pipe cannot be replaced by a file; its reader must get the text.
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+    reader.start()
+    with atomic_write(fifo) as fh:
+        fh.write("through the pipe\n")
+    reader.join(timeout=10)
+    assert received == ["through the pipe\n"]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert os.listdir(tmp_path) == ["pipe"]
