@@ -17,7 +17,7 @@ from pathlib import Path
 from . import __version__
 from .config import PipelineConfig, apply_overrides, load_config
 from .dictionary import build_lexicon, dict_annotate, read_terms
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, EncodingError, RecordError
 from .evaluation import (
     compare_annotators,
     render_percent,
@@ -40,10 +40,10 @@ from .ner import (
     split_corpus,
     train_tagger,
 )
-from .ner.corpus import read_annotations
+from .ner.corpus import corpus_lines, read_annotations
 from .normalization import NormalizedRecord, normalize_with_reason
 from .report import aggregate, emit_report
-from .textio import atomic_write
+from .textio import atomic_group, atomic_write
 
 
 class _Parser(argparse.ArgumentParser):
@@ -217,7 +217,15 @@ def cmd_train(args) -> int:
     )
     corpus = read_corpus(args.corpus)
     train, test = split_corpus(corpus, config.train_fraction, config.seed)
-    model = train_tagger(train, epochs=config.epochs, seed=config.seed)
+    try:
+        model = train_tagger(train, epochs=config.epochs, seed=config.seed)
+    except EncodingError as exc:
+        # exc.record counts within the shuffled training split; name the
+        # file line the example came from instead.
+        example = train[exc.record - 1]
+        position = next(n for n, item in enumerate(corpus) if item is example)
+        line = corpus_lines(args.corpus)[position]
+        raise RecordError(line, exc.detail, args.corpus) from exc
     save_model(model, args.model_out)
     _diag(f"train: split {len(train)}/{len(test)} of {len(corpus)} examples")
     if test:
@@ -315,14 +323,15 @@ def cmd_evaluate(args) -> int:
     )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_outcomes_csv(out_dir / "outcomes_tagger.csv", result.outcomes_a)
-    write_outcomes_csv(out_dir / "outcomes_dictionary.csv", result.outcomes_b)
     summary_doc = {
         "tagger": summary_to_dict(result.summary_a),
         "dictionary": summary_to_dict(result.summary_b),
     }
-    with atomic_write(out_dir / "summary.json") as fh:
-        fh.write(json.dumps(summary_doc, indent=2, sort_keys=True) + "\n")
+    with atomic_group():
+        write_outcomes_csv(out_dir / "outcomes_tagger.csv", result.outcomes_a)
+        write_outcomes_csv(out_dir / "outcomes_dictionary.csv", result.outcomes_b)
+        with atomic_write(out_dir / "summary.json") as fh:
+            fh.write(json.dumps(summary_doc, indent=2, sort_keys=True) + "\n")
 
     print("Annotator,True result,False result,Accuracy")
     for name, summary in (("tagger", result.summary_a), ("dictionary", result.summary_b)):
@@ -359,9 +368,10 @@ def cmd_pipeline(args) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_standard_csv(out_dir / "standard.csv", rows)
-    report = aggregate(rows)
-    emit_report(report, out_dir / "report", args.format)
+    with atomic_group():
+        write_standard_csv(out_dir / "standard.csv", rows)
+        report = aggregate(rows)
+        emit_report(report, out_dir / "report", args.format)
 
     dropped = sum(reasons.values())
     _diag(

@@ -69,6 +69,7 @@ class EncodingError(DataError):
     def __init__(self, record: int, detail: str):
         super().__init__(f"example {record}: {detail}")
         self.record = record
+        self.detail = detail
 
 
 class DuplicateCode(DataError):

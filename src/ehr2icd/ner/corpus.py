@@ -69,7 +69,11 @@ def convert_external_annotations(
     document: str, path="<annotations>"
 ) -> list[AnnotatedExample]:
     """Convert an external annotation export (one JSON object per line)."""
-    examples = []
+    return [example for _, example in _external_records(path, document)]
+
+
+def _external_records(path, document: str):
+    """Yield (line number, example) for each kept record of an external export."""
     for lineno, obj in _json_objects(path, document):
         metadata = obj.get("metadata")
         status = metadata.get("status") if isinstance(metadata, dict) else None
@@ -99,8 +103,7 @@ def convert_external_annotations(
                 spans.append(
                     EntitySpan(start, end, content[start:end], DISEASE_LABEL)
                 )
-        examples.append(_build_example(path, lineno, content, spans))
-    return examples
+        yield lineno, _build_example(path, lineno, content, spans)
 
 
 def _build_example(
@@ -174,21 +177,27 @@ def write_internal(path, examples: list[AnnotatedExample]) -> None:
 
 def read_corpus(path) -> list[AnnotatedExample]:
     """Read a non-empty corpus file, auto-detecting external vs internal schema."""
-    text = read_text(path)
-    examples = []
-    for lineno, first in _json_objects(path, text):
-        if "annotation" in first:
-            examples = convert_external_annotations(text, path)
-        elif "entities" in first:
-            examples = [example for _, _, example in _internal_records(path, text)]
-        else:
-            raise MalformedFile(
-                path, lineno, "records carry neither 'annotation' nor 'entities'"
-            )
-        break
+    examples = [example for _, example in _numbered_examples(path, read_text(path))]
     if not examples:
         raise EmptyCorpus(f"{path} contains no examples")
     return examples
+
+
+def corpus_lines(path) -> list[int]:
+    """The line number of each example ``read_corpus(path)`` returns, in order."""
+    return [lineno for lineno, _ in _numbered_examples(path, read_text(path))]
+
+
+def _numbered_examples(path, text: str) -> list[tuple[int, AnnotatedExample]]:
+    for lineno, first in _json_objects(path, text):
+        if "annotation" in first:
+            return list(_external_records(path, text))
+        if "entities" in first:
+            return [(n, example) for n, _, example in _internal_records(path, text)]
+        raise MalformedFile(
+            path, lineno, "records carry neither 'annotation' nor 'entities'"
+        )
+    return []
 
 
 def split_corpus(

@@ -6,6 +6,16 @@ scores are summed per (feature, tag) weight; ties break in the fixed TAGS
 order, except that a token for which no tag has any evidence at all stays
 outside any entity (an untrained model therefore predicts nothing).
 
+Training builds the features of each token that do not depend on the
+previous tag once, before the first epoch, and interns every feature to an
+integer id. Per id the learner keeps three integer vectors in TAGS order:
+weights, running totals and the tick of each slot's last change. A token is
+scored by adding its features' weight vectors, and an update changes only
+the true and the guessed slot. Every weight, score and total is an integer
+during training, so sums are exact in any order (below 2**53); the only
+rounding is the final ``total / ticks``, from the same operands a walk over
+sparse per-feature dicts has, so the averaged weights are bit-identical.
+
 A TaggerModel is compiled once, when it is built: each feature's weights are
 packed into a vector in TAGS order (0.0 for an absent tag), so scoring a
 token adds a few vectors, in the same feature order as the sparse weights
@@ -17,7 +27,6 @@ across thousands of rows; ``predict`` returns a fresh list on every call.
 from __future__ import annotations
 
 import random
-from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Callable
@@ -40,6 +49,14 @@ _MAGIC = "ehr2icd-tagger"
 _FORMAT = "1"
 _BOUNDARY_LEFT = "-START-"
 _BOUNDARY_RIGHT = "-END-"
+_AFFIXES = tuple((k, f"pre{k}=", f"suf{k}=") for k in (1, 2, 3))
+_CONTEXT = tuple((offset, f"w{offset:+d}=") for offset in (-2, -1, 1, 2))
+# Where ``prev=`` sits in the template: after bias, w= and shape=.
+_PREV_POSITION = 3
+# Training slots: TAGS order, then -START- as the first token's previous tag.
+_SLOTS = {tag: slot for slot, tag in enumerate(TAGS)}
+_O_SLOT = _SLOTS[O]
+_START = len(TAGS)
 
 # Distinct texts whose spans each model keeps.
 PREDICT_CACHE_SIZE = 1024
@@ -85,39 +102,30 @@ def _shape(token: str) -> str:
     return "".join(out)
 
 
-def _features(lower: list[str], shapes: list[str], i: int, prev_tag: str) -> list[str]:
-    """Feature template v1 for token i given the previous predicted tag."""
+def _static_features(lower: list[str], shapes: list[str], i: int) -> list[str]:
+    """Feature template v1 for token i, except the previous tag's feature."""
     word = lower[i]
-    feats = [
-        "bias",
-        "w=" + word,
-        "shape=" + shapes[i],
-        "prev=" + prev_tag,
-    ]
-    for k in (1, 2, 3):
+    feats = ["bias", "w=" + word, "shape=" + shapes[i]]
+    for k, prefix, suffix in _AFFIXES:
         if len(word) >= k:
-            feats.append(f"pre{k}=" + word[:k])
-            feats.append(f"suf{k}=" + word[-k:])
+            feats.append(prefix + word[:k])
+            feats.append(suffix + word[-k:])
     n = len(lower)
-    for offset in (-2, -1, 1, 2):
+    for offset, name in _CONTEXT:
         j = i + offset
         if 0 <= j < n:
             context = lower[j]
         else:
             context = _BOUNDARY_LEFT if j < 0 else _BOUNDARY_RIGHT
-        feats.append(f"w{offset:+d}=" + context)
+        feats.append(name + context)
     return feats
 
 
-def _score_tags(weights: Weights, feats: list[str]) -> dict[str, float]:
-    scores = dict.fromkeys(TAGS, 0.0)
-    for feat in feats:
-        per_tag = weights.get(feat)
-        if not per_tag:
-            continue
-        for tag, weight in per_tag.items():
-            scores[tag] += weight
-    return scores
+def _features(lower: list[str], shapes: list[str], i: int, prev_tag: str) -> list[str]:
+    """Feature template v1 for token i given the previous predicted tag."""
+    feats = _static_features(lower, shapes, i)
+    feats.insert(_PREV_POSITION, "prev=" + prev_tag)
+    return feats
 
 
 def _pack(weights: Weights) -> dict[str, Vector]:
@@ -132,59 +140,79 @@ def _pack(weights: Weights) -> dict[str, Vector]:
     return vectors
 
 
-def _best_tag(scores: dict[str, float]) -> str:
-    best_tag = TAGS[0]
-    best = scores[best_tag]
-    for tag in TAGS[1:]:
-        if scores[tag] > best:
-            best_tag, best = tag, scores[tag]
-    if best == 0.0 and all(value == 0.0 for value in scores.values()):
-        return O  # no evidence for any tag: stay outside
-    return best_tag
+class _PackedPerceptron:
+    """Collins-style perceptron with lazily accumulated weight averages.
 
+    Features are integer ids. Each id owns three 5-slot lists in TAGS order:
+    its weights, its running totals and the tick at which each slot last
+    changed. Ids 0-4 are ``prev=`` of each tag and id ``_START`` is
+    ``prev=-START-``, so a guessed slot is also the next token's ``prev=`` id.
+    """
 
-class _AveragedPerceptron:
-    """Collins-style perceptron with lazily accumulated weight averages."""
-
-    def __init__(self):
-        self.weights: Weights = {}
-        self._totals: dict[tuple[str, str], float] = defaultdict(float)
-        self._stamps: dict[tuple[str, str], int] = defaultdict(int)
+    def __init__(self, n_features: int):
+        self.weights = [[0] * len(TAGS) for _ in range(n_features)]
+        self._totals = [[0] * len(TAGS) for _ in range(n_features)]
+        self._stamps = [[0] * len(TAGS) for _ in range(n_features)]
+        # Feature id -> the slots updated so far, in the order first updated;
+        # the keys are in the order the features were first updated.
+        self._touched: dict[int, list[int]] = {}
         self._ticks = 0
 
-    def predict(self, feats: list[str]) -> str:
-        return _best_tag(_score_tags(self.weights, feats))
+    def predict(self, prev: int, vectors: tuple[list[int], ...]) -> int:
+        """The slot of the best tag for a token, given its ``prev=`` id and
+        its other features' weight vectors: the first strict maximum in TAGS
+        order, or O when every score is zero."""
+        sb, si, sl, su, so = self.weights[prev]
+        for vb, vi, vl, vu, vo in vectors:
+            sb += vb
+            si += vi
+            sl += vl
+            su += vu
+            so += vo
+        scores = [sb, si, sl, su, so]
+        best = max(scores)
+        if best or any(scores):
+            return scores.index(best)
+        return _O_SLOT
 
-    def update(self, truth: str, guess: str, feats: list[str]) -> None:
+    def update(self, truth: int, guess: int, feats: tuple[int, ...], prev: int) -> None:
         self._ticks += 1
         if truth == guess:
             return
-        for feat in feats:
-            per_tag = self.weights.setdefault(feat, {})
-            self._bump(feat, truth, per_tag, 1.0)
-            self._bump(feat, guess, per_tag, -1.0)
+        ticks = self._ticks
+        weights, totals, stamps, touched = (
+            self.weights, self._totals, self._stamps, self._touched
+        )
+        # Template order, so that features are first updated in the order a
+        # walk over _features would meet them.
+        for feat in (*feats[:_PREV_POSITION], prev, *feats[_PREV_POSITION:]):
+            weight, total, stamp = weights[feat], totals[feat], stamps[feat]
+            slots = touched.get(feat)
+            if slots is None:
+                slots = touched[feat] = []
+            for slot, delta in ((truth, 1), (guess, -1)):
+                last = stamp[slot]
+                if not last:
+                    slots.append(slot)
+                total[slot] += (ticks - last) * weight[slot]
+                stamp[slot] = ticks
+                weight[slot] += delta
 
-    def _bump(self, feat: str, tag: str, per_tag: dict[str, float], delta: float) -> None:
-        key = (feat, tag)
-        current = per_tag.get(tag, 0.0)
-        self._totals[key] += (self._ticks - self._stamps[key]) * current
-        self._stamps[key] = self._ticks
-        per_tag[tag] = current + delta
-
-    def averaged(self) -> Weights:
-        if self._ticks == 0:
+    def averaged(self, names: list[str]) -> Weights:
+        """Average weights by feature name, keeping only nonzero values."""
+        ticks = self._ticks
+        if ticks == 0:
             return {}
         averaged: Weights = {}
-        for feat, per_tag in self.weights.items():
+        for feat, slots in self._touched.items():
+            weight, total, stamp = self.weights[feat], self._totals[feat], self._stamps[feat]
             kept = {}
-            for tag, weight in per_tag.items():
-                key = (feat, tag)
-                total = self._totals[key] + (self._ticks - self._stamps[key]) * weight
-                value = total / self._ticks
+            for slot in slots:
+                value = (total[slot] + (ticks - stamp[slot]) * weight[slot]) / ticks
                 if value:
-                    kept[tag] = value
+                    kept[TAGS[slot]] = value
             if kept:
-                averaged[feat] = kept
+                averaged[names[feat]] = kept
         return averaged
 
 
@@ -200,31 +228,62 @@ def _encode_corpus(examples: list[AnnotatedExample]):
     return encoded
 
 
+class _Interned(dict):
+    """Feature name -> id, numbering each name the first time it is looked up."""
+
+    def __missing__(self, name: str) -> int:
+        self[name] = id_ = len(self)
+        return id_
+
+
+def _intern_corpus(encoded) -> tuple[list[str], list[list[tuple[tuple[int, ...], int]]]]:
+    """Intern the static features of every token, once.
+
+    Returns the feature names by id and, per example, each token's static
+    feature ids in template order with the slot of its gold tag.
+    """
+    ids = _Interned()
+    for tag in (*TAGS, _BOUNDARY_LEFT):
+        ids["prev=" + tag]
+    examples = []
+    for tokens, gold in encoded:
+        lower = [t.text.lower() for t in tokens]
+        shapes = [_shape(t.text) for t in tokens]
+        examples.append(
+            [
+                (tuple(map(ids.__getitem__, _static_features(lower, shapes, i))), _SLOTS[tag])
+                for i, tag in enumerate(gold)
+            ]
+        )
+    return list(ids), examples
+
+
 def train_tagger(
     train: list[AnnotatedExample], epochs: int = 10, seed: int = 13
 ) -> TaggerModel:
     """Train on annotated examples; identical inputs and seed give identical weights."""
     if not train:
         raise EmptyCorpus()
-    encoded = _encode_corpus(train)
+    names, examples = _intern_corpus(_encode_corpus(train))
+    learner = _PackedPerceptron(len(names))
+    # The learner changes its weight lists in place, so a tuple of them taken
+    # now stays current.
+    vector = learner.weights.__getitem__
+    steps = [
+        [(tuple(map(vector, feats)), feats, truth) for feats, truth in example]
+        for example in examples
+    ]
     rng = random.Random(seed)
-    learner = _AveragedPerceptron()
-    order = list(range(len(encoded)))
+    order = list(range(len(steps)))
     for _ in range(epochs):
         rng.shuffle(order)
         for index in order:
-            tokens, gold = encoded[index]
-            if not tokens:
-                continue
-            lower = [t.text.lower() for t in tokens]
-            shapes = [_shape(t.text) for t in tokens]
-            prev = _BOUNDARY_LEFT
-            for i in range(len(tokens)):
-                feats = _features(lower, shapes, i, prev)
-                guess = learner.predict(feats)
-                learner.update(gold[i], guess, feats)
+            prev = _START
+            for vectors, feats, truth in steps[index]:
+                guess = learner.predict(prev, vectors)
+                learner.update(truth, guess, feats, prev)
                 prev = guess
-    return TaggerModel(weights=learner.averaged(), epochs=epochs, seed=seed)
+    return TaggerModel(weights=learner.averaged(names), epochs=epochs, seed=seed)
 
 
 def predict(model: TaggerModel, text: str) -> list[EntitySpan]:
@@ -242,9 +301,10 @@ def _tag_text(vectors: dict[str, Vector], text: str) -> tuple[EntitySpan, ...]:
     prev = _BOUNDARY_LEFT
     tags = []
     for i in range(len(tokens)):
-        # The sums of _score_tags, tag by tag: the same weights are added in
-        # the same feature order. The 0.0s of absent tags change nothing: a
-        # sum that starts at +0.0 never becomes -0.0, and x + 0.0 == x.
+        # The sums a walk over the sparse weights makes, tag by tag: the same
+        # weights are added in the same (template) feature order. The 0.0s of
+        # absent tags change nothing: a sum that starts at +0.0 never becomes
+        # -0.0, and x + 0.0 == x.
         sb = si = sl = su = so = 0.0
         for feat in _features(lower, shapes, i, prev):
             vector = get(feat)
@@ -255,8 +315,8 @@ def _tag_text(vectors: dict[str, Vector], text: str) -> tuple[EntitySpan, ...]:
                 sl += vl
                 su += vu
                 so += vo
-        # _best_tag on these scores: the first strict maximum in TAGS order,
-        # or O when every score is zero.
+        # The first strict maximum in TAGS order, or O when every score is
+        # zero.
         tag, best = B, sb
         if si > best:
             tag, best = I, si

@@ -17,7 +17,7 @@ from typing import Iterable
 
 from .errors import MalformedFile, UnwritablePath
 from .linker import StandardRecord
-from .textio import atomic_write, open_input
+from .textio import atomic_group, atomic_write, open_input
 
 CSV_FILES = (
     "by_category.csv",
@@ -91,7 +91,8 @@ def emit_report(report: StatsReport, out_dir, fmt: str = "csv") -> list[Path]:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         if fmt == "csv":
-            return _emit_csv(report, out_dir)
+            with atomic_group():
+                return _emit_csv(report, out_dir)
         if fmt == "json":
             return _emit_json(report, out_dir)
     except OSError as exc:

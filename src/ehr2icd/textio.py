@@ -1,14 +1,19 @@
 """Open UTF-8 input files so that unreadable content names the file, and
-write output files whole or not at all."""
+write output files whole or not at all, alone or as a group."""
 
 from __future__ import annotations
 
 import csv
 import os
 from contextlib import contextmanager
+from contextvars import ContextVar
 from pathlib import Path
 
 from .errors import MalformedFile
+
+# (temporary, destination) of each file written inside the current
+# atomic_group, in order; None outside any group.
+_staged: ContextVar[list | None] = ContextVar("staged", default=None)
 
 
 @contextmanager
@@ -41,7 +46,8 @@ def atomic_write(path, newline=None):
     The text goes to a new temporary file in the destination's directory,
     which ``os.replace`` moves onto ``path`` once the block ends without an
     exception; otherwise the temporary file is removed and ``path`` is left
-    as it was. A destination that exists but is not a regular file (a
+    as it was. Inside an ``atomic_group`` the replacement waits for the
+    group to succeed. A destination that exists but is not a regular file (a
     device or a pipe) is written directly. CSV writers pass ``newline=""``.
     """
     path = Path(path)
@@ -58,7 +64,34 @@ def atomic_write(path, newline=None):
     try:
         with fh:
             yield fh
-        os.replace(temporary, path)
+        staged = _staged.get()
+        if staged is None:
+            os.replace(temporary, path)
+        else:
+            staged.append((temporary, path))
     except BaseException:
         temporary.unlink(missing_ok=True)
         raise
+
+
+@contextmanager
+def atomic_group():
+    """Replace the files that ``atomic_write`` writes inside the block only
+    once the whole block succeeds, so that a failed run leaves every one of
+    them as it was and no temporary file behind. A group inside another
+    group joins it.
+    """
+    if _staged.get() is not None:
+        yield
+        return
+    staged = []
+    token = _staged.set(staged)
+    try:
+        yield
+        while staged:
+            os.replace(*staged[0])
+            del staged[0]
+    finally:
+        _staged.reset(token)
+        for temporary, _ in staged:
+            temporary.unlink(missing_ok=True)

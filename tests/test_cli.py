@@ -1,5 +1,10 @@
 import csv
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from conftest import GOLDEN_DIR
@@ -103,6 +108,43 @@ def test_train_rejects_overlapping_record(tmp_path, capsys):
     rc = main(["train", "--corpus", str(path), "--model-out", str(tmp_path / "m")])
     assert rc == 2
     assert "2" in capsys.readouterr().err
+
+
+def test_train_names_file_line_of_misaligned_span(tmp_path, capsys):
+    # The bad record is on line 9 (after a blank line); in the shuffled
+    # training split it is another example number.
+    good = [{"content": f"Cystitis case {i}", "entities": [[0, 8]]} for i in range(11)]
+    bad = {"content": "fever and cough", "entities": [[1, 5]]}
+    lines = [json.dumps(record) for record in good[:3]] + [""]
+    lines += [json.dumps(record) for record in good[3:7]] + [json.dumps(bad)]
+    lines += [json.dumps(record) for record in good[7:]]
+    corpus = _write(tmp_path, "c.jsonl", "\n".join(lines) + "\n")
+    model = tmp_path / "m.model"
+    assert main(["train", "--corpus", str(corpus), "--model-out", str(model)]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: {corpus}: row 9: span (1, 5) 'ever' does not align with token boundaries\n"
+    )
+    assert not model.exists()
+
+
+def test_train_under_optimize_flag_writes_bundled_model(
+    tmp_path, sample_corpus_path, sample_model_path
+):
+    # The real CLI in a fresh interpreter with asserts stripped (-O) trains the
+    # bundled model byte for byte: no invariant of training rests on assert.
+    model = tmp_path / "m.model"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "ehr2icd.cli", "train",
+         "--corpus", str(sample_corpus_path), "--model-out", str(model)],
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        capture_output=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert model.read_bytes() == sample_model_path.read_bytes()
 
 
 def test_train_on_too_small_corpus_names_the_empty_split(tmp_path, capsys):
@@ -260,6 +302,34 @@ def test_evaluate_empty_corpus_exits_2(
     assert capsys.readouterr().err != ""
 
 
+def test_failed_evaluate_keeps_previous_outcome_files(
+    tmp_path, capsys, sample_kb_path, sample_model_path, sample_corpus_path
+):
+    out_dir = tmp_path / "eval"
+    partial = tmp_path / "part.jsonl"
+    partial.write_text("".join(sample_corpus_path.read_text().splitlines(True)[:10]))
+
+    def evaluate(corpus):
+        return main(
+            [
+                "evaluate",
+                "--corpus", str(corpus),
+                "--kb", str(sample_kb_path),
+                "--model", str(sample_model_path),
+                "--out-dir", str(out_dir),
+            ]
+        )
+
+    assert evaluate(partial) == 0
+    names = ["outcomes_dictionary.csv", "outcomes_tagger.csv"]
+    previous = [(out_dir / name).read_bytes() for name in names]
+    (out_dir / "summary.json").unlink()
+    (out_dir / "summary.json").mkdir()
+    assert evaluate(sample_corpus_path) == 2
+    assert [(out_dir / name).read_bytes() for name in names] == previous
+    assert sorted(os.listdir(out_dir)) == names + ["summary.json"]
+
+
 def test_report_command_reproduces_golden(tmp_path):
     out_dir = tmp_path / "report"
     rc = main(
@@ -327,6 +397,34 @@ def test_pipeline_json_report_format(
     document = json.loads((out_dir / "report" / "report.json").read_text())
     assert document["total_rows"] == 21
     assert document["na_rows"] == 5
+
+
+def test_failed_pipeline_keeps_previous_output_set(
+    tmp_path, capsys, sample_kb_path, sample_model_path, sample_ehr_path, sample_ehr_300_path
+):
+    out_dir = tmp_path / "out"
+
+    def pipeline(raw):
+        return main(
+            [
+                "pipeline",
+                "--input", str(raw),
+                "--kb", str(sample_kb_path),
+                "--model", str(sample_model_path),
+                "--out-dir", str(out_dir),
+            ]
+        )
+
+    assert pipeline(sample_ehr_path) == 0
+    previous = (out_dir / "standard.csv").read_bytes()
+    shutil.rmtree(out_dir / "report")
+    (out_dir / "report").write_text("not a directory\n")
+    capsys.readouterr()
+    assert pipeline(sample_ehr_300_path) == 2
+    assert "report" in capsys.readouterr().err
+    # The new standard file was written, but not put in place without its report.
+    assert (out_dir / "standard.csv").read_bytes() == previous
+    assert sorted(os.listdir(out_dir)) == ["report", "standard.csv"]
 
 
 @pytest.mark.parametrize("command", ["pipeline", "link"])

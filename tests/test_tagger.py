@@ -1,4 +1,6 @@
 import pickle
+import random
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,14 +12,12 @@ from ehr2icd.errors import (
     UnsupportedModelVersion,
 )
 from ehr2icd.evaluation import evaluate_annotator
-from ehr2icd.ner import read_corpus, split_corpus
-from ehr2icd.ner.biluo import TAGS, TagSequence, decode_biluo
+from ehr2icd.ner import read_corpus, split_corpus, tagger
+from ehr2icd.ner.biluo import TAGS, TagSequence, decode_biluo, encode_biluo
 from ehr2icd.ner.spans import AnnotatedExample, EntitySpan
 from ehr2icd.ner.tagger import (
     PREDICT_CACHE_SIZE,
     TaggerModel,
-    _best_tag,
-    _features,
     _shape,
     load_model,
     predict,
@@ -88,16 +88,26 @@ def test_encoding_error_names_example():
 
 
 def test_tie_break_follows_tag_order():
-    scores = dict.fromkeys(TAGS, 0.0)
-    scores["B-Disease"] = 1.0
-    scores["U-Disease"] = 1.0
-    assert _best_tag(scores) == "B-Disease"
-    scores = dict.fromkeys(TAGS, 2.5)
-    assert _best_tag(scores) == "B-Disease"
+    # "a" scores B and U alike (or all five tags alike); only after B does
+    # "b" score L, so choosing B makes one span of both tokens, while U would
+    # end the span at "a" and O would give none.
+    after_b = {"prev=B-Disease": {"L-Disease": 1.0}}
+    b_u_tie = {"w=a": {"B-Disease": 1.0, "U-Disease": 1.0}, **after_b}
+    all_tie = {"w=a": dict.fromkeys(TAGS, 2.5), **after_b}
+    for weights in (b_u_tie, all_tie):
+        model = TaggerModel(weights=weights, epochs=1, seed=1)
+        assert predict(model, "a b") == [EntitySpan(0, 3, "a b")]
 
 
 def test_all_zero_scores_stay_outside():
-    assert _best_tag(dict.fromkeys(TAGS, 0.0)) == "O"
+    # Weights fire for "a" but cancel out: without the all-zero rule the first
+    # tag in TAGS order, B, would open a span.
+    weights = {
+        "w=a": {"B-Disease": 1.0, "U-Disease": -1.0},
+        "shape=x": {"B-Disease": -1.0, "U-Disease": 1.0},
+    }
+    model = TaggerModel(weights=weights, epochs=1, seed=1)
+    assert predict(model, "a") == []
 
 
 def test_predictions_satisfy_span_invariants(sample_model_path):
@@ -172,9 +182,28 @@ def test_unknown_tag_rejected(tmp_path):
         TaggerModel(weights={"bias": {"X-Disease": 1.0}}, epochs=1, seed=1)
 
 
-# Reference tagger: the sparse (feature, tag) weights walked as dicts, the
-# argmax with its TAGS-order tie-break and all-zero -> O rule, and greedy
-# decoding, as the tagger scored before its weights were packed.
+# Reference tagger: feature template v1 built in one piece, the sparse
+# (feature, tag) weights walked as dicts, the argmax with its TAGS-order
+# tie-break and all-zero -> O rule, greedy decoding, and the dict-walk
+# averaged perceptron, as the tagger scored and trained before its weights
+# were packed.
+def _oracle_features(lower, shapes, i, prev_tag):
+    word = lower[i]
+    feats = ["bias", "w=" + word, "shape=" + shapes[i], "prev=" + prev_tag]
+    for k in (1, 2, 3):
+        if len(word) >= k:
+            feats.append(f"pre{k}=" + word[:k])
+            feats.append(f"suf{k}=" + word[-k:])
+    for offset in (-2, -1, 1, 2):
+        j = i + offset
+        if 0 <= j < len(lower):
+            context = lower[j]
+        else:
+            context = "-START-" if j < 0 else "-END-"
+        feats.append(f"w{offset:+d}=" + context)
+    return feats
+
+
 def _oracle_scores(weights, feats):
     scores = dict.fromkeys(TAGS, 0.0)
     for feat in feats:
@@ -200,9 +229,79 @@ def _oracle_predict(weights, text):
     shapes = [_shape(t.text) for t in tokens]
     prev, tags = "-START-", []
     for i in range(len(tokens)):
-        prev = _oracle_best(_oracle_scores(weights, _features(lower, shapes, i, prev)))
+        prev = _oracle_best(_oracle_scores(weights, _oracle_features(lower, shapes, i, prev)))
         tags.append(prev)
     return decode_biluo(TagSequence(tuple(tokens), tuple(tags)), text)
+
+
+class _OracleAveragedPerceptron:
+    """Collins-style perceptron with lazily accumulated weight averages."""
+
+    def __init__(self):
+        self.weights = {}
+        self._totals = defaultdict(float)
+        self._stamps = defaultdict(int)
+        self._ticks = 0
+
+    def predict(self, feats):
+        return _oracle_best(_oracle_scores(self.weights, feats))
+
+    def update(self, truth, guess, feats):
+        self._ticks += 1
+        if truth == guess:
+            return
+        for feat in feats:
+            per_tag = self.weights.setdefault(feat, {})
+            self._bump(feat, truth, per_tag, 1.0)
+            self._bump(feat, guess, per_tag, -1.0)
+
+    def _bump(self, feat, tag, per_tag, delta):
+        key = (feat, tag)
+        current = per_tag.get(tag, 0.0)
+        self._totals[key] += (self._ticks - self._stamps[key]) * current
+        self._stamps[key] = self._ticks
+        per_tag[tag] = current + delta
+
+    def averaged(self):
+        if self._ticks == 0:
+            return {}
+        averaged = {}
+        for feat, per_tag in self.weights.items():
+            kept = {}
+            for tag, weight in per_tag.items():
+                key = (feat, tag)
+                total = self._totals[key] + (self._ticks - self._stamps[key]) * weight
+                value = total / self._ticks
+                if value:
+                    kept[tag] = value
+            if kept:
+                averaged[feat] = kept
+        return averaged
+
+
+def _oracle_train(examples, epochs, seed):
+    encoded = []
+    for example in examples:
+        tokens = tokenize(example.content)
+        encoded.append((tokens, encode_biluo(tokens, list(example.spans)).tags))
+    rng = random.Random(seed)
+    learner = _OracleAveragedPerceptron()
+    order = list(range(len(encoded)))
+    for _ in range(epochs):
+        rng.shuffle(order)
+        for index in order:
+            tokens, gold = encoded[index]
+            if not tokens:
+                continue
+            lower = [t.text.lower() for t in tokens]
+            shapes = [_shape(t.text) for t in tokens]
+            prev = "-START-"
+            for i in range(len(tokens)):
+                feats = _oracle_features(lower, shapes, i, prev)
+                guess = learner.predict(feats)
+                learner.update(gold[i], guess, feats)
+                prev = guess
+    return learner.averaged()
 
 
 def _all_features(text):
@@ -214,7 +313,7 @@ def _all_features(text):
         feat
         for i in range(len(tokens))
         for prev in ("-START-", *TAGS)
-        for feat in _features(lower, shapes, i, prev)
+        for feat in _oracle_features(lower, shapes, i, prev)
     }
 
 
@@ -228,6 +327,19 @@ TEXTS = st.one_of(
 # Small values whose sums round differently by order, exact ties, zeros of
 # both signs and negative weights.
 WEIGHT_VALUES = [0.1, 0.2, 0.3, 1.0, 1.0, -0.5, -1.0, 2.5, 0.0, -0.0, 1e-17]
+
+
+@settings(max_examples=100, deadline=None)
+@given(TEXTS)
+def test_feature_template_matches_oracle(text):
+    # Prediction sums float weights in template order, so the order counts.
+    tokens = tokenize(text)
+    lower = [t.text.lower() for t in tokens]
+    shapes = [_shape(t.text) for t in tokens]
+    for i in range(len(tokens)):
+        for prev in ("-START-", *TAGS):
+            expected = _oracle_features(lower, shapes, i, prev)
+            assert tagger._features(lower, shapes, i, prev) == expected
 
 
 @st.composite
@@ -253,6 +365,62 @@ def test_bundled_model_matches_oracle_on_bundled_corpus(sample_corpus_path, samp
     for example in read_corpus(sample_corpus_path):
         text = example.content
         assert predict(model, text) == _oracle_predict(model.weights, text)
+
+
+@st.composite
+def training_corpora(draw):
+    """Texts as for scoring, each with random non-overlapping spans on token edges."""
+    examples = []
+    for text in draw(st.lists(TEXTS, min_size=1, max_size=6)):
+        tokens = tokenize(text)
+        spans, i = [], 0
+        while i < len(tokens):
+            length = draw(st.integers(0, 3))  # 0: the token stays outside
+            if length == 0 or i + length > len(tokens):
+                i += 1
+                continue
+            start, end = tokens[i].start, tokens[i + length - 1].end
+            spans.append(EntitySpan(start, end, text[start:end]))
+            i += length
+        examples.append(AnnotatedExample(text, tuple(spans)))
+    return examples
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    training_corpora(),
+    st.integers(0, 4),
+    st.sampled_from([0, 1, 7, 13, 2**32 + 5]),
+)
+def test_packed_training_matches_dict_walk_oracle(tmp_path_factory, corpus, epochs, seed):
+    model = train_tagger(corpus, epochs=epochs, seed=seed)
+    expected = _oracle_train(corpus, epochs, seed)
+    assert repr(model.weights) == repr(expected)
+    directory = tmp_path_factory.mktemp("models")
+    save_model(model, directory / "packed.model")
+    save_model(TaggerModel(weights=expected, epochs=epochs, seed=seed), directory / "oracle.model")
+    assert (directory / "packed.model").read_bytes() == (directory / "oracle.model").read_bytes()
+
+
+def test_packed_training_matches_oracle_on_bundled_corpus(sample_corpus_path):
+    corpus = read_corpus(sample_corpus_path)
+    assert repr(train_tagger(corpus, epochs=3, seed=5).weights) == repr(
+        _oracle_train(corpus, 3, 5)
+    )
+
+
+def test_training_builds_each_tokens_features_once(monkeypatch, sample_corpus_path):
+    corpus = read_corpus(sample_corpus_path)[:30]
+    calls = []
+    build = tagger._static_features
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(tagger, "_static_features", counted)
+    train_tagger(corpus, epochs=4, seed=13)
+    assert len(calls) == sum(len(tokenize(example.content)) for example in corpus)
 
 
 def test_predict_cache_stays_bounded_and_exact(sample_model_path):

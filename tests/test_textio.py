@@ -4,9 +4,11 @@ import threading
 
 import pytest
 
+from ehr2icd.errors import UnwritablePath
 from ehr2icd.linker import StandardRecord, write_standard_csv
 from ehr2icd.normalization import DateTriple
-from ehr2icd.textio import atomic_write
+from ehr2icd.report import CSV_FILES, StatsReport, emit_report
+from ehr2icd.textio import atomic_group, atomic_write
 
 
 class Boom(Exception):
@@ -77,3 +79,50 @@ def test_non_regular_destination_is_written_directly(tmp_path):
     assert received == ["through the pipe\n"]
     assert stat.S_ISFIFO(fifo.stat().st_mode)
     assert os.listdir(tmp_path) == ["pipe"]
+
+
+def test_group_replaces_every_file_only_at_its_end(tmp_path):
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    first.write_text("old a\n")
+    with atomic_group():
+        with atomic_write(first) as fh:
+            fh.write("new a\n")
+        with atomic_write(second) as fh:
+            fh.write("new b\n")
+        assert first.read_text() == "old a\n" and not second.exists()
+    assert (first.read_text(), second.read_text()) == ("new a\n", "new b\n")
+    assert sorted(os.listdir(tmp_path)) == ["a.csv", "b.csv"]
+
+
+def test_failed_group_keeps_every_previous_file(tmp_path):
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    first.write_text("old a\n")
+    with pytest.raises(Boom):
+        with atomic_group():
+            with atomic_write(first) as fh:
+                fh.write("new a\n")
+            # An inner group joins the outer one: its success commits nothing.
+            with atomic_group():
+                with atomic_write(second) as fh:
+                    fh.write("new b\n")
+            raise Boom()
+    assert first.read_text() == "old a\n"
+    assert os.listdir(tmp_path) == ["a.csv"]
+    # Outside any group, writes are replaced at once again.
+    with atomic_write(second) as fh:
+        fh.write("b\n")
+    assert second.read_text() == "b\n"
+
+
+def test_report_csvs_are_replaced_as_a_set(tmp_path):
+    report = StatsReport(by_category={"Circulatory": 1}, total_rows=1)
+    emit_report(StatsReport(), tmp_path)
+    previous = {name: (tmp_path / name).read_bytes() for name in CSV_FILES}
+    # The last file cannot be written; the four before it must not change.
+    (tmp_path / CSV_FILES[-1]).unlink()
+    (tmp_path / CSV_FILES[-1]).mkdir()
+    with pytest.raises(UnwritablePath):
+        emit_report(report, tmp_path)
+    for name in CSV_FILES[:-1]:
+        assert (tmp_path / name).read_bytes() == previous[name]
+    assert sorted(os.listdir(tmp_path)) == sorted(CSV_FILES)
