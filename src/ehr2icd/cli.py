@@ -29,10 +29,12 @@ from .linker import (
     StandardRecord,
     assign,
     load_kb,
+    read_kb,
     read_standard_csv,
     write_standard_csv,
 )
 from .ner import (
+    AnnotatedExample,
     load_model,
     predict,
     read_corpus,
@@ -40,7 +42,7 @@ from .ner import (
     split_corpus,
     train_tagger,
 )
-from .ner.corpus import corpus_lines, read_annotations
+from .ner.corpus import corpus_lines, read_annotations, write_annotations
 from .normalization import NormalizedRecord, normalize_with_reason
 from .report import aggregate, emit_report
 from .textio import atomic_group, atomic_write
@@ -247,20 +249,13 @@ def cmd_train(args) -> int:
 def cmd_annotate(args) -> int:
     spans_of = _tagger_spans(load_model(args.model))
     normalized, _ = _normalize_file(args.input)
-    with atomic_write(args.output) as fh:
-        for record in normalized:
-            spans = spans_of(record)
-            fh.write(
-                json.dumps(
-                    {
-                        "row_index": record.row_index,
-                        "content": record.diagnosis_text,
-                        "entities": [[s.start, s.end, s.label] for s in spans],
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+    write_annotations(
+        args.output,
+        {
+            record.row_index: AnnotatedExample(record.diagnosis_text, tuple(spans_of(record)))
+            for record in normalized
+        },
+    )
     _diag(f"annotate: wrote annotations for {len(normalized)} rows")
     return 0
 
@@ -279,14 +274,17 @@ def cmd_link(args) -> int:
     normalized, _ = _normalize_file(args.input)
 
     if args.annotations:
-        spans_by_row = read_annotations(args.annotations)
-        missing = [r.row_index for r in normalized if r.row_index not in spans_by_row]
-        if missing:
+        by_row = read_annotations(args.annotations)
+        content = {row: example.content for row, example in by_row.items()}
+        unmatched = [
+            r.row_index for r in normalized if content.get(r.row_index) != r.diagnosis_text
+        ]
+        if unmatched:
             raise DataError(
-                f"{args.annotations}: no annotations for rows {missing[:5]} "
-                "(and possibly more)"
+                f"{args.annotations}: no annotations of the input's Diagnosis for "
+                f"rows {unmatched[:5]} (and possibly more)"
             )
-        spans_of = lambda record: spans_by_row[record.row_index]
+        spans_of = lambda record: by_row[record.row_index].spans
     elif config.model_path:
         spans_of = _tagger_spans(load_model(config.model_path))
     else:
@@ -311,9 +309,8 @@ def cmd_evaluate(args) -> int:
         raise ConfigError("evaluate requires --model (or model_path in the config)")
     corpus = read_corpus(args.corpus)
     model = load_model(config.model_path)
-    kb = load_kb(config.kb_path)
     extras = read_terms(config.extra_terms_path) if config.extra_terms_path else ()
-    lexicon = build_lexicon(kb, extras)
+    lexicon = build_lexicon(read_kb(config.kb_path), extras)
 
     result = compare_annotators(
         corpus,

@@ -4,48 +4,45 @@ This is the dictionary-system comparator: it only recognizes surface forms
 present in its lexicon, so misspellings and unseen names yield nothing and
 compound names covered only piecewise come out as separate spans. Matching
 is case-insensitive but punctuation-sensitive, over the shared tokenizer, so
-its offsets are directly comparable with the learned tagger's.
+its offsets are directly comparable with the learned tagger's. The lexicon
+is built from parsed KB entries (``linker.read_kb``), not the linker's index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 from .ner.spans import EntitySpan, make_span
-from .ner.tokenizer import tokenize
+from .ner.tokenizer import folded_tokens, tokenize
 from .textio import read_text
 
 
 @dataclass(frozen=True)
 class Lexicon:
-    """Normalized term -> canonical surface form; immutable after build."""
+    """Normalized terms and the token count of the longest; immutable."""
 
-    terms: dict[str, str]
+    terms: frozenset[str]
     max_term_tokens: int
 
 
 def normalize_term(text: str) -> str:
     """Lowercased, single-spaced token sequence used as a lexicon key."""
-    return " ".join(token.text.lower() for token in tokenize(text))
+    return " ".join(folded_tokens(text))
 
 
-def build_lexicon(kb, extra_terms: Iterable[str] = ()) -> Lexicon:
-    """Collect every knowledge-base name and synonym plus any extra terms."""
-    terms: dict[str, str] = {}
+def build_lexicon(entries, extra_terms: Iterable[str] = ()) -> Lexicon:
+    """Collect every KB entry's name and synonyms plus any extra terms."""
+    terms: set[str] = set()
     longest = 0
-    surfaces: list[str] = []
-    for entry in kb.entries:
-        surfaces.append(entry.name)
-        surfaces.extend(entry.synonyms)
-    surfaces.extend(extra_terms)
-    for surface in surfaces:
-        key = normalize_term(surface)
-        if not key:
-            continue
-        terms.setdefault(key, surface)
-        longest = max(longest, len(key.split(" ")))
-    return Lexicon(terms=terms, max_term_tokens=longest)
+    surfaces = chain.from_iterable((entry.name, *entry.synonyms) for entry in entries)
+    for surface in chain(surfaces, extra_terms):
+        tokens = folded_tokens(surface)
+        if tokens:
+            terms.add(" ".join(tokens))
+            longest = max(longest, len(tokens))
+    return Lexicon(terms=frozenset(terms), max_term_tokens=longest)
 
 
 def read_terms(path) -> list[str]:

@@ -1,11 +1,12 @@
 """ICD-10 knowledge base, ranked lookup, and standard-record assembly.
 
-Each entry's name and synonyms are its surfaces. At load, every surface is
-tokenized once (case-folded alphanumeric runs, punctuation dropped) and the
-KB is compiled into a surface-level inverted index: token -> ascending
-surface ids, plus each surface's entry and token count. A lookup counts,
-from the postings of its query tokens, how many tokens each surface shares
-with the query; the token-set Jaccard score is then
+``read_kb`` parses a KB file into entries, ``KnowledgeBase(entries)``
+compiles them, and ``load_kb`` does both. Each entry's name and synonyms are
+its surfaces; each is tokenized once by ``query_tokens`` (the shared
+tokenizer's case-folded words) into a surface-level inverted index: token ->
+ascending surface ids, plus each surface's entry and token count. A lookup
+counts, from the postings of its query tokens, how many tokens each surface
+shares with the query; the token-set Jaccard score is then
 shared / (query size + surface size - shared). An entry scores by its best
 surface (the name wins a tie with a synonym), and candidates are ranked by
 score descending with ties broken by code. Since a ranking depends only on
@@ -31,12 +32,9 @@ from typing import Callable, Optional
 
 from .errors import DuplicateCode, InvalidCode, MalformedFile
 from .ner.spans import EntitySpan
+from .ner.tokenizer import folded_words as query_tokens
 from .normalization import DateTriple, NormalizedRecord, normalize_date
 from .textio import atomic_write, open_input, read_text
-
-# [^\W_] is a letter or digit: exactly the tokens of ner.tokenizer that start
-# with an alphanumeric character.
-_WORD_RE = re.compile(r"[^\W_]+")
 
 # Distinct (query token set, k) rankings each KnowledgeBase keeps.
 LOOKUP_CACHE_SIZE = 1024
@@ -78,21 +76,22 @@ class SurfaceIndex:
 
 @dataclass(frozen=True)
 class KnowledgeBase:
-    """Entries plus their compiled surface index; immutable after load."""
+    """Entries plus the surface index compiled from them; immutable."""
 
     entries: tuple[KBEntry, ...]
-    index: SurfaceIndex
+    index: SurfaceIndex = field(init=False, compare=False, repr=False)
     _ranked: Callable[[frozenset[str], int], tuple[LinkCandidate, ...]] = field(
         init=False, compare=False, repr=False
     )
 
     def __post_init__(self):
+        object.__setattr__(self, "index", build_index(self.entries))
         rank = partial(_rank, self.entries, self.index)
         object.__setattr__(self, "_ranked", lru_cache(LOOKUP_CACHE_SIZE)(rank))
 
     def __reduce__(self):
-        # Pickle the fields only; unpickling starts an empty cache.
-        return KnowledgeBase, (self.entries, self.index)
+        # Pickle the entries only; unpickling compiles the index again.
+        return KnowledgeBase, (self.entries,)
 
 
 @dataclass(frozen=True)
@@ -115,11 +114,6 @@ class StandardRecord:
     icd10_category: Optional[str] = None
 
 
-def query_tokens(text: str) -> set[str]:
-    """Case-folded alphanumeric tokens; punctuation tokens are dropped."""
-    return {word.lower() for word in _WORD_RE.findall(text)}
-
-
 def build_index(entries: tuple[KBEntry, ...]) -> SurfaceIndex:
     postings: dict[str, array] = {}
     entry_of = array("I")
@@ -140,8 +134,8 @@ def build_index(entries: tuple[KBEntry, ...]) -> SurfaceIndex:
     return SurfaceIndex(postings, entry_of, size, name_surface)
 
 
-def load_kb(path) -> KnowledgeBase:
-    """Load a tab-separated KB file: code, name, optional '|'-joined synonyms."""
+def read_kb(path) -> tuple[KBEntry, ...]:
+    """Parse a tab-separated KB file: code, name, optional '|'-joined synonyms."""
     path = Path(path)
     entries: list[KBEntry] = []
     seen: set[str] = set()
@@ -165,8 +159,12 @@ def load_kb(path) -> KnowledgeBase:
         if len(parts) == 3:
             synonyms = tuple(s.strip() for s in parts[2].split("|") if s.strip())
         entries.append(KBEntry(code=code, name=name, synonyms=synonyms))
-    frozen = tuple(entries)
-    return KnowledgeBase(entries=frozen, index=build_index(frozen))
+    return tuple(entries)
+
+
+def load_kb(path) -> KnowledgeBase:
+    """Parse a KB file and compile it for lookup."""
+    return KnowledgeBase(read_kb(path))
 
 
 def lookup(term: str, kb: KnowledgeBase, k: int = 4) -> list[LinkCandidate]:

@@ -154,25 +154,33 @@ def read_internal(path) -> list[AnnotatedExample]:
     return [example for _, _, example in _internal_records(path, read_text(path))]
 
 
-def read_annotations(path) -> dict[int, tuple[EntitySpan, ...]]:
+def read_annotations(path) -> dict[int, AnnotatedExample]:
     """Read an annotations file: the internal format plus each record's ``row_index``."""
-    spans_by_row = {}
+    by_row = {}
     for lineno, obj, example in _internal_records(path, read_text(path)):
         row_index = obj.get("row_index")
         if not isinstance(row_index, int):
             raise MalformedFile(path, lineno, "record has no integer row_index")
-        spans_by_row[row_index] = example.spans
-    return spans_by_row
+        by_row[row_index] = example
+    return by_row
+
+
+def _write_records(path, records) -> None:
+    """Write (leading fields, example) pairs, one internal-format object a line."""
+    with atomic_write(path) as fh:
+        for head, example in records:
+            entities = [[s.start, s.end, s.label] for s in example.spans]
+            record = {**head, "content": example.content, "entities": entities}
+            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
 def write_internal(path, examples: list[AnnotatedExample]) -> None:
-    with atomic_write(path) as fh:
-        for example in examples:
-            record = {
-                "content": example.content,
-                "entities": [[s.start, s.end, s.label] for s in example.spans],
-            }
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+    _write_records(path, (({}, example) for example in examples))
+
+
+def write_annotations(path, by_row: dict[int, AnnotatedExample]) -> None:
+    """Write an annotations file, the inverse of ``read_annotations``."""
+    _write_records(path, (({"row_index": row}, ex) for row, ex in by_row.items()))
 
 
 def read_corpus(path) -> list[AnnotatedExample]:

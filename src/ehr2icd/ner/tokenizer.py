@@ -1,9 +1,11 @@
-"""Deterministic tokenizer shared by every annotator in the pipeline.
+"""The one token definition, shared by the annotators, the lexicon and the linker.
 
 Tokens are maximal runs of letters or digits; every other non-space
 character (including "/", "+", and "-") becomes a single-character token.
 Whitespace is discarded but offsets always index the original string, so
-joining tokens with their original gaps reconstructs the input.
+joining tokens with their original gaps reconstructs the input. Case is
+folded token by token, never before tokenizing: ``str.lower`` can change a
+string's length and character classes ('İ' becomes two code points).
 """
 
 from __future__ import annotations
@@ -11,8 +13,10 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-# [^\W_] is "word character minus underscore", i.e. letters and digits.
-_TOKEN_RE = re.compile(r"[^\W_]+|\S")
+# [^\W_] is "word character minus underscore", i.e. letters and digits. Its
+# matches are exactly the word tokens; every other token is one character.
+_WORD_RE = re.compile(r"[^\W_]+")
+_TOKEN_RE = re.compile(_WORD_RE.pattern + r"|\S")
 
 
 class Token(NamedTuple):
@@ -23,3 +27,13 @@ class Token(NamedTuple):
 
 def tokenize(text: str) -> list[Token]:
     return [Token(m.group(), m.start(), m.end()) for m in _TOKEN_RE.finditer(text)]
+
+
+def folded_tokens(text: str) -> list[str]:
+    """The text of each token, in order, lowercased."""
+    return [token.lower() for token in _TOKEN_RE.findall(text)]
+
+
+def folded_words(text: str) -> set[str]:
+    """The distinct word tokens (runs of letters or digits), each lowercased."""
+    return {word.lower() for word in _WORD_RE.findall(text)}

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from ehr2icd.linker import KBEntry, KnowledgeBase, build_index
+from ehr2icd.linker import KBEntry, KnowledgeBase
 from ehr2icd.samples import sample_path
 
 TESTS_DIR = Path(__file__).parent
@@ -11,8 +11,7 @@ DATA_DIR = TESTS_DIR / "data"
 
 
 def make_kb(*entries: KBEntry) -> KnowledgeBase:
-    frozen = tuple(entries)
-    return KnowledgeBase(entries=frozen, index=build_index(frozen))
+    return KnowledgeBase(tuple(entries))
 
 
 @pytest.fixture(scope="session")

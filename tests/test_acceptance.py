@@ -13,7 +13,7 @@ from ehr2icd.cli import main
 from ehr2icd.dictionary import build_lexicon, dict_annotate, read_terms
 from ehr2icd.evaluation import evaluate_annotator, render_percent
 from ehr2icd.ingestion import RawRecord, drop_missing, load_dataset
-from ehr2icd.linker import code_to_category, load_kb, lookup, read_standard_csv
+from ehr2icd.linker import code_to_category, lookup, read_kb, read_standard_csv
 from ehr2icd.ner import (
     load_model,
     predict,
@@ -206,9 +206,8 @@ def test_comparative_direction():
     train, held_out = split_corpus(corpus, 0.7, seed=13)
     model = train_tagger(train, epochs=10, seed=13)
 
-    kb = load_kb(sample_path("sample_kb.tsv"))
     extras = read_terms(sample_path("extra_terms.txt"))
-    lexicon = build_lexicon(kb, extras)
+    lexicon = build_lexicon(read_kb(sample_path("sample_kb.tsv")), extras)
 
     tagger_summary, _ = evaluate_annotator(
         held_out, lambda text: predict(model, text)

@@ -208,6 +208,42 @@ def test_annotate_then_link_matches_direct_link(tmp_path, sample_kb_path):
     assert via_annotations.read_bytes() == via_model.read_bytes()
 
 
+def test_link_rejects_annotations_of_other_text(
+    tmp_path, capsys, sample_ehr_path, sample_kb_path, sample_model_path
+):
+    annotations = tmp_path / "spans.jsonl"
+    rc = main(
+        [
+            "annotate",
+            "--input", str(sample_ehr_path),
+            "--model", str(sample_model_path),
+            "--output", str(annotations),
+        ]
+    )
+    assert rc == 0
+    # Row 4 reads "Cystitis" in the annotated input; its span must not be
+    # linked against another text.
+    edited = sample_ehr_path.read_text().replace(
+        "F,18,Cystitis,", "F,18,Asthma and migraine sititsyC,"
+    )
+    changed = _write(tmp_path, "changed.csv", edited)
+    out = tmp_path / "standard.csv"
+    capsys.readouterr()
+    rc = main(
+        [
+            "link",
+            "--input", str(changed),
+            "--annotations", str(annotations),
+            "--kb", str(sample_kb_path),
+            "--output", str(out),
+        ]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(annotations) in err and "rows [4]" in err
+    assert not out.exists()
+
+
 def test_link_requires_kb(tmp_path, capsys):
     normalized = _write(tmp_path, "n.csv", NORMALIZED_CSV)
     rc = main(
@@ -262,6 +298,31 @@ def test_evaluate_prints_comparison_table(
     assert (out_dir / "outcomes_dictionary.csv").exists()
     summary = json.loads((out_dir / "summary.json").read_text())
     assert set(summary) == {"tagger", "dictionary"}
+
+
+def test_evaluate_builds_no_jaccard_index(
+    tmp_path, capsys, monkeypatch, sample_kb_path, sample_model_path, sample_corpus_path
+):
+    def run(out_dir):
+        rc = main(
+            [
+                "evaluate",
+                "--corpus", str(sample_corpus_path),
+                "--kb", str(sample_kb_path),
+                "--model", str(sample_model_path),
+                "--out-dir", str(out_dir),
+            ]
+        )
+        return rc, capsys.readouterr().out, (out_dir / "summary.json").read_bytes()
+
+    expected = run(tmp_path / "plain")
+
+    def no_index(entries):
+        raise AssertionError("evaluate compiled the Jaccard index")
+
+    monkeypatch.setattr("ehr2icd.linker.build_index", no_index)
+    assert run(tmp_path / "patched") == expected
+    assert expected[0] == 0
 
 
 def test_evaluate_accepts_stoplist_and_extra_terms_files(

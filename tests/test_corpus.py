@@ -5,9 +5,11 @@ import pytest
 from ehr2icd.errors import EmptyCorpus, MalformedFile, OffsetOutOfRange, OverlapError
 from ehr2icd.ner.corpus import (
     convert_external_annotations,
+    read_annotations,
     read_corpus,
     read_internal,
     split_corpus,
+    write_annotations,
     write_internal,
 )
 from ehr2icd.ner.spans import AnnotatedExample, EntitySpan
@@ -89,6 +91,19 @@ def test_internal_roundtrip(tmp_path):
     path = tmp_path / "corpus.jsonl"
     write_internal(path, examples)
     assert read_internal(path) == examples
+
+
+def test_annotations_roundtrip(tmp_path):
+    by_row = {
+        4: AnnotatedExample("Cystitis\u2028 ß", (EntitySpan(0, 8, "Cystitis"),)),
+        2: AnnotatedExample("nothing", ()),
+    }
+    path = tmp_path / "spans.jsonl"
+    write_annotations(path, by_row)
+    first = json.loads(path.read_text(encoding="utf-8").split("\n")[0])
+    assert list(first) == ["row_index", "content", "entities"]
+    assert read_annotations(path) == by_row
+    assert list(read_annotations(path)) == [4, 2]
 
 
 def test_read_corpus_detects_both_schemas(tmp_path):

@@ -1,4 +1,4 @@
-from conftest import make_kb
+from hypothesis import given, settings, strategies as st
 
 from ehr2icd.dictionary import (
     Lexicon,
@@ -8,28 +8,29 @@ from ehr2icd.dictionary import (
     read_terms,
 )
 from ehr2icd.linker import KBEntry
+from ehr2icd.ner.tokenizer import tokenize
 
 
 def _lexicon(*terms):
-    return build_lexicon(make_kb(), extra_terms=terms)
+    return build_lexicon((), extra_terms=terms)
 
 
 def test_kb_names_enter_the_lexicon():
-    kb = make_kb(KBEntry("E10.9", "Type 1 diabetes mellitus without complications"))
-    lexicon = build_lexicon(kb)
+    entries = (KBEntry("E10.9", "Type 1 diabetes mellitus without complications"),)
+    lexicon = build_lexicon(entries)
     assert "type 1 diabetes mellitus without complications" in lexicon.terms
 
 
 def test_empty_kb_gives_empty_lexicon():
-    lexicon = build_lexicon(make_kb())
-    assert lexicon.terms == {}
+    lexicon = build_lexicon(())
+    assert lexicon.terms == frozenset()
     assert lexicon.max_term_tokens == 0
     assert dict_annotate("anything at all", lexicon) == []
 
 
 def test_synonyms_enter_the_lexicon():
-    kb = make_kb(KBEntry("C16", "Malignant neoplasm of stomach", ("gastric cancer",)))
-    lexicon = build_lexicon(kb)
+    entries = (KBEntry("C16", "Malignant neoplasm of stomach", ("gastric cancer",)),)
+    lexicon = build_lexicon(entries)
     assert "malignant neoplasm of stomach" in lexicon.terms
     assert "gastric cancer" in lexicon.terms
 
@@ -99,10 +100,56 @@ def test_extra_terms_file(tmp_path):
 
 
 def test_lexicon_is_frozen():
-    lexicon = Lexicon(terms={"asthma": "Asthma"}, max_term_tokens=1)
+    lexicon = Lexicon(terms=frozenset({"asthma"}), max_term_tokens=1)
     try:
         lexicon.max_term_tokens = 2
         raised = False
     except AttributeError:
         raised = True
     assert raised
+
+
+def _oracle_normalize_term(text):
+    """The lexicon key as first defined: Token objects, each lowercased."""
+    return " ".join(token.text.lower() for token in tokenize(text))
+
+
+def _oracle_lexicon(entries, extra_terms):
+    keys = set()
+    longest = 0
+    surfaces = [s for e in entries for s in (e.name, *e.synonyms)] + list(extra_terms)
+    for surface in surfaces:
+        key = _oracle_normalize_term(surface)
+        if key:
+            keys.add(key)
+            longest = max(longest, len(key.split(" ")))
+    return keys, longest
+
+
+# Characters whose lowercase is longer or special ('İ' becomes two code
+# points; 'ẞ', 'Σ', 'ǅ'), combining marks, line and paragraph separators,
+# Arabic-Indic digits, and punctuation and whitespace of several kinds.
+_TRICKY = "İıßẞΣσς\u0301\u0327\u2028\u2029\u00a0\u200b٠١٢٣٩ǅǄﬁ-/+.,()_ aA0"
+SURFACES = st.one_of(
+    st.text(alphabet=_TRICKY, max_size=20),
+    st.text(alphabet="-/+.,;:()_*#  ", max_size=8),
+    st.text(max_size=20),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(SURFACES, st.lists(SURFACES, max_size=3)), max_size=5),
+    st.lists(SURFACES, max_size=4),
+)
+def test_lexicon_matches_token_object_oracle(kb_surfaces, extra_terms):
+    entries = [
+        KBEntry(f"A{i:02d}", name, tuple(synonyms))
+        for i, (name, synonyms) in enumerate(kb_surfaces)
+    ]
+    lexicon = build_lexicon(entries, extra_terms)
+    assert (set(lexicon.terms), lexicon.max_term_tokens) == _oracle_lexicon(
+        entries, extra_terms
+    )
+    for surface in extra_terms:
+        assert normalize_term(surface) == _oracle_normalize_term(surface)

@@ -232,6 +232,14 @@ def test_query_tokens_are_the_alphanumeric_tokens(text):
     assert query_tokens(text) == _oracle_tokens(text)
 
 
+# Lowercasing 'İ' adds a combining mark, which is not a letter: a whole-string
+# fold before matching would split the token.
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet="İıßẞΣσςǅǄ\u0301\u0327\u2028\u00a0٠١٩-/_ aA0", max_size=20))
+def test_query_tokens_fold_each_token_as_matched(text):
+    assert query_tokens(text) == _oracle_tokens(text)
+
+
 @pytest.mark.parametrize("size", [50, 500])
 def test_lookup_tokenizes_only_the_query(size, monkeypatch):
     kb = make_kb(
