@@ -55,6 +55,12 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+LOOKUP_K_HELP = (
+    "candidates per lookup (default 4); each disease is coded from the top "
+    "candidate alone, so this does not affect standard.csv"
+)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="ehr2icd",
@@ -91,7 +97,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--model", help="tagger model (when no --annotations)")
     p.add_argument("--annotations", help="annotations JSONL from the annotate step")
     _add_config_flags(p)
-    p.add_argument("--lookup-k", type=int, help="candidates per lookup (default 4)")
+    p.add_argument("--lookup-k", type=int, help=LOOKUP_K_HELP)
     p.add_argument("--score-threshold", type=float, help="minimum link score (default 0)")
 
     p = sub.add_parser("evaluate", help="compare the tagger against the dictionary baseline")
@@ -114,7 +120,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--kb", help="knowledge base TSV")
     p.add_argument("--model", help="trained tagger model")
     _add_config_flags(p)
-    p.add_argument("--lookup-k", type=int)
+    p.add_argument("--lookup-k", type=int, help=LOOKUP_K_HELP)
     p.add_argument("--score-threshold", type=float)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -171,7 +177,7 @@ def _standard_rows(normalized, spans_of, kb, config) -> list[StandardRecord]:
     for record in normalized:
         spans = spans_of(record)
         expected += max(1, len(spans))
-        rows.extend(assign(record, spans, kb, config.lookup_k, config.score_threshold))
+        rows.extend(assign(record, spans, kb, config.score_threshold))
     if len(rows) != expected:
         raise RuntimeError(
             f"row accounting violated: {len(rows)} standard rows, expected {expected}"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .errors import ConfigError, MalformedFile
@@ -32,6 +33,9 @@ class PipelineConfig:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.lookup_k < 1:
             raise ConfigError(f"lookup_k must be >= 1, got {self.lookup_k}")
+        # NaN compares false with every score, so it would leave every row NA.
+        if math.isnan(self.score_threshold):
+            raise ConfigError("score_threshold must be a number, got nan")
         return self
 
 

@@ -4,17 +4,34 @@
 compiles them, and ``load_kb`` does both. Each entry's name and synonyms are
 its surfaces; each is tokenized once by ``query_tokens`` (the shared
 tokenizer's case-folded words) into a surface-level inverted index: token ->
-ascending surface ids, plus each surface's entry and token count. A lookup
-counts, from the postings of its query tokens, how many tokens each surface
-shares with the query; the token-set Jaccard score is then
-shared / (query size + surface size - shared). An entry scores by its best
-surface (the name wins a tie with a synonym), and candidates are ranked by
-score descending with ties broken by code. Since a ranking depends only on
-the query's token set and k, each KnowledgeBase keeps the rankings of recent
-queries in a bounded LRU cache; ``lookup`` returns a fresh list on every
-call. Assignment takes the top-ranked candidate per recognized disease;
-rows whose lookup comes up empty keep NA in all three ICD fields so they
-stay available for manual coding.
+ascending surface keys, plus each surface's entry and each entry's name. A
+key orders surfaces by token count first and KB order second, so every
+posting list is ordered by surface size. The token-set Jaccard score of a
+surface is shared / (query size + surface size - shared). An entry scores by
+its best surface, the name winning a tie with a synonym whatever their
+sizes, and candidates are ranked by score descending with ties broken by
+code.
+
+A lookup is an exact top-k search with prefix and size filters (Xiao et al.,
+"Top-k Set Similarity Joins", ICDE 2009; Bayardo et al., "Scaling Up All
+Pairs Similarity Search", WWW 2007). It walks the query's posting lists from
+the rarest token to the most common and keeps ``t``, the k-th best entry
+score so far. A surface first met in the i-th list (from 0) holds none of
+the earlier lists' tokens, so it shares at most q - i of the q query tokens:
+once (q - i) / q < t no unseen surface can reach ``t``, and the common
+tokens' long lists are never walked. Within a list, only a window of
+surface sizes can reach ``t``; being contiguous in a size-ordered list, it
+is found by bisection. A surface, once met, has its full overlap counted by
+bisecting the lists not yet walked. Every bound is non-strict, so each
+surface that scores ``t`` or more is scored exactly and ties are still
+ranked by code.
+
+Since a ranking depends only on the query's token set and k, each
+KnowledgeBase keeps the rankings of recent queries in a bounded LRU cache;
+``lookup`` returns a fresh list on every call. Assignment takes the
+top-ranked candidate per recognized disease, so it asks for k=1; rows whose
+lookup comes up empty keep NA in all three ICD fields so they stay available
+for manual coding.
 """
 
 from __future__ import annotations
@@ -23,10 +40,9 @@ import csv
 import heapq
 import re
 from array import array
-from collections import Counter
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import chain
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -64,14 +80,20 @@ class KBEntry:
 class SurfaceIndex:
     """The KB compiled for lookup.
 
-    Surfaces are numbered entry by entry, the name first, then the synonyms
-    in order. Typed arrays keep the index small on a large KB.
+    Surfaces are numbered in KB order: entry by entry, the name first, then
+    the synonyms in order. A posting holds a surface's key, its size (number
+    of distinct tokens) times ``stride`` plus its number, so keys order
+    surfaces by size first and KB order second. Each posting list, in
+    ascending key order, is then in ascending size order, and the surfaces
+    of one size s lie between keys s * stride and (s + 1) * stride. Typed
+    arrays keep the index small on a large KB; keys take 32 bits unless one
+    needs more.
     """
 
-    postings: dict[str, array]  # token -> ascending surface ids
-    entry_of: array  # surface id -> entry id
-    size: array  # surface id -> number of distinct tokens
-    name_surface: array  # entry id -> surface id of its name
+    postings: dict[str, array]  # token -> ascending surface keys
+    entry_of: array  # surface number -> entry id
+    name_surface: array  # entry id -> surface number of its name
+    stride: int  # the number of surfaces: key = size * stride + surface number
 
 
 @dataclass(frozen=True)
@@ -115,23 +137,33 @@ class StandardRecord:
 
 
 def build_index(entries: tuple[KBEntry, ...]) -> SurfaceIndex:
+    try:
+        return _build_index(entries, "I")
+    except OverflowError:  # a key past 32 bits: a very long surface in a large KB
+        return _build_index(entries, "Q")
+
+
+def _build_index(entries: tuple[KBEntry, ...], typecode: str) -> SurfaceIndex:
+    # Each surface is tokenized once and its key appended as it goes; one
+    # sort per posting list at the end puts the keys in order.
+    stride = sum(1 + len(entry.synonyms) for entry in entries)
     postings: dict[str, array] = {}
     entry_of = array("I")
-    size = array("I")
     name_surface = array("I")
     for entry_id, entry in enumerate(entries):
-        name_surface.append(len(size))
+        name_surface.append(len(entry_of))
         for surface in (entry.name, *entry.synonyms):
             tokens = query_tokens(surface)
-            surface_id = len(size)
+            key = len(tokens) * stride + len(entry_of)
             for token in tokens:
-                ids = postings.get(token)
-                if ids is None:
-                    postings[token] = ids = array("I")
-                ids.append(surface_id)
+                keys = postings.get(token)
+                if keys is None:
+                    postings[token] = keys = array(typecode)
+                keys.append(key)
             entry_of.append(entry_id)
-            size.append(len(tokens))
-    return SurfaceIndex(postings, entry_of, size, name_surface)
+    for token, keys in postings.items():
+        postings[token] = array(typecode, sorted(keys))
+    return SurfaceIndex(postings, entry_of, name_surface, stride)
 
 
 def read_kb(path) -> tuple[KBEntry, ...]:
@@ -177,40 +209,93 @@ def lookup(term: str, kb: KnowledgeBase, k: int = 4) -> list[LinkCandidate]:
     return list(kb._ranked(frozenset(query), k))
 
 
+_NO_KEYS = array("I")
+
+
 def _rank(
     entries: tuple[KBEntry, ...], index: SurfaceIndex, query: frozenset[str], k: int
 ) -> tuple[LinkCandidate, ...]:
-    shared = Counter(chain.from_iterable(index.postings.get(t, ()) for t in query))
-    n_query, entry_of, size = len(query), index.entry_of, index.size
-    # Surfaces are walked in id order and only a strictly greater score
-    # replaces an entry's best, so the name (its first surface) wins a tie
-    # with any of its synonyms. Every score here is > 0.
-    best_score: dict[int, float] = {}
-    best_surface: dict[int, int] = {}
-    for surface_id, count in sorted(shared.items()):
-        # Same integers as |query & surface| / |query | surface|.
-        score = count / (n_query + size[surface_id] - count)
-        entry_id = entry_of[surface_id]
-        if score > best_score.get(entry_id, 0.0):
-            best_score[entry_id] = score
-            best_surface[entry_id] = surface_id
-    # Only entries scoring at least the k-th best score can make the top k;
-    # finding that score first keeps the keyed ranking to a few entries.
-    ranked = best_score.keys()
-    if len(best_score) > k:
-        floor = heapq.nlargest(k, best_score.values())[-1]
-        ranked = [e for e, score in best_score.items() if score >= floor]
-    top = heapq.nsmallest(k, ranked, key=lambda e: (-best_score[e], entries[e].code))
+    entry_of, name_surface, stride = index.entry_of, index.name_surface, index.stride
+    lists = sorted((index.postings.get(token, _NO_KEYS) for token in query), key=len)
+    q = len(lists)
+    best: dict[int, float] = {}  # entry id -> best score of its surfaces met
+    via_name: dict[int, bool] = {}
+    top: list[int] = []  # k distinct entries; the lowest of their scores is t
+    t = 0.0
+    seen: set[int] = set()
+    for i, keys in enumerate(lists):
+        m = q - i  # at most m shared tokens for a surface first met here
+        if m / q < t:
+            break
+        later = lists[i + 1 :]
+        pos, end = _window(keys, stride, 0, len(keys), t, q, m)
+        while pos < end:
+            key = keys[pos]
+            pos += 1
+            if key in seen:
+                continue
+            seen.add(key)
+            shared = 1
+            for other in later:
+                at = bisect_left(other, key)
+                if at < len(other) and other[at] == key:
+                    shared += 1
+            size, surface = divmod(key, stride)
+            # Same integers as |query & surface| / |query | surface|.
+            score = shared / (q + size - shared)
+            entry = entry_of[surface]
+            is_name = surface == name_surface[entry]
+            old = best.get(entry, 0.0)
+            if score == old and is_name:
+                via_name[entry] = True
+            if score <= old:
+                continue
+            best[entry] = score
+            via_name[entry] = is_name
+            if entry not in top:
+                if len(top) == k:
+                    if score <= t:
+                        continue
+                    top.remove(min(top, key=best.__getitem__))
+                top.append(entry)
+            if len(top) == k:
+                t = min(map(best.__getitem__, top))
+                if m / q < t:
+                    break
+                pos, end = _window(keys, stride, pos, end, t, q, m)
+    # Every entry outside ``top`` scores at most t, the k-th best score.
+    ranked = [entry for entry, score in best.items() if score >= t]
+    chosen = heapq.nsmallest(k, ranked, key=lambda e: (-best[e], entries[e].code))
     return tuple(
         LinkCandidate(
             entry=entries[entry_id],
-            score=best_score[entry_id],
-            matched_via="name"
-            if best_surface[entry_id] == index.name_surface[entry_id]
-            else "synonym",
+            score=best[entry_id],
+            matched_via="name" if via_name[entry_id] else "synonym",
         )
-        for entry_id in top
+        for entry_id in chosen
     )
+
+
+def _window(keys, stride, pos, end, t, q, m) -> tuple[int, int]:
+    """The slice of ``keys[pos:end]`` whose surfaces could still score ``t``.
+
+    A surface of size s first met where at most m of the q query tokens are
+    left shares c <= min(m, s) of them, so it scores at most s / q when
+    s <= m and m / (q + s - m) above: a bound that rises to m / q >= t, then
+    falls. The sizes reaching ``t`` are one range, found from float
+    estimates and fixed by exact comparisons (correctly rounded quotients of
+    small integers order as the fractions do).
+    """
+    if t == 0.0:
+        return pos, end
+    lo = max(int(t * q), 1)
+    while lo / q < t:
+        lo += 1
+    hi = int(m / t) + m - q + 1
+    while m / (q + hi - m) < t:
+        hi -= 1
+    pos = bisect_left(keys, lo * stride, pos, end)
+    return pos, bisect_left(keys, (hi + 1) * stride, pos, end)
 
 
 def code_to_category(code: str) -> str:
@@ -224,7 +309,6 @@ def assign(
     record: NormalizedRecord,
     spans: list[EntitySpan],
     kb: KnowledgeBase,
-    lookup_k: int = 4,
     score_threshold: float = 0.0,
 ) -> list[StandardRecord]:
     """Build one StandardRecord per recognized disease (or one NA row for none).
@@ -243,7 +327,7 @@ def assign(
         return [StandardRecord(**base)]
     rows = []
     for span in spans:
-        candidates = lookup(span.text, kb, k=lookup_k)
+        candidates = lookup(span.text, kb, k=1)
         top = candidates[0] if candidates else None
         if top is not None and top.score >= score_threshold:
             rows.append(

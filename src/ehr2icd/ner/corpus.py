@@ -161,6 +161,8 @@ def read_annotations(path) -> dict[int, AnnotatedExample]:
         row_index = obj.get("row_index")
         if not isinstance(row_index, int):
             raise MalformedFile(path, lineno, "record has no integer row_index")
+        if row_index in by_row:
+            raise MalformedFile(path, lineno, f"row_index {row_index} repeats an earlier record")
         by_row[row_index] = example
     return by_row
 

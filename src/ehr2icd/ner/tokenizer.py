@@ -5,7 +5,9 @@ character (including "/", "+", and "-") becomes a single-character token.
 Whitespace is discarded but offsets always index the original string, so
 joining tokens with their original gaps reconstructs the input. Case is
 folded token by token, never before tokenizing: ``str.lower`` can change a
-string's length and character classes ('İ' becomes two code points).
+string's length and character classes ('İ' becomes two code points). Only
+``folded_words`` lowercases a whole string first, and only ASCII text,
+where neither can change.
 """
 
 from __future__ import annotations
@@ -17,6 +19,9 @@ from typing import NamedTuple
 # matches are exactly the word tokens; every other token is one character.
 _WORD_RE = re.compile(r"[^\W_]+")
 _TOKEN_RE = re.compile(_WORD_RE.pattern + r"|\S")
+# Lowercasing ASCII text changes no length or character class, and on the
+# lowercased text the word pattern matches exactly these runs.
+_ASCII_WORD_RE = re.compile(r"[a-z0-9]+")
 
 
 class Token(NamedTuple):
@@ -36,4 +41,6 @@ def folded_tokens(text: str) -> list[str]:
 
 def folded_words(text: str) -> set[str]:
     """The distinct word tokens (runs of letters or digits), each lowercased."""
+    if text.isascii():
+        return set(_ASCII_WORD_RE.findall(text.lower()))
     return {word.lower() for word in _WORD_RE.findall(text)}

@@ -244,6 +244,32 @@ def test_link_rejects_annotations_of_other_text(
     assert not out.exists()
 
 
+def test_link_rejects_a_repeated_annotation_row(tmp_path, capsys, sample_kb_path):
+    normalized = _write(
+        tmp_path, "n.csv", "Gender,Age,Diagnosis,Diagnosis Date\nFemale,20,Cystitis,9/4/1439\n"
+    )
+    annotations = _write(
+        tmp_path,
+        "spans.jsonl",
+        '{"row_index": 1, "content": "Cystitis", "entities": []}\n'
+        '{"row_index": 1, "content": "Cystitis", "entities": [[0, 8, "Disease"]]}\n',
+    )
+    out = tmp_path / "standard.csv"
+    rc = main(
+        [
+            "link",
+            "--input", str(normalized),
+            "--annotations", str(annotations),
+            "--kb", str(sample_kb_path),
+            "--output", str(out),
+        ]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{annotations}: row 2:" in err and "row_index 1" in err
+    assert not out.exists()
+
+
 def test_link_requires_kb(tmp_path, capsys):
     normalized = _write(tmp_path, "n.csv", NORMALIZED_CSV)
     rc = main(
@@ -554,6 +580,45 @@ def test_config_file_and_flag_override(tmp_path, sample_kb_path, sample_model_pa
     )
     assert rc == 0
     assert any(not line.endswith(",,,") for line in out.read_text().splitlines()[1:])
+
+
+def test_lookup_k_does_not_change_standard_rows(
+    tmp_path, sample_kb_path, sample_model_path, sample_ehr_300_path
+):
+    def standard(lookup_k):
+        out_dir = tmp_path / f"k{lookup_k}"
+        argv = [
+            "pipeline",
+            "--input", str(sample_ehr_300_path),
+            "--kb", str(sample_kb_path),
+            "--model", str(sample_model_path),
+            "--out-dir", str(out_dir),
+            "--lookup-k", str(lookup_k),
+        ]
+        assert main(argv) == 0
+        return (out_dir / "standard.csv").read_bytes()
+
+    assert standard(1) == standard(6)
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_nan_score_threshold_exits_1(
+    source, tmp_path, capsys, sample_kb_path, sample_model_path, sample_ehr_path
+):
+    argv = [
+        "pipeline",
+        "--input", str(sample_ehr_path),
+        "--kb", str(sample_kb_path),
+        "--model", str(sample_model_path),
+        "--out-dir", str(tmp_path / "out"),
+    ]
+    if source == "flag":
+        argv += ["--score-threshold", "nan"]
+    else:
+        argv += ["--config", str(_write(tmp_path, "nan.cfg", "score_threshold = nan\n"))]
+    assert main(argv) == 1
+    assert "score_threshold" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_bad_config_exits_1(tmp_path, capsys):

@@ -106,6 +106,18 @@ def test_annotations_roundtrip(tmp_path):
     assert list(read_annotations(path)) == [4, 2]
 
 
+def test_annotations_reject_a_repeated_row(tmp_path):
+    path = tmp_path / "spans.jsonl"
+    path.write_text(
+        '{"row_index": 1, "content": "Cystitis", "entities": []}\n'
+        '{"row_index": 2, "content": "Asthma", "entities": []}\n'
+        '{"row_index": 1, "content": "Cystitis", "entities": [[0, 8, "Disease"]]}\n'
+    )
+    with pytest.raises(MalformedFile) as err:
+        read_annotations(path)
+    assert (err.value.path, err.value.row) == (path, 3)
+
+
 def test_read_corpus_detects_both_schemas(tmp_path):
     external = tmp_path / "external.jsonl"
     external.write_text(

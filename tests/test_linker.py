@@ -1,4 +1,6 @@
 import pickle
+from array import array
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -215,19 +217,98 @@ def kbs_and_terms(draw):
     return entries, draw(st.one_of(SURFACES, mixed))
 
 
-@settings(max_examples=100, deadline=None)
-@given(kbs_and_terms())
+# Most surfaces hold a word from COMMON, whose long postings the search
+# should prune, and chains such as "x", "x y", "x y z" nest surfaces of
+# consecutive sizes, so that many entries tie on a score.
+COMMON = ["of", "unspecified", "disease"]
+RARE = ["x", "y", "z", "kidney", "heart", "acute", "type", "2"]
+MANY_CODES = [f"{letter}{n:02d}" for letter in "ABCDEFGHIJ" for n in range(7)]
+
+
+@st.composite
+def crowded_kbs_and_terms(draw):
+    # One seeded generator per example keeps 20-60 entries cheap to draw.
+    rng = draw(st.randoms(use_true_random=True))
+    words = COMMON + RARE
+
+    def surface():
+        rest = [rng.choice(words) for _ in range(rng.randint(0, 4))]
+        if rng.random() < 0.8:
+            rest.insert(rng.randint(0, len(rest)), rng.choice(COMMON))
+        return " ".join(rest) or rng.choice(COMMON)
+
+    entries = []
+    for code in rng.sample(MANY_CODES, rng.randint(20, 60)):
+        chain = [rng.choice(words) for _ in range(3)]
+        nested = [" ".join(chain[:n]) for n in (1, 2, 3)]
+
+        def pick():
+            return rng.choice(nested) if rng.random() < 0.4 else surface()
+
+        name = pick()
+        entries.append(KBEntry(code, name, tuple(pick() for _ in range(rng.randint(0, 3)))))
+    term = " ".join(rng.choice(words) for _ in range(rng.randint(1, 6)))
+    return entries, term
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.one_of(kbs_and_terms(), crowded_kbs_and_terms()))
 def test_lookup_matches_per_candidate_oracle(kb_and_term):
     entries, term = kb_and_term
     kb = make_kb(*entries)
     expected = _oracle_lookup(term, entries)
-    for k in range(1, len(expected) + 3):
+    for k in range(1, max(len(expected) + 3, 7)):
         got = [(c.entry, c.score, c.matched_via) for c in lookup(term, kb, k=k)]
         assert got == expected[:k]
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.text())
+def test_name_wins_a_tie_with_a_shorter_synonym():
+    # Query "a b": the synonym "a" scores 1/2, and so does the longer name
+    # "a b c d" (2 of 4); a smaller surface is met first, yet the name wins.
+    kb = make_kb(KBEntry("A00", "a b c d", ("a",)), KBEntry("B00", "a b e f g h"))
+    candidates = lookup("a b", kb, k=2)
+    assert [(c.entry.code, c.score, c.matched_via) for c in candidates] == [
+        ("A00", 0.5, "name"),
+        ("B00", 2 / 6, "name"),
+    ]
+
+
+def test_size_window_is_exactly_the_sizes_that_can_reach_t():
+    # Keys 1..40 with stride 1 stand for one surface of each size. A surface
+    # of size s sharing at most m of q query tokens scores at most
+    # min(m, s) / (q + s - min(m, s)); the window must be exactly the sizes
+    # whose bound is >= t, also where a float estimate lands just below an
+    # exact integer (t = 9/14, q = m = 9 gives m / t = 13.999...).
+    keys = array("I", range(1, 41))
+    for u in range(1, 17):
+        for c in range(1, u + 1):
+            for q in range(1, 13):
+                for m in range(1, q + 1):
+                    if Fraction(m, q) < Fraction(c, u):
+                        continue
+                    pos, end = linker._window(keys, 1, 0, len(keys), c / u, q, m)
+                    expected = [
+                        s for s in keys
+                        if Fraction(min(m, s), q + s - min(m, s)) >= Fraction(c, u)
+                    ]
+                    assert list(keys[pos:end]) == expected, (c, u, q, m)
+
+
+def test_keys_past_32_bits_fall_back_to_64_bit_postings():
+    # 65536 surfaces and one of 65536 tokens: the largest key is 2**32.
+    long_name = " ".join(f"w{i}" for i in range(65536))
+    entries = [KBEntry("A00", long_name)]
+    entries += [KBEntry(f"B{i % 100:02d}.{i // 100}", f"w{i % 7} v{i}") for i in range(65535)]
+    kb = make_kb(*entries)
+    assert kb.index.postings["w0"].typecode == "Q"
+    [candidate] = lookup(long_name, kb, k=1)
+    assert (candidate.entry.code, candidate.score) == ("A00", 1.0)
+    assert [c.entry.code for c in lookup("w3 v3", kb, k=1)] == ["B03.0"]
+
+
+# ASCII text takes a faster path: one lowercasing, then an ASCII pattern.
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.text(), st.text(alphabet=st.characters(max_codepoint=127), max_size=30)))
 def test_query_tokens_are_the_alphanumeric_tokens(text):
     assert query_tokens(text) == _oracle_tokens(text)
 
@@ -302,6 +383,20 @@ def test_assign_two_diseases_share_demographics():
     assert {r.icd10_code for r in rows} == {"I15.0", "I63.9"}
     assert all((r.gender, r.age_years) == ("Male", 60) for r in rows)
     assert all(r.diagnosis_text == text for r in rows)
+
+
+def test_assign_asks_lookup_for_the_top_candidate_only(monkeypatch):
+    kb = make_kb(KBEntry("A06.81", "Amebic cystitis"), KBEntry("N30.9", "Cystitis"))
+    ks = []
+
+    def spy(term, kb, k=4):
+        ks.append(k)
+        return lookup(term, kb, k)
+
+    monkeypatch.setattr(linker, "lookup", spy)
+    text = "Cystitis"
+    [row] = assign(_record(text), [make_span(text, 0, 8)], kb)
+    assert (row.icd10_code, ks) == ("N30.9", [1])
 
 
 def test_assign_miss_keeps_row_with_na():
