@@ -16,6 +16,13 @@ during training, so sums are exact in any order (below 2**53); the only
 rounding is the final ``total / ticks``, from the same operands a walk over
 sparse per-feature dicts has, so the averaged weights are bit-identical.
 
+Training stops after the first epoch in which no guess was wrong. Such an
+epoch leaves the weights as they were, and a greedy guess depends only on
+the weights and its own example, not on the shuffle order, so every later
+epoch would guess every token right again and only add one tick per token.
+Those ticks are added in one step; since the average depends only on the
+final tick count, the model is the one that running every epoch gives.
+
 A TaggerModel is compiled once, when it is built: each feature's weights are
 packed into a vector in TAGS order (0.0 for an absent tag), so scoring a
 token adds a few vectors, in the same feature order as the sparse weights
@@ -157,6 +164,8 @@ class _PackedPerceptron:
         # the keys are in the order the features were first updated.
         self._touched: dict[int, list[int]] = {}
         self._ticks = 0
+        # Guesses that were wrong, so updates made, so far.
+        self.mistakes = 0
 
     def predict(self, prev: int, vectors: tuple[list[int], ...]) -> int:
         """The slot of the best tag for a token, given its ``prev=`` id and
@@ -179,6 +188,7 @@ class _PackedPerceptron:
         self._ticks += 1
         if truth == guess:
             return
+        self.mistakes += 1
         ticks = self._ticks
         weights, totals, stamps, touched = (
             self.weights, self._totals, self._stamps, self._touched
@@ -197,6 +207,11 @@ class _PackedPerceptron:
                 total[slot] += (ticks - last) * weight[slot]
                 stamp[slot] = ticks
                 weight[slot] += delta
+
+    def skip(self, steps: int) -> None:
+        """Count ``steps`` correct guesses without making them: each would
+        only add one tick."""
+        self._ticks += steps
 
     def averaged(self, names: list[str]) -> Weights:
         """Average weights by feature name, keeping only nonzero values."""
@@ -275,7 +290,8 @@ def train_tagger(
     ]
     rng = random.Random(seed)
     order = list(range(len(steps)))
-    for _ in range(epochs):
+    for epoch in range(epochs):
+        mistakes = learner.mistakes
         rng.shuffle(order)
         for index in order:
             prev = _START
@@ -283,6 +299,12 @@ def train_tagger(
                 guess = learner.predict(prev, vectors)
                 learner.update(truth, guess, feats, prev)
                 prev = guess
+        if learner.mistakes == mistakes:
+            # The weights did not change, and a greedy guess depends only on
+            # the weights and its example, so every later epoch would guess
+            # every token right again. Only their ticks remain to be counted.
+            learner.skip((epochs - epoch - 1) * sum(map(len, steps)))
+            break
     return TaggerModel(weights=learner.averaged(names), epochs=epochs, seed=seed)
 
 

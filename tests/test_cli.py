@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from ehr2icd import cli
 from ehr2icd.cli import main
+from ehr2icd.config import PipelineConfig, load_config
 from ehr2icd.ner import AnnotatedExample, EntitySpan
 from ehr2icd.ner.corpus import write_internal
 from ehr2icd.samples import sample_path
@@ -634,6 +635,15 @@ def test_bad_config_exits_1(tmp_path, capsys):
     )
     assert rc == 1
     assert "no_such_key" in capsys.readouterr().err
+
+
+def test_readme_config_block_loads_as_the_defaults(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Configuration", 1)[1]
+    block = section.split("```\n", 2)[1]
+    assert "epochs = 10" in block
+    config = _write(tmp_path, "readme.cfg", block)
+    assert load_config(config) == PipelineConfig()
 
 
 NOT_UTF8 = b"Gender,Age\n\xff\xfe\n"

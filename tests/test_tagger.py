@@ -279,7 +279,8 @@ class _OracleAveragedPerceptron:
         return averaged
 
 
-def _oracle_train(examples, epochs, seed):
+def _oracle_train(examples, epochs, seed, mistakes=None):
+    """Train for every epoch; appends each epoch's wrong guesses to ``mistakes``."""
     encoded = []
     for example in examples:
         tokens = tokenize(example.content)
@@ -289,6 +290,7 @@ def _oracle_train(examples, epochs, seed):
     order = list(range(len(encoded)))
     for _ in range(epochs):
         rng.shuffle(order)
+        wrong = 0
         for index in order:
             tokens, gold = encoded[index]
             if not tokens:
@@ -300,7 +302,10 @@ def _oracle_train(examples, epochs, seed):
                 feats = _oracle_features(lower, shapes, i, prev)
                 guess = learner.predict(feats)
                 learner.update(gold[i], guess, feats)
+                wrong += guess != gold[i]
                 prev = guess
+        if mistakes is not None:
+            mistakes.append(wrong)
     return learner.averaged()
 
 
@@ -389,7 +394,7 @@ def training_corpora(draw):
 @settings(max_examples=120, deadline=None)
 @given(
     training_corpora(),
-    st.integers(0, 4),
+    st.integers(0, 12),
     st.sampled_from([0, 1, 7, 13, 2**32 + 5]),
 )
 def test_packed_training_matches_dict_walk_oracle(tmp_path_factory, corpus, epochs, seed):
@@ -407,6 +412,68 @@ def test_packed_training_matches_oracle_on_bundled_corpus(sample_corpus_path):
     assert repr(train_tagger(corpus, epochs=3, seed=5).weights) == repr(
         _oracle_train(corpus, 3, 5)
     )
+
+
+def _count_predict_calls(monkeypatch):
+    calls = []
+    guess = tagger._PackedPerceptron.predict
+
+    def counted(self, *args):
+        calls.append(None)
+        return guess(self, *args)
+
+    monkeypatch.setattr(tagger._PackedPerceptron, "predict", counted)
+    return calls
+
+
+def _token_count(corpus):
+    return sum(len(tokenize(example.content)) for example in corpus)
+
+
+def test_bundled_split_stops_after_first_clean_epoch(monkeypatch, sample_corpus_path):
+    # Default training: the 8th epoch is the first with no mistake, so only
+    # the last two are skipped, and the model is the oracle's, which runs them.
+    train, _ = split_corpus(read_corpus(sample_corpus_path), 0.7, 13)
+    mistakes = []
+    expected = _oracle_train(train, 10, 13, mistakes)
+    assert mistakes[7:] == [0, 0, 0] and all(mistakes[:7])
+    calls = _count_predict_calls(monkeypatch)
+    model = train_tagger(train, epochs=10, seed=13)
+    assert len(calls) == _token_count(train) * 8
+    assert repr(model.weights) == repr(expected)
+    assert model.epochs == 10
+
+
+@pytest.mark.parametrize("epochs", [1, 2, 10])
+def test_epoch_without_update_ends_training(monkeypatch, epochs):
+    # The untrained model guesses O for the U token once; the second epoch
+    # makes no mistake and is the last one run.
+    calls = _count_predict_calls(monkeypatch)
+    model = train_tagger([ANXIETY], epochs=epochs, seed=13)
+    assert len(calls) == min(epochs, 2)
+    assert repr(model.weights) == repr(_oracle_train([ANXIETY], epochs, 13))
+    assert model.epochs == epochs
+
+
+def test_corpus_that_never_converges_runs_every_epoch(monkeypatch):
+    # The same text with and without its span: some guess is wrong in every epoch.
+    corpus = [ANXIETY, AnnotatedExample("ANXIETY", ()), ANXIETY]
+    calls = _count_predict_calls(monkeypatch)
+    mistakes = []
+    expected = _oracle_train(corpus, 12, 7, mistakes)
+    assert all(mistakes)
+    model = train_tagger(corpus, epochs=12, seed=7)
+    assert len(calls) == _token_count(corpus) * 12
+    assert repr(model.weights) == repr(expected)
+
+
+def test_corpus_of_empty_texts_trains_no_weights(monkeypatch):
+    calls = _count_predict_calls(monkeypatch)
+    corpus = [AnnotatedExample("", ()), AnnotatedExample(" \t", ())]
+    model = train_tagger(corpus, epochs=10, seed=1)
+    assert model.weights == {}
+    assert calls == []
+    assert model.epochs == 10
 
 
 def test_training_builds_each_tokens_features_once(monkeypatch, sample_corpus_path):
