@@ -26,13 +26,24 @@ final tick count, the model is the one that running every epoch gives.
 A TaggerModel is compiled once, when it is built: each feature's weights are
 packed into a vector in TAGS order (0.0 for an absent tag), so scoring a
 token adds a few vectors, in the same feature order as the sparse weights
-and with bit-identical sums. The spans of each text are kept in a bounded,
-per-model LRU cache, since exports repeat a few hundred diagnosis texts
-across thousands of rows; ``predict`` returns a fresh list on every call.
+and with bit-identical sums. The template's first ten features (bias, w=,
+shape=, prev= and the six affixes) depend only on the token's own text and
+the previous tag, of which there are six, and its last four only on the
+neighbouring words. So each model keeps two bounded LRU caches: the five
+running sums after the first ten features, per (token text, previous tag),
+and the vectors of a word as each of the four context features, per word
+or boundary marker. A token's scores are its cached prefix sums plus its
+context vectors, added in template order. Float addition is not
+associative, but this is the very sequence of additions a walk over all
+fourteen features makes, from the same +0.0, so the sums are bit-identical.
+The spans of each text are kept in a third bounded, per-model LRU cache,
+since exports repeat a few hundred diagnosis texts across thousands of rows;
+``predict`` returns a fresh list on every call.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
@@ -67,6 +78,10 @@ _START = len(TAGS)
 
 # Distinct texts whose spans each model keeps.
 PREDICT_CACHE_SIZE = 1024
+# Distinct (token text, previous tag) pairs whose prefix sums each model
+# keeps, and distinct context words whose context vectors it keeps.
+PREFIX_CACHE_SIZE = 8192
+CONTEXT_CACHE_SIZE = 4096
 
 Weights = dict[str, dict[str, float]]
 Vector = tuple[float, float, float, float, float]  # weights of B, I, L, U, O
@@ -77,19 +92,28 @@ class TaggerModel:
     """Immutable trained model: sparse (feature, tag) weights plus metadata.
 
     ``weights`` must not be changed after construction: the packed vectors
-    and the span cache are derived from it then.
+    and the caches are derived from it then.
     """
 
     weights: Weights
     epochs: int
     seed: int
     feature_template: str = FEATURE_TEMPLATE
+    _prefix: Callable[[str, str], Vector] = field(init=False, compare=False, repr=False)
+    _context: Callable[[str], tuple[Vector | None, ...]] = field(
+        init=False, compare=False, repr=False
+    )
     _spans: Callable[[str], tuple[EntitySpan, ...]] = field(
         init=False, compare=False, repr=False
     )
 
     def __post_init__(self):
-        tag_text = partial(_tag_text, _pack(self.weights))
+        vectors = _pack(self.weights)
+        prefix = lru_cache(PREFIX_CACHE_SIZE)(partial(_prefix_sums, vectors))
+        context = lru_cache(CONTEXT_CACHE_SIZE)(partial(_context_vectors, vectors))
+        tag_text = partial(_tag_text, prefix, context)
+        object.__setattr__(self, "_prefix", prefix)
+        object.__setattr__(self, "_context", context)
         object.__setattr__(self, "_spans", lru_cache(PREDICT_CACHE_SIZE)(tag_text))
 
     def __reduce__(self):
@@ -109,30 +133,39 @@ def _shape(token: str) -> str:
     return "".join(out)
 
 
-def _static_features(lower: list[str], shapes: list[str], i: int) -> list[str]:
-    """Feature template v1 for token i, except the previous tag's feature."""
-    word = lower[i]
-    feats = ["bias", "w=" + word, "shape=" + shapes[i]]
+def _own_features(word: str, shape: str) -> list[str]:
+    """The features of template v1 that depend only on the token itself, in
+    template order; ``prev=`` goes at ``_PREV_POSITION`` among them."""
+    feats = ["bias", "w=" + word, "shape=" + shape]
     for k, prefix, suffix in _AFFIXES:
         if len(word) >= k:
             feats.append(prefix + word[:k])
             feats.append(suffix + word[-k:])
-    n = len(lower)
-    for offset, name in _CONTEXT:
-        j = i + offset
-        if 0 <= j < n:
-            context = lower[j]
-        else:
-            context = _BOUNDARY_LEFT if j < 0 else _BOUNDARY_RIGHT
-        feats.append(name + context)
     return feats
 
 
-def _features(lower: list[str], shapes: list[str], i: int, prev_tag: str) -> list[str]:
-    """Feature template v1 for token i given the previous predicted tag."""
-    feats = _static_features(lower, shapes, i)
+def _static_features(around: list[str], shape: str, i: int) -> list[str]:
+    """Feature template v1 for token i, except the previous tag's feature,
+    from ``_context_words`` of the text's lowercased words and the token's
+    shape."""
+    feats = _own_features(around[i + 2], shape)
+    for offset, name in _CONTEXT:
+        feats.append(name + around[i + 2 + offset])
+    return feats
+
+
+def _prefix_features(text: str, prev_tag: str) -> list[str]:
+    """The features of token text ``text`` that come before its context
+    features in template v1, given the previous predicted tag."""
+    feats = _own_features(text.lower(), _shape(text))
     feats.insert(_PREV_POSITION, "prev=" + prev_tag)
     return feats
+
+
+def _context_words(lower: list[str]) -> list[str]:
+    """The lowercased words padded with two boundary markers on each side:
+    the word at ``offset`` from token i is item ``i + 2 + offset``."""
+    return [_BOUNDARY_LEFT, _BOUNDARY_LEFT, *lower, _BOUNDARY_RIGHT, _BOUNDARY_RIGHT]
 
 
 def _pack(weights: Weights) -> dict[str, Vector]:
@@ -262,12 +295,14 @@ def _intern_corpus(encoded) -> tuple[list[str], list[list[tuple[tuple[int, ...],
         ids["prev=" + tag]
     examples = []
     for tokens, gold in encoded:
-        lower = [t.text.lower() for t in tokens]
-        shapes = [_shape(t.text) for t in tokens]
+        around = _context_words([t.text.lower() for t in tokens])
         examples.append(
             [
-                (tuple(map(ids.__getitem__, _static_features(lower, shapes, i))), _SLOTS[tag])
-                for i, tag in enumerate(gold)
+                (
+                    tuple(map(ids.__getitem__, _static_features(around, _shape(t.text), i))),
+                    _SLOTS[tag],
+                )
+                for i, (t, tag) in enumerate(zip(tokens, gold))
             ]
         )
     return list(ids), examples
@@ -313,23 +348,46 @@ def predict(model: TaggerModel, text: str) -> list[EntitySpan]:
     return list(model._spans(text))
 
 
-def _tag_text(vectors: dict[str, Vector], text: str) -> tuple[EntitySpan, ...]:
+def _prefix_sums(vectors: dict[str, Vector], text: str, prev_tag: str) -> Vector:
+    """The five running score sums after a token's prefix features: from
+    +0.0, each present feature's vector added in template order."""
+    sb = si = sl = su = so = 0.0
+    for feat in _prefix_features(text, prev_tag):
+        vector = vectors.get(feat)
+        if vector is not None:
+            vb, vi, vl, vu, vo = vector
+            sb += vb
+            si += vi
+            sl += vl
+            su += vu
+            so += vo
+    return sb, si, sl, su, so
+
+
+def _context_vectors(vectors: dict[str, Vector], word: str) -> tuple[Vector | None, ...]:
+    """The vectors of ``word`` as each context feature, in template order
+    (None where the model has no such feature)."""
+    return tuple(vectors.get(name + word) for _, name in _CONTEXT)
+
+
+def _tag_text(prefix, context, text: str) -> tuple[EntitySpan, ...]:
     tokens = tokenize(text)
     if not tokens:
         return ()
-    lower = [t.text.lower() for t in tokens]
-    shapes = [_shape(t.text) for t in tokens]
-    get = vectors.get
+    around = list(map(context, _context_words([t.text.lower() for t in tokens])))
     prev = _BOUNDARY_LEFT
     tags = []
-    for i in range(len(tokens)):
-        # The sums a walk over the sparse weights makes, tag by tag: the same
-        # weights are added in the same (template) feature order. The 0.0s of
-        # absent tags change nothing: a sum that starts at +0.0 never becomes
-        # -0.0, and x + 0.0 == x.
-        sb = si = sl = su = so = 0.0
-        for feat in _features(lower, shapes, i, prev):
-            vector = get(feat)
+    # Token i's neighbours at -2, -1, +1 and +2 are around[i], around[i + 1],
+    # around[i + 3] and around[i + 4].
+    for token, left2, left1, right1, right2 in zip(
+        tokens, around, around[1:], around[3:], around[4:]
+    ):
+        # The sums a walk over the template makes: the cached prefix, then
+        # the w-2=, w-1=, w+1= and w+2= vectors. The 0.0s of absent tags
+        # change nothing: a sum that starts at +0.0 never becomes -0.0, and
+        # x + 0.0 == x.
+        sb, si, sl, su, so = prefix(token.text, prev)
+        for vector in (left2[0], left1[1], right1[2], right2[3]):
             if vector is not None:
                 vb, vi, vl, vu, vo = vector
                 sb += vb
@@ -406,10 +464,17 @@ def load_model(path) -> TaggerModel:
         if tag not in TAGS:
             raise MalformedFile(path, lineno, f"unknown tag {tag!r}")
         try:
-            weights.setdefault(feat, {})[tag] = float(value)
+            weight = float(value)
         except ValueError as exc:
             detail = f"weight {value!r} is not a number"
             raise MalformedFile(path, lineno, detail) from exc
+        if not math.isfinite(weight):
+            raise MalformedFile(path, lineno, f"weight {value!r} is not finite")
+        per_tag = weights.setdefault(feat, {})
+        if tag in per_tag:
+            detail = f"weight for {feat!r}, {tag!r} repeats an earlier line"
+            raise MalformedFile(path, lineno, detail)
+        per_tag[tag] = weight
     return TaggerModel(
         weights=weights,
         epochs=meta["epochs"],

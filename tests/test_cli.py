@@ -515,6 +515,42 @@ def test_failed_pipeline_keeps_previous_output_set(
     assert sorted(os.listdir(out_dir)) == ["report", "standard.csv"]
 
 
+@pytest.mark.parametrize(
+    "replace",
+    [
+        {tag: "nan" for tag in ("B-Disease", "I-Disease", "L-Disease", "O", "U-Disease")},
+        {"O": "inf"},
+        {"U-Disease": "-inf"},
+    ],
+    ids=["all-bias-nan", "bias-O-inf", "bias-U-minus-inf"],
+)
+def test_pipeline_rejects_non_finite_model_weight(
+    replace, tmp_path, capsys, sample_kb_path, sample_model_path, sample_ehr_300_path
+):
+    # NaN or infinite scores would tag silently wrong spans and exit 0.
+    lines = sample_model_path.read_text().splitlines(keepends=True)
+    first_bad = None
+    for index, line in enumerate(lines):
+        feat, _, rest = line.partition("\t")
+        tag = rest.partition("\t")[0]
+        if feat == "bias" and tag in replace:
+            lines[index] = f"bias\t{tag}\t{replace[tag]}\n"
+            first_bad = index + 1 if first_bad is None else first_bad
+    model = _write(tmp_path, "bad.model", "".join(lines))
+    out_dir = tmp_path / "out"
+    argv = [
+        "pipeline",
+        "--input", str(sample_ehr_300_path),
+        "--kb", str(sample_kb_path),
+        "--model", str(model),
+        "--out-dir", str(out_dir),
+    ]
+    assert main(argv) == 2
+    assert f"{model}: row {first_bad}: weight " in capsys.readouterr().err
+    assert not (out_dir / "standard.csv").exists()
+    assert not (out_dir / "report").exists()
+
+
 @pytest.mark.parametrize("command", ["pipeline", "link"])
 def test_tagger_and_linker_called_once_per_normalized_record(
     command, tmp_path, monkeypatch, sample_kb_path, sample_model_path, sample_ehr_300_path
@@ -672,6 +708,14 @@ MALFORMED_INPUTS = {
     "model": ([*LINK, "--kb", "{kb}", "--model"], NOT_UTF8, 2),
     "model-weight": (
         [*LINK, "--kb", "{kb}", "--model"], (MODEL_HEAD + "bias\tO\tx\n").encode(), 2
+    ),
+    "model-weight-nan": (
+        [*LINK, "--kb", "{kb}", "--model"], (MODEL_HEAD + "bias\tO\tnan\n").encode(), 2
+    ),
+    "model-repeated-weight": (
+        [*LINK, "--kb", "{kb}", "--model"],
+        (MODEL_HEAD + "bias\tO\t1.0\nbias\tO\t2.0\n").encode(),
+        2,
     ),
     "model-unknown-tag": (
         [*LINK, "--kb", "{kb}", "--model"],

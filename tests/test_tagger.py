@@ -1,3 +1,5 @@
+import csv
+import itertools
 import pickle
 import random
 from collections import defaultdict
@@ -171,6 +173,30 @@ def test_overlap_error_names_example_and_span():
     assert str(err.value) == "example 1: span (6, 12) overlaps another span"
 
 
+@pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf", "Infinity", "1e999"])
+def test_non_finite_weight_rejected(tmp_path, value):
+    path = tmp_path / "m.model"
+    path.write_text(
+        "ehr2icd-tagger\t1\nfeatures\tv1\nepochs\t1\nseed\t1\n"
+        f"bias\tB-Disease\t1.0\nbias\tO\t{value}\n"
+    )
+    with pytest.raises(MalformedFile, match=f"row 6: weight '{value}' is not finite"):
+        load_model(path)
+
+
+def test_repeated_weight_line_rejected(tmp_path):
+    # save_model never writes a repeat; a later line must not silently win.
+    path = tmp_path / "m.model"
+    path.write_text(
+        "ehr2icd-tagger\t1\nfeatures\tv1\nepochs\t1\nseed\t1\n"
+        "bias\tO\t1.0\nw=a\tO\t0.5\nbias\tU-Disease\t0.5\nbias\tO\t2.0\n"
+    )
+    with pytest.raises(
+        MalformedFile, match="row 8: weight for 'bias', 'O' repeats an earlier line"
+    ):
+        load_model(path)
+
+
 def test_unknown_tag_rejected(tmp_path):
     path = tmp_path / "m.model"
     path.write_text(
@@ -337,19 +363,48 @@ WEIGHT_VALUES = [0.1, 0.2, 0.3, 1.0, 1.0, -0.5, -1.0, 2.5, 0.0, -0.0, 1e-17]
 @settings(max_examples=100, deadline=None)
 @given(TEXTS)
 def test_feature_template_matches_oracle(text):
-    # Prediction sums float weights in template order, so the order counts.
+    # Prediction sums float weights in template order, so the order counts:
+    # a token's prefix features (with prev= at _PREV_POSITION), then its
+    # w-2=, w-1=, w+1= and w+2= features. Training builds the static
+    # features and inserts prev= at the same position.
     tokens = tokenize(text)
     lower = [t.text.lower() for t in tokens]
     shapes = [_shape(t.text) for t in tokens]
-    for i in range(len(tokens)):
+    around = tagger._context_words(lower)
+    for i, token in enumerate(tokens):
+        context = [name + around[i + 2 + offset] for offset, name in tagger._CONTEXT]
         for prev in ("-START-", *TAGS):
             expected = _oracle_features(lower, shapes, i, prev)
-            assert tagger._features(lower, shapes, i, prev) == expected
+            prefix = tagger._prefix_features(token.text, prev)
+            assert prefix[tagger._PREV_POSITION] == "prev=" + prev
+            assert prefix + context == expected
+            static = tagger._static_features(around, shapes[i], i)
+            static.insert(tagger._PREV_POSITION, "prev=" + prev)
+            assert static == expected
+
+
+def test_scores_are_summed_in_template_order():
+    # O's score is 0.6 when its three weights are added in template order,
+    # ((0.2 + 0.3) + 0.1), which ties U's 0.6 and so tags U; any order that
+    # does not add the 0.1 last gives 0.6000000000000001 and tags O.
+    feats = _oracle_features(["abc"], ["Xxx"], 0, "-START-")
+    assert len(feats) == 14
+    for x, y, z in itertools.combinations(feats, 3):
+        other = next(feat for feat in feats if feat not in (x, y, z))
+        weights = {
+            other: {"U-Disease": 0.6},
+            x: {"O": 0.2},
+            y: {"O": 0.3},
+            z: {"O": 0.1},
+        }
+        model = TaggerModel(weights=weights, epochs=1, seed=1)
+        assert predict(model, "Abc") == [EntitySpan(0, 3, "Abc")], (x, y, z)
+        assert predict(model, "Abc") == _oracle_predict(weights, "Abc")
 
 
 @st.composite
-def weight_tables_and_texts(draw):
-    texts = draw(st.lists(TEXTS, min_size=1, max_size=4))
+def weight_tables_and_texts(draw, texts=st.lists(TEXTS, min_size=1, max_size=4)):
+    texts = draw(texts)
     features = sorted(set().union(*map(_all_features, texts)))
     chosen = draw(st.lists(st.sampled_from(features), unique=True)) if features else []
     per_tag = st.dictionaries(st.sampled_from(TAGS), st.sampled_from(WEIGHT_VALUES), max_size=5)
@@ -370,6 +425,76 @@ def test_bundled_model_matches_oracle_on_bundled_corpus(sample_corpus_path, samp
     for example in read_corpus(sample_corpus_path):
         text = example.content
         assert predict(model, text) == _oracle_predict(model.weights, text)
+
+
+# Many texts over a few words: the same token recurs with other neighbours
+# and, as the weights differ, after other previous tags.
+SHARED_TOKEN_TEXTS = st.lists(
+    st.lists(st.sampled_from(TEXT_WORDS[:6]), min_size=1, max_size=6).map(" ".join),
+    min_size=2,
+    max_size=16,
+)
+
+
+@pytest.mark.parametrize("cache_size", [None, 1])
+@settings(max_examples=80, deadline=None)
+@given(table_and_texts=weight_tables_and_texts(SHARED_TOKEN_TEXTS))
+def test_cached_token_scores_match_sparse_oracle(cache_size, table_and_texts):
+    # With caches of one entry, every prefix and context entry is evicted
+    # and computed again.
+    weights, texts = table_and_texts
+    with pytest.MonkeyPatch.context() as patch:
+        if cache_size is not None:
+            for name in ("PREDICT_CACHE_SIZE", "PREFIX_CACHE_SIZE", "CONTEXT_CACHE_SIZE"):
+                patch.setattr(tagger, name, cache_size)
+        model = TaggerModel(weights=weights, epochs=1, seed=1)
+    for text in texts + texts[::-1]:
+        assert predict(model, text) == _oracle_predict(weights, text)
+    if cache_size is not None:
+        assert model._prefix.cache_info().currsize <= cache_size
+        assert model._context.cache_info().currsize <= cache_size
+
+
+def _diagnosis_texts(path):
+    with path.open(newline="") as fh:
+        return [row["Diagnosis"] for row in csv.DictReader(fh)]
+
+
+def test_bundled_model_matches_oracle_on_sample_exports(
+    sample_model_path, sample_ehr_path, sample_ehr_300_path
+):
+    model = load_model(sample_model_path)
+    for path in (sample_ehr_path, sample_ehr_300_path):
+        for text in _diagnosis_texts(path):
+            assert predict(model, text) == _oracle_predict(model.weights, text)
+
+
+def test_tagging_order_does_not_change_spans(sample_model_path, sample_corpus_path):
+    texts = [example.content for example in read_corpus(sample_corpus_path)]
+    shuffled = random.Random(5).sample(texts, len(texts))
+    forward, backward = load_model(sample_model_path), load_model(sample_model_path)
+    first = {text: predict(forward, text) for text in texts}
+    second = {text: predict(backward, text) for text in shuffled}
+    assert first == second
+
+
+def test_token_caches_stay_bounded_and_exact(sample_model_path):
+    # More distinct tokens, and so context words, than either cache holds.
+    words = [f"lesion{i}" for i in range(tagger.PREFIX_CACHE_SIZE + 40)]
+    assert len(words) > tagger.CONTEXT_CACHE_SIZE
+    texts = [" ".join(["Colon", *words[i : i + 8], "cancer"]) for i in range(0, len(words), 8)]
+    model = load_model(sample_model_path)
+    first = [predict(model, text) for text in texts]
+    assert model._prefix.cache_info().currsize <= tagger.PREFIX_CACHE_SIZE
+    assert model._context.cache_info().currsize <= tagger.CONTEXT_CACHE_SIZE
+    assert model._prefix.cache_info().misses > tagger.PREFIX_CACHE_SIZE
+    # With the span cache emptied, the first texts' tokens, evicted by now,
+    # are scored again, and agree with a fresh model.
+    model._spans.cache_clear()
+    assert [predict(model, text) for text in texts] == first
+    fresh = load_model(sample_model_path)
+    assert [predict(fresh, text) for text in reversed(texts)] == first[::-1]
+    assert first == [_oracle_predict(model.weights, text) for text in texts]
 
 
 @st.composite
