@@ -3,22 +3,29 @@
 The input is a UTF-8 CSV file (RFC 4180 quoting) whose header must contain
 the four standard columns, matched exactly and case-sensitively. Columns
 beyond the four are preserved verbatim so a write-back of untouched records
-reproduces the source rows.
+reproduces the source rows; a header that names a column twice is rejected,
+since its cells could not be told apart.
+
+Records are named tuples, immutable like their read-only ``extras``
+mappings, so later stages pass them on and share them without copying.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .errors import MalformedFile, MissingAttribute
 from .textio import atomic_write, open_input
 
 REQUIRED_COLUMNS = ("Gender", "Age", "Diagnosis", "Diagnosis Date")
 
+# The extras of every record from an export with only the four columns.
+NO_EXTRAS: Mapping[str, str] = MappingProxyType({})
 
-@dataclass(frozen=True)
-class RawRecord:
+
+class RawRecord(NamedTuple):
     """One EHR row exactly as found in the source file."""
 
     gender_raw: str
@@ -26,7 +33,7 @@ class RawRecord:
     diagnosis_text: str
     diagnosis_date_raw: str
     row_index: int  # 1-based position among data rows
-    extras: dict[str, str] = field(default_factory=dict)
+    extras: Mapping[str, str] = NO_EXTRAS  # read-only: column -> cell
 
     def cell(self, column: str) -> str:
         if column == "Gender":
@@ -52,7 +59,8 @@ def load_dataset(path) -> list[RawRecord]:
     """Read the export at ``path`` into RawRecords, one per data row.
 
     Raises MissingAttribute if any of the four standard headers is absent
-    and MalformedFile for rows whose cell count disagrees with the header.
+    and MalformedFile for a header that names a column twice and for rows
+    whose cell count disagrees with the header.
     """
     with open_input(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -60,30 +68,24 @@ def load_dataset(path) -> list[RawRecord]:
         raise MalformedFile(path, 1, "empty file: header row required")
 
     header = rows[0]
+    width = len(header)
+    for i, name in enumerate(header):
+        if name in header[:i]:
+            raise MalformedFile(path, 1, f"column {name!r} is named more than once")
     for name in REQUIRED_COLUMNS:
         if name not in header:
             raise MissingAttribute(name)
-    standard = {name: header.index(name) for name in REQUIRED_COLUMNS}
-    extra_columns = [
-        (i, name) for i, name in enumerate(header) if i not in standard.values()
-    ]
+    g, a, d, t = map(header.index, REQUIRED_COLUMNS)
+    extra_columns = [(i, name) for i, name in enumerate(header) if name not in REQUIRED_COLUMNS]
 
     records = []
+    extras = NO_EXTRAS
     for n, row in enumerate(rows[1:], start=1):
-        if len(row) != len(header):
-            raise MalformedFile(
-                path, n + 1, f"expected {len(header)} fields, got {len(row)}"
-            )
-        records.append(
-            RawRecord(
-                gender_raw=row[standard["Gender"]],
-                age_raw=row[standard["Age"]],
-                diagnosis_text=row[standard["Diagnosis"]],
-                diagnosis_date_raw=row[standard["Diagnosis Date"]],
-                row_index=n,
-                extras={name: row[i] for i, name in extra_columns},
-            )
-        )
+        if len(row) != width:
+            raise MalformedFile(path, n + 1, f"expected {width} fields, got {len(row)}")
+        if extra_columns:
+            extras = MappingProxyType({name: row[i] for i, name in extra_columns})
+        records.append(RawRecord(row[g], row[a], row[d], row[t], n, extras))
     return records
 
 
@@ -96,10 +98,10 @@ def drop_missing(records: list[RawRecord]) -> list[RawRecord]:
     return [
         r
         for r in records
-        if all(
-            cell.strip()
-            for cell in (r.gender_raw, r.age_raw, r.diagnosis_text, r.diagnosis_date_raw)
-        )
+        if r.gender_raw.strip()
+        and r.age_raw.strip()
+        and r.diagnosis_text.strip()
+        and r.diagnosis_date_raw.strip()
     ]
 
 

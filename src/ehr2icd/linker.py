@@ -31,7 +31,10 @@ KnowledgeBase keeps the rankings of recent queries in a bounded LRU cache;
 ``lookup`` returns a fresh list on every call. Assignment takes the
 top-ranked candidate per recognized disease, so it asks for k=1; rows whose
 lookup comes up empty keep NA in all three ICD fields so they stay available
-for manual coding.
+for manual coding. Each KnowledgeBase also keeps, in a second bounded LRU
+cache keyed by span text, that candidate's score, code, name and category,
+so a text repeated across rows is tokenized and its category derived once;
+the score threshold is compared on every call.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import DuplicateCode, InvalidCode, MalformedFile
 from .ner.spans import EntitySpan
@@ -54,6 +57,8 @@ from .textio import atomic_write, open_input, read_text
 
 # Distinct (query token set, k) rankings each KnowledgeBase keeps.
 LOOKUP_CACHE_SIZE = 1024
+# Distinct span texts whose top candidate each KnowledgeBase keeps.
+TOP_CACHE_SIZE = 4096
 
 # Uppercase letter, two digits, optional "." plus one or two alphanumerics.
 CODE_RE = re.compile(r"^[A-Z][0-9]{2}(?:\.[A-Za-z0-9]{1,2})?$")
@@ -105,11 +110,16 @@ class KnowledgeBase:
     _ranked: Callable[[frozenset[str], int], tuple[LinkCandidate, ...]] = field(
         init=False, compare=False, repr=False
     )
+    _top: Callable[[str], Optional[tuple[float, str, str, str]]] = field(
+        init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "index", build_index(self.entries))
         rank = partial(_rank, self.entries, self.index)
         object.__setattr__(self, "_ranked", lru_cache(LOOKUP_CACHE_SIZE)(rank))
+        top = partial(_top_candidate, self)
+        object.__setattr__(self, "_top", lru_cache(TOP_CACHE_SIZE)(top))
 
     def __reduce__(self):
         # Pickle the entries only; unpickling compiles the index again.
@@ -123,8 +133,7 @@ class LinkCandidate:
     matched_via: str  # "name" or "synonym"
 
 
-@dataclass(frozen=True)
-class StandardRecord:
+class StandardRecord(NamedTuple):
     """One row of the 7-attribute standard output."""
 
     gender: str
@@ -317,30 +326,29 @@ def assign(
     three ICD fields are populated together from the top-ranked candidate, or
     left NA together when lookup misses or scores below the threshold.
     """
-    base = dict(
-        gender=record.gender,
-        age_years=record.age_years,
-        diagnosis_date=record.diagnosis_date,
-        diagnosis_text=record.diagnosis_text,
+    gender, age, date, text = (
+        record.gender, record.age_years, record.diagnosis_date, record.diagnosis_text
     )
     if not spans:
-        return [StandardRecord(**base)]
+        return [StandardRecord(gender, age, date, text)]
     rows = []
     for span in spans:
-        candidates = lookup(span.text, kb, k=1)
-        top = candidates[0] if candidates else None
-        if top is not None and top.score >= score_threshold:
-            rows.append(
-                StandardRecord(
-                    **base,
-                    icd10_code=top.entry.code,
-                    icd10_name=top.entry.name,
-                    icd10_category=code_to_category(top.entry.code),
-                )
-            )
+        top = kb._top(span.text)
+        if top is not None and top[0] >= score_threshold:
+            rows.append(StandardRecord(gender, age, date, text, *top[1:]))
         else:
-            rows.append(StandardRecord(**base))
+            rows.append(StandardRecord(gender, age, date, text))
     return rows
+
+
+def _top_candidate(kb: KnowledgeBase, text: str) -> Optional[tuple[float, str, str, str]]:
+    """Score, code, name and category of the top candidate for ``text``, if any."""
+    candidates = lookup(text, kb, k=1)
+    if not candidates:
+        return None
+    top = candidates[0]
+    code = top.entry.code
+    return top.score, code, top.entry.name, code_to_category(code)
 
 
 def write_standard_csv(path, rows: list[StandardRecord]) -> None:

@@ -434,15 +434,19 @@ def load_model(path) -> TaggerModel:
     lines = read_text(path).splitlines()
     if not lines or lines[0].split("\t") != [_MAGIC, _FORMAT]:
         raise MalformedFile(path, 1, "not a tagger model file")
-    # Header lines are "key<TAB>value" in any order; the first line with
-    # another key starts the weights.
+    # Header lines are "key<TAB>value" in any order, each key at most once;
+    # the first line with another key starts the weights.
     meta = {"features": "<missing>", "epochs": 0, "seed": 0}
+    seen = set()
     body_start = 1
     while body_start < len(lines):
         key, _, value = lines[body_start].partition("\t")
         if key not in meta:
             break
         body_start += 1
+        if key in seen:
+            raise MalformedFile(path, body_start, f"header key {key!r} repeats an earlier line")
+        seen.add(key)
         if key != "features":
             try:
                 value = int(value)
@@ -450,6 +454,8 @@ def load_model(path) -> TaggerModel:
                 raise MalformedFile(
                     path, body_start, f"{key} {value!r} is not an integer"
                 ) from exc
+            if key == "epochs" and value < 0:
+                raise MalformedFile(path, body_start, f"epochs {value} is negative")
         meta[key] = value
     if meta["features"] != FEATURE_TEMPLATE:
         raise UnsupportedModelVersion(meta["features"])

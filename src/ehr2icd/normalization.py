@@ -3,15 +3,20 @@
 Each normalizer returns None (NA) when a value matches none of its known
 patterns; a record is dropped as soon as any of its three demographic values
 normalizes to NA. Diagnosis text always passes through untouched.
+
+Exports repeat the same few genders, ages and dates across many rows, so
+each normalizer keeps its recent results in a bounded LRU cache. A result
+depends only on the cell, and is None, a string, an int or a DateTriple, all
+immutable, so a cached result is the one a fresh call would return.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from functools import lru_cache
+from typing import Mapping, NamedTuple, Optional
 
-from .ingestion import RawRecord
+from .ingestion import NO_EXTRAS, RawRecord
 
 FEMALE = "Female"
 MALE = "Male"
@@ -26,6 +31,9 @@ _MONTHS_RE = re.compile(r"^(\d+)\s*(?:m|month|months)$", re.IGNORECASE)
 _FRACTION_RE = re.compile(r"^(\d+)\s+\d+/\d+$")
 _DATE_RE = re.compile(r"^(\d+)[/-](\d+)[/-](\d+)$")
 
+# Distinct cells whose result each normalizer keeps.
+CELL_CACHE_SIZE = 4096
+
 
 class DateTriple(NamedTuple):
     """A day/month/year triple kept in its source calendar."""
@@ -39,16 +47,16 @@ class DateTriple(NamedTuple):
         return f"{self.day}/{self.month}/{self.year}"
 
 
-@dataclass(frozen=True)
-class NormalizedRecord:
+class NormalizedRecord(NamedTuple):
     gender: str
     age_years: int
     diagnosis_date: DateTriple
     diagnosis_text: str
     row_index: int
-    extras: dict[str, str] = field(default_factory=dict)
+    extras: Mapping[str, str] = NO_EXTRAS  # the raw record's, shared
 
 
+@lru_cache(CELL_CACHE_SIZE)
 def normalize_gender(raw: str) -> Optional[str]:
     """Map one of the eight known gender formats to Female/Male, else NA."""
     value = raw.strip()
@@ -59,6 +67,7 @@ def normalize_gender(raw: str) -> Optional[str]:
     return None
 
 
+@lru_cache(CELL_CACHE_SIZE)
 def normalize_age(raw: str) -> Optional[int]:
     """Extract whole years from an age cell, else NA.
 
@@ -85,6 +94,7 @@ def _at_least_one_year(age: int) -> Optional[int]:
     return age if age >= 1 else None
 
 
+@lru_cache(CELL_CACHE_SIZE)
 def normalize_date(raw: str) -> Optional[DateTriple]:
     """Parse a day/month/year cell separated by "/" or "-", else NA.
 
@@ -95,7 +105,7 @@ def normalize_date(raw: str) -> Optional[DateTriple]:
     match = _DATE_RE.match(raw.strip())
     if not match:
         return None
-    day, month, year = (int(g) for g in match.groups())
+    day, month, year = map(int, match.groups())
     if day < 1 or month < 1 or year < 1:
         return None
     return DateTriple(day, month, year)
@@ -120,12 +130,7 @@ def normalize_with_reason(
         return None, "date"
     return (
         NormalizedRecord(
-            gender=gender,
-            age_years=age,
-            diagnosis_date=date,
-            diagnosis_text=record.diagnosis_text,
-            row_index=record.row_index,
-            extras=dict(record.extras),
+            gender, age, date, record.diagnosis_text, record.row_index, record.extras
         ),
         None,
     )

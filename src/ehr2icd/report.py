@@ -62,24 +62,33 @@ def bin_age(age_years: int) -> str:
 
 def aggregate(rows: Iterable[StandardRecord]) -> StatsReport:
     """Count rows into the report maps; permutation-invariant over the input."""
-    report = StatsReport()
+    by_category: dict[str, int] = {}
+    by_category_gender: dict[tuple[str, str], int] = {}
+    by_category_agebin: dict[tuple[str, str], int] = {}
+    by_month: dict[tuple[int, int], int] = {}
+    bins: dict[int, str] = {}  # age -> bin_age(age), for the ages met
+    total_rows = na_rows = 0
     for row in rows:
-        report.total_rows += 1
-        month_key = (row.diagnosis_date.year, row.diagnosis_date.month)
-        report.by_month[month_key] = report.by_month.get(month_key, 0) + 1
-        if row.icd10_category is None:
-            report.na_rows += 1
-            continue
+        total_rows += 1
+        date = row.diagnosis_date
+        month_key = (date.year, date.month)
+        by_month[month_key] = by_month.get(month_key, 0) + 1
         category = row.icd10_category
-        report.by_category[category] = report.by_category.get(category, 0) + 1
+        if category is None:
+            na_rows += 1
+            continue
+        by_category[category] = by_category.get(category, 0) + 1
         gender_key = (category, row.gender)
-        report.by_category_gender[gender_key] = (
-            report.by_category_gender.get(gender_key, 0) + 1
-        )
-        bin_key = (category, bin_age(row.age_years))
-        report.by_category_agebin[bin_key] = (
-            report.by_category_agebin.get(bin_key, 0) + 1
-        )
+        by_category_gender[gender_key] = by_category_gender.get(gender_key, 0) + 1
+        age = row.age_years
+        age_bin = bins.get(age)
+        if age_bin is None:
+            age_bin = bins[age] = bin_age(age)
+        bin_key = (category, age_bin)
+        by_category_agebin[bin_key] = by_category_agebin.get(bin_key, 0) + 1
+    report = StatsReport(
+        by_category, by_category_gender, by_category_agebin, by_month, total_rows, na_rows
+    )
     report.validate()
     return report
 

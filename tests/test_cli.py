@@ -79,6 +79,42 @@ def test_normalize_is_idempotent(tmp_path):
     assert once.read_bytes() == twice.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "header,row",
+    [
+        ("Gender,Age,Diagnosis,Diagnosis Date,Note,Note", "M,30,Asthma,1/2/1440,first,second"),
+        ("Gender,Age,Diagnosis,Diagnosis Date,Gender", "M,30,Asthma,1/2/1440,F"),
+    ],
+    ids=["extra-column", "standard-column"],
+)
+def test_normalize_rejects_a_column_named_twice(tmp_path, capsys, header, row):
+    # Cells under one name cannot be told apart: the second "Note" would
+    # overwrite the first, and the second "Gender" would be written back as
+    # the first one's value.
+    raw = _write(tmp_path, "raw.csv", f"{header}\n{row}\n")
+    out = tmp_path / "normalized.csv"
+    assert main(["normalize", "--input", str(raw), "--output", str(out)]) == 2
+    assert f"{raw}: row 1: column " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_normalize_reproduces_extra_columns_byte_for_byte(tmp_path):
+    # Rows already in canonical form come back unchanged, extra cells
+    # included: quoted commas and quotes, blanks, non-ASCII text, and extra
+    # columns before, between and after the standard ones.
+    text = (
+        'Clinic,Gender,Age,Note,Diagnosis,Diagnosis Date,Ward\n'
+        '"North, annex",Female,56,"said ""twice""",Tonsillitis,8/4/1439,\n'
+        'South,Male,22,,Hypertension,14/5/1439,ß-2\n'
+        ',Female,19,x,Arthritis,6/4/1439,"line\nbreak"\n'
+    )
+    raw = tmp_path / "raw.csv"
+    raw.write_bytes(text.encode())
+    out = tmp_path / "normalized.csv"
+    assert main(["normalize", "--input", str(raw), "--output", str(out)]) == 0
+    assert out.read_bytes() == raw.read_bytes()
+
+
 def test_usage_error_exits_1(tmp_path, capsys):
     assert main(["normalize", "--no-such-flag"]) == 1
     assert capsys.readouterr().err != ""
@@ -551,6 +587,33 @@ def test_pipeline_rejects_non_finite_model_weight(
     assert not (out_dir / "report").exists()
 
 
+@pytest.mark.parametrize(
+    "header,line",
+    [
+        ("epochs\t10\nepochs\t-3\nseed\t13\n", 4),
+        ("epochs\t-3\nseed\t13\n", 3),
+    ],
+    ids=["repeated-epochs", "negative-epochs"],
+)
+def test_pipeline_rejects_a_bad_model_header(
+    header, line, tmp_path, capsys, sample_kb_path, sample_model_path, sample_ehr_300_path
+):
+    # Loaded, such a model would report epochs -3, and save_model would write it back.
+    weights = sample_model_path.read_text().split("seed\t13\n", 1)[1]
+    model = _write(tmp_path, "bad.model", "ehr2icd-tagger\t1\nfeatures\tv1\n" + header + weights)
+    out_dir = tmp_path / "out"
+    argv = [
+        "pipeline",
+        "--input", str(sample_ehr_300_path),
+        "--kb", str(sample_kb_path),
+        "--model", str(model),
+        "--out-dir", str(out_dir),
+    ]
+    assert main(argv) == 2
+    assert f"{model}: row {line}: " in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("command", ["pipeline", "link"])
 def test_tagger_and_linker_called_once_per_normalized_record(
     command, tmp_path, monkeypatch, sample_kb_path, sample_model_path, sample_ehr_300_path
@@ -683,6 +746,9 @@ def test_readme_config_block_loads_as_the_defaults(tmp_path):
 
 
 NOT_UTF8 = b"Gender,Age\n\xff\xfe\n"
+REPEATED_COLUMN = (
+    b"Gender,Age,Diagnosis,Diagnosis Date,Note,Note\nM,30,Asthma,1/2/1440,first,second\n"
+)
 MODEL_HEAD = "ehr2icd-tagger\t1\nfeatures\tv1\nepochs\t10\nseed\t13\n"
 STANDARD_HEAD = (
     "Gender,Age,Diagnosis,Diagnosis Date,ICD_10 Code,ICD_10 Name,ICD_10 Category\n"
@@ -703,6 +769,9 @@ MALFORMED_INPUTS = {
         ["pipeline", "--kb", "{kb}", "--model", "{model}", "--out-dir", "{out}", "--input"],
         NOT_UTF8,
         2,
+    ),
+    "raw-export-repeated-column": (
+        ["normalize", "--output", "{out}/n.csv", "--input"], REPEATED_COLUMN, 2
     ),
     "kb": ([*LINK, "--model", "{model}", "--kb"], NOT_UTF8, 2),
     "model": ([*LINK, "--kb", "{kb}", "--model"], NOT_UTF8, 2),

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from ehr2icd.errors import MalformedFile, MissingAttribute
 from ehr2icd.ingestion import (
+    NO_EXTRAS,
     RawRecord,
     drop_missing,
     load_dataset,
@@ -120,3 +121,40 @@ def test_extra_columns_preserved(tmp_path):
     out = tmp_path / "copy.csv"
     write_dataset(out, records, read_header(path))
     assert out.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        "Gender,Age,Diagnosis,Diagnosis Date,Note,Note",
+        "Gender,Age,Diagnosis,Diagnosis Date,Gender",
+        "Gender,,Age,Diagnosis,Diagnosis Date,",
+    ],
+)
+def test_column_named_twice_is_rejected_on_line_1(tmp_path, header):
+    path = tmp_path / "twice.csv"
+    cells = ["M", "30", "Asthma", "1/2/1440", "a", "b"][: header.count(",") + 1]
+    path.write_text(f"{header}\n{','.join(cells)}\n")
+    with pytest.raises(MalformedFile, match="is named more than once") as err:
+        load_dataset(path)
+    assert err.value.row == 1
+
+
+def test_records_are_immutable(tmp_path):
+    path = tmp_path / "extra.csv"
+    path.write_text("Gender,Age,Clinic,Diagnosis,Diagnosis Date\nF,20,General,Cystitis,9/4/1439\n")
+    [record] = load_dataset(path)
+    with pytest.raises(AttributeError):
+        record.gender_raw = "M"
+    with pytest.raises(TypeError):
+        record.extras["Clinic"] = "Other"
+    with pytest.raises(TypeError):
+        record.extras["Ward"] = "3"
+    assert record.extras == {"Clinic": "General"}
+
+
+def test_records_without_extra_columns_share_one_empty_mapping(sample_ehr_300_path):
+    records = load_dataset(sample_ehr_300_path)
+    assert all(record.extras is NO_EXTRAS for record in records)
+    assert RawRecord("F", "20", "Cystitis", "9/4/1439", 1).extras is NO_EXTRAS
+    assert dict(NO_EXTRAS) == {}

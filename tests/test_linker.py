@@ -12,16 +12,20 @@ from ehr2icd.errors import DuplicateCode, InvalidCode
 from ehr2icd.linker import (
     LOOKUP_CACHE_SIZE,
     KBEntry,
+    KnowledgeBase,
+    StandardRecord,
     assign,
     build_index,
     code_to_category,
     load_kb,
     lookup,
     query_tokens,
+    read_kb,
     read_standard_csv,
     write_standard_csv,
     STANDARD_HEADER,
 )
+from ehr2icd.samples import sample_path
 from ehr2icd.ner.spans import make_span
 from ehr2icd.ner.tokenizer import tokenize
 from ehr2icd.normalization import DateTriple, NormalizedRecord
@@ -501,3 +505,70 @@ def test_knowledge_base_pickles_without_its_cache(table9_kb):
     copy = pickle.loads(pickle.dumps(table9_kb))
     assert copy == table9_kb
     assert lookup("diabetic cataract", copy) == expected
+
+
+def test_standard_record_is_immutable(sample_kb_path):
+    kb = load_kb(sample_kb_path)
+    text = "Cystitis"
+    [row] = assign(_record(text), [make_span(text, 0, 8)], kb)
+    with pytest.raises(AttributeError):
+        row.icd10_code = "N30.9"
+    assert row == StandardRecord(
+        "Female", 20, DateTriple(9, 4, 1439), text, "A06.81", "Amebic cystitis", "A06"
+    )
+
+
+def _oracle_assign(record, spans, kb, score_threshold):
+    """assign before the per-text memo: one k=1 lookup per span, every call."""
+    base = (record.gender, record.age_years, record.diagnosis_date, record.diagnosis_text)
+    if not spans:
+        return [StandardRecord(*base)]
+    rows = []
+    for span in spans:
+        candidates = lookup(span.text, kb, k=1)
+        if candidates and candidates[0].score >= score_threshold:
+            entry = candidates[0].entry
+            rows.append(StandardRecord(*base, entry.code, entry.name, entry.code.split(".")[0]))
+        else:
+            rows.append(StandardRecord(*base))
+    return rows
+
+
+# Case variants of KB words and names, a word no entry has, and a word that
+# is not a token at all.
+_LINK_WORDS = [
+    "Cystitis", "cystitis", "CYSTITIS", "amebic", "Anxiety", "anxiety disorder",
+    "Chronic Kidney", "kidney DISEASE", "diabetes mellitus", "Type 1", "of",
+    "unspecified", "Tonsillitis", "+",
+]
+_SPAN_TEXTS = st.lists(st.sampled_from(_LINK_WORDS), min_size=1, max_size=3).map(" ".join)
+_THRESHOLDS = [0.0, 0.2, 1 / 3, 0.5, 2 / 3, 1.0, 1.01]
+
+
+@pytest.mark.parametrize("cache_size", [None, 1, 3])
+@settings(max_examples=60, deadline=None)
+@given(
+    records=st.lists(st.lists(_SPAN_TEXTS, max_size=3), min_size=1, max_size=12),
+    thresholds=st.lists(st.sampled_from(_THRESHOLDS), min_size=1, max_size=3),
+)
+def test_assign_matches_per_span_lookup_oracle(cache_size, records, thresholds):
+    # With a memo of one or three texts, entries are evicted and looked up
+    # again; the threshold is compared per call, never memoized.
+    with pytest.MonkeyPatch.context() as patch:
+        if cache_size is not None:
+            patch.setattr(linker, "TOP_CACHE_SIZE", cache_size)
+        kb = KnowledgeBase(read_kb(sample_path("sample_kb.tsv")))
+    cases = []
+    for parts in records:
+        text = " , ".join(parts)
+        spans, start = [], 0
+        for part in parts:
+            spans.append(make_span(text, start, start + len(part)))
+            start += len(part) + 3
+        cases.append((_record(text), spans))
+    for threshold in thresholds:
+        for record, spans in cases + cases[::-1]:
+            expected = _oracle_assign(record, spans, kb, threshold)
+            assert assign(record, spans, kb, threshold) == expected
+    if cache_size is not None:
+        assert kb._top.cache_info().currsize <= cache_size

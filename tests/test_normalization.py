@@ -1,8 +1,11 @@
+from types import MappingProxyType
+
 import pytest
 from hypothesis import given, strategies as st
 
 from ehr2icd.ingestion import RawRecord
 from ehr2icd.normalization import (
+    CELL_CACHE_SIZE,
     DateTriple,
     normalize_age,
     normalize_date,
@@ -151,3 +154,64 @@ def test_diagnosis_text_passes_through_verbatim():
     text = "  The disease is Gastroenteritis  "
     record, _ = normalize_with_reason(_raw("F", "20", text, "9/4/1439"))
     assert record.diagnosis_text == text
+
+
+def test_normalized_record_is_immutable_and_shares_the_raw_extras():
+    raw = RawRecord("F", "20", "Cystitis", "9/4/1439", 1, MappingProxyType({"Clinic": "A"}))
+    record, _ = normalize_with_reason(raw)
+    assert record.extras is raw.extras
+    with pytest.raises(AttributeError):
+        record.age_years = 30
+    with pytest.raises(TypeError):
+        record.extras["Clinic"] = "B"
+    assert record.extras == {"Clinic": "A"}
+
+
+NORMALIZERS = (normalize_gender, normalize_age, normalize_date)
+
+# ASCII, Arabic-Indic, Extended Arabic-Indic, Devanagari and mathematical
+# digits: "\d" matches them all and int() reads them all.
+_DIGITS = "0123456789\u0663\u06f5\u0967\U0001d7d8"
+_number = st.text(alphabet=_DIGITS, min_size=1, max_size=4)
+_pad = st.sampled_from(["", " ", "  ", "\t", "\u00a0", "\n"])
+_bare_cells = st.one_of(
+    st.sampled_from(GENDER_FORMATS + ("unknown", "Males", "", "0", "0 years", "4 m")),
+    _number,
+    st.tuples(
+        _number, st.sampled_from([" y", "yr", " YEARS", " m", "month", " months", " 1/2"])
+    ).map("".join),
+    st.tuples(_number, st.sampled_from("/-"), _number, st.sampled_from("/-"), _number).map(
+        "".join
+    ),
+    st.text(max_size=6),
+)
+_cells = st.tuples(_pad, _bare_cells, _pad).map("".join)
+
+
+@given(st.lists(_cells, min_size=1, max_size=20))
+def test_memoized_normalizers_match_their_uncached_bodies(cells):
+    for normalize in NORMALIZERS:
+        expected = [normalize.__wrapped__(cell) for cell in cells]
+        # Twice (misses, then hits), then again from an empty cache.
+        assert [normalize(cell) for cell in cells] == expected
+        assert [normalize(cell) for cell in cells] == expected
+        normalize.cache_clear()
+        assert [normalize(cell) for cell in cells] == expected
+
+
+def test_normalizer_caches_stay_bounded_and_exact():
+    n = CELL_CACHE_SIZE + 50
+    cells = {
+        normalize_gender: [f"{(GENDER_FORMATS + ('x',))[i % 9]}{' ' * (i // 9)}" for i in range(n)],
+        normalize_age: [f"{i} years" if i % 3 else f"{i} m" for i in range(n)],
+        normalize_date: [f"{i % 28}/{i % 12 + 1}/{1000 + i}" for i in range(n)],
+    }
+    for normalize in NORMALIZERS:
+        normalize.cache_clear()
+        first = [normalize(cell) for cell in cells[normalize]]
+        assert first == [normalize.__wrapped__(cell) for cell in cells[normalize]]
+        assert normalize.cache_info().currsize == CELL_CACHE_SIZE
+        # The first 50 cells were evicted; they are computed again, exactly.
+        misses = normalize.cache_info().misses
+        assert [normalize(cell) for cell in cells[normalize][:50]] == first[:50]
+        assert normalize.cache_info().misses == misses + 50

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import DATA_DIR
 
@@ -177,3 +178,55 @@ def test_validate_catches_inconsistent_totals():
     broken = StatsReport(by_category={"E10": 2}, total_rows=1, na_rows=0)
     with pytest.raises(ValueError):
         broken.validate()
+
+
+def _oracle_aggregate(rows):
+    """aggregate as it counted before: straight into the report, bin_age per row."""
+    report = StatsReport()
+    for row in rows:
+        report.total_rows += 1
+        month_key = (row.diagnosis_date.year, row.diagnosis_date.month)
+        report.by_month[month_key] = report.by_month.get(month_key, 0) + 1
+        if row.icd10_category is None:
+            report.na_rows += 1
+            continue
+        category = row.icd10_category
+        report.by_category[category] = report.by_category.get(category, 0) + 1
+        gender_key = (category, row.gender)
+        report.by_category_gender[gender_key] = (
+            report.by_category_gender.get(gender_key, 0) + 1
+        )
+        bin_key = (category, bin_age(row.age_years))
+        report.by_category_agebin[bin_key] = (
+            report.by_category_agebin.get(bin_key, 0) + 1
+        )
+    report.validate()
+    return report
+
+
+_rows = st.lists(
+    st.builds(
+        _row,
+        category=st.sampled_from([None, "E10", "I15", "A06"]),
+        gender=st.sampled_from(["Female", "Male"]),
+        age=st.integers(min_value=1, max_value=120),
+        month=st.integers(min_value=1, max_value=12),
+    ),
+    max_size=60,
+)
+
+
+@given(_rows)
+def test_aggregate_matches_counting_loop_oracle(rows):
+    report, expected = aggregate(rows), _oracle_aggregate(rows)
+    assert report == expected
+    # Same keys met in the same order, so the maps iterate alike too.
+    for name in ("by_category", "by_category_gender", "by_category_agebin", "by_month"):
+        assert list(getattr(report, name).items()) == list(getattr(expected, name).items())
+
+
+def test_aggregate_matches_oracle_on_fixture_and_rejects_infants():
+    rows = read_standard_csv(DATA_DIR / "standard_20.csv")
+    assert aggregate(rows) == _oracle_aggregate(rows)
+    with pytest.raises(ValueError):
+        aggregate([_row("E10", age=0)])

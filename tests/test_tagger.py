@@ -197,6 +197,33 @@ def test_repeated_weight_line_rejected(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize(
+    "header,line",
+    [
+        ("features\tv1\nepochs\t10\nepochs\t-3\nseed\t1\n", 4),
+        ("features\tv1\nepochs\t1\nseed\t1\nseed\t2\n", 5),
+        ("features\tv1\nepochs\t1\nfeatures\tv1\nseed\t1\n", 4),
+    ],
+    ids=["epochs", "seed", "features"],
+)
+def test_repeated_header_key_rejected(tmp_path, header, line):
+    # A later header line must not silently override an earlier one.
+    path = tmp_path / "m.model"
+    key = header.splitlines()[line - 2].partition("\t")[0]
+    path.write_text("ehr2icd-tagger\t1\n" + header + "bias\tO\t1.0\n")
+    with pytest.raises(MalformedFile, match=f"row {line}: header key '{key}' repeats"):
+        load_model(path)
+
+
+def test_negative_epochs_rejected(tmp_path):
+    path = tmp_path / "m.model"
+    path.write_text("ehr2icd-tagger\t1\nfeatures\tv1\nepochs\t-3\nseed\t1\nbias\tO\t1.0\n")
+    with pytest.raises(MalformedFile, match="row 3: epochs -3 is negative"):
+        load_model(path)
+    path.write_text("ehr2icd-tagger\t1\nfeatures\tv1\nepochs\t0\nseed\t-1\nbias\tO\t1.0\n")
+    assert (load_model(path).epochs, load_model(path).seed) == (0, -1)
+
+
 def test_unknown_tag_rejected(tmp_path):
     path = tmp_path / "m.model"
     path.write_text(
