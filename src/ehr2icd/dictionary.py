@@ -27,11 +27,6 @@ class Lexicon:
     max_term_tokens: int
 
 
-def normalize_term(text: str) -> str:
-    """Lowercased, single-spaced token sequence used as a lexicon key."""
-    return " ".join(folded_tokens(text))
-
-
 def build_lexicon(entries, extra_terms: Iterable[str] = ()) -> Lexicon:
     """Collect every KB entry's name and synonyms plus any extra terms."""
     terms: set[str] = set()

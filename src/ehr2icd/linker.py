@@ -1,7 +1,8 @@
 """ICD-10 knowledge base, ranked lookup, and standard-record assembly.
 
 ``read_kb`` parses a KB file into entries, ``KnowledgeBase(entries)``
-compiles them, and ``load_kb`` does both. Each entry's name and synonyms are
+compiles them, and ``load_kb`` does both, or loads the compiled form from an
+image on disk (``kbimage``). Each entry's name and synonyms are
 its surfaces; each is tokenized once by ``query_tokens`` (the shared
 tokenizer's case-folded words) into a surface-level inverted index: token ->
 ascending surface keys, plus each surface's entry and each entry's name. A
@@ -53,7 +54,7 @@ from .errors import DuplicateCode, InvalidCode, MalformedFile
 from .ner.spans import EntitySpan
 from .ner.tokenizer import folded_words as query_tokens
 from .normalization import DateTriple, NormalizedRecord, normalize_date
-from .textio import atomic_write, open_input, read_text
+from .textio import atomic_write, decode_text, open_input
 
 # Distinct (query token set, k) rankings each KnowledgeBase keeps.
 LOOKUP_CACHE_SIZE = 1024
@@ -74,8 +75,7 @@ STANDARD_HEADER = (
 )
 
 
-@dataclass(frozen=True)
-class KBEntry:
+class KBEntry(NamedTuple):
     code: str
     name: str
     synonyms: tuple[str, ...] = ()
@@ -103,10 +103,13 @@ class SurfaceIndex:
 
 @dataclass(frozen=True)
 class KnowledgeBase:
-    """Entries plus the surface index compiled from them; immutable."""
+    """Entries plus the surface index compiled from them; immutable.
+
+    ``index`` is compiled from the entries when not given.
+    """
 
     entries: tuple[KBEntry, ...]
-    index: SurfaceIndex = field(init=False, compare=False, repr=False)
+    index: Optional[SurfaceIndex] = field(default=None, compare=False, repr=False)
     _ranked: Callable[[frozenset[str], int], tuple[LinkCandidate, ...]] = field(
         init=False, compare=False, repr=False
     )
@@ -115,7 +118,8 @@ class KnowledgeBase:
     )
 
     def __post_init__(self):
-        object.__setattr__(self, "index", build_index(self.entries))
+        if self.index is None:
+            object.__setattr__(self, "index", build_index(self.entries))
         rank = partial(_rank, self.entries, self.index)
         object.__setattr__(self, "_ranked", lru_cache(LOOKUP_CACHE_SIZE)(rank))
         top = partial(_top_candidate, self)
@@ -175,12 +179,17 @@ def _build_index(entries: tuple[KBEntry, ...], typecode: str) -> SurfaceIndex:
     return SurfaceIndex(postings, entry_of, name_surface, stride)
 
 
-def read_kb(path) -> tuple[KBEntry, ...]:
-    """Parse a tab-separated KB file: code, name, optional '|'-joined synonyms."""
+def read_kb(path, data: Optional[bytes] = None) -> tuple[KBEntry, ...]:
+    """Parse a tab-separated KB file: code, name, optional '|'-joined synonyms.
+
+    ``data``, when given, is the file's content, already read.
+    """
     path = Path(path)
+    if data is None:
+        data = path.read_bytes()
     entries: list[KBEntry] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(read_text(path).splitlines(), 1):
+    for lineno, line in enumerate(decode_text(path, data).splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -204,8 +213,19 @@ def read_kb(path) -> tuple[KBEntry, ...]:
 
 
 def load_kb(path) -> KnowledgeBase:
-    """Parse a KB file and compile it for lookup."""
-    return KnowledgeBase(read_kb(path))
+    """Parse a KB file and compile it for lookup, or load that from its image."""
+    # Imported here: only the commands that link compile that module.
+    from . import kbimage
+
+    path = Path(path)
+    data = path.read_bytes()
+    slot = kbimage.image_slot(path, data)
+    kb = kbimage.load_image(*slot) if slot else None
+    if kb is None:
+        kb = KnowledgeBase(read_kb(path, data))
+        if slot:
+            kbimage.save_image(*slot, kb)
+    return kb
 
 
 def lookup(term: str, kb: KnowledgeBase, k: int = 4) -> list[LinkCandidate]:

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from .errors import MalformedFile, UnwritablePath
+from .errors import UnwritablePath
 from .linker import StandardRecord
-from .textio import atomic_group, atomic_write, open_input
+from .textio import atomic_group, atomic_write
 
 CSV_FILES = (
     "by_category.csv",
@@ -168,51 +168,3 @@ def _nest(pairs: dict[tuple[str, str], int]) -> dict[str, dict[str, int]]:
     for (outer, inner), count in sorted(pairs.items()):
         nested.setdefault(outer, {})[inner] = count
     return nested
-
-
-def read_report(out_dir) -> StatsReport:
-    """Parse back a CSV report directory (inverse of the csv emission)."""
-    out_dir = Path(out_dir)
-    report = StatsReport()
-    report.by_category = {
-        row[0]: row[1] for row in _read_csv(out_dir / "by_category.csv", 2, (1,))
-    }
-    report.by_category_gender = {
-        (row[0], row[1]): row[2]
-        for row in _read_csv(out_dir / "by_category_gender.csv", 3, (2,))
-    }
-    report.by_category_agebin = {
-        (row[0], row[1]): row[2]
-        for row in _read_csv(out_dir / "by_category_agebin.csv", 3, (2,))
-    }
-    report.by_month = {
-        (row[0], row[1]): row[2]
-        for row in _read_csv(out_dir / "by_month.csv", 3, (0, 1, 2))
-    }
-    summary_path = out_dir / "summary.csv"
-    summary = {row[0]: row[1] for row in _read_csv(summary_path, 2, (1,))}
-    for key in ("total_rows", "na_rows"):
-        if key not in summary:
-            raise MalformedFile(summary_path, None, f"no {key} row")
-    report.total_rows = summary["total_rows"]
-    report.na_rows = summary["na_rows"]
-    report.validate()
-    return report
-
-
-def _read_csv(path: Path, width: int, int_columns: tuple[int, ...]) -> list[list]:
-    """The data rows of a report CSV, with the cells in ``int_columns`` as ints."""
-    with open_input(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise MalformedFile(path, 1, "missing header row")
-    for n, row in enumerate(rows[1:], start=2):
-        if len(row) != width:
-            raise MalformedFile(path, n, f"expected {width} cells")
-        for i in int_columns:
-            try:
-                row[i] = int(row[i])
-            except ValueError:
-                detail = f"cell {row[i]!r} is not an integer"
-                raise MalformedFile(path, n, detail) from None
-    return rows[1:]

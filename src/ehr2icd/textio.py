@@ -35,8 +35,16 @@ def open_input(path, newline=None):
 
 def read_text(path) -> str:
     """The whole of a UTF-8 file, with line endings translated to ``\\n``."""
-    with open_input(path) as fh:
-        return fh.read()
+    return decode_text(path, Path(path).read_bytes())
+
+
+def decode_text(path, data: bytes) -> str:
+    """``data``, the content of the file at ``path``, as ``read_text`` reads it."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedFile(path, None, f"not valid UTF-8 ({exc.reason})") from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 @contextmanager

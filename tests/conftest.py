@@ -2,12 +2,36 @@ from pathlib import Path
 
 import pytest
 
+from ehr2icd import linker
 from ehr2icd.linker import KBEntry, KnowledgeBase
 from ehr2icd.samples import sample_path
 
 TESTS_DIR = Path(__file__).parent
 GOLDEN_DIR = TESTS_DIR / "golden"
 DATA_DIR = TESTS_DIR / "data"
+
+
+@pytest.fixture(autouse=True)
+def private_cache_home(tmp_path_factory, monkeypatch) -> Path:
+    """Each test gets its own empty XDG cache directory, so compiled KB images
+    are never read from or written to the user's cache. CLI subprocesses
+    inherit it through the environment."""
+    cache_home = tmp_path_factory.mktemp("cache_home")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache_home))
+    return cache_home
+
+
+def count_parses(monkeypatch) -> list:
+    """The paths ``linker.read_kb`` is called with from now on."""
+    calls = []
+    parse = linker.read_kb
+
+    def counting(path, data=None):
+        calls.append(path)
+        return parse(path, data)
+
+    monkeypatch.setattr(linker, "read_kb", counting)
+    return calls
 
 
 def make_kb(*entries: KBEntry) -> KnowledgeBase:

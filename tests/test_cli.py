@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import GOLDEN_DIR
+from conftest import GOLDEN_DIR, count_parses
 from hypothesis import given, settings, strategies as st
 
 from ehr2icd import cli
@@ -521,6 +521,59 @@ def test_pipeline_json_report_format(
     document = json.loads((out_dir / "report" / "report.json").read_text())
     assert document["total_rows"] == 21
     assert document["na_rows"] == 5
+
+
+def _assert_golden(out_dir):
+    produced = sorted(p.relative_to(out_dir) for p in out_dir.rglob("*") if p.is_file())
+    expected = sorted(p.relative_to(GOLDEN_DIR) for p in GOLDEN_DIR.rglob("*") if p.is_file())
+    assert produced == expected
+    for name in expected:
+        assert (out_dir / name).read_bytes() == (GOLDEN_DIR / name).read_bytes(), name
+
+
+def _pipeline_argv(out_dir, sample_ehr_path, sample_kb_path, sample_model_path):
+    return [
+        "pipeline",
+        "--input", str(sample_ehr_path),
+        "--kb", str(sample_kb_path),
+        "--model", str(sample_model_path),
+        "--out-dir", str(out_dir),
+    ]
+
+
+def test_pipeline_reads_the_kb_image_on_a_second_run(
+    tmp_path, monkeypatch, private_cache_home, sample_ehr_path, sample_kb_path,
+    sample_model_path,
+):
+    parses = count_parses(monkeypatch)
+    for run in ("miss", "hit"):
+        argv = _pipeline_argv(tmp_path / run, sample_ehr_path, sample_kb_path, sample_model_path)
+        assert main(argv) == 0
+        _assert_golden(tmp_path / run)
+        assert len(parses) == 1, run
+    assert len(list((private_cache_home / "ehr2icd").iterdir())) == 1
+
+
+def test_pipeline_with_an_unwritable_cache_writes_the_golden_outputs(
+    tmp_path, sample_ehr_path, sample_kb_path, sample_model_path
+):
+    not_a_directory = tmp_path / "cache"
+    not_a_directory.write_text("a regular file\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath, "XDG_CACHE_HOME": str(not_a_directory)}
+    for run in ("first", "second"):
+        argv = _pipeline_argv(tmp_path / run, sample_ehr_path, sample_kb_path, sample_model_path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "ehr2icd.cli", *argv],
+            env=env,
+            capture_output=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert b"Traceback" not in proc.stderr
+        _assert_golden(tmp_path / run)
+    assert not_a_directory.read_text() == "a regular file\n"
 
 
 def test_failed_pipeline_keeps_previous_output_set(

@@ -4,7 +4,6 @@ from ehr2icd.dictionary import (
     Lexicon,
     build_lexicon,
     dict_annotate,
-    normalize_term,
     read_terms,
 )
 from ehr2icd.linker import KBEntry
@@ -85,7 +84,9 @@ def test_matching_is_punctuation_sensitive():
 
 
 def test_normalize_term_single_spaces():
-    assert normalize_term("  Sickle-Cell   Anaemia ") == "sickle - cell anaemia"
+    text = "  Sickle-Cell   Anaemia "
+    assert normalize_term(text) == "sickle - cell anaemia"
+    assert _lexicon(text).terms == {"sickle - cell anaemia"}
 
 
 def test_empty_terms_are_skipped():
@@ -109,8 +110,9 @@ def test_lexicon_is_frozen():
     assert raised
 
 
-def _oracle_normalize_term(text):
-    """The lexicon key as first defined: Token objects, each lowercased."""
+def normalize_term(text):
+    """Oracle for the lexicon key: the text's Token objects, each lowercased,
+    joined by single spaces."""
     return " ".join(token.text.lower() for token in tokenize(text))
 
 
@@ -119,7 +121,7 @@ def _oracle_lexicon(entries, extra_terms):
     longest = 0
     surfaces = [s for e in entries for s in (e.name, *e.synonyms)] + list(extra_terms)
     for surface in surfaces:
-        key = _oracle_normalize_term(surface)
+        key = normalize_term(surface)
         if key:
             keys.add(key)
             longest = max(longest, len(key.split(" ")))
@@ -151,5 +153,3 @@ def test_lexicon_matches_token_object_oracle(kb_surfaces, extra_terms):
     assert (set(lexicon.terms), lexicon.max_term_tokens) == _oracle_lexicon(
         entries, extra_terms
     )
-    for surface in extra_terms:
-        assert normalize_term(surface) == _oracle_normalize_term(surface)

@@ -1,13 +1,18 @@
+import os
 import pickle
+import subprocess
+import sys
 from array import array
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_kb
+from conftest import count_parses, make_kb
 
-from ehr2icd import linker
+from ehr2icd import kbimage, linker, textio
 from ehr2icd.errors import DuplicateCode, InvalidCode
 from ehr2icd.linker import (
     LOOKUP_CACHE_SIZE,
@@ -26,6 +31,7 @@ from ehr2icd.linker import (
     STANDARD_HEADER,
 )
 from ehr2icd.samples import sample_path
+from ehr2icd.ner import tokenizer
 from ehr2icd.ner.spans import make_span
 from ehr2icd.ner.tokenizer import tokenize
 from ehr2icd.normalization import DateTriple, NormalizedRecord
@@ -572,3 +578,285 @@ def test_assign_matches_per_span_lookup_oracle(cache_size, records, thresholds):
             assert assign(record, spans, kb, threshold) == expected
     if cache_size is not None:
         assert kb._top.cache_info().currsize <= cache_size
+
+
+# The compiled KB image. Every test has its own empty XDG_CACHE_HOME
+# (conftest.private_cache_home).
+
+
+def _kb_text(entries):
+    return "".join(f"{e.code}\t{e.name}\t{'|'.join(e.synonyms)}\n" for e in entries)
+
+
+def _image_of(path):
+    image, _ = kbimage.image_slot(Path(path), Path(path).read_bytes())
+    return image
+
+
+def _assert_same_kb(loaded, fresh):
+    assert loaded.entries == fresh.entries
+    assert all(type(entry) is KBEntry for entry in loaded.entries)
+    assert loaded.index == fresh.index
+    typecodes = lambda kb: [keys.typecode for keys in kb.index.postings.values()]
+    assert typecodes(loaded) == typecodes(fresh)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(kbs_and_terms(), crowded_kbs_and_terms(), st.tuples(st.just([]), SURFACES)))
+def test_lookups_through_a_loaded_image_equal_a_fresh_compile(tmp_path_factory, kb_and_term):
+    entries, term = kb_and_term
+    # One path for every example: each rewrite leaves a stale image behind.
+    path = tmp_path_factory.getbasetemp() / "image_property" / "kb.tsv"
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(_kb_text(entries), encoding="utf-8")
+    fresh = KnowledgeBase(read_kb(path))
+    _assert_same_kb(load_kb(path), fresh)
+    with mock.patch.object(linker, "read_kb", side_effect=AssertionError("parsed")):
+        loaded = load_kb(path)
+    _assert_same_kb(loaded, fresh)
+    for k in (1, 2, 4, len(fresh.entries) + 1):
+        assert lookup(term, loaded, k=k) == lookup(term, fresh, k=k)
+
+
+def test_an_image_is_written_once_and_then_read(tmp_path, monkeypatch, private_cache_home):
+    path = tmp_path / "kb.tsv"
+    path.write_text(TABLE9_FILE)
+    parses = count_parses(monkeypatch)
+    first = load_kb(path)
+    second = load_kb(path)
+    assert parses == [path]
+    _assert_same_kb(second, first)
+    cache = private_cache_home / "ehr2icd"
+    assert [p.name for p in cache.iterdir()] == [_image_of(path).name]
+    assert cache.stat().st_mode & 0o777 == 0o700
+    assert lookup("diabetic cataract", second) == lookup("diabetic cataract", first)
+
+
+def test_load_kb_reads_the_kb_file_once(tmp_path, monkeypatch):
+    # The parse and the image's key use the same bytes, read once.
+    path = tmp_path / "kb.tsv"
+    path.write_text(TABLE9_FILE)
+    reads = []
+    read_bytes = Path.read_bytes
+
+    def counting(self):
+        if self == path:
+            reads.append(self)
+        return read_bytes(self)
+
+    monkeypatch.setattr(Path, "read_bytes", counting)
+    parses = count_parses(monkeypatch)
+    for expected in (1, 2):  # a miss, then a hit
+        load_kb(path)
+        assert len(reads) == expected
+    assert len(parses) == 1
+
+
+def test_an_empty_kb_round_trips_through_its_image(tmp_path, monkeypatch):
+    path = tmp_path / "kb.tsv"
+    path.write_text("# no entries\n")
+    parses = count_parses(monkeypatch)
+    assert load_kb(path).entries == ()
+    kb = load_kb(path)
+    assert len(parses) == 1
+    assert kb.entries == () and kb.index.postings == {} and kb.index.stride == 0
+    assert lookup("Cystitis", kb) == []
+
+
+def test_an_image_keeps_64_bit_postings(tmp_path, monkeypatch):
+    # 65536 surfaces and one of 65536 tokens: the largest key is 2**32.
+    digits = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+    long_name = " ".join(f"w{i}" for i in range(65536))
+    lines = [f"A00\t{long_name}"] + [
+        f"B{i % 100:02d}.{digits[i // 100 // 62]}{digits[i // 100 % 62]}\tw{i % 7} v{i}"
+        for i in range(65535)
+    ]
+    path = tmp_path / "kb.tsv"
+    path.write_text("\n".join(lines) + "\n")
+    parses = count_parses(monkeypatch)
+    compiled = load_kb(path)
+    loaded = load_kb(path)
+    assert len(parses) == 1
+    assert loaded.index.postings["w0"].typecode == "Q"
+    _assert_same_kb(loaded, compiled)
+    assert lookup(long_name, loaded, k=1) == lookup(long_name, compiled, k=1)
+    for term in ("w3 v3", "w0 v7"):
+        assert lookup(term, loaded, k=2) == lookup(term, compiled, k=2)
+
+
+def _flip(offset):
+    def damage(image):
+        blob = bytearray(image.read_bytes())
+        blob[offset] ^= 0x01
+        image.write_bytes(bytes(blob))
+
+    return damage
+
+
+def _truncate(size):
+    def damage(image):
+        image.write_bytes(image.read_bytes()[:size])
+
+    return damage
+
+
+def _replace_with_directory(image):
+    image.unlink()
+    image.mkdir()
+
+
+def _replace_with_pipe(image):
+    image.unlink()
+    os.mkfifo(image)
+
+
+KEY_END, HEAD_END = kbimage._KEY_END, kbimage._HEAD_END
+DAMAGED_IMAGES = {
+    "empty": _truncate(0),
+    "truncated-key": _truncate(KEY_END - 1),
+    "truncated-checksum": _truncate(HEAD_END - 1),
+    "truncated-payload": _truncate(HEAD_END + 100),
+    "last-byte-missing": _truncate(-1),
+    "flipped-key-byte": _flip(0),
+    "flipped-checksum-byte": _flip(KEY_END),
+    "flipped-first-payload-byte": _flip(HEAD_END),
+    "flipped-last-byte": _flip(-1),
+    "foreign-file": lambda image: image.write_bytes(b"\x00" * HEAD_END + b"not marshal data"),
+    "directory": _replace_with_directory,
+    "named-pipe": _replace_with_pipe,
+}
+
+
+@pytest.mark.parametrize("damage", DAMAGED_IMAGES.values(), ids=DAMAGED_IMAGES.keys())
+def test_a_damaged_image_is_parsed_around_and_replaced(tmp_path, monkeypatch, damage):
+    path = tmp_path / "kb.tsv"
+    path.write_text(TABLE9_FILE + "C16\tMalignant neoplasm of stomach\tGastric Cancer\n")
+    fresh = load_kb(path)
+    damage(_image_of(path))
+    parses = count_parses(monkeypatch)
+    _assert_same_kb(load_kb(path), fresh)
+    assert len(parses) == 1
+    # The parse wrote a sound image in place of the damaged one, where it could.
+    _assert_same_kb(load_kb(path), fresh)
+    assert len(parses) == (2 if damage is _replace_with_directory else 1)
+
+
+def test_an_image_of_an_older_format_is_not_read(tmp_path, monkeypatch):
+    path = tmp_path / "kb.tsv"
+    path.write_text(TABLE9_FILE)
+    current = kbimage.IMAGE_FORMAT
+    monkeypatch.setattr(kbimage, "IMAGE_FORMAT", current - 1)
+    old = load_kb(path)
+    monkeypatch.setattr(kbimage, "IMAGE_FORMAT", current)
+    parses = count_parses(monkeypatch)
+    _assert_same_kb(load_kb(path), old)
+    assert len(parses) == 1
+
+
+@pytest.mark.parametrize(
+    "module", [linker, tokenizer, textio, kbimage], ids=lambda module: module.__name__
+)
+def test_edited_code_never_reads_an_old_image(tmp_path, monkeypatch, module):
+    path = tmp_path / "kb.tsv"
+    path.write_text(TABLE9_FILE)
+    fresh = load_kb(path)
+    edited = tmp_path / "edited.py"
+    edited.write_bytes(Path(module.__file__).read_bytes() + b"# edited\n")
+    parses = count_parses(monkeypatch)
+    monkeypatch.setattr(module, "__file__", str(edited))
+    _assert_same_kb(load_kb(path), fresh)
+    assert len(parses) == 1
+    _assert_same_kb(load_kb(path), fresh)
+    assert len(parses) == 1
+
+
+def test_a_rewritten_kb_replaces_its_image(tmp_path, monkeypatch, private_cache_home):
+    path = tmp_path / "kb.tsv"
+    path.write_text(TABLE9_FILE)
+    load_kb(path)
+    path.write_text("A06.81\tAmebic cystitis\nN30.9\tCystitis\n")
+    parses = count_parses(monkeypatch)
+    kb = load_kb(path)
+    assert len(parses) == 1
+    assert [e.code for e in kb.entries] == ["A06.81", "N30.9"]
+    _assert_same_kb(load_kb(path), KnowledgeBase(read_kb(path)))
+    assert len(parses) == 1
+    # One image per KB path, whatever its content has been.
+    assert len(list((private_cache_home / "ehr2icd").iterdir())) == 1
+
+
+@pytest.mark.parametrize(
+    "rewrite,error",
+    [
+        ("E10.9\tOne\nE10.9\tTwo\n", DuplicateCode),
+        ("E10.9\tOne\nNOPE\tBad code\n", InvalidCode),
+    ],
+    ids=["duplicate-code", "invalid-code"],
+)
+def test_a_warm_image_never_masks_an_invalid_kb(tmp_path, rewrite, error):
+    path = tmp_path / "kb.tsv"
+    path.write_text(TABLE9_FILE)
+    load_kb(path)
+    load_kb(path)
+    path.write_text(rewrite)
+    for _ in range(2):
+        with pytest.raises(error):
+            load_kb(path)
+
+
+def test_an_unwritable_cache_is_ignored(tmp_path, monkeypatch):
+    path = tmp_path / "kb.tsv"
+    path.write_text(TABLE9_FILE)
+    not_a_directory = tmp_path / "cache"
+    not_a_directory.write_text("a regular file\n")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(not_a_directory))
+    parses = count_parses(monkeypatch)
+    fresh = KnowledgeBase(read_kb(path))
+    for _ in range(2):
+        _assert_same_kb(load_kb(path), fresh)
+    assert len(parses) == 2
+    assert not_a_directory.read_text() == "a regular file\n"
+
+
+def test_no_home_directory_means_no_image(tmp_path, monkeypatch):
+    path = tmp_path / "kb.tsv"
+    path.write_text(TABLE9_FILE)
+    monkeypatch.delenv("XDG_CACHE_HOME")
+
+    def no_home():
+        raise RuntimeError("Could not determine home directory.")
+
+    monkeypatch.setattr(Path, "home", no_home)
+    parses = count_parses(monkeypatch)
+    fresh = KnowledgeBase(read_kb(path))
+    for _ in range(2):
+        _assert_same_kb(load_kb(path), fresh)
+    assert len(parses) == 2
+
+
+@pytest.mark.parametrize("value", ["", "relative/cache"])
+def test_an_empty_or_relative_cache_home_means_the_default(tmp_path, monkeypatch, value):
+    # The XDG base directory spec ignores both; the default is ~/.cache.
+    path = tmp_path / "kb.tsv"
+    path.write_text(TABLE9_FILE)
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    monkeypatch.setenv("XDG_CACHE_HOME", value)
+    monkeypatch.chdir(tmp_path)
+    load_kb(path)
+    assert _image_of(path).parent == tmp_path / "home" / ".cache" / "ehr2icd"
+    assert _image_of(path).is_file()
+    assert not (tmp_path / "relative").exists()
+
+
+def test_importing_the_cli_leaves_the_image_module_unloaded():
+    # Commands that never link do not compile it.
+    code = "import sys, ehr2icd.cli; print('ehr2icd.kbimage' in sys.modules)"
+    src = str(Path(linker.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr

@@ -3,12 +3,13 @@ import stat
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ehr2icd.errors import UnwritablePath
+from ehr2icd.errors import MalformedFile, UnwritablePath
 from ehr2icd.linker import StandardRecord, write_standard_csv
 from ehr2icd.normalization import DateTriple
 from ehr2icd.report import CSV_FILES, StatsReport, emit_report
-from ehr2icd.textio import atomic_group, atomic_write
+from ehr2icd.textio import atomic_group, atomic_write, read_text
 
 
 class Boom(Exception):
@@ -126,3 +127,26 @@ def test_report_csvs_are_replaced_as_a_set(tmp_path):
     for name in CSV_FILES[:-1]:
         assert (tmp_path / name).read_bytes() == previous[name]
     assert sorted(os.listdir(tmp_path)) == sorted(CSV_FILES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.text(alphabet="ab\r\n\u2028\u0085é€😀\ufeff", max_size=30).map(str.encode),
+        st.binary(max_size=30),
+    )
+)
+def test_read_text_reads_as_a_text_file_does(tmp_path_factory, data):
+    # Universal newlines, and undecodable bytes named as the file's fault.
+    path = tmp_path_factory.mktemp("read_text") / "input.txt"
+    path.write_bytes(data)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            expected = fh.read()
+    except UnicodeDecodeError as exc:
+        with pytest.raises(MalformedFile) as err:
+            read_text(path)
+        assert str(path) in str(err.value)
+        assert f"not valid UTF-8 ({exc.reason})" in str(err.value)
+    else:
+        assert read_text(path) == expected
