@@ -11,7 +11,7 @@ evaluation of recognizers.
 __version__ = "0.1.0"
 
 from .config import PipelineConfig, load_config
-from .dictionary import Lexicon, build_lexicon, dict_annotate
+from .dictionary import Lexicon, build_lexicon, dict_annotate, load_lexicon
 from .evaluation import (
     EvalSummary,
     classify_text,

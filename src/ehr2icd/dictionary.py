@@ -5,23 +5,22 @@ present in its lexicon, so misspellings and unseen names yield nothing and
 compound names covered only piecewise come out as separate spans. Matching
 is case-insensitive but punctuation-sensitive, over the shared tokenizer, so
 its offsets are directly comparable with the learned tagger's. The lexicon
-is built from parsed KB entries (``linker.read_kb``), not the linker's index.
+is built from parsed KB entries (``linker.read_kb``), not the linker's index;
+``load_lexicon`` keeps a KB's lexicon as an image on disk (``kbimage``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .ner.spans import EntitySpan, make_span
 from .ner.tokenizer import folded_tokens, tokenize
 from .textio import read_text
 
 
-@dataclass(frozen=True)
-class Lexicon:
-    """Normalized terms and the token count of the longest; immutable."""
+class Lexicon(NamedTuple):
+    """Normalized terms and the token count of the longest."""
 
     terms: frozenset[str]
     max_term_tokens: int
@@ -38,6 +37,26 @@ def build_lexicon(entries, extra_terms: Iterable[str] = ()) -> Lexicon:
             terms.add(" ".join(tokens))
             longest = max(longest, len(tokens))
     return Lexicon(terms=frozenset(terms), max_term_tokens=longest)
+
+
+def load_lexicon(path, extra_terms: Iterable[str] = ()) -> Lexicon:
+    """``build_lexicon(read_kb(path), extra_terms)``, with the KB's part loaded
+    from its image when the KB file is unchanged.
+
+    The extra terms are folded here and joined to the KB's terms, so an image
+    depends on the KB file alone.
+    """
+    # Imported here: only the commands that read a KB compile that module.
+    from . import kbimage
+
+    lexicon = kbimage.load(path, kbimage.LEXICON)
+    extra = build_lexicon((), extra_terms)
+    if not extra.terms:
+        return lexicon
+    return Lexicon(
+        terms=lexicon.terms | extra.terms,
+        max_term_tokens=max(lexicon.max_term_tokens, extra.max_term_tokens),
+    )
 
 
 def read_terms(path) -> list[str]:

@@ -17,7 +17,7 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .errors import MalformedFile, MissingAttribute
-from .textio import atomic_write, open_input
+from .textio import open_input
 
 REQUIRED_COLUMNS = ("Gender", "Age", "Diagnosis", "Diagnosis Date")
 
@@ -104,11 +104,3 @@ def drop_missing(records: list[RawRecord]) -> list[RawRecord]:
         and r.diagnosis_date_raw.strip()
     ]
 
-
-def write_dataset(path, records: list[RawRecord], header: list[str]) -> None:
-    """Write records back to CSV under the given header order."""
-    with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for record in records:
-            writer.writerow([record.cell(name) for name in header])

@@ -214,18 +214,10 @@ def read_kb(path, data: Optional[bytes] = None) -> tuple[KBEntry, ...]:
 
 def load_kb(path) -> KnowledgeBase:
     """Parse a KB file and compile it for lookup, or load that from its image."""
-    # Imported here: only the commands that link compile that module.
+    # Imported here: only the commands that read a KB compile that module.
     from . import kbimage
 
-    path = Path(path)
-    data = path.read_bytes()
-    slot = kbimage.image_slot(path, data)
-    kb = kbimage.load_image(*slot) if slot else None
-    if kb is None:
-        kb = KnowledgeBase(read_kb(path, data))
-        if slot:
-            kbimage.save_image(*slot, kb)
-    return kb
+    return kbimage.load(path, kbimage.KB)
 
 
 def lookup(term: str, kb: KnowledgeBase, k: int = 4) -> list[LinkCandidate]:

@@ -6,8 +6,8 @@ Whitespace is discarded but offsets always index the original string, so
 joining tokens with their original gaps reconstructs the input. Case is
 folded token by token, never before tokenizing: ``str.lower`` can change a
 string's length and character classes ('İ' becomes two code points). Only
-``folded_words`` lowercases a whole string first, and only ASCII text,
-where neither can change.
+``folded_tokens`` and ``folded_words`` lowercase a whole string first, and
+only ASCII text, where neither can change.
 """
 
 from __future__ import annotations
@@ -19,8 +19,9 @@ from typing import NamedTuple
 # matches are exactly the word tokens; every other token is one character.
 _WORD_RE = re.compile(r"[^\W_]+")
 _TOKEN_RE = re.compile(_WORD_RE.pattern + r"|\S")
-# Lowercasing ASCII text changes no length or character class, and on the
-# lowercased text the word pattern matches exactly these runs.
+# Lowercasing ASCII text changes no length or character class, so on the
+# lowercased text the token pattern matches the lowercased tokens, and the
+# word pattern matches exactly these runs.
 _ASCII_WORD_RE = re.compile(r"[a-z0-9]+")
 
 
@@ -36,6 +37,8 @@ def tokenize(text: str) -> list[Token]:
 
 def folded_tokens(text: str) -> list[str]:
     """The text of each token, in order, lowercased."""
+    if text.isascii():
+        return _TOKEN_RE.findall(text.lower())
     return [token.lower() for token in _TOKEN_RE.findall(text)]
 
 

@@ -1,3 +1,5 @@
+import threading
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -32,6 +34,22 @@ def count_parses(monkeypatch) -> list:
 
     monkeypatch.setattr(linker, "read_kb", counting)
     return calls
+
+
+@contextmanager
+def feeding_fifo(path: Path, data: bytes):
+    """Write ``data`` into the named pipe at ``path`` from a thread, for the
+    one reader that opens it inside the block."""
+
+    def feed():
+        with open(path, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    yield
+    writer.join(timeout=30)
+    assert not writer.is_alive(), "nothing read the pipe"
 
 
 def make_kb(*entries: KBEntry) -> KnowledgeBase:

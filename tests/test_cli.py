@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import GOLDEN_DIR, count_parses
+from conftest import GOLDEN_DIR, count_parses, feeding_fifo
 from hypothesis import given, settings, strategies as st
 
 from ehr2icd import cli
@@ -364,7 +364,8 @@ def test_evaluate_prints_comparison_table(
 
 
 def test_evaluate_builds_no_jaccard_index(
-    tmp_path, capsys, monkeypatch, sample_kb_path, sample_model_path, sample_corpus_path
+    tmp_path, capsys, monkeypatch, private_cache_home, sample_kb_path, sample_model_path,
+    sample_corpus_path,
 ):
     def run(out_dir):
         rc = main(
@@ -378,13 +379,16 @@ def test_evaluate_builds_no_jaccard_index(
         )
         return rc, capsys.readouterr().out, (out_dir / "summary.json").read_bytes()
 
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "other_cache"))
     expected = run(tmp_path / "plain")
 
     def no_index(entries):
         raise AssertionError("evaluate compiled the Jaccard index")
 
     monkeypatch.setattr("ehr2icd.linker.build_index", no_index)
-    assert run(tmp_path / "patched") == expected
+    monkeypatch.setenv("XDG_CACHE_HOME", str(private_cache_home))
+    for run_kind in ("miss", "hit"):
+        assert run(tmp_path / run_kind) == expected, run_kind
     assert expected[0] == 0
 
 
@@ -574,6 +578,61 @@ def test_pipeline_with_an_unwritable_cache_writes_the_golden_outputs(
         assert b"Traceback" not in proc.stderr
         _assert_golden(tmp_path / run)
     assert not_a_directory.read_text() == "a regular file\n"
+
+
+EVALUATE_OUTPUTS = ("outcomes_tagger.csv", "outcomes_dictionary.csv", "summary.json")
+
+
+def _evaluate(capsys, out_dir, kb_path):
+    """Stdout and the output files' bytes of ``evaluate`` on the bundled samples."""
+    capsys.readouterr()
+    argv = [
+        "evaluate",
+        "--corpus", str(sample_path("sample_corpus.jsonl")),
+        "--kb", str(kb_path),
+        "--model", str(sample_path("sample_model.txt")),
+        "--out-dir", str(out_dir),
+    ]
+    assert main(argv) == 0
+    return capsys.readouterr().out, [(out_dir / name).read_bytes() for name in EVALUATE_OUTPUTS]
+
+
+def test_evaluate_reads_the_lexicon_image_on_a_second_run(
+    tmp_path, capsys, monkeypatch, private_cache_home, sample_kb_path
+):
+    not_a_directory = tmp_path / "cache"
+    not_a_directory.write_text("a regular file\n")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(not_a_directory))
+    expected = _evaluate(capsys, tmp_path / "uncached", sample_kb_path)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(private_cache_home))
+    parses = count_parses(monkeypatch)
+    for run in ("miss", "hit"):
+        assert _evaluate(capsys, tmp_path / run, sample_kb_path) == expected, run
+        assert len(parses) == 1, run
+    images = list((private_cache_home / "ehr2icd").iterdir())
+    assert [image.suffix for image in images] == [".lexicon"]
+
+
+def test_a_kb_read_from_a_pipe_is_never_cached(
+    tmp_path, capsys, monkeypatch, private_cache_home, sample_ehr_path, sample_kb_path,
+    sample_model_path,
+):
+    # As with --kb <(cat kb.tsv), whose resolved name is new on every run.
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "other_cache"))
+    expected = _evaluate(capsys, tmp_path / "regular", sample_kb_path)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(private_cache_home))
+    fifo = tmp_path / "kb.fifo"
+    os.mkfifo(fifo)
+    kb_bytes = sample_kb_path.read_bytes()
+    for run in ("first", "second"):
+        out_dir = tmp_path / run
+        with feeding_fifo(fifo, kb_bytes):
+            argv = _pipeline_argv(out_dir / "pipeline", sample_ehr_path, fifo, sample_model_path)
+            assert main(argv) == 0
+        _assert_golden(out_dir / "pipeline")
+        with feeding_fifo(fifo, kb_bytes):
+            assert _evaluate(capsys, out_dir / "evaluate", fifo) == expected
+    assert not (private_cache_home / "ehr2icd").exists()
 
 
 def test_failed_pipeline_keeps_previous_output_set(

@@ -10,8 +10,17 @@ from ehr2icd.ingestion import (
     drop_missing,
     load_dataset,
     read_header,
-    write_dataset,
 )
+
+
+def _write_dataset(path, records, header):
+    """Write records back to CSV under the given header order: the inverse of
+    ``load_dataset`` for the round-trip tests below."""
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for record in records:
+            writer.writerow([record.cell(name) for name in header])
 
 
 def test_load_300_row_fixture(sample_ehr_300_path):
@@ -106,7 +115,7 @@ def test_write_back_reproduces_bytes(sample_ehr_path, tmp_path):
     records = load_dataset(sample_ehr_path)
     header = read_header(sample_ehr_path)
     out = tmp_path / "copy.csv"
-    write_dataset(out, records, header)
+    _write_dataset(out, records, header)
     assert out.read_bytes() == sample_ehr_path.read_bytes()
 
 
@@ -119,7 +128,7 @@ def test_extra_columns_preserved(tmp_path):
     records = load_dataset(path)
     assert records[0].extras == {"Clinic": "General"}
     out = tmp_path / "copy.csv"
-    write_dataset(out, records, read_header(path))
+    _write_dataset(out, records, read_header(path))
     assert out.read_bytes() == path.read_bytes()
 
 

@@ -5,14 +5,16 @@ import sys
 from array import array
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import count_parses, make_kb
+from conftest import count_parses, feeding_fifo, make_kb
 
-from ehr2icd import kbimage, linker, textio
+from ehr2icd import dictionary, kbimage, linker, textio
+from ehr2icd.dictionary import Lexicon, build_lexicon, load_lexicon
 from ehr2icd.errors import DuplicateCode, InvalidCode
 from ehr2icd.linker import (
     LOOKUP_CACHE_SIZE,
@@ -580,7 +582,7 @@ def test_assign_matches_per_span_lookup_oracle(cache_size, records, thresholds):
         assert kb._top.cache_info().currsize <= cache_size
 
 
-# The compiled KB image. Every test has its own empty XDG_CACHE_HOME
+# The compiled KB images. Every test has its own empty XDG_CACHE_HOME
 # (conftest.private_cache_home).
 
 
@@ -588,17 +590,48 @@ def _kb_text(entries):
     return "".join(f"{e.code}\t{e.name}\t{'|'.join(e.synonyms)}\n" for e in entries)
 
 
-def _image_of(path):
-    image, _ = kbimage.image_slot(Path(path), Path(path).read_bytes())
-    return image
-
-
 def _assert_same_kb(loaded, fresh):
+    assert type(loaded) is KnowledgeBase
     assert loaded.entries == fresh.entries
     assert all(type(entry) is KBEntry for entry in loaded.entries)
     assert loaded.index == fresh.index
     typecodes = lambda kb: [keys.typecode for keys in kb.index.postings.values()]
     assert typecodes(loaded) == typecodes(fresh)
+    assert lookup("diabetic cataract", loaded) == lookup("diabetic cataract", fresh)
+
+
+def _assert_same_lexicon(loaded, fresh):
+    # A named tuple equals any tuple of the same items, so check the type too.
+    assert type(loaded) is Lexicon and type(fresh) is Lexicon
+    assert loaded == fresh
+
+
+class ImageForm(NamedTuple):
+    """A compiled form of a KB, as the image tests below drive it."""
+
+    form: kbimage.Form
+    load: Callable  # the KB path -> the form, through its image
+    fresh: Callable  # the KB path -> the form, compiled without an image
+    assert_same: Callable  # (loaded, fresh) -> None
+
+    def image_of(self, path) -> Path:
+        image, _ = kbimage.image_slot(Path(path), Path(path).read_bytes(), self.form)
+        return image
+
+
+KB_FORM = ImageForm(
+    kbimage.KB, load_kb, lambda path: KnowledgeBase(read_kb(path)), _assert_same_kb
+)
+LEXICON_FORM = ImageForm(
+    kbimage.LEXICON, load_lexicon, lambda path: build_lexicon(read_kb(path)), _assert_same_lexicon
+)
+
+
+@pytest.fixture
+def form() -> ImageForm:
+    """The form the image tests run on here; test_lexicon_image.py collects
+    the same tests again with the lexicon."""
+    return KB_FORM
 
 
 @settings(max_examples=60, deadline=None)
@@ -618,21 +651,24 @@ def test_lookups_through_a_loaded_image_equal_a_fresh_compile(tmp_path_factory, 
         assert lookup(term, loaded, k=k) == lookup(term, fresh, k=k)
 
 
-def test_an_image_is_written_once_and_then_read(tmp_path, monkeypatch, private_cache_home):
+def test_an_image_is_written_once_and_then_read(
+    tmp_path, monkeypatch, private_cache_home, form
+):
     path = tmp_path / "kb.tsv"
     path.write_text(TABLE9_FILE)
     parses = count_parses(monkeypatch)
-    first = load_kb(path)
-    second = load_kb(path)
+    first = form.load(path)
+    second = form.load(path)
     assert parses == [path]
-    _assert_same_kb(second, first)
+    form.assert_same(second, first)
+    form.assert_same(second, form.fresh(path))
     cache = private_cache_home / "ehr2icd"
-    assert [p.name for p in cache.iterdir()] == [_image_of(path).name]
+    assert [p.name for p in cache.iterdir()] == [form.image_of(path).name]
+    assert form.image_of(path).suffix == form.form.suffix
     assert cache.stat().st_mode & 0o777 == 0o700
-    assert lookup("diabetic cataract", second) == lookup("diabetic cataract", first)
 
 
-def test_load_kb_reads_the_kb_file_once(tmp_path, monkeypatch):
+def test_load_kb_reads_the_kb_file_once(tmp_path, monkeypatch, form):
     # The parse and the image's key use the same bytes, read once.
     path = tmp_path / "kb.tsv"
     path.write_text(TABLE9_FILE)
@@ -647,7 +683,7 @@ def test_load_kb_reads_the_kb_file_once(tmp_path, monkeypatch):
     monkeypatch.setattr(Path, "read_bytes", counting)
     parses = count_parses(monkeypatch)
     for expected in (1, 2):  # a miss, then a hit
-        load_kb(path)
+        form.load(path)
         assert len(reads) == expected
     assert len(parses) == 1
 
@@ -728,58 +764,61 @@ DAMAGED_IMAGES = {
 
 
 @pytest.mark.parametrize("damage", DAMAGED_IMAGES.values(), ids=DAMAGED_IMAGES.keys())
-def test_a_damaged_image_is_parsed_around_and_replaced(tmp_path, monkeypatch, damage):
+def test_a_damaged_image_is_parsed_around_and_replaced(tmp_path, monkeypatch, damage, form):
     path = tmp_path / "kb.tsv"
     path.write_text(TABLE9_FILE + "C16\tMalignant neoplasm of stomach\tGastric Cancer\n")
-    fresh = load_kb(path)
-    damage(_image_of(path))
+    fresh = form.load(path)
+    damage(form.image_of(path))
     parses = count_parses(monkeypatch)
-    _assert_same_kb(load_kb(path), fresh)
+    form.assert_same(form.load(path), fresh)
     assert len(parses) == 1
     # The parse wrote a sound image in place of the damaged one, where it could.
-    _assert_same_kb(load_kb(path), fresh)
+    form.assert_same(form.load(path), fresh)
     assert len(parses) == (2 if damage is _replace_with_directory else 1)
 
 
-def test_an_image_of_an_older_format_is_not_read(tmp_path, monkeypatch):
+def test_an_image_of_an_older_format_is_not_read(tmp_path, monkeypatch, form):
     path = tmp_path / "kb.tsv"
     path.write_text(TABLE9_FILE)
     current = kbimage.IMAGE_FORMAT
     monkeypatch.setattr(kbimage, "IMAGE_FORMAT", current - 1)
-    old = load_kb(path)
+    old = form.load(path)
     monkeypatch.setattr(kbimage, "IMAGE_FORMAT", current)
     parses = count_parses(monkeypatch)
-    _assert_same_kb(load_kb(path), old)
+    form.assert_same(form.load(path), old)
+    assert len(parses) == 1
+    form.assert_same(form.load(path), old)
     assert len(parses) == 1
 
 
 @pytest.mark.parametrize(
-    "module", [linker, tokenizer, textio, kbimage], ids=lambda module: module.__name__
+    "module",
+    [linker, tokenizer, textio, kbimage, dictionary],
+    ids=lambda module: module.__name__,
 )
-def test_edited_code_never_reads_an_old_image(tmp_path, monkeypatch, module):
+def test_edited_code_never_reads_an_old_image(tmp_path, monkeypatch, module, form):
     path = tmp_path / "kb.tsv"
     path.write_text(TABLE9_FILE)
-    fresh = load_kb(path)
+    fresh = form.load(path)
     edited = tmp_path / "edited.py"
     edited.write_bytes(Path(module.__file__).read_bytes() + b"# edited\n")
     parses = count_parses(monkeypatch)
     monkeypatch.setattr(module, "__file__", str(edited))
-    _assert_same_kb(load_kb(path), fresh)
+    form.assert_same(form.load(path), fresh)
     assert len(parses) == 1
-    _assert_same_kb(load_kb(path), fresh)
+    form.assert_same(form.load(path), fresh)
     assert len(parses) == 1
 
 
-def test_a_rewritten_kb_replaces_its_image(tmp_path, monkeypatch, private_cache_home):
+def test_a_rewritten_kb_replaces_its_image(tmp_path, monkeypatch, private_cache_home, form):
     path = tmp_path / "kb.tsv"
     path.write_text(TABLE9_FILE)
-    load_kb(path)
+    form.load(path)
     path.write_text("A06.81\tAmebic cystitis\nN30.9\tCystitis\n")
     parses = count_parses(monkeypatch)
-    kb = load_kb(path)
+    form.assert_same(form.load(path), form.fresh(path))
     assert len(parses) == 1
-    assert [e.code for e in kb.entries] == ["A06.81", "N30.9"]
-    _assert_same_kb(load_kb(path), KnowledgeBase(read_kb(path)))
+    form.assert_same(form.load(path), form.fresh(path))
     assert len(parses) == 1
     # One image per KB path, whatever its content has been.
     assert len(list((private_cache_home / "ehr2icd").iterdir())) == 1
@@ -793,32 +832,32 @@ def test_a_rewritten_kb_replaces_its_image(tmp_path, monkeypatch, private_cache_
     ],
     ids=["duplicate-code", "invalid-code"],
 )
-def test_a_warm_image_never_masks_an_invalid_kb(tmp_path, rewrite, error):
+def test_a_warm_image_never_masks_an_invalid_kb(tmp_path, rewrite, error, form):
     path = tmp_path / "kb.tsv"
     path.write_text(TABLE9_FILE)
-    load_kb(path)
-    load_kb(path)
+    form.load(path)
+    form.load(path)
     path.write_text(rewrite)
     for _ in range(2):
         with pytest.raises(error):
-            load_kb(path)
+            form.load(path)
 
 
-def test_an_unwritable_cache_is_ignored(tmp_path, monkeypatch):
+def test_an_unwritable_cache_is_ignored(tmp_path, monkeypatch, form):
     path = tmp_path / "kb.tsv"
     path.write_text(TABLE9_FILE)
     not_a_directory = tmp_path / "cache"
     not_a_directory.write_text("a regular file\n")
     monkeypatch.setenv("XDG_CACHE_HOME", str(not_a_directory))
     parses = count_parses(monkeypatch)
-    fresh = KnowledgeBase(read_kb(path))
+    fresh = form.fresh(path)
     for _ in range(2):
-        _assert_same_kb(load_kb(path), fresh)
+        form.assert_same(form.load(path), fresh)
     assert len(parses) == 2
     assert not_a_directory.read_text() == "a regular file\n"
 
 
-def test_no_home_directory_means_no_image(tmp_path, monkeypatch):
+def test_no_home_directory_means_no_image(tmp_path, monkeypatch, form):
     path = tmp_path / "kb.tsv"
     path.write_text(TABLE9_FILE)
     monkeypatch.delenv("XDG_CACHE_HOME")
@@ -828,28 +867,57 @@ def test_no_home_directory_means_no_image(tmp_path, monkeypatch):
 
     monkeypatch.setattr(Path, "home", no_home)
     parses = count_parses(monkeypatch)
-    fresh = KnowledgeBase(read_kb(path))
+    fresh = form.fresh(path)
     for _ in range(2):
-        _assert_same_kb(load_kb(path), fresh)
+        form.assert_same(form.load(path), fresh)
     assert len(parses) == 2
 
 
 @pytest.mark.parametrize("value", ["", "relative/cache"])
-def test_an_empty_or_relative_cache_home_means_the_default(tmp_path, monkeypatch, value):
+def test_an_empty_or_relative_cache_home_means_the_default(tmp_path, monkeypatch, value, form):
     # The XDG base directory spec ignores both; the default is ~/.cache.
     path = tmp_path / "kb.tsv"
     path.write_text(TABLE9_FILE)
     monkeypatch.setenv("HOME", str(tmp_path / "home"))
     monkeypatch.setenv("XDG_CACHE_HOME", value)
     monkeypatch.chdir(tmp_path)
-    load_kb(path)
-    assert _image_of(path).parent == tmp_path / "home" / ".cache" / "ehr2icd"
-    assert _image_of(path).is_file()
+    form.load(path)
+    assert form.image_of(path).parent == tmp_path / "home" / ".cache" / "ehr2icd"
+    assert form.image_of(path).is_file()
     assert not (tmp_path / "relative").exists()
 
 
+def test_a_kb_read_from_a_pipe_is_never_cached(tmp_path, monkeypatch, private_cache_home, form):
+    # A pipe's resolved name may be new on every run, so its image would
+    # never be read again.
+    regular = tmp_path / "kb.tsv"
+    regular.write_text(TABLE9_FILE)
+    fresh = form.fresh(regular)
+    path = tmp_path / "kb.fifo"
+    os.mkfifo(path)
+    parses = count_parses(monkeypatch)
+    for _ in range(2):
+        with feeding_fifo(path, regular.read_bytes()):
+            form.assert_same(form.load(path), fresh)
+    assert len(parses) == 2
+    assert not (private_cache_home / "ehr2icd").exists()
+
+
+def test_each_form_of_a_kb_has_its_own_image(tmp_path, monkeypatch, private_cache_home):
+    path = tmp_path / "kb.tsv"
+    path.write_text(TABLE9_FILE)
+    parses = count_parses(monkeypatch)
+    for _ in range(2):
+        for image_form in (KB_FORM, LEXICON_FORM):
+            image_form.assert_same(image_form.load(path), image_form.fresh(path))
+    assert len(parses) == 2
+    images = sorted(p.name for p in (private_cache_home / "ehr2icd").iterdir())
+    assert images == sorted(f.image_of(path).name for f in (KB_FORM, LEXICON_FORM))
+    assert {Path(name).suffix for name in images} == {".kbimage", ".lexicon"}
+
+
 def test_importing_the_cli_leaves_the_image_module_unloaded():
-    # Commands that never link do not compile it.
+    # Commands that read no KB do not compile it.
     code = "import sys, ehr2icd.cli; print('ehr2icd.kbimage' in sys.modules)"
     src = str(Path(linker.__file__).resolve().parents[1])
     proc = subprocess.run(

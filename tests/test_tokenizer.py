@@ -1,6 +1,6 @@
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from ehr2icd.ner.tokenizer import tokenize
+from ehr2icd.ner.tokenizer import folded_tokens, tokenize
 
 
 def test_two_words():
@@ -43,3 +43,17 @@ def test_tokens_reconstruct_the_input(text):
         assert text[previous_end : token.start].strip() == ""
         previous_end = token.end
     assert text[previous_end:].strip() == ""
+
+
+# ASCII text is lowercased whole before matching; other text token by token,
+# since lowercasing 'İ' adds a combining mark that would split its token.
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        st.text(),
+        st.text(alphabet=st.characters(max_codepoint=127), max_size=30),
+        st.text(alphabet="İıßẞΣσςǅǄ\u0301\u0327\u00a0٠١-/_ aA0", max_size=20),
+    )
+)
+def test_folded_tokens_are_each_token_lowercased(text):
+    assert folded_tokens(text) == [token.text.lower() for token in tokenize(text)]
