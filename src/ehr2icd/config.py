@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .errors import ConfigError, MalformedFile
 from .evaluation import DEFAULT_STOPLIST
@@ -12,8 +12,7 @@ from .textio import read_text
 DEFAULT_SEED = 13
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(NamedTuple):
     kb_path: str | None = None
     model_path: str | None = None
     train_fraction: float = 0.7
@@ -53,8 +52,10 @@ _PARSERS = {
 
 
 def load_config(path) -> PipelineConfig:
-    """Parse a key=value file; blank lines and '#' comments are ignored."""
+    """Parse a key=value file; blank lines and '#' comments are ignored, and
+    each key may be set at most once."""
     values = {}
+    line_of = {}  # key -> the line that set it
     try:
         text = read_text(path)
     except (OSError, MalformedFile) as exc:
@@ -70,6 +71,9 @@ def load_config(path) -> PipelineConfig:
         raw = raw.strip()
         if key not in _PARSERS:
             raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
+        if key in line_of:
+            raise ConfigError(f"{path}: line {lineno}: {key} repeats line {line_of[key]}")
+        line_of[key] = lineno
         try:
             values[key] = _PARSERS[key](raw)
         except ValueError as exc:
@@ -80,4 +84,4 @@ def load_config(path) -> PipelineConfig:
 def apply_overrides(config: PipelineConfig, **overrides) -> PipelineConfig:
     """Return a copy with any non-None overrides applied, then re-validated."""
     changes = {key: value for key, value in overrides.items() if value is not None}
-    return replace(config, **changes).validate()
+    return config._replace(**changes).validate()

@@ -17,9 +17,9 @@ counts (197 and 162 true results out of 241).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
+from .frozen import Frozen
 from .ner.spans import AnnotatedExample, EntitySpan
 from .textio import atomic_write
 
@@ -32,19 +32,21 @@ DEFAULT_STOPLIST = frozenset({"disease", "pain", "condition", "problem"})
 Annotator = Callable[[str], list[EntitySpan]]
 
 
-@dataclass(frozen=True)
-class EvalSummary:
-    n_exact: int
-    n_partial: int
-    n_false: int
-    total: int
-    accuracy: float
+class EvalSummary(Frozen):
+    """One annotator's outcome counts and accuracy; checked when built."""
 
-    def __post_init__(self):
-        if self.n_exact + self.n_partial + self.n_false != self.total:
+    __slots__ = ("n_exact", "n_partial", "n_false", "total", "accuracy")
+
+    def __init__(self, n_exact: int, n_partial: int, n_false: int, total: int, accuracy: float):
+        if n_exact + n_partial + n_false != total:
             raise ValueError("outcome counts do not sum to the total")
-        if not 0.0 <= self.accuracy <= 1.0:
-            raise ValueError(f"accuracy {self.accuracy} outside [0, 1]")
+        if not 0.0 <= accuracy <= 1.0:
+            raise ValueError(f"accuracy {accuracy} outside [0, 1]")
+        for name, value in zip(self.__slots__, (n_exact, n_partial, n_false, total, accuracy)):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return self.n_exact, self.n_partial, self.n_false, self.total, self.accuracy
 
     @property
     def n_true(self) -> int:
@@ -59,16 +61,14 @@ class EvalSummary:
         return cls(n_exact, n_partial, n_false, total, accuracy)
 
 
-@dataclass(frozen=True)
-class OutcomeRow:
+class OutcomeRow(NamedTuple):
     record_id: int
     gold_text: str
     predicted: tuple[EntitySpan, ...]
     classification: str
 
 
-@dataclass(frozen=True)
-class ComparisonResult:
+class ComparisonResult(NamedTuple):
     summary_a: EvalSummary
     summary_b: EvalSummary
     outcomes_a: tuple[OutcomeRow, ...]

@@ -45,12 +45,12 @@ import heapq
 import re
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .errors import DuplicateCode, InvalidCode, MalformedFile
+from .frozen import Frozen
 from .ner.spans import EntitySpan
 from .ner.tokenizer import folded_words as query_tokens
 from .normalization import DateTriple, NormalizedRecord, normalize_date
@@ -81,8 +81,7 @@ class KBEntry(NamedTuple):
     synonyms: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class SurfaceIndex:
+class SurfaceIndex(NamedTuple):
     """The KB compiled for lookup.
 
     Surfaces are numbered in KB order: entry by entry, the name first, then
@@ -101,37 +100,29 @@ class SurfaceIndex:
     stride: int  # the number of surfaces: key = size * stride + surface number
 
 
-@dataclass(frozen=True)
-class KnowledgeBase:
-    """Entries plus the surface index compiled from them; immutable.
+class KnowledgeBase(Frozen):
+    """Entries plus the surface index compiled from them, and the two lookup
+    caches; immutable.
 
-    ``index`` is compiled from the entries when not given.
+    ``index`` is compiled from the entries when not given. Equality, hashing
+    and pickling use the entries only; unpickling compiles the index again.
     """
 
-    entries: tuple[KBEntry, ...]
-    index: Optional[SurfaceIndex] = field(default=None, compare=False, repr=False)
-    _ranked: Callable[[frozenset[str], int], tuple[LinkCandidate, ...]] = field(
-        init=False, compare=False, repr=False
-    )
-    _top: Callable[[str], Optional[tuple[float, str, str, str]]] = field(
-        init=False, compare=False, repr=False
-    )
+    __slots__ = ("entries", "index", "_ranked", "_top")
 
-    def __post_init__(self):
-        if self.index is None:
-            object.__setattr__(self, "index", build_index(self.entries))
-        rank = partial(_rank, self.entries, self.index)
-        object.__setattr__(self, "_ranked", lru_cache(LOOKUP_CACHE_SIZE)(rank))
-        top = partial(_top_candidate, self)
-        object.__setattr__(self, "_top", lru_cache(TOP_CACHE_SIZE)(top))
+    def __init__(self, entries: tuple[KBEntry, ...], index: Optional[SurfaceIndex] = None):
+        if index is None:
+            index = build_index(entries)
+        ranked = lru_cache(LOOKUP_CACHE_SIZE)(partial(_rank, entries, index))
+        top = lru_cache(TOP_CACHE_SIZE)(partial(_top_candidate, self))
+        for name, value in zip(self.__slots__, (entries, index, ranked, top)):
+            object.__setattr__(self, name, value)
 
-    def __reduce__(self):
-        # Pickle the entries only; unpickling compiles the index again.
-        return KnowledgeBase, (self.entries,)
+    def _key(self) -> tuple:
+        return (self.entries,)
 
 
-@dataclass(frozen=True)
-class LinkCandidate:
+class LinkCandidate(NamedTuple):
     entry: KBEntry
     score: float  # Jaccard, in [0, 1]
     matched_via: str  # "name" or "synonym"

@@ -8,9 +8,8 @@ input, decoding inverts encoding exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import MisalignedSpan, OverlapError
+from ..frozen import Frozen
 from .spans import DISEASE_LABEL, EntitySpan, make_span
 from .tokenizer import Token
 
@@ -24,14 +23,19 @@ O = "O"
 TAGS = (B, I, L, U, O)
 
 
-@dataclass(frozen=True)
-class TagSequence:
-    tokens: tuple[Token, ...]
-    tags: tuple[str, ...]
+class TagSequence(Frozen):
+    """Tokens and their tags, one each; checked when built."""
 
-    def __post_init__(self):
-        if len(self.tokens) != len(self.tags):
+    __slots__ = ("tokens", "tags")
+
+    def __init__(self, tokens: tuple[Token, ...], tags: tuple[str, ...]):
+        if len(tokens) != len(tags):
             raise ValueError("tokens and tags must have equal length")
+        object.__setattr__(self, "tokens", tokens)
+        object.__setattr__(self, "tags", tags)
+
+    def _key(self) -> tuple:
+        return self.tokens, self.tags
 
 
 def encode_biluo(tokens: list[Token], spans: list[EntitySpan]) -> TagSequence:

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 DISEASE_LABEL = "Disease"
 
 
-@dataclass(frozen=True)
-class EntitySpan:
+class EntitySpan(NamedTuple):
     """A disease mention located by half-open character offsets."""
 
     start: int
@@ -27,8 +26,7 @@ def make_span(source: str, start: int, end: int, label: str = DISEASE_LABEL) -> 
     return EntitySpan(start=start, end=end, text=source[start:end], label=label)
 
 
-@dataclass(frozen=True)
-class AnnotatedExample:
+class AnnotatedExample(NamedTuple):
     """A gold-annotated text: content plus its sorted, non-overlapping spans."""
 
     content: str

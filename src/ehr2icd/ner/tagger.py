@@ -45,9 +45,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import Callable
 
 from ..errors import (
     EmptyCorpus,
@@ -57,6 +55,7 @@ from ..errors import (
     OverlapError,
     UnsupportedModelVersion,
 )
+from ..frozen import Frozen
 from ..textio import atomic_write, read_text
 from .biluo import B, I, L, O, TAGS, U, TagSequence, decode_biluo, encode_biluo
 from .spans import AnnotatedExample, EntitySpan
@@ -87,38 +86,30 @@ Weights = dict[str, dict[str, float]]
 Vector = tuple[float, float, float, float, float]  # weights of B, I, L, U, O
 
 
-@dataclass(frozen=True)
-class TaggerModel:
-    """Immutable trained model: sparse (feature, tag) weights plus metadata.
+class TaggerModel(Frozen):
+    """Immutable trained model: sparse (feature, tag) weights plus metadata,
+    and the caches compiled from them.
 
     ``weights`` must not be changed after construction: the packed vectors
-    and the caches are derived from it then.
+    and the caches are derived from it then. Equality and pickling use the
+    weights and metadata only; unpickling compiles the model again.
     """
 
-    weights: Weights
-    epochs: int
-    seed: int
-    feature_template: str = FEATURE_TEMPLATE
-    _prefix: Callable[[str, str], Vector] = field(init=False, compare=False, repr=False)
-    _context: Callable[[str], tuple[Vector | None, ...]] = field(
-        init=False, compare=False, repr=False
-    )
-    _spans: Callable[[str], tuple[EntitySpan, ...]] = field(
-        init=False, compare=False, repr=False
-    )
+    __slots__ = ("weights", "epochs", "seed", "feature_template", "_prefix", "_context", "_spans")
 
-    def __post_init__(self):
-        vectors = _pack(self.weights)
+    def __init__(
+        self, weights: Weights, epochs: int, seed: int, feature_template: str = FEATURE_TEMPLATE
+    ):
+        vectors = _pack(weights)
         prefix = lru_cache(PREFIX_CACHE_SIZE)(partial(_prefix_sums, vectors))
         context = lru_cache(CONTEXT_CACHE_SIZE)(partial(_context_vectors, vectors))
-        tag_text = partial(_tag_text, prefix, context)
-        object.__setattr__(self, "_prefix", prefix)
-        object.__setattr__(self, "_context", context)
-        object.__setattr__(self, "_spans", lru_cache(PREDICT_CACHE_SIZE)(tag_text))
+        spans = lru_cache(PREDICT_CACHE_SIZE)(partial(_tag_text, prefix, context))
+        fields = (weights, epochs, seed, feature_template, prefix, context, spans)
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
 
-    def __reduce__(self):
-        # Pickle the fields only; unpickling compiles the model again.
-        return TaggerModel, (self.weights, self.epochs, self.seed, self.feature_template)
+    def _key(self) -> tuple:
+        return self.weights, self.epochs, self.seed, self.feature_template
 
 
 def _shape(token: str) -> str:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
@@ -28,14 +27,38 @@ CSV_FILES = (
 )
 
 
-@dataclass
 class StatsReport:
-    by_category: dict[str, int] = field(default_factory=dict)
-    by_category_gender: dict[tuple[str, str], int] = field(default_factory=dict)
-    by_category_agebin: dict[tuple[str, str], int] = field(default_factory=dict)
-    by_month: dict[tuple[int, int], int] = field(default_factory=dict)
-    total_rows: int = 0
-    na_rows: int = 0
+    """The report's count maps and totals; each report has its own maps."""
+
+    __slots__ = (
+        "by_category",
+        "by_category_gender",
+        "by_category_agebin",
+        "by_month",
+        "total_rows",
+        "na_rows",
+    )
+
+    def __init__(
+        self,
+        by_category: dict[str, int] | None = None,
+        by_category_gender: dict[tuple[str, str], int] | None = None,
+        by_category_agebin: dict[tuple[str, str], int] | None = None,
+        by_month: dict[tuple[int, int], int] | None = None,
+        total_rows: int = 0,
+        na_rows: int = 0,
+    ):
+        self.by_category = {} if by_category is None else by_category
+        self.by_category_gender = {} if by_category_gender is None else by_category_gender
+        self.by_category_agebin = {} if by_category_agebin is None else by_category_agebin
+        self.by_month = {} if by_month is None else by_month
+        self.total_rows = total_rows
+        self.na_rows = na_rows
+
+    def __eq__(self, other):
+        if type(other) is not StatsReport:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     def validate(self) -> None:
         if sum(self.by_category.values()) + self.na_rows != self.total_rows:

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from ehr2icd import cli
 from ehr2icd.cli import main
 from ehr2icd.config import PipelineConfig, load_config
+from ehr2icd.errors import ConfigError
 from ehr2icd.ner import AnnotatedExample, EntitySpan
 from ehr2icd.ner.corpus import write_internal
 from ehr2icd.samples import sample_path
@@ -848,6 +849,25 @@ def test_bad_config_exits_1(tmp_path, capsys):
     assert "no_such_key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, first, second", [("epochs", 10, 3), ("seed", 13, 7)])
+def test_a_repeated_config_key_exits_1_and_writes_nothing(
+    tmp_path, capsys, sample_corpus_path, key, first, second
+):
+    config = _write(
+        tmp_path, "repeat.cfg", f"{key} = {first}\n# a comment\n\n{key} = {second}\n"
+    )
+    with pytest.raises(ConfigError, match=rf"repeat\.cfg: line 4: {key} repeats line 1"):
+        load_config(config)
+    model = tmp_path / "m.txt"
+    argv = [
+        "train", "--corpus", str(sample_corpus_path), "--model-out", str(model),
+        "--config", str(config),
+    ]
+    assert main(argv) == 1
+    assert f"{config}: line 4" in capsys.readouterr().err
+    assert not model.exists()
+
+
 def test_readme_config_block_loads_as_the_defaults(tmp_path):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     section = readme.split("### Configuration", 1)[1]
@@ -957,6 +977,7 @@ MALFORMED_INPUTS = {
     "stoplist": ([*EVALUATE, "--stoplist"], NOT_UTF8, 2),
     "extra-terms": ([*EVALUATE, "--extra-terms"], NOT_UTF8, 2),
     "config": ([*LINK, "--config"], NOT_UTF8, 1),
+    "config-repeated-key": ([*LINK, "--config"], b"lookup_k = 2\nlookup_k = 3\n", 1),
 }
 
 
