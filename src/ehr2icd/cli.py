@@ -9,7 +9,6 @@ configuration error, 2 data error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -46,7 +45,7 @@ from .ner import (
 from .ner.corpus import corpus_lines, read_annotations, write_annotations
 from .normalization import NormalizedRecord, normalize_with_reason
 from .report import aggregate, emit_report
-from .textio import atomic_group, atomic_write
+from .textio import atomic_group, atomic_write, csv_line
 
 
 class _Parser(argparse.ArgumentParser):
@@ -206,10 +205,9 @@ def cmd_normalize(args) -> int:
     normalized, reasons = _normalize_file(args.input)
     header = read_header(args.input)
     with atomic_write(args.output, newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        fh.write(csv_line(header))
         for record in normalized:
-            writer.writerow(_normalized_row(record, header))
+            fh.write(csv_line(_normalized_row(record, header)))
     _diag(
         f"normalize: kept {len(normalized)} rows, "
         f"dropped {sum(reasons.values())} ({_histogram(reasons)})"

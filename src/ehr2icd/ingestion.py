@@ -80,12 +80,15 @@ def load_dataset(path) -> list[RawRecord]:
 
     records = []
     extras = NO_EXTRAS
+    # The record RawRecord(...) would build, without a named tuple's
+    # Python-level __new__; no default applies, so every field is given.
+    new = tuple.__new__
     for n, row in enumerate(rows[1:], start=1):
         if len(row) != width:
             raise MalformedFile(path, n + 1, f"expected {width} fields, got {len(row)}")
         if extra_columns:
             extras = MappingProxyType({name: row[i] for i, name in extra_columns})
-        records.append(RawRecord(row[g], row[a], row[d], row[t], n, extras))
+        records.append(new(RawRecord, (row[g], row[a], row[d], row[t], n, extras)))
     return records
 
 

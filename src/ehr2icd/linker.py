@@ -36,6 +36,12 @@ for manual coding. Each KnowledgeBase also keeps, in a second bounded LRU
 cache keyed by span text, that candidate's score, code, name and category,
 so a text repeated across rows is tokenized and its category derived once;
 the score threshold is compared on every call.
+
+The standard file is RFC 4180 CSV with minimal quoting: a cell is quoted,
+with its quotes doubled, only if it holds a comma, a quote, CR or LF
+(``textio.csv_cell``). Rows repeat a few genders, ages, dates, diagnosis
+texts and ICD triples many times, so the writer renders and quotes each
+distinct one once and writes every row as one string of those cells.
 """
 
 from __future__ import annotations
@@ -47,14 +53,14 @@ from array import array
 from bisect import bisect_left
 from functools import lru_cache, partial
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import DuplicateCode, InvalidCode, MalformedFile
 from .frozen import Frozen
 from .ner.spans import EntitySpan
 from .ner.tokenizer import folded_words as query_tokens
 from .normalization import DateTriple, NormalizedRecord, normalize_date
-from .textio import atomic_write, decode_text, open_input
+from .textio import atomic_write, csv_cell, csv_line, decode_text, open_input
 
 # Distinct (query token set, k) rankings each KnowledgeBase keeps.
 LOOKUP_CACHE_SIZE = 1024
@@ -317,6 +323,10 @@ def code_to_category(code: str) -> str:
     return code.split(".", 1)[0]
 
 
+# The three ICD fields of a row that is left for manual coding.
+_NA = (None, None, None)
+
+
 def assign(
     record: NormalizedRecord,
     spans: list[EntitySpan],
@@ -329,47 +339,70 @@ def assign(
     three ICD fields are populated together from the top-ranked candidate, or
     left NA together when lookup misses or scores below the threshold.
     """
-    gender, age, date, text = (
-        record.gender, record.age_years, record.diagnosis_date, record.diagnosis_text
-    )
+    # StandardRecord's first four fields are NormalizedRecord's, in order.
+    # Each row is the record StandardRecord(...) would build, without a named
+    # tuple's Python-level __new__; no default applies, so every field is given.
+    head = record[:4]
+    new = tuple.__new__
     if not spans:
-        return [StandardRecord(gender, age, date, text)]
+        return [new(StandardRecord, head + _NA)]
     rows = []
     for span in spans:
         top = kb._top(span.text)
         if top is not None and top[0] >= score_threshold:
-            rows.append(StandardRecord(gender, age, date, text, *top[1:]))
+            rows.append(new(StandardRecord, head + top[1]))
         else:
-            rows.append(StandardRecord(gender, age, date, text))
+            rows.append(new(StandardRecord, head + _NA))
     return rows
 
 
-def _top_candidate(kb: KnowledgeBase, text: str) -> Optional[tuple[float, str, str, str]]:
-    """Score, code, name and category of the top candidate for ``text``, if any."""
+def _top_candidate(
+    kb: KnowledgeBase, text: str
+) -> Optional[tuple[float, tuple[str, str, str]]]:
+    """Score, and (code, name, category), of the top candidate for ``text``, if any."""
     candidates = lookup(text, kb, k=1)
     if not candidates:
         return None
     top = candidates[0]
     code = top.entry.code
-    return top.score, code, top.entry.name, code_to_category(code)
+    return top.score, (code, top.entry.name, code_to_category(code))
 
 
-def write_standard_csv(path, rows: list[StandardRecord]) -> None:
-    """Write the 7-attribute output; NA fields become empty cells."""
+class _Memo(dict):
+    """``function``'s result per distinct key, computed on first use."""
+
+    __slots__ = ("function",)
+
+    def __init__(self, function):
+        self.function = function
+
+    def __missing__(self, key):
+        value = self[key] = self.function(key)
+        return value
+
+
+def _icd_cells(icd: tuple[Optional[str], Optional[str], Optional[str]]) -> str:
+    """The last three cells of a row, NA as empty, and the line end."""
+    return csv_line(value or "" for value in icd)
+
+
+def write_standard_csv(path, rows: Iterable[StandardRecord]) -> None:
+    """Write the 7-attribute output; NA fields become empty cells.
+
+    Each distinct cell, and each distinct (code, name, category), is
+    rendered once; a row is then one f-string of those cells.
+    """
+    cell = _Memo(csv_cell)
+    age_cell = _Memo(str)
+    date_cell = _Memo(DateTriple.render)
+    icd_cells = _Memo(_icd_cells)
     with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(STANDARD_HEADER)
-        for row in rows:
-            writer.writerow(
-                [
-                    row.gender,
-                    str(row.age_years),
-                    row.diagnosis_text,
-                    row.diagnosis_date.render(),
-                    row.icd10_code or "",
-                    row.icd10_name or "",
-                    row.icd10_category or "",
-                ]
+        write = fh.write
+        write(csv_line(STANDARD_HEADER))
+        for gender, age, date, text, code, name, category in rows:
+            write(
+                f"{cell[gender]},{age_cell[age]},{cell[text]},{date_cell[date]},"
+                f"{icd_cells[code, name, category]}"
             )
 
 

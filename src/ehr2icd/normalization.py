@@ -4,6 +4,10 @@ Each normalizer returns None (NA) when a value matches none of its known
 patterns; a record is dropped as soon as any of its three demographic values
 normalizes to NA. Diagnosis text always passes through untouched.
 
+Records are built as ``tuple.__new__(Record, fields)``, which skips a named
+tuple's Python-level ``__new__``; no default applies, so every field is
+given.
+
 Exports repeat the same few genders, ages and dates across many rows, so
 each normalizer keeps its recent results in a bounded LRU cache. A result
 depends only on the cell, and is None, a string, an int or a DateTriple, all
@@ -108,7 +112,7 @@ def normalize_date(raw: str) -> Optional[DateTriple]:
     day, month, year = map(int, match.groups())
     if day < 1 or month < 1 or year < 1:
         return None
-    return DateTriple(day, month, year)
+    return tuple.__new__(DateTriple, (day, month, year))
 
 
 def normalize_with_reason(
@@ -128,9 +132,5 @@ def normalize_with_reason(
     date = normalize_date(record.diagnosis_date_raw)
     if date is None:
         return None, "date"
-    return (
-        NormalizedRecord(
-            gender, age, date, record.diagnosis_text, record.row_index, record.extras
-        ),
-        None,
-    )
+    fields = (gender, age, date, record.diagnosis_text, record.row_index, record.extras)
+    return tuple.__new__(NormalizedRecord, fields), None

@@ -47,6 +47,30 @@ def decode_text(path, data: bytes) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
+def csv_cell(value: str) -> str:
+    """``value`` as one cell of an RFC 4180 CSV line.
+
+    The cell is quoted, with each quote doubled, only if it holds a comma, a
+    quote, CR or LF. ``csv.writer`` does the same except that, with
+    ``lineterminator="\\n"``, it leaves a bare CR unquoted, and a reader then
+    ends the row there.
+    """
+    if '"' in value:
+        return '"' + value.replace('"', '""') + '"'
+    if "," in value or "\n" in value or "\r" in value:
+        return '"' + value + '"'
+    return value
+
+
+def csv_line(cells) -> str:
+    """One CSV line of ``cells``, ending in ``\\n``; see ``csv_cell``.
+
+    Every line written this way has several cells: a line of one empty cell
+    would read back as a row of none.
+    """
+    return ",".join(map(csv_cell, cells)) + "\n"
+
+
 @contextmanager
 def atomic_write(path, newline=None):
     """Open ``path`` for writing as UTF-8 text, replacing it only on success.

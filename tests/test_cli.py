@@ -14,6 +14,7 @@ from ehr2icd import cli
 from ehr2icd.cli import main
 from ehr2icd.config import PipelineConfig, load_config
 from ehr2icd.errors import ConfigError
+from ehr2icd.linker import read_standard_csv
 from ehr2icd.ner import AnnotatedExample, EntitySpan
 from ehr2icd.ner.corpus import write_internal
 from ehr2icd.samples import sample_path
@@ -114,6 +115,42 @@ def test_normalize_reproduces_extra_columns_byte_for_byte(tmp_path):
     out = tmp_path / "normalized.csv"
     assert main(["normalize", "--input", str(raw), "--output", str(out)]) == 0
     assert out.read_bytes() == raw.read_bytes()
+
+
+def test_a_bare_cr_in_a_diagnosis_survives_every_round_trip(
+    tmp_path, sample_kb_path, sample_model_path
+):
+    # csv.writer with lineterminator="\n" left a lone CR unquoted, so the
+    # next reader ended the row there: report and link exited 2.
+    text = "Asthma\rDiabetes mellitus type 1"
+    raw = tmp_path / "raw.csv"
+    raw.write_bytes(
+        f'Gender,Age,Diagnosis,Diagnosis Date\nF,20,"{text}",9/4/1439\nM,30,Cystitis,1/2/1440\n'
+        .encode()
+    )
+    model = ["--kb", str(sample_kb_path), "--model", str(sample_model_path)]
+    out_dir = tmp_path / "out"
+    assert main(["pipeline", "--input", str(raw), "--out-dir", str(out_dir), *model]) == 0
+    standard = out_dir / "standard.csv"
+    assert main(["report", "--input", str(standard), "--out-dir", str(tmp_path / "report")]) == 0
+    for name in os.listdir(out_dir / "report"):
+        assert (tmp_path / "report" / name).read_bytes() == (out_dir / "report" / name).read_bytes()
+    rows = read_standard_csv(standard)
+    assert [row.diagnosis_text for row in rows] == [text, text, "Cystitis"]
+
+    normalized = tmp_path / "normalized.csv"
+    assert main(["normalize", "--input", str(raw), "--output", str(normalized)]) == 0
+    annotations = tmp_path / "spans.jsonl"
+    argv = ["--input", str(normalized)]
+    annotate = ["annotate", *argv, "--model", str(sample_model_path)]
+    assert main([*annotate, "--output", str(annotations)]) == 0
+    linked = tmp_path / "linked.csv"
+    assert main(["link", *argv, *model, "--output", str(linked)]) == 0
+    assert linked.read_bytes() == standard.read_bytes()
+    via_annotations = tmp_path / "via_annotations.csv"
+    link = ["link", *argv, "--kb", str(sample_kb_path), "--annotations", str(annotations)]
+    assert main([*link, "--output", str(via_annotations)]) == 0
+    assert via_annotations.read_bytes() == standard.read_bytes()
 
 
 def test_usage_error_exits_1(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import csv
 import os
 import pickle
 import subprocess
@@ -471,6 +472,103 @@ def test_standard_csv_roundtrip(tmp_path, table9_kb):
     first_line = path.read_text().splitlines()[0]
     assert first_line == ",".join(STANDARD_HEADER)
     assert read_standard_csv(path) == rows
+
+
+def _csv_writer_bytes(path, rows):
+    """The standard file as ``csv.writer`` writes it: the writer before memoized cells."""
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(STANDARD_HEADER)
+        for row in rows:
+            writer.writerow(
+                [
+                    row.gender,
+                    str(row.age_years),
+                    row.diagnosis_text,
+                    row.diagnosis_date.render(),
+                    row.icd10_code or "",
+                    row.icd10_name or "",
+                    row.icd10_category or "",
+                ]
+            )
+    return path.read_bytes()
+
+
+# Characters that need quoting or look as if they might, plus any other
+# character. NUL is left out: csv.reader rejects it before Python 3.11.
+_CELL_CHARS = st.sampled_from([",", '"', "\n", "\u2028", "\xa0", " ", "é", "漢"]) | (
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\x00")
+)
+
+
+@st.composite
+def standard_rows(draw, chars):
+    """Rows drawn from small pools of cells, so that cells and whole ICD triples repeat."""
+    cells = st.text(chars, max_size=8)
+    known = st.none() | st.text(chars, min_size=1, max_size=8)
+    genders = draw(st.lists(cells, min_size=1, max_size=3))
+    texts = draw(st.lists(cells, min_size=1, max_size=4))
+    icds = draw(st.lists(st.tuples(known, known, known), min_size=1, max_size=4))
+    row = st.builds(
+        lambda gender, age, date, text, icd: StandardRecord(gender, age, date, text, *icd),
+        st.sampled_from(genders),
+        st.integers(1, 130),
+        st.builds(DateTriple, st.integers(1, 31), st.integers(1, 12), st.integers(1, 3000)),
+        st.sampled_from(texts),
+        st.sampled_from(icds),
+    )
+    return draw(st.lists(row, max_size=25))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=standard_rows(_CELL_CHARS))
+def test_standard_csv_bytes_match_csv_writer(tmp_path_factory, rows):
+    tmp = tmp_path_factory.mktemp("writer")
+    write_standard_csv(tmp / "memoized.csv", iter(rows))
+    assert (tmp / "memoized.csv").read_bytes() == _csv_writer_bytes(tmp / "csv.csv", rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=standard_rows(_CELL_CHARS | st.just("\r")))
+def test_standard_csv_reads_back_the_rows_written(tmp_path_factory, rows):
+    # Unlike csv.writer with lineterminator="\n", a cell holding a bare CR
+    # is quoted, so the reader does not end the row there.
+    path = tmp_path_factory.mktemp("writer") / "standard.csv"
+    write_standard_csv(path, rows)
+    assert read_standard_csv(path) == rows
+
+
+def test_long_diagnosis_over_hundreds_of_spans_matches_csv_writer(tmp_path, sample_kb_path):
+    # One ~20 KB text naming KB entries hundreds of times: every row repeats
+    # it, quoted, since the names hold commas.
+    kb = load_kb(sample_kb_path)
+    names = [entry.name for entry in kb.entries]
+    parts, spans, start = [], [], 0
+    while start < 20_000:
+        name = names[len(parts) % len(names)]
+        parts.append(name)
+        spans.append((start, start + len(name)))
+        start += len(name) + 2
+    text = "; ".join(parts)
+    rows = assign(_record(text), [make_span(text, a, b) for a, b in spans], kb)
+    assert len(rows) > 500 and any(row.icd10_code for row in rows)
+    write_standard_csv(tmp_path / "memoized.csv", rows)
+    expected = _csv_writer_bytes(tmp_path / "csv.csv", rows)
+    assert (tmp_path / "memoized.csv").read_bytes() == expected
+
+
+def test_assign_builds_standard_records():
+    # assign copies NormalizedRecord's leading fields into each row.
+    assert StandardRecord._fields[:4] == NormalizedRecord._fields[:4]
+    kb = make_kb(KBEntry("J45.9", "Asthma, unspecified"))
+    text = "Asthma and gout"
+    rows = assign(_record(text), [make_span(text, 0, 6), make_span(text, 11, 15)], kb)
+    assert [type(row) for row in rows] == [StandardRecord, StandardRecord]
+    demographics = ("Female", 20, DateTriple(9, 4, 1439), text)
+    assert rows == [
+        StandardRecord(*demographics, "J45.9", "Asthma, unspecified", "J45"),
+        StandardRecord(*demographics),
+    ]
 
 
 def test_lookup_cache_keys_on_k(table9_kb):

@@ -1,3 +1,5 @@
+import csv
+import io
 import os
 import stat
 import threading
@@ -9,7 +11,7 @@ from ehr2icd.errors import MalformedFile, UnwritablePath
 from ehr2icd.linker import StandardRecord, write_standard_csv
 from ehr2icd.normalization import DateTriple
 from ehr2icd.report import CSV_FILES, StatsReport, emit_report
-from ehr2icd.textio import atomic_group, atomic_write, read_text
+from ehr2icd.textio import atomic_group, atomic_write, csv_line, read_text
 
 
 class Boom(Exception):
@@ -57,6 +59,20 @@ def test_writer_failing_mid_rows_leaves_no_file(tmp_path):
     with pytest.raises(Boom):
         write_standard_csv(path, rows())
     assert os.listdir(tmp_path) == []
+
+
+# NUL is left out: csv.reader rejects it before Python 3.11.
+_ANY_CELL = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"))
+
+
+@given(st.lists(_ANY_CELL, min_size=2, max_size=5))
+def test_csv_line_reads_back_and_matches_csv_writer_without_cr(cells):
+    line = csv_line(cells)
+    assert next(csv.reader(io.StringIO(line, newline=""))) == cells
+    if not any("\r" in cell for cell in cells):
+        expected = io.StringIO()
+        csv.writer(expected, lineterminator="\n").writerow(cells)
+        assert line == expected.getvalue()
 
 
 def test_missing_directory_error_names_destination(tmp_path):
