@@ -4,6 +4,20 @@ One subcommand per phase (normalize, train, annotate, link, evaluate,
 report) plus the composite ``pipeline``. Diagnostics go to standard error;
 data goes to files or standard output. Exit codes: 0 success, 1 usage or
 configuration error, 2 data error.
+
+Each command is its own process, so start-up is paid once per step, and a
+command loads only the modules it runs. ``_CALLEES`` names every function
+(or class) a command calls from another module of the package, as
+``callee name -> (module, attribute)``; the module-level ``__getattr__``
+(PEP 562) imports that module on the callee's first use and keeps the
+callee on this module. ``train`` thus loads the corpus reader and the
+tagger but not the linker, the KB image code or the report writer.
+
+Commands look each callee up on this module when they call it
+(``_cli.predict(model, text)``), never through a name bound at import.
+Replacing the attribute (``setattr(ehr2icd.cli, "predict", wrapper)``, as
+the benchmark's tracer and the tests do) therefore catches every call a
+command makes, whether or not the callee was loaded before.
 """
 
 from __future__ import annotations
@@ -12,40 +26,51 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import __version__
+from . import __version__, _lazy_attributes
 from .config import PipelineConfig, apply_overrides, load_config
-from .dictionary import dict_annotate, read_terms
-# Under the name that perfbench/tracecli.py traces as "dictionary.build_lexicon".
-from .dictionary import load_lexicon as build_lexicon
 from .errors import ConfigError, DataError, EncodingError, RecordError
-from .evaluation import (
-    compare_annotators,
-    render_percent,
-    summary_to_dict,
-    write_outcomes_csv,
-)
-from .ingestion import drop_missing, load_dataset, read_header
-from .linker import (
-    StandardRecord,
-    assign,
-    load_kb,
-    read_standard_csv,
-    write_standard_csv,
-)
-from .ner import (
-    AnnotatedExample,
-    load_model,
-    predict,
-    read_corpus,
-    save_model,
-    split_corpus,
-    train_tagger,
-)
-from .ner.corpus import corpus_lines, read_annotations, write_annotations
-from .normalization import NormalizedRecord, normalize_with_reason
-from .report import aggregate, emit_report
 from .textio import atomic_group, atomic_write, csv_line
+
+if TYPE_CHECKING:
+    from .linker import StandardRecord
+    from .normalization import NormalizedRecord
+
+# Callee name -> (module under the package, attribute) it is imported from.
+_CALLEES = {
+    "read_header": ("ingestion", "read_header"),
+    "load_dataset": ("ingestion", "load_dataset"),
+    "drop_missing": ("ingestion", "drop_missing"),
+    "normalize_with_reason": ("normalization", "normalize_with_reason"),
+    "AnnotatedExample": ("ner.spans", "AnnotatedExample"),
+    "read_corpus": ("ner.corpus", "read_corpus"),
+    "split_corpus": ("ner.corpus", "split_corpus"),
+    "corpus_lines": ("ner.corpus", "corpus_lines"),
+    "read_annotations": ("ner.corpus", "read_annotations"),
+    "write_annotations": ("ner.corpus", "write_annotations"),
+    "train_tagger": ("ner.tagger", "train_tagger"),
+    "save_model": ("ner.tagger", "save_model"),
+    "load_model": ("ner.tagger", "load_model"),
+    "predict": ("ner.tagger", "predict"),
+    "load_kb": ("linker", "load_kb"),
+    "assign": ("linker", "assign"),
+    "read_standard_csv": ("linker", "read_standard_csv"),
+    "write_standard_csv": ("linker", "write_standard_csv"),
+    "aggregate": ("report", "aggregate"),
+    "emit_report": ("report", "emit_report"),
+    "read_terms": ("dictionary", "read_terms"),
+    # The benchmark's tracer times the lexicon step under this name.
+    "build_lexicon": ("dictionary", "load_lexicon"),
+    "dict_annotate": ("dictionary", "dict_annotate"),
+    "compare_annotators": ("evaluation", "compare_annotators"),
+    "render_percent": ("evaluation", "render_percent"),
+    "summary_to_dict": ("evaluation", "summary_to_dict"),
+    "write_outcomes_csv": ("evaluation", "write_outcomes_csv"),
+}
+
+_cli = sys.modules[__name__]
+__getattr__, __dir__ = _lazy_attributes(globals(), _CALLEES)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -134,7 +159,7 @@ def _add_config_flags(p) -> None:
 def _effective_config(args, **overrides) -> PipelineConfig:
     config = load_config(args.config) if args.config else PipelineConfig()
     if getattr(args, "stoplist", None):
-        terms = read_terms(args.stoplist)
+        terms = _cli.read_terms(args.stoplist)
         overrides["stoplist"] = frozenset(term.lower() for term in terms)
     return apply_overrides(config, **overrides)
 
@@ -148,12 +173,12 @@ def _normalize_file(path) -> tuple[list[NormalizedRecord], dict[str, int]]:
 
     Returns the normalized records and the number of dropped rows by reason.
     """
-    records = load_dataset(path)
-    kept = drop_missing(records)
+    records = _cli.load_dataset(path)
+    kept = _cli.drop_missing(records)
     reasons = {"missing": len(records) - len(kept), "gender": 0, "age": 0, "date": 0}
     normalized: list[NormalizedRecord] = []
     for record in kept:
-        result, reason = normalize_with_reason(record)
+        result, reason = _cli.normalize_with_reason(record)
         if result is None:
             reasons[reason] += 1
         else:
@@ -167,7 +192,7 @@ def _histogram(reasons: dict[str, int]) -> str:
 
 def _tagger_spans(model):
     """Span source that tags each record's diagnosis text with ``model``."""
-    return lambda record: predict(model, record.diagnosis_text)
+    return lambda record: _cli.predict(model, record.diagnosis_text)
 
 
 def _standard_rows(normalized, spans_of, kb, config) -> list[StandardRecord]:
@@ -177,7 +202,7 @@ def _standard_rows(normalized, spans_of, kb, config) -> list[StandardRecord]:
     for record in normalized:
         spans = spans_of(record)
         expected += max(1, len(spans))
-        rows.extend(assign(record, spans, kb, config.score_threshold))
+        rows.extend(_cli.assign(record, spans, kb, config.score_threshold))
     if len(rows) != expected:
         raise RuntimeError(
             f"row accounting violated: {len(rows)} standard rows, expected {expected}"
@@ -203,7 +228,7 @@ def _normalized_row(record: NormalizedRecord, header: list[str]) -> list[str]:
 
 def cmd_normalize(args) -> int:
     normalized, reasons = _normalize_file(args.input)
-    header = read_header(args.input)
+    header = _cli.read_header(args.input)
     with atomic_write(args.output, newline="") as fh:
         fh.write(csv_line(header))
         for record in normalized:
@@ -222,28 +247,28 @@ def cmd_train(args) -> int:
         epochs=args.epochs,
         train_fraction=args.train_fraction,
     )
-    corpus = read_corpus(args.corpus)
-    train, test = split_corpus(corpus, config.train_fraction, config.seed)
+    corpus = _cli.read_corpus(args.corpus)
+    train, test = _cli.split_corpus(corpus, config.train_fraction, config.seed)
     try:
-        model = train_tagger(train, epochs=config.epochs, seed=config.seed)
+        model = _cli.train_tagger(train, epochs=config.epochs, seed=config.seed)
     except EncodingError as exc:
         # exc.record counts within the shuffled training split; name the
         # file line the example came from instead.
         example = train[exc.record - 1]
         position = next(n for n, item in enumerate(corpus) if item is example)
-        line = corpus_lines(args.corpus)[position]
+        line = _cli.corpus_lines(args.corpus)[position]
         raise RecordError(line, exc.detail, args.corpus) from exc
-    save_model(model, args.model_out)
+    _cli.save_model(model, args.model_out)
     _diag(f"train: split {len(train)}/{len(test)} of {len(corpus)} examples")
     if test:
         from .evaluation import evaluate_annotator
 
         summary, _ = evaluate_annotator(
-            test, lambda text: predict(model, text), config.stoplist
+            test, lambda text: _cli.predict(model, text), config.stoplist
         )
         _diag(
             "train: held-out accuracy "
-            f"{render_percent(summary.n_true, summary.total)} "
+            f"{_cli.render_percent(summary.n_true, summary.total)} "
             f"(exact={summary.n_exact} partial={summary.n_partial} "
             f"false={summary.n_false})"
         )
@@ -252,12 +277,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_annotate(args) -> int:
-    spans_of = _tagger_spans(load_model(args.model))
+    spans_of = _tagger_spans(_cli.load_model(args.model))
     normalized, _ = _normalize_file(args.input)
-    write_annotations(
+    _cli.write_annotations(
         args.output,
         {
-            record.row_index: AnnotatedExample(record.diagnosis_text, tuple(spans_of(record)))
+            record.row_index: _cli.AnnotatedExample(record.diagnosis_text, tuple(spans_of(record)))
             for record in normalized
         },
     )
@@ -275,11 +300,11 @@ def cmd_link(args) -> int:
     )
     if not config.kb_path:
         raise ConfigError("link requires --kb (or kb_path in the config)")
-    kb = load_kb(config.kb_path)
+    kb = _cli.load_kb(config.kb_path)
     normalized, _ = _normalize_file(args.input)
 
     if args.annotations:
-        by_row = read_annotations(args.annotations)
+        by_row = _cli.read_annotations(args.annotations)
         content = {row: example.content for row, example in by_row.items()}
         unmatched = [
             r.row_index for r in normalized if content.get(r.row_index) != r.diagnosis_text
@@ -291,12 +316,12 @@ def cmd_link(args) -> int:
             )
         spans_of = lambda record: by_row[record.row_index].spans
     elif config.model_path:
-        spans_of = _tagger_spans(load_model(config.model_path))
+        spans_of = _tagger_spans(_cli.load_model(config.model_path))
     else:
         raise ConfigError("link requires --annotations or --model")
 
     rows = _standard_rows(normalized, spans_of, kb, config)
-    write_standard_csv(args.output, rows)
+    _cli.write_standard_csv(args.output, rows)
     _diag(f"link: wrote {len(rows)} standard rows for {len(normalized)} records")
     return 0
 
@@ -312,26 +337,26 @@ def cmd_evaluate(args) -> int:
         raise ConfigError("evaluate requires --kb (or kb_path in the config)")
     if not config.model_path:
         raise ConfigError("evaluate requires --model (or model_path in the config)")
-    corpus = read_corpus(args.corpus)
-    model = load_model(config.model_path)
-    extras = read_terms(config.extra_terms_path) if config.extra_terms_path else ()
-    lexicon = build_lexicon(config.kb_path, extras)
+    corpus = _cli.read_corpus(args.corpus)
+    model = _cli.load_model(config.model_path)
+    extras = _cli.read_terms(config.extra_terms_path) if config.extra_terms_path else ()
+    lexicon = _cli.build_lexicon(config.kb_path, extras)
 
-    result = compare_annotators(
+    result = _cli.compare_annotators(
         corpus,
-        lambda text: predict(model, text),
-        lambda text: dict_annotate(text, lexicon),
+        lambda text: _cli.predict(model, text),
+        lambda text: _cli.dict_annotate(text, lexicon),
         config.stoplist,
     )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary_doc = {
-        "tagger": summary_to_dict(result.summary_a),
-        "dictionary": summary_to_dict(result.summary_b),
+        "tagger": _cli.summary_to_dict(result.summary_a),
+        "dictionary": _cli.summary_to_dict(result.summary_b),
     }
     with atomic_group():
-        write_outcomes_csv(out_dir / "outcomes_tagger.csv", result.outcomes_a)
-        write_outcomes_csv(out_dir / "outcomes_dictionary.csv", result.outcomes_b)
+        _cli.write_outcomes_csv(out_dir / "outcomes_tagger.csv", result.outcomes_a)
+        _cli.write_outcomes_csv(out_dir / "outcomes_dictionary.csv", result.outcomes_b)
         with atomic_write(out_dir / "summary.json") as fh:
             fh.write(json.dumps(summary_doc, indent=2, sort_keys=True) + "\n")
 
@@ -339,15 +364,15 @@ def cmd_evaluate(args) -> int:
     for name, summary in (("tagger", result.summary_a), ("dictionary", result.summary_b)):
         print(
             f"{name},{summary.n_true},{summary.n_false},"
-            f"{render_percent(summary.n_true, summary.total)}"
+            f"{_cli.render_percent(summary.n_true, summary.total)}"
         )
     return 0
 
 
 def cmd_report(args) -> int:
-    rows = read_standard_csv(args.input)
-    report = aggregate(rows)
-    paths = emit_report(report, args.out_dir, args.format)
+    rows = _cli.read_standard_csv(args.input)
+    report = _cli.aggregate(rows)
+    paths = _cli.emit_report(report, args.out_dir, args.format)
     _diag(f"report: wrote {len(paths)} files to {args.out_dir}")
     return 0
 
@@ -362,8 +387,8 @@ def cmd_pipeline(args) -> int:
     )
     if not config.kb_path or not config.model_path:
         raise ConfigError("pipeline requires --kb and --model (or config values)")
-    kb = load_kb(config.kb_path)
-    model = load_model(config.model_path)
+    kb = _cli.load_kb(config.kb_path)
+    model = _cli.load_model(config.model_path)
 
     normalized, reasons = _normalize_file(args.input)
     rows = _standard_rows(normalized, _tagger_spans(model), kb, config)
@@ -371,9 +396,9 @@ def cmd_pipeline(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with atomic_group():
-        write_standard_csv(out_dir / "standard.csv", rows)
-        report = aggregate(rows)
-        emit_report(report, out_dir / "report", args.format)
+        _cli.write_standard_csv(out_dir / "standard.csv", rows)
+        report = _cli.aggregate(rows)
+        _cli.emit_report(report, out_dir / "report", args.format)
 
     dropped = sum(reasons.values())
     _diag(

@@ -16,18 +16,16 @@ counts (197 and 162 true results out of 241).
 
 from __future__ import annotations
 
-import csv
 from typing import Callable, Iterable, NamedTuple
 
+from .config import DEFAULT_STOPLIST
 from .frozen import Frozen
 from .ner.spans import AnnotatedExample, EntitySpan
-from .textio import atomic_write
+from .textio import atomic_write, csv_line
 
 EXACT = "Exact"
 PARTIAL = "Partial"
 FALSE = "False"
-
-DEFAULT_STOPLIST = frozenset({"disease", "pain", "condition", "problem"})
 
 Annotator = Callable[[str], list[EntitySpan]]
 
@@ -138,17 +136,10 @@ def compare_annotators(
 
 def write_outcomes_csv(path, rows: Iterable[OutcomeRow]) -> None:
     with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["record_id", "gold_text", "predicted", "classification"])
+        fh.write(csv_line(("record_id", "gold_text", "predicted", "classification")))
         for row in rows:
-            writer.writerow(
-                [
-                    str(row.record_id),
-                    row.gold_text,
-                    "|".join(span.text for span in row.predicted),
-                    row.classification,
-                ]
-            )
+            predicted = "|".join(span.text for span in row.predicted)
+            fh.write(csv_line((str(row.record_id), row.gold_text, predicted, row.classification)))
 
 
 def summary_to_dict(summary: EvalSummary) -> dict:

@@ -1,44 +1,38 @@
-"""Disease recognition: spans, tokenization, BILUO codec, corpora, tagger."""
+"""Disease recognition: spans, tokenization, BILUO codec, corpora, tagger.
 
-from .biluo import TAGS, TagSequence, decode_biluo, encode_biluo
-from .corpus import (
-    convert_external_annotations,
-    read_corpus,
-    read_internal,
-    split_corpus,
-    write_internal,
-)
-from .spans import DISEASE_LABEL, AnnotatedExample, EntitySpan, make_span
-from .tagger import (
-    FEATURE_TEMPLATE,
-    TaggerModel,
-    load_model,
-    predict,
-    save_model,
-    train_tagger,
-)
-from .tokenizer import Token, tokenize
+As in the ``ehr2icd`` package, each name below is imported from its module
+on first access, so ``from ehr2icd.ner import read_corpus`` loads the corpus
+reader without the tagger.
+"""
 
-__all__ = [
-    "AnnotatedExample",
-    "DISEASE_LABEL",
-    "EntitySpan",
-    "FEATURE_TEMPLATE",
-    "TAGS",
-    "TagSequence",
-    "TaggerModel",
-    "Token",
-    "convert_external_annotations",
-    "decode_biluo",
-    "encode_biluo",
-    "load_model",
-    "make_span",
-    "predict",
-    "read_corpus",
-    "read_internal",
-    "save_model",
-    "split_corpus",
-    "tokenize",
-    "train_tagger",
-    "write_internal",
-]
+from .. import _lazy_attributes
+
+# Exported name -> the module, under this package, that defines it.
+_EXPORTS = {
+    "TAGS": "biluo",
+    "TagSequence": "biluo",
+    "decode_biluo": "biluo",
+    "encode_biluo": "biluo",
+    "convert_external_annotations": "corpus",
+    "read_corpus": "corpus",
+    "read_internal": "corpus",
+    "split_corpus": "corpus",
+    "write_internal": "corpus",
+    "DISEASE_LABEL": "spans",
+    "AnnotatedExample": "spans",
+    "EntitySpan": "spans",
+    "make_span": "spans",
+    "FEATURE_TEMPLATE": "tagger",
+    "TaggerModel": "tagger",
+    "load_model": "tagger",
+    "predict": "tagger",
+    "save_model": "tagger",
+    "train_tagger": "tagger",
+    "Token": "tokenizer",
+    "tokenize": "tokenizer",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = _lazy_attributes(
+    globals(), {name: (f"ner.{module}", name) for name, module in _EXPORTS.items()}
+)

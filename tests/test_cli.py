@@ -496,6 +496,30 @@ def test_failed_evaluate_keeps_previous_outcome_files(
     assert sorted(os.listdir(out_dir)) == names + ["summary.json"]
 
 
+def test_a_bare_cr_in_a_corpus_text_stays_in_its_outcome_row(
+    tmp_path, capsys, sample_kb_path, sample_model_path
+):
+    texts = ["Patient has Asthma\rand Cystitis", "Cystitis"]
+    corpus = _write(
+        tmp_path,
+        "corpus.jsonl",
+        json.dumps({"content": texts[0], "entities": [[12, 18]]}) + "\n"
+        + json.dumps({"content": texts[1], "entities": [[0, 8]]}) + "\n",
+    )
+    out_dir = tmp_path / "eval"
+    argv = [
+        "evaluate", "--corpus", str(corpus), "--kb", str(sample_kb_path),
+        "--model", str(sample_model_path), "--out-dir", str(out_dir),
+    ]
+    assert main(argv) == 0
+    for name in ("outcomes_tagger.csv", "outcomes_dictionary.csv"):
+        with (out_dir / name).open(newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["record_id", "gold_text", "predicted", "classification"]
+        assert [len(row) for row in rows] == [4, 4], name
+        assert [row[:2] for row in rows] == [["1", texts[0]], ["2", texts[1]]], name
+
+
 def test_report_command_reproduces_golden(tmp_path):
     out_dir = tmp_path / "report"
     rc = main(

@@ -1,5 +1,6 @@
-"""Whole-CLI oracles: properties of ``normalize``, ``link`` and ``pipeline``
-output that hold whatever the caches and the input row order.
+"""Whole-CLI oracles: properties of ``normalize``, ``annotate``, ``link``,
+``evaluate`` and ``pipeline`` output that hold whatever the caches and the
+input row order.
 
 Each runs the commands in-process on the bundled samples and on a seed-13
 export from the benchmark's generator (``perfbench/gen.py``), whose mixed
@@ -27,9 +28,14 @@ NORMALIZERS = ("normalize_gender", "normalize_age", "normalize_date")
 
 @pytest.fixture(scope="module", params=["bundled", "generated"])
 def export(request, tmp_path_factory):
-    """(raw export, KB) of the bundled samples or of a generated workload."""
+    """(raw export, KB, gold corpus) of the bundled samples or of a generated
+    workload."""
     if request.param == "bundled":
-        return sample_path("sample_ehr.csv"), sample_path("sample_kb.tsv")
+        return (
+            sample_path("sample_ehr.csv"),
+            sample_path("sample_kb.tsv"),
+            sample_path("sample_corpus.jsonl"),
+        )
     with pytest.MonkeyPatch.context() as patch:
         # Leave no bytecode behind in the benchmark's directory.
         patch.setattr(sys, "dont_write_bytecode", True)
@@ -46,7 +52,7 @@ def export(request, tmp_path_factory):
             kb_size=300,
             variation=0.5,
         )
-    return inputs["raw"], inputs["kb"]
+    return inputs["raw"], inputs["kb"], inputs["heldout"]
 
 
 def _outputs(out_dir: Path) -> dict[str, bytes]:
@@ -70,8 +76,18 @@ def _run_all(out_dir: Path, raw: Path, kb: Path, capsys) -> dict[str, bytes]:
     return {**_outputs(out_dir), "stderr": capsys.readouterr().err.encode()}
 
 
+def _keep(loaded: list, load):
+    """``load``, keeping what each call returns in ``loaded``."""
+
+    def wrapper(path):
+        loaded.append(load(path))
+        return loaded[-1]
+
+    return wrapper
+
+
 def test_every_cache_at_one_entry_gives_the_same_bytes(export, tmp_path, monkeypatch, capsys):
-    raw, kb = export
+    raw, kb, _ = export
     cached = _run_all(tmp_path / "cached", raw, kb, capsys)
 
     for module, name in (
@@ -86,16 +102,8 @@ def test_every_cache_at_one_entry_gives_the_same_bytes(export, tmp_path, monkeyp
         body = getattr(normalization, name).__wrapped__
         monkeypatch.setattr(normalization, name, lru_cache(1)(body))
     loaded = []
-
-    def keep(load):
-        def wrapper(path):
-            loaded.append(load(path))
-            return loaded[-1]
-
-        return wrapper
-
-    monkeypatch.setattr(cli, "load_kb", keep(cli.load_kb))
-    monkeypatch.setattr(cli, "load_model", keep(cli.load_model))
+    monkeypatch.setattr(cli, "load_kb", _keep(loaded, cli.load_kb))
+    monkeypatch.setattr(cli, "load_model", _keep(loaded, cli.load_model))
     uncached = _run_all(tmp_path / "uncached", raw, kb, capsys)
 
     assert uncached == cached
@@ -110,6 +118,40 @@ def test_every_cache_at_one_entry_gives_the_same_bytes(export, tmp_path, monkeyp
     for cache in caches:
         info = cache.cache_info()
         assert info.maxsize == 1 and info.misses > 1, cache
+
+
+def _run_tagger_commands(out_dir: Path, raw: Path, kb: Path, corpus: Path, capsys) -> dict:
+    """Run annotate and evaluate; every output file's bytes, stdout and stderr."""
+    out_dir.mkdir()
+    normalized = out_dir / "normalized.csv"
+    assert main(["normalize", "--input", str(raw), "--output", str(normalized)]) == 0
+    annotate = ["annotate", "--input", str(normalized), "--output", str(out_dir / "spans.jsonl")]
+    assert main(annotate + ["--model", str(MODEL)]) == 0
+    evaluate = ["evaluate", "--corpus", str(corpus), "--out-dir", str(out_dir / "eval")]
+    assert main(evaluate + ["--kb", str(kb), "--model", str(MODEL)]) == 0
+    out, err = capsys.readouterr()
+    return {**_outputs(out_dir), "stdout": out.encode(), "stderr": err.encode()}
+
+
+def test_tagger_caches_at_one_entry_give_the_same_annotate_and_evaluate_bytes(
+    export, tmp_path, monkeypatch, capsys
+):
+    raw, kb, corpus = export
+    cached = _run_tagger_commands(tmp_path / "cached", raw, kb, corpus, capsys)
+
+    for name in ("PREDICT_CACHE_SIZE", "PREFIX_CACHE_SIZE", "CONTEXT_CACHE_SIZE"):
+        monkeypatch.setattr(tagger, name, 1)
+    models = []
+    monkeypatch.setattr(cli, "load_model", _keep(models, cli.load_model))
+    uncached = _run_tagger_commands(tmp_path / "uncached", raw, kb, corpus, capsys)
+
+    assert uncached == cached
+    assert b"tagger," in cached["stdout"]
+    assert len(models) == 2  # annotate's and evaluate's
+    for model in models:
+        for slot in ("_prefix", "_context", "_spans"):
+            info = getattr(model, slot).cache_info()
+            assert info.maxsize == 1 and info.misses > 1, slot
 
 
 def _read_rows(path: Path) -> list[list[str]]:
@@ -143,7 +185,7 @@ def _dated_export(raw: Path) -> tuple[list[str], list[list[str]]]:
 
 
 def test_shuffled_rows_permute_the_standard_row_groups(export, tmp_path, capsys):
-    raw, kb = export
+    raw, kb, _ = export
     header, rows = _dated_export(raw)
     column = header.index("Diagnosis Date")
     shuffled = rows[:]
@@ -175,7 +217,7 @@ def _summary(stderr: str) -> dict[str, int]:
 
 
 def test_a_blank_diagnosis_row_changes_only_the_missing_count(export, tmp_path, capsys):
-    raw, kb = export
+    raw, kb, _ = export
     before, before_err = _pipeline(tmp_path / "before", raw, kb, capsys)
     header, *rows = _read_rows(raw)
     blank = list(rows[0])
