@@ -5,8 +5,10 @@ present in its lexicon, so misspellings and unseen names yield nothing and
 compound names covered only piecewise come out as separate spans. Matching
 is case-insensitive but punctuation-sensitive, over the shared tokenizer, so
 its offsets are directly comparable with the learned tagger's. The lexicon
-is built from parsed KB entries (``linker.read_kb``), not the linker's index;
-``load_lexicon`` keeps a KB's lexicon as an image on disk (``kbimage``).
+is built from parsed KB entries (``linker.read_kb``), not the linker's index.
+``load_lexicon`` keeps a KB's lexicon as an image on disk (``kbimage``), as
+its terms and the longest term's token count; on an image hit it loads no
+``linker``.
 """
 
 from __future__ import annotations
@@ -49,7 +51,8 @@ def load_lexicon(path, extra_terms: Iterable[str] = ()) -> Lexicon:
     # Imported here: only the commands that read a KB compile that module.
     from . import kbimage
 
-    lexicon = kbimage.load(path, kbimage.LEXICON)
+    form = kbimage.Form(".lexicon", _compile_lexicon, _lexicon_fields, _lexicon_from_fields)
+    lexicon = kbimage.load(path, form)
     extra = build_lexicon((), extra_terms)
     if not extra.terms:
         return lexicon
@@ -57,6 +60,24 @@ def load_lexicon(path, extra_terms: Iterable[str] = ()) -> Lexicon:
         terms=lexicon.terms | extra.terms,
         max_term_tokens=max(lexicon.max_term_tokens, extra.max_term_tokens),
     )
+
+
+def _compile_lexicon(path, data: bytes) -> Lexicon:
+    # Imported here: an image hit parses no KB, so it loads no linker.
+    from . import linker
+
+    return build_lexicon(linker.read_kb(path, data))
+
+
+def _lexicon_fields(lexicon: Lexicon) -> list:
+    # In the set's order, not sorted: the load makes a set of them again, and
+    # sorting the benchmark KB's 12.7k terms would add ~4 ms to every miss.
+    return [list(lexicon.terms), lexicon.max_term_tokens]
+
+
+def _lexicon_from_fields(fields: list) -> Lexicon:
+    terms, max_term_tokens = fields
+    return Lexicon(frozenset(terms), max_term_tokens)
 
 
 def read_terms(path) -> list[str]:

@@ -35,17 +35,6 @@ class RawRecord(NamedTuple):
     row_index: int  # 1-based position among data rows
     extras: Mapping[str, str] = NO_EXTRAS  # read-only: column -> cell
 
-    def cell(self, column: str) -> str:
-        if column == "Gender":
-            return self.gender_raw
-        if column == "Age":
-            return self.age_raw
-        if column == "Diagnosis":
-            return self.diagnosis_text
-        if column == "Diagnosis Date":
-            return self.diagnosis_date_raw
-        return self.extras[column]
-
 
 def read_header(path) -> list[str]:
     """Return the header row of a CSV file."""

@@ -1,32 +1,34 @@
 """Compiled forms of a KB kept on disk, so that a command need not parse and
 compile an unchanged KB file again.
 
-A KB has two compiled forms, and each command compiles only the one it
-reads: ``KB``, the KnowledgeBase that ``linker.load_kb`` gives to ``link``
-and ``pipeline``, and ``LEXICON``, the dictionary baseline's lexicon that
-``dictionary.load_lexicon`` gives to ``evaluate``. ``load`` is the one load
-path for both; a form supplies only its compile step, its conversion to and
-from the plain values that ``marshal`` stores, and the suffix of its image.
+A KB has two compiled forms, each a ``Form`` defined beside the type it
+stores: the KnowledgeBase that ``linker.load_kb`` gives to ``link`` and
+``pipeline``, and the lexicon that ``dictionary.load_lexicon`` gives to
+``evaluate``. ``load`` is the one load path for both. This module imports no
+module of the package: loading a KnowledgeBase loads no dictionary, and
+loading a lexicon from its image loads no linker.
 
 An image holds one form as ``marshal`` data, under ``$XDG_CACHE_HOME/ehr2icd/``
 (default ``~/.cache/ehr2icd/``, a directory made with mode 0700): one image
 per resolved KB path and form, overwritten when the file's content changes.
-Only a KB path that names a regular file gets one; a pipe's or a device's
-resolved name may differ on every run, so those are always parsed. As with
-CPython's hash-based .pyc files (PEP 552), an image is keyed by its source
-bytes: a BLAKE2b digest of the KB file's bytes, of the form, and of a code
-fingerprint, which covers the image format, the interpreter, and the code of
-``linker``, ``dictionary``, the tokenizer, ``textio`` and this module. An
-image is used only if its key matches and its payload matches the checksum
-stored beside it, checked before the payload is unmarshalled. Otherwise
-``load`` parses and compiles the bytes it has already read and writes the
-image anew, through a temporary file and ``os.replace``, outside any
+After each save only the ``IMAGES_KEPT`` most recently written images of
+that form are kept. Only a KB path that names a regular file gets one; a
+pipe's or a device's resolved name may differ on every run, so those are
+always parsed. As with CPython's hash-based .pyc files (PEP 552), an image
+is keyed by its source bytes: a BLAKE2b digest of the KB file's bytes, of
+the form, and of a code fingerprint, which covers the image format, the
+interpreter, and the code of ``linker``, ``dictionary``, the tokenizer,
+``textio`` and this module, read from the files beside this one. An image
+is used only if its key matches and its payload matches the checksum stored
+beside it, checked before the payload is unmarshalled. Otherwise ``load``
+parses and compiles the bytes it has already read and writes the image anew,
+through a temporary file and ``os.replace``, outside any
 ``textio.atomic_group``.
 
-The image only saves time, so every failure to locate, read, check or write
-one is caught: the KB is then parsed and compiled, which gives the same
-value. The loaders import this module when they first run, so the commands
-that read no KB do not compile it.
+The image only saves time, so every failure to locate, read, check, write
+or remove one is caught: the KB is then parsed and compiled, which gives the
+same value. The loaders import this module when they first run, so the
+commands that read no KB do not compile it.
 """
 
 from __future__ import annotations
@@ -38,11 +40,6 @@ from array import array
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Optional
 
-from . import dictionary, linker, textio
-from .dictionary import Lexicon
-from .linker import KBEntry, KnowledgeBase, SurfaceIndex
-from .ner import tokenizer
-
 try:  # the bare module imports in a fraction of hashlib's time
     from _blake2 import blake2b
 except ImportError:  # an interpreter built without it
@@ -50,6 +47,16 @@ except ImportError:  # an interpreter built without it
 
 # The layout of an image; part of every image's key.
 IMAGE_FORMAT = 2
+
+# Images of one form kept in the cache directory; the least recently
+# written go first.
+IMAGES_KEPT = 32
+
+# The code that decides an image's content besides the KB bytes.
+CODE_FILES = tuple(
+    Path(__file__).parent / name
+    for name in ("linker.py", "dictionary.py", "ner/tokenizer.py", "textio.py", "kbimage.py")
+)
 
 # An image is the key (a 64-byte BLAKE2b digest), the payload's checksum
 # (another), then the payload: the marshalled fields of its form.
@@ -70,7 +77,7 @@ def load(path, form: Form):
     parsed and compiled, and then saved as the image."""
     path = Path(path)
     data = path.read_bytes()
-    slot = image_slot(path, data, form)
+    slot = image_slot(path, data, form.suffix)
     compiled = _load_image(*slot, form) if slot else None
     if compiled is None:
         compiled = form.compile(path, data)
@@ -79,10 +86,10 @@ def load(path, form: Form):
     return compiled
 
 
-def image_slot(path: Path, data: bytes, form: Form) -> Optional[tuple[Path, bytes]]:
-    """Where the image of ``form`` for the KB file at ``path`` lives, and the
-    key that an image of ``data`` holds; None if the path is not a regular
-    file, or if either cannot be worked out."""
+def image_slot(path: Path, data: bytes, suffix: str) -> Optional[tuple[Path, bytes]]:
+    """Where the image with ``suffix`` for the KB file at ``path`` lives, and
+    the key that an image of ``data`` holds; None if the path is not a
+    regular file, or if either cannot be worked out."""
     try:
         if not path.is_file():
             return None
@@ -91,9 +98,9 @@ def image_slot(path: Path, data: bytes, form: Form) -> Optional[tuple[Path, byte
         root = Path(base) if os.path.isabs(base) else Path.home() / ".cache"
         name = blake2b(os.fsencode(path.resolve()), digest_size=16).hexdigest()
         key = blake2b(_code_fingerprint())
-        key.update(form.suffix.encode())
+        key.update(suffix.encode())
         key.update(data)
-        return root / "ehr2icd" / f"{name}{form.suffix}", key.digest()
+        return root / "ehr2icd" / f"{name}{suffix}", key.digest()
     except Exception:
         return None
 
@@ -120,8 +127,23 @@ def _save_image(image: Path, key: bytes, form: Form, compiled) -> None:
             os.replace(temporary, image)
         finally:
             temporary.unlink(missing_ok=True)
+        _remove_old_images(image, form.suffix)
     except Exception:
         pass
+
+
+def _remove_old_images(image: Path, suffix: str) -> None:
+    """Remove all but the ``IMAGES_KEPT`` most recently written images with
+    ``suffix`` beside ``image``, which is always kept. Temporary files end in
+    ``.tmp`` and are left alone."""
+    others = [
+        (other.stat().st_mtime_ns, other)
+        for other in image.parent.glob(f"*{suffix}")
+        if other.name != image.name
+    ]
+    others.sort(reverse=True)
+    for _, old in others[IMAGES_KEPT - 1 :]:
+        old.unlink(missing_ok=True)
 
 
 def _code_fingerprint() -> bytes:
@@ -129,9 +151,8 @@ def _code_fingerprint() -> bytes:
     fingerprint = blake2b()
     layout = (IMAGE_FORMAT, sys.version, marshal.version, sys.byteorder)
     fingerprint.update(repr((layout, array("I").itemsize, array("Q").itemsize)).encode())
-    code_files = (linker.__file__, dictionary.__file__, tokenizer.__file__, textio.__file__)
-    for code_file in (*code_files, __file__):
-        source = Path(code_file).read_bytes()
+    for code_file in CODE_FILES:
+        source = code_file.read_bytes()
         fingerprint.update(len(source).to_bytes(8, "little"))
         fingerprint.update(source)
     return fingerprint.digest()
@@ -152,70 +173,3 @@ def _read_payload(image: Path, key: bytes) -> list:
     if blob[_KEY_END:_HEAD_END] != blake2b(payload).digest():
         raise ValueError("a damaged image")
     return marshal.loads(payload)
-
-
-def _compile_kb(path: Path, data: bytes) -> KnowledgeBase:
-    return KnowledgeBase(linker.read_kb(path, data))
-
-
-def _kb_fields(kb: KnowledgeBase) -> list:
-    """The compiled KB as the plain values ``marshal`` stores: the entries
-    by column, and the posting lists' keys, in token order, as one run of
-    machine words."""
-    entries, postings = kb.entries, kb.index.postings
-    typecode = next((keys.typecode for keys in postings.values()), "I")
-    return [
-        [entry.code for entry in entries],
-        [entry.name for entry in entries],
-        [entry.synonyms for entry in entries],
-        list(postings),
-        typecode,
-        array("I", map(len, postings.values())).tobytes(),
-        b"".join(keys.tobytes() for keys in postings.values()),
-        kb.index.entry_of.tobytes(),
-        kb.index.name_surface.tobytes(),
-        kb.index.stride,
-    ]
-
-
-def _kb_from_fields(fields: list) -> KnowledgeBase:
-    codes, names, synonyms, tokens, typecode, lengths, keys, entry_of, name_surface, stride = (
-        fields
-    )
-    fields.clear()  # so that each value is freed once it has been used
-    keys = _words(typecode, keys)
-    postings: dict[str, array] = {}
-    start = 0
-    for token, length in zip(tokens, _words("I", lengths)):
-        postings[token] = keys[start : start + length]
-        start += length
-    if start != len(keys):
-        raise ValueError("the posting lists' lengths do not add up")
-    del keys
-    index = SurfaceIndex(postings, _words("I", entry_of), _words("I", name_surface), stride)
-    return KnowledgeBase(tuple(map(KBEntry._make, zip(codes, names, synonyms))), index)
-
-
-def _words(typecode: str, data: bytes) -> array:
-    words = array(typecode)
-    words.frombytes(data)
-    return words
-
-
-def _compile_lexicon(path: Path, data: bytes) -> Lexicon:
-    return dictionary.build_lexicon(linker.read_kb(path, data))
-
-
-def _lexicon_fields(lexicon: Lexicon) -> list:
-    # In the set's order, not sorted: the load makes a set of them again, and
-    # sorting the benchmark KB's 12.7k terms would add ~4 ms to every miss.
-    return [list(lexicon.terms), lexicon.max_term_tokens]
-
-
-def _lexicon_from_fields(fields: list) -> Lexicon:
-    terms, max_term_tokens = fields
-    return Lexicon(frozenset(terms), max_term_tokens)
-
-
-KB = Form(".kbimage", _compile_kb, _kb_fields, _kb_from_fields)
-LEXICON = Form(".lexicon", _compile_lexicon, _lexicon_fields, _lexicon_from_fields)

@@ -27,15 +27,17 @@ bisecting the lists not yet walked. Every bound is non-strict, so each
 surface that scores ``t`` or more is scored exactly and ties are still
 ranked by code.
 
-Since a ranking depends only on the query's token set and k, each
-KnowledgeBase keeps the rankings of recent queries in a bounded LRU cache;
-``lookup`` returns a fresh list on every call. Assignment takes the
-top-ranked candidate per recognized disease, so it asks for k=1; rows whose
-lookup comes up empty keep NA in all three ICD fields so they stay available
-for manual coding. Each KnowledgeBase also keeps, in a second bounded LRU
-cache keyed by span text, that candidate's score, code, name and category,
-so a text repeated across rows is tokenized and its category derived once;
-the score threshold is compared on every call.
+Assignment takes the top-ranked candidate per recognized disease, so it
+asks ``lookup`` for k=1; rows whose lookup comes up empty keep NA in all
+three ICD fields so they stay available for manual coding. Each
+KnowledgeBase keeps, in a bounded LRU cache keyed by span text, that
+candidate's score, code, name and category, so a text repeated across rows
+is tokenized, ranked and its category derived once; the score threshold is
+compared on every call. ``lookup`` caches nothing and returns a fresh list
+on every call.
+
+``load_kb`` defines the KnowledgeBase's image form (``kbimage.Form``): the
+entries by column, and the index's typed arrays as bytes.
 
 The standard file is RFC 4180 CSV with minimal quoting: a cell is quoted,
 with its quotes doubled, only if it holds a comma, a quote, CR or LF
@@ -62,8 +64,6 @@ from .ner.tokenizer import folded_words as query_tokens
 from .normalization import DateTriple, NormalizedRecord, normalize_date
 from .textio import atomic_write, csv_cell, csv_line, decode_text, open_input
 
-# Distinct (query token set, k) rankings each KnowledgeBase keeps.
-LOOKUP_CACHE_SIZE = 1024
 # Distinct span texts whose top candidate each KnowledgeBase keeps.
 TOP_CACHE_SIZE = 4096
 
@@ -107,21 +107,20 @@ class SurfaceIndex(NamedTuple):
 
 
 class KnowledgeBase(Frozen):
-    """Entries plus the surface index compiled from them, and the two lookup
-    caches; immutable.
+    """Entries plus the surface index compiled from them, and the cache of
+    each span text's top candidate; immutable.
 
     ``index`` is compiled from the entries when not given. Equality, hashing
     and pickling use the entries only; unpickling compiles the index again.
     """
 
-    __slots__ = ("entries", "index", "_ranked", "_top")
+    __slots__ = ("entries", "index", "_top")
 
     def __init__(self, entries: tuple[KBEntry, ...], index: Optional[SurfaceIndex] = None):
         if index is None:
             index = build_index(entries)
-        ranked = lru_cache(LOOKUP_CACHE_SIZE)(partial(_rank, entries, index))
         top = lru_cache(TOP_CACHE_SIZE)(partial(_top_candidate, self))
-        for name, value in zip(self.__slots__, (entries, index, ranked, top)):
+        for name, value in zip(self.__slots__, (entries, index, top)):
             object.__setattr__(self, name, value)
 
     def _key(self) -> tuple:
@@ -214,7 +213,55 @@ def load_kb(path) -> KnowledgeBase:
     # Imported here: only the commands that read a KB compile that module.
     from . import kbimage
 
-    return kbimage.load(path, kbimage.KB)
+    return kbimage.load(path, kbimage.Form(".kbimage", _compile_kb, _kb_fields, _kb_from_fields))
+
+
+def _compile_kb(path: Path, data: bytes) -> KnowledgeBase:
+    return KnowledgeBase(read_kb(path, data))
+
+
+def _kb_fields(kb: KnowledgeBase) -> list:
+    """The compiled KB as the plain values ``marshal`` stores: the entries
+    by column, and the posting lists' keys, in token order, as one run of
+    machine words."""
+    entries, postings = kb.entries, kb.index.postings
+    typecode = next((keys.typecode for keys in postings.values()), "I")
+    return [
+        [entry.code for entry in entries],
+        [entry.name for entry in entries],
+        [entry.synonyms for entry in entries],
+        list(postings),
+        typecode,
+        array("I", map(len, postings.values())).tobytes(),
+        b"".join(keys.tobytes() for keys in postings.values()),
+        kb.index.entry_of.tobytes(),
+        kb.index.name_surface.tobytes(),
+        kb.index.stride,
+    ]
+
+
+def _kb_from_fields(fields: list) -> KnowledgeBase:
+    codes, names, synonyms, tokens, typecode, lengths, keys, entry_of, name_surface, stride = (
+        fields
+    )
+    fields.clear()  # so that each value is freed once it has been used
+    keys = _words(typecode, keys)
+    postings: dict[str, array] = {}
+    start = 0
+    for token, length in zip(tokens, _words("I", lengths)):
+        postings[token] = keys[start : start + length]
+        start += length
+    if start != len(keys):
+        raise ValueError("the posting lists' lengths do not add up")
+    del keys
+    index = SurfaceIndex(postings, _words("I", entry_of), _words("I", name_surface), stride)
+    return KnowledgeBase(tuple(map(KBEntry._make, zip(codes, names, synonyms))), index)
+
+
+def _words(typecode: str, data: bytes) -> array:
+    words = array(typecode)
+    words.frombytes(data)
+    return words
 
 
 def lookup(term: str, kb: KnowledgeBase, k: int = 4) -> list[LinkCandidate]:
@@ -224,15 +271,15 @@ def lookup(term: str, kb: KnowledgeBase, k: int = 4) -> list[LinkCandidate]:
     query = query_tokens(term)
     if not query:
         return []
-    return list(kb._ranked(frozenset(query), k))
+    return _rank(kb.entries, kb.index, query, k)
 
 
 _NO_KEYS = array("I")
 
 
 def _rank(
-    entries: tuple[KBEntry, ...], index: SurfaceIndex, query: frozenset[str], k: int
-) -> tuple[LinkCandidate, ...]:
+    entries: tuple[KBEntry, ...], index: SurfaceIndex, query: set[str], k: int
+) -> list[LinkCandidate]:
     entry_of, name_surface, stride = index.entry_of, index.name_surface, index.stride
     lists = sorted((index.postings.get(token, _NO_KEYS) for token in query), key=len)
     q = len(lists)
@@ -284,14 +331,14 @@ def _rank(
     # Every entry outside ``top`` scores at most t, the k-th best score.
     ranked = [entry for entry, score in best.items() if score >= t]
     chosen = heapq.nsmallest(k, ranked, key=lambda e: (-best[e], entries[e].code))
-    return tuple(
+    return [
         LinkCandidate(
             entry=entries[entry_id],
             score=best[entry_id],
             matched_via="name" if via_name[entry_id] else "synonym",
         )
         for entry_id in chosen
-    )
+    ]
 
 
 def _window(keys, stride, pos, end, t, q, m) -> tuple[int, int]:

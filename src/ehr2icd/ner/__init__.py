@@ -13,9 +13,7 @@ _EXPORTS = {
     "TagSequence": "biluo",
     "decode_biluo": "biluo",
     "encode_biluo": "biluo",
-    "convert_external_annotations": "corpus",
     "read_corpus": "corpus",
-    "read_internal": "corpus",
     "split_corpus": "corpus",
     "write_internal": "corpus",
     "DISEASE_LABEL": "spans",

@@ -65,13 +65,6 @@ def _objects(path, lineno: int, value, what: str) -> list[dict]:
     return value
 
 
-def convert_external_annotations(
-    document: str, path="<annotations>"
-) -> list[AnnotatedExample]:
-    """Convert an external annotation export (one JSON object per line)."""
-    return [example for _, example in _external_records(path, document)]
-
-
 def _external_records(path, document: str):
     """Yield (line number, example) for each kept record of an external export."""
     for lineno, obj in _json_objects(path, document):
@@ -147,11 +140,6 @@ def _internal_records(path, text: str):
             raise MalformedFile(path, lineno, "entities must be a list")
         spans = [_entity(path, lineno, content, item) for item in entities]
         yield lineno, obj, _build_example(path, lineno, content, spans)
-
-
-def read_internal(path) -> list[AnnotatedExample]:
-    """Read the internal newline-delimited corpus format."""
-    return [example for _, _, example in _internal_records(path, read_text(path))]
 
 
 def read_annotations(path) -> dict[int, AnnotatedExample]:

@@ -9,14 +9,13 @@ same report always produces byte-identical files.
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 from typing import Iterable
 
 from .errors import UnwritablePath
 from .linker import StandardRecord
-from .textio import atomic_group, atomic_write
+from .textio import atomic_group, atomic_write, csv_line
 
 CSV_FILES = (
     "by_category.csv",
@@ -134,9 +133,8 @@ def emit_report(report: StatsReport, out_dir, fmt: str = "csv") -> list[Path]:
 
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
     with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(csv_line(header))
+        fh.writelines(map(csv_line, rows))
 
 
 def _emit_csv(report: StatsReport, out_dir: Path) -> list[Path]:

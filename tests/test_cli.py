@@ -520,6 +520,25 @@ def test_a_bare_cr_in_a_corpus_text_stays_in_its_outcome_row(
         assert [row[:2] for row in rows] == [["1", texts[0]], ["2", texts[1]]], name
 
 
+def test_a_bare_cr_in_a_standard_cell_stays_in_its_report_row(tmp_path):
+    standard = _write(
+        tmp_path,
+        "standard.csv",
+        "Gender,Age,Diagnosis,Diagnosis Date,ICD_10 Code,ICD_10 Name,ICD_10 Category\n"
+        '"Fe\rmale",20,Cystitis,9/4/1439,N30.9,Cystitis,"N3\r0"\n',
+    )
+    out_dir = tmp_path / "report"
+    assert main(["report", "--input", str(standard), "--out-dir", str(out_dir)]) == 0
+    expected = {
+        "by_category.csv": [["Category", "Count"], ["N3\r0", "1"]],
+        "by_category_gender.csv": [["Category", "Gender", "Count"], ["N3\r0", "Fe\rmale", "1"]],
+        "by_category_agebin.csv": [["Category", "AgeBin", "Count"], ["N3\r0", "10-29", "1"]],
+    }
+    for name, rows in expected.items():
+        with (out_dir / name).open(newline="", encoding="utf-8") as fh:
+            assert list(csv.reader(fh)) == rows, name
+
+
 def test_report_command_reproduces_golden(tmp_path):
     out_dir = tmp_path / "report"
     rc = main(

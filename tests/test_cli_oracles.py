@@ -94,7 +94,6 @@ def test_every_cache_at_one_entry_gives_the_same_bytes(export, tmp_path, monkeyp
         (tagger, "PREDICT_CACHE_SIZE"),
         (tagger, "PREFIX_CACHE_SIZE"),
         (tagger, "CONTEXT_CACHE_SIZE"),
-        (linker, "LOOKUP_CACHE_SIZE"),
         (linker, "TOP_CACHE_SIZE"),
     ):
         monkeypatch.setattr(module, name, 1)
@@ -110,11 +109,11 @@ def test_every_cache_at_one_entry_gives_the_same_bytes(export, tmp_path, monkeyp
     # Each cache the runs went through held one entry and was missed.
     caches = [getattr(normalization, name) for name in NORMALIZERS]
     for thing in loaded:
-        slots = ("_ranked", "_top") if isinstance(thing, linker.KnowledgeBase) else (
+        slots = ("_top",) if isinstance(thing, linker.KnowledgeBase) else (
             "_prefix", "_context", "_spans"
         )
         caches += [getattr(thing, slot) for slot in slots]
-    assert len(caches) == 3 + 2 * 2 + 2 * 3  # link and pipeline each load both
+    assert len(caches) == 3 + 2 * 1 + 2 * 3  # link and pipeline each load both
     for cache in caches:
         info = cache.cache_info()
         assert info.maxsize == 1 and info.misses > 1, cache

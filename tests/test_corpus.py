@@ -4,10 +4,8 @@ import pytest
 
 from ehr2icd.errors import EmptyCorpus, MalformedFile, OffsetOutOfRange, OverlapError
 from ehr2icd.ner.corpus import (
-    convert_external_annotations,
     read_annotations,
     read_corpus,
-    read_internal,
     split_corpus,
     write_annotations,
     write_internal,
@@ -26,49 +24,56 @@ def _external_record(content, points, label="Disease Name", status="done"):
     )
 
 
-def test_inclusive_end_becomes_exclusive():
+def _read_document(tmp_path, document):
+    """The examples ``read_corpus`` reads from a file holding ``document``."""
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(document, encoding="utf-8")
+    return read_corpus(path)
+
+
+def test_inclusive_end_becomes_exclusive(tmp_path):
     document = _external_record("ANXIETY", [{"start": 0, "end": 6, "text": "ANXIETY"}])
-    [example] = convert_external_annotations(document)
+    [example] = _read_document(tmp_path, document)
     assert example.spans == (EntitySpan(0, 7, "ANXIETY", "Disease"),)
 
 
-def test_record_with_no_annotations():
+def test_record_with_no_annotations(tmp_path):
     document = json.dumps(
         {"content": "follow up", "annotation": None, "metadata": {"status": "done"}}
     )
-    [example] = convert_external_annotations(document)
+    [example] = _read_document(tmp_path, document)
     assert example.spans == ()
 
 
-def test_point_beyond_content_raises():
+def test_point_beyond_content_raises(tmp_path):
     document = _external_record("ANXIETY", [{"start": 0, "end": 99, "text": "x"}])
     with pytest.raises(OffsetOutOfRange) as err:
-        convert_external_annotations(document)
+        _read_document(tmp_path, document)
     assert err.value.record == 1
 
 
-def test_line_separator_inside_content_keeps_record_whole():
+def test_line_separator_inside_content_keeps_record_whole(tmp_path):
     # json.dumps(ensure_ascii=False) writes U+2028 raw; only "\n" ends a record.
     document = _external_record("Cystitis\u2028", [{"start": 0, "end": 7}])
     document = document.replace("\\u2028", "\u2028")
-    [example] = convert_external_annotations(document)
+    [example] = _read_document(tmp_path, document)
     assert example.content == "Cystitis\u2028"
 
 
-def test_non_done_records_skipped():
+def test_non_done_records_skipped(tmp_path):
     pending = _external_record("ANXIETY", [{"start": 0, "end": 6}], status="pending")
     done = _external_record("Cystitis", [{"start": 0, "end": 7}])
-    examples = convert_external_annotations(pending + "\n" + done)
+    examples = _read_document(tmp_path, pending + "\n" + done)
     assert [e.content for e in examples] == ["Cystitis"]
 
 
-def test_other_labels_ignored():
+def test_other_labels_ignored(tmp_path):
     document = _external_record("ANXIETY", [{"start": 0, "end": 6}], label="Symptom")
-    [example] = convert_external_annotations(document)
+    [example] = _read_document(tmp_path, document)
     assert example.spans == ()
 
 
-def test_overlapping_points_raise_with_record_number():
+def test_overlapping_points_raise_with_record_number(tmp_path):
     document = "\n".join(
         [
             _external_record("Cystitis", [{"start": 0, "end": 7}]),
@@ -79,7 +84,7 @@ def test_overlapping_points_raise_with_record_number():
         ]
     )
     with pytest.raises(OverlapError) as err:
-        convert_external_annotations(document)
+        _read_document(tmp_path, document)
     assert err.value.record == 2
 
 
@@ -90,7 +95,7 @@ def test_internal_roundtrip(tmp_path):
     ]
     path = tmp_path / "corpus.jsonl"
     write_internal(path, examples)
-    assert read_internal(path) == examples
+    assert read_corpus(path) == examples
 
 
 def test_annotations_roundtrip(tmp_path):

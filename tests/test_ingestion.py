@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from ehr2icd.errors import MalformedFile, MissingAttribute
 from ehr2icd.ingestion import (
     NO_EXTRAS,
+    REQUIRED_COLUMNS,
     RawRecord,
     drop_missing,
     load_dataset,
@@ -20,7 +21,8 @@ def _write_dataset(path, records, header):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for record in records:
-            writer.writerow([record.cell(name) for name in header])
+            cells = dict(zip(REQUIRED_COLUMNS, record[:4]), **record.extras)
+            writer.writerow([cells[name] for name in header])
 
 
 def test_load_300_row_fixture(sample_ehr_300_path):

@@ -19,6 +19,7 @@ from test_linker import (  # noqa: F401 - collected here with the fixture below
     test_edited_code_never_reads_an_old_image,
     test_load_kb_reads_the_kb_file_once,
     test_no_home_directory_means_no_image,
+    test_only_the_newest_images_of_a_form_are_kept,
 )
 
 from ehr2icd import linker

@@ -18,7 +18,6 @@ from ehr2icd import dictionary, kbimage, linker, textio
 from ehr2icd.dictionary import Lexicon, build_lexicon, load_lexicon
 from ehr2icd.errors import DuplicateCode, InvalidCode
 from ehr2icd.linker import (
-    LOOKUP_CACHE_SIZE,
     KBEntry,
     KnowledgeBase,
     StandardRecord,
@@ -584,18 +583,16 @@ def test_mutating_lookup_result_leaves_cache_intact(table9_kb):
     assert lookup("diabetic nephropathy", table9_kb, 4) is not expected
 
 
-def test_lookup_cache_stays_bounded_and_exact():
+def test_repeated_lookups_are_exact():
     entries = tuple(
         KBEntry(f"A{i // 10:02d}.{i % 10}", f"shared disease w{i}") for i in range(200)
     )
     kb = make_kb(*entries)
-    terms = [f"shared w{i} w{i + 1}" for i in range(LOOKUP_CACHE_SIZE + 40)]
+    terms = [f"shared w{i} w{i + 1}" for i in range(300)]
     first = [lookup(term, kb, k=3) for term in terms]
-    assert kb._ranked.cache_info().currsize <= LOOKUP_CACHE_SIZE
     fresh = make_kb(*entries)
     assert [lookup(term, kb, k=3) for term in terms] == first
     assert [lookup(term, fresh, k=3) for term in terms] == first
-    assert kb._ranked.cache_info().currsize <= LOOKUP_CACHE_SIZE
 
 
 def test_lookup_caches_are_per_knowledge_base():
@@ -707,21 +704,21 @@ def _assert_same_lexicon(loaded, fresh):
 class ImageForm(NamedTuple):
     """A compiled form of a KB, as the image tests below drive it."""
 
-    form: kbimage.Form
+    suffix: str  # of its images' file names
     load: Callable  # the KB path -> the form, through its image
     fresh: Callable  # the KB path -> the form, compiled without an image
     assert_same: Callable  # (loaded, fresh) -> None
 
     def image_of(self, path) -> Path:
-        image, _ = kbimage.image_slot(Path(path), Path(path).read_bytes(), self.form)
+        image, _ = kbimage.image_slot(Path(path), Path(path).read_bytes(), self.suffix)
         return image
 
 
 KB_FORM = ImageForm(
-    kbimage.KB, load_kb, lambda path: KnowledgeBase(read_kb(path)), _assert_same_kb
+    ".kbimage", load_kb, lambda path: KnowledgeBase(read_kb(path)), _assert_same_kb
 )
 LEXICON_FORM = ImageForm(
-    kbimage.LEXICON, load_lexicon, lambda path: build_lexicon(read_kb(path)), _assert_same_lexicon
+    ".lexicon", load_lexicon, lambda path: build_lexicon(read_kb(path)), _assert_same_lexicon
 )
 
 
@@ -762,7 +759,7 @@ def test_an_image_is_written_once_and_then_read(
     form.assert_same(second, form.fresh(path))
     cache = private_cache_home / "ehr2icd"
     assert [p.name for p in cache.iterdir()] == [form.image_of(path).name]
-    assert form.image_of(path).suffix == form.form.suffix
+    assert form.image_of(path).suffix == form.suffix
     assert cache.stat().st_mode & 0o777 == 0o700
 
 
@@ -898,10 +895,13 @@ def test_edited_code_never_reads_an_old_image(tmp_path, monkeypatch, module, for
     path = tmp_path / "kb.tsv"
     path.write_text(TABLE9_FILE)
     fresh = form.load(path)
+    source = Path(module.__file__)
+    assert source in kbimage.CODE_FILES
     edited = tmp_path / "edited.py"
-    edited.write_bytes(Path(module.__file__).read_bytes() + b"# edited\n")
+    edited.write_bytes(source.read_bytes() + b"# edited\n")
     parses = count_parses(monkeypatch)
-    monkeypatch.setattr(module, "__file__", str(edited))
+    code_files = [edited if code_file == source else code_file for code_file in kbimage.CODE_FILES]
+    monkeypatch.setattr(kbimage, "CODE_FILES", tuple(code_files))
     form.assert_same(form.load(path), fresh)
     assert len(parses) == 1
     form.assert_same(form.load(path), fresh)
@@ -920,6 +920,26 @@ def test_a_rewritten_kb_replaces_its_image(tmp_path, monkeypatch, private_cache_
     assert len(parses) == 1
     # One image per KB path, whatever its content has been.
     assert len(list((private_cache_home / "ehr2icd").iterdir())) == 1
+
+
+def test_only_the_newest_images_of_a_form_are_kept(tmp_path, private_cache_home, form):
+    kept = kbimage.IMAGES_KEPT
+    other = LEXICON_FORM if form is KB_FORM else KB_FORM
+    paths = [tmp_path / f"kb{i}.tsv" for i in range(kept + 1)]
+    for path in paths:
+        path.write_text(TABLE9_FILE)
+    other.load(paths[0])
+    cache = private_cache_home / "ehr2icd"
+    temporary = cache / f".{form.image_of(paths[0]).name}.0123456789ab.tmp"
+    temporary.write_bytes(b"a save in progress")
+    for age, path in enumerate(paths):
+        form.load(path)
+        os.utime(form.image_of(path), ns=(age * 10**9, age * 10**9))
+    images = set(cache.glob(f"*{form.suffix}"))
+    assert images == {form.image_of(path) for path in paths[1:]}
+    # Other forms' images, and temporary files, are left alone.
+    assert other.image_of(paths[0]).is_file()
+    assert temporary.read_bytes() == b"a save in progress"
 
 
 @pytest.mark.parametrize(

@@ -25,8 +25,8 @@ PRINT_LOADED = (
     "print(json.dumps([m[8:] for m in sys.modules if m.startswith('ehr2icd.')]))\n"
 )
 
-# Every name the packages exported before they became lazy, with the module
-# it was imported from then.
+# Every name the packages export, with the module it was imported from
+# before the packages became lazy.
 PACKAGE_EXPORTS = {
     "ehr2icd": {
         "config": ["PipelineConfig", "load_config"],
@@ -53,10 +53,7 @@ PACKAGE_EXPORTS = {
     },
     "ehr2icd.ner": {
         "biluo": ["TAGS", "TagSequence", "decode_biluo", "encode_biluo"],
-        "corpus": [
-            "convert_external_annotations", "read_corpus", "read_internal", "split_corpus",
-            "write_internal",
-        ],
+        "corpus": ["read_corpus", "split_corpus", "write_internal"],
         "spans": ["DISEASE_LABEL", "AnnotatedExample", "EntitySpan", "make_span"],
         "tagger": [
             "FEATURE_TEMPLATE", "TaggerModel", "load_model", "predict", "save_model",
@@ -129,6 +126,47 @@ def test_pipeline_loads_neither_evaluation_nor_the_corpus_reader(flags, tmp_path
     loaded = _loaded(flags, _main(argv))
     assert {"linker", "report", "ner.tagger"} <= loaded
     assert not loaded & {"evaluation", "ner.corpus"}
+
+
+@FLAGS
+def test_link_and_pipeline_load_no_dictionary(flags, tmp_path):
+    raw, kb = sample_path("sample_ehr.csv"), sample_path("sample_kb.tsv")
+    model = ["--kb", kb, "--model", sample_path("sample_model.txt")]
+    normalized = tmp_path / "normalized.csv"
+    _python(flags, _main(["normalize", "--input", raw, "--output", normalized]))
+    link = ["link", "--input", normalized, "--output", tmp_path / "linked.csv", *model]
+    pipeline = ["pipeline", "--input", raw, "--out-dir", tmp_path / "out", *model]
+    for argv in (link, pipeline):
+        # Twice: an image miss, then a hit.
+        loaded = _loaded(flags, _main(argv) * 2)
+        assert {"linker", "kbimage"} <= loaded
+        assert "dictionary" not in loaded
+
+
+@FLAGS
+def test_evaluate_on_an_image_hit_loads_no_linker(flags, tmp_path):
+    argv = [
+        "evaluate", "--corpus", sample_path("sample_corpus.jsonl"),
+        "--kb", sample_path("sample_kb.tsv"), "--model", sample_path("sample_model.txt"),
+        "--out-dir", tmp_path / "eval",
+    ]
+    _python(flags, _main(argv))  # writes the lexicon's image
+    loaded = _loaded(flags, _main(argv))
+    assert {"dictionary", "kbimage", "evaluation", "ner.tagger"} <= loaded
+    assert not loaded & {"linker", "normalization", "ingestion"}
+
+
+@FLAGS
+def test_the_image_module_loads_no_other_module(flags):
+    assert _loaded(flags, "import ehr2icd.kbimage") == {"kbimage"}
+
+
+@FLAGS
+def test_report_loads_no_image_code(flags, tmp_path):
+    standard = Path(__file__).parent / "golden" / "standard.csv"
+    loaded = _loaded(flags, _main(["report", "--input", standard, "--out-dir", tmp_path]))
+    assert "report" in loaded
+    assert not loaded & {"kbimage", "dictionary", "ner.tagger"}
 
 
 CHECK_EXPORTS = """
