@@ -36,8 +36,6 @@ _EXPORTS = {
     "KBEntry": "linker",
     "KnowledgeBase": "linker",
     "LinkCandidate": "linker",
-    "StandardRecord": "linker",
-    "assign": "linker",
     "code_to_category": "linker",
     "load_kb": "linker",
     "lookup": "linker",
@@ -61,6 +59,8 @@ _EXPORTS = {
     "bin_age": "report",
     "emit_report": "report",
     "sample_path": "samples",
+    "StandardRecord": "standard",
+    "assign": "standard",
 }
 
 __all__ = list(_EXPORTS)

@@ -34,8 +34,8 @@ from .errors import ConfigError, DataError, EncodingError, RecordError
 from .textio import atomic_group, atomic_write, csv_line
 
 if TYPE_CHECKING:
-    from .linker import StandardRecord
     from .normalization import NormalizedRecord
+    from .standard import StandardRecord
 
 # Callee name -> (module under the package, attribute) it is imported from.
 _CALLEES = {
@@ -54,9 +54,9 @@ _CALLEES = {
     "load_model": ("ner.tagger", "load_model"),
     "predict": ("ner.tagger", "predict"),
     "load_kb": ("linker", "load_kb"),
-    "assign": ("linker", "assign"),
-    "read_standard_csv": ("linker", "read_standard_csv"),
-    "write_standard_csv": ("linker", "write_standard_csv"),
+    "assign": ("standard", "assign"),
+    "read_standard_csv": ("standard", "read_standard_csv"),
+    "write_standard_csv": ("standard", "write_standard_csv"),
     "aggregate": ("report", "aggregate"),
     "emit_report": ("report", "emit_report"),
     "read_terms": ("dictionary", "read_terms"),
@@ -78,12 +78,6 @@ class _Parser(argparse.ArgumentParser):
     # data errors, so route usage problems through ConfigError instead.
     def error(self, message):
         raise ConfigError(message)
-
-
-LOOKUP_K_HELP = (
-    "candidates per lookup (default 4); each disease is coded from the top "
-    "candidate alone, so this does not affect standard.csv"
-)
 
 
 def _build_parser() -> _Parser:
@@ -122,7 +116,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--model", help="tagger model (when no --annotations)")
     p.add_argument("--annotations", help="annotations JSONL from the annotate step")
     _add_config_flags(p)
-    p.add_argument("--lookup-k", type=int, help=LOOKUP_K_HELP)
     p.add_argument("--score-threshold", type=float, help="minimum link score (default 0)")
 
     p = sub.add_parser("evaluate", help="compare the tagger against the dictionary baseline")
@@ -145,7 +138,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--kb", help="knowledge base TSV")
     p.add_argument("--model", help="trained tagger model")
     _add_config_flags(p)
-    p.add_argument("--lookup-k", type=int, help=LOOKUP_K_HELP)
     p.add_argument("--score-threshold", type=float)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -295,7 +287,6 @@ def cmd_link(args) -> int:
         args,
         kb_path=args.kb,
         model_path=args.model,
-        lookup_k=args.lookup_k,
         score_threshold=args.score_threshold,
     )
     if not config.kb_path:
@@ -382,7 +373,6 @@ def cmd_pipeline(args) -> int:
         args,
         kb_path=args.kb,
         model_path=args.model,
-        lookup_k=args.lookup_k,
         score_threshold=args.score_threshold,
     )
     if not config.kb_path or not config.model_path:

@@ -20,7 +20,6 @@ class PipelineConfig(NamedTuple):
     epochs: int = 10
     seed: int = DEFAULT_SEED
     stoplist: frozenset[str] = DEFAULT_STOPLIST  # lowercased terms
-    lookup_k: int = 4
     score_threshold: float = 0.0
     extra_terms_path: str | None = None
 
@@ -31,8 +30,6 @@ class PipelineConfig(NamedTuple):
             )
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.lookup_k < 1:
-            raise ConfigError(f"lookup_k must be >= 1, got {self.lookup_k}")
         # NaN compares false with every score, so it would leave every row NA.
         if math.isnan(self.score_threshold):
             raise ConfigError("score_threshold must be a number, got nan")
@@ -46,7 +43,6 @@ _PARSERS = {
     "epochs": int,
     "seed": int,
     "stoplist": lambda v: frozenset(s.strip().lower() for s in v.split(",") if s.strip()),
-    "lookup_k": int,
     "score_threshold": float,
     "extra_terms_path": str,
 }

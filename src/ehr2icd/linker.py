@@ -1,4 +1,4 @@
-"""ICD-10 knowledge base, ranked lookup, and standard-record assembly.
+"""ICD-10 knowledge base and ranked lookup.
 
 ``read_kb`` parses a KB file into entries, ``KnowledgeBase(entries)``
 compiles them, and ``load_kb`` does both, or loads the compiled form from an
@@ -27,58 +27,37 @@ bisecting the lists not yet walked. Every bound is non-strict, so each
 surface that scores ``t`` or more is scored exactly and ties are still
 ranked by code.
 
-Assignment takes the top-ranked candidate per recognized disease, so it
-asks ``lookup`` for k=1; rows whose lookup comes up empty keep NA in all
-three ICD fields so they stay available for manual coding. Each
-KnowledgeBase keeps, in a bounded LRU cache keyed by span text, that
-candidate's score, code, name and category, so a text repeated across rows
-is tokenized, ranked and its category derived once; the score threshold is
-compared on every call. ``lookup`` caches nothing and returns a fresh list
+Assignment (``standard.assign``) codes each disease from its top-ranked
+candidate alone, so each KnowledgeBase keeps, in a bounded LRU cache keyed
+by span text (``KnowledgeBase.top``), that candidate's score, code, name
+and category: a text repeated across rows is tokenized, ranked and its
+category derived once. ``lookup`` caches nothing and returns a fresh list
 on every call.
 
 ``load_kb`` defines the KnowledgeBase's image form (``kbimage.Form``): the
 entries by column, and the index's typed arrays as bytes.
-
-The standard file is RFC 4180 CSV with minimal quoting: a cell is quoted,
-with its quotes doubled, only if it holds a comma, a quote, CR or LF
-(``textio.csv_cell``). Rows repeat a few genders, ages, dates, diagnosis
-texts and ICD triples many times, so the writer renders and quotes each
-distinct one once and writes every row as one string of those cells.
 """
 
 from __future__ import annotations
 
-import csv
 import heapq
 import re
 from array import array
 from bisect import bisect_left
 from functools import lru_cache, partial
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .errors import DuplicateCode, InvalidCode, MalformedFile
 from .frozen import Frozen
-from .ner.spans import EntitySpan
 from .ner.tokenizer import folded_words as query_tokens
-from .normalization import DateTriple, NormalizedRecord, normalize_date
-from .textio import atomic_write, csv_cell, csv_line, decode_text, open_input
+from .textio import decode_text
 
 # Distinct span texts whose top candidate each KnowledgeBase keeps.
 TOP_CACHE_SIZE = 4096
 
 # Uppercase letter, two digits, optional "." plus one or two alphanumerics.
 CODE_RE = re.compile(r"^[A-Z][0-9]{2}(?:\.[A-Za-z0-9]{1,2})?$")
-
-STANDARD_HEADER = (
-    "Gender",
-    "Age",
-    "Diagnosis",
-    "Diagnosis Date",
-    "ICD_10 Code",
-    "ICD_10 Name",
-    "ICD_10 Category",
-)
 
 
 class KBEntry(NamedTuple):
@@ -114,7 +93,7 @@ class KnowledgeBase(Frozen):
     and pickling use the entries only; unpickling compiles the index again.
     """
 
-    __slots__ = ("entries", "index", "_top")
+    __slots__ = ("entries", "index", "top")
 
     def __init__(self, entries: tuple[KBEntry, ...], index: Optional[SurfaceIndex] = None):
         if index is None:
@@ -131,18 +110,6 @@ class LinkCandidate(NamedTuple):
     entry: KBEntry
     score: float  # Jaccard, in [0, 1]
     matched_via: str  # "name" or "synonym"
-
-
-class StandardRecord(NamedTuple):
-    """One row of the 7-attribute standard output."""
-
-    gender: str
-    age_years: int
-    diagnosis_date: DateTriple
-    diagnosis_text: str
-    icd10_code: Optional[str] = None
-    icd10_name: Optional[str] = None
-    icd10_category: Optional[str] = None
 
 
 def build_index(entries: tuple[KBEntry, ...]) -> SurfaceIndex:
@@ -370,39 +337,6 @@ def code_to_category(code: str) -> str:
     return code.split(".", 1)[0]
 
 
-# The three ICD fields of a row that is left for manual coding.
-_NA = (None, None, None)
-
-
-def assign(
-    record: NormalizedRecord,
-    spans: list[EntitySpan],
-    kb: KnowledgeBase,
-    score_threshold: float = 0.0,
-) -> list[StandardRecord]:
-    """Build one StandardRecord per recognized disease (or one NA row for none).
-
-    Demographics are duplicated across the rows of a multi-disease text. The
-    three ICD fields are populated together from the top-ranked candidate, or
-    left NA together when lookup misses or scores below the threshold.
-    """
-    # StandardRecord's first four fields are NormalizedRecord's, in order.
-    # Each row is the record StandardRecord(...) would build, without a named
-    # tuple's Python-level __new__; no default applies, so every field is given.
-    head = record[:4]
-    new = tuple.__new__
-    if not spans:
-        return [new(StandardRecord, head + _NA)]
-    rows = []
-    for span in spans:
-        top = kb._top(span.text)
-        if top is not None and top[0] >= score_threshold:
-            rows.append(new(StandardRecord, head + top[1]))
-        else:
-            rows.append(new(StandardRecord, head + _NA))
-    return rows
-
-
 def _top_candidate(
     kb: KnowledgeBase, text: str
 ) -> Optional[tuple[float, tuple[str, str, str]]]:
@@ -413,74 +347,3 @@ def _top_candidate(
     top = candidates[0]
     code = top.entry.code
     return top.score, (code, top.entry.name, code_to_category(code))
-
-
-class _Memo(dict):
-    """``function``'s result per distinct key, computed on first use."""
-
-    __slots__ = ("function",)
-
-    def __init__(self, function):
-        self.function = function
-
-    def __missing__(self, key):
-        value = self[key] = self.function(key)
-        return value
-
-
-def _icd_cells(icd: tuple[Optional[str], Optional[str], Optional[str]]) -> str:
-    """The last three cells of a row, NA as empty, and the line end."""
-    return csv_line(value or "" for value in icd)
-
-
-def write_standard_csv(path, rows: Iterable[StandardRecord]) -> None:
-    """Write the 7-attribute output; NA fields become empty cells.
-
-    Each distinct cell, and each distinct (code, name, category), is
-    rendered once; a row is then one f-string of those cells.
-    """
-    cell = _Memo(csv_cell)
-    age_cell = _Memo(str)
-    date_cell = _Memo(DateTriple.render)
-    icd_cells = _Memo(_icd_cells)
-    with atomic_write(path, newline="") as fh:
-        write = fh.write
-        write(csv_line(STANDARD_HEADER))
-        for gender, age, date, text, code, name, category in rows:
-            write(
-                f"{cell[gender]},{age_cell[age]},{cell[text]},{date_cell[date]},"
-                f"{icd_cells[code, name, category]}"
-            )
-
-
-def read_standard_csv(path) -> list[StandardRecord]:
-    with open_input(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != STANDARD_HEADER:
-            raise MalformedFile(path, 1, "unexpected header for a standard file")
-        rows = []
-        for n, cells in enumerate(reader, start=2):
-            if len(cells) != len(STANDARD_HEADER):
-                raise MalformedFile(path, n, "wrong number of cells")
-            try:
-                age = int(cells[1])
-            except ValueError:
-                age = 0
-            if age < 1:
-                raise MalformedFile(path, n, f"age {cells[1]!r} is not a whole number >= 1")
-            date = normalize_date(cells[3])
-            if date is None:
-                raise MalformedFile(path, n, f"unparseable date {cells[3]!r}")
-            rows.append(
-                StandardRecord(
-                    gender=cells[0],
-                    age_years=age,
-                    diagnosis_date=date,
-                    diagnosis_text=cells[2],
-                    icd10_code=cells[4] or None,
-                    icd10_name=cells[5] or None,
-                    icd10_category=cells[6] or None,
-                )
-            )
-    return rows

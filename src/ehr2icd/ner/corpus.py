@@ -34,9 +34,10 @@ def _json_objects(path, text: str):
         line = line.strip()
         if not line:
             continue
+        # ValueError is also how json reports a number too long for int().
         try:
             obj = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise MalformedFile(path, lineno, f"invalid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise MalformedFile(path, lineno, "record is not a JSON object")

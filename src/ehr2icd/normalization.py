@@ -82,19 +82,23 @@ def normalize_age(raw: str) -> Optional[int]:
     value = raw.strip()
     match = _INTEGER_RE.match(value)
     if match:
-        return _at_least_one_year(int(value))
+        return _whole_years(value)
     match = _YEARS_RE.match(value)
     if match:
-        return _at_least_one_year(int(match.group(1)))
+        return _whole_years(match.group(1))
     if _MONTHS_RE.match(value):
         return None
     match = _FRACTION_RE.match(value)
     if match:
-        return _at_least_one_year(int(match.group(1)))
+        return _whole_years(match.group(1))
     return None
 
 
-def _at_least_one_year(age: int) -> Optional[int]:
+def _whole_years(digits: str) -> Optional[int]:
+    try:
+        age = int(digits)
+    except ValueError:  # past int()'s limit on digits (4300 by default)
+        return None
     return age if age >= 1 else None
 
 
@@ -109,7 +113,10 @@ def normalize_date(raw: str) -> Optional[DateTriple]:
     match = _DATE_RE.match(raw.strip())
     if not match:
         return None
-    day, month, year = map(int, match.groups())
+    try:
+        day, month, year = map(int, match.groups())
+    except ValueError:  # past int()'s limit on digits (4300 by default)
+        return None
     if day < 1 or month < 1 or year < 1:
         return None
     return tuple.__new__(DateTriple, (day, month, year))

@@ -5,6 +5,9 @@ age bin), and by diagnosis (year, month). Rows with NA ICD fields count
 toward the totals and the month map but are excluded from the category maps.
 Emission is deterministic: maps are serialized in sorted key order, so the
 same report always produces byte-identical files.
+
+Rows are ``standard.StandardRecord``s; ``standard`` reads and writes the
+standard file without the KB code, so ``report`` loads none of it.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import UnwritablePath
-from .linker import StandardRecord
+from .standard import StandardRecord
 from .textio import atomic_group, atomic_write, csv_line
 
 CSV_FILES = (

@@ -13,7 +13,7 @@ from ehr2icd.cli import main
 from ehr2icd.dictionary import build_lexicon, dict_annotate, read_terms
 from ehr2icd.evaluation import evaluate_annotator, render_percent
 from ehr2icd.ingestion import RawRecord, drop_missing, load_dataset
-from ehr2icd.linker import code_to_category, lookup, read_kb, read_standard_csv
+from ehr2icd.linker import code_to_category, lookup, read_kb
 from ehr2icd.ner import (
     load_model,
     predict,
@@ -32,6 +32,7 @@ from ehr2icd.normalization import (
 )
 from ehr2icd.report import aggregate
 from ehr2icd.samples import sample_path
+from ehr2icd.standard import read_standard_csv
 
 FIG4_INPUT = [
     ("F", "21", "The patient's condition results in Diabetes Mellitus", "10 years ago"),

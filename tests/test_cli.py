@@ -14,10 +14,10 @@ from ehr2icd import cli
 from ehr2icd.cli import main
 from ehr2icd.config import PipelineConfig, load_config
 from ehr2icd.errors import ConfigError
-from ehr2icd.linker import read_standard_csv
 from ehr2icd.ner import AnnotatedExample, EntitySpan
 from ehr2icd.ner.corpus import write_internal
 from ehr2icd.samples import sample_path
+from ehr2icd.standard import read_standard_csv
 
 RAW_CSV = (
     "Gender,Age,Diagnosis,Diagnosis Date\n"
@@ -61,6 +61,25 @@ def test_normalize_matches_expected_rows(tmp_path, capsys):
     assert out.read_text() == NORMALIZED_CSV
     err = capsys.readouterr().err
     assert "dropped 1" in err and "date=1" in err
+
+
+def test_normalize_drops_an_age_or_date_too_long_for_int(tmp_path, capsys):
+    digits = "9" * 5000
+    raw = _write(
+        tmp_path,
+        "raw.csv",
+        "Gender,Age,Diagnosis,Diagnosis Date\n"
+        f"F,{digits},Cystitis,9/4/1439\n"
+        f"M,{digits} years,Cystitis,9/4/1439\n"
+        f"F,30,Cystitis,{digits}/2/2020\n"
+        f"M,30,Cystitis,9/{digits}/2020\n"
+        "F,30,Cystitis,9/4/1439\n",
+    )
+    out = tmp_path / "normalized.csv"
+    assert main(["normalize", "--input", str(raw), "--output", str(out)]) == 0
+    assert out.read_text().splitlines()[1:] == ["Female,30,Cystitis,9/4/1439"]
+    err = capsys.readouterr().err
+    assert "kept 1 rows, dropped 4 (missing=0, gender=0, age=2, date=2)" in err
 
 
 def test_normalize_missing_header_exits_2(tmp_path, capsys):
@@ -875,25 +894,6 @@ def test_config_file_and_flag_override(tmp_path, sample_kb_path, sample_model_pa
     assert any(not line.endswith(",,,") for line in out.read_text().splitlines()[1:])
 
 
-def test_lookup_k_does_not_change_standard_rows(
-    tmp_path, sample_kb_path, sample_model_path, sample_ehr_300_path
-):
-    def standard(lookup_k):
-        out_dir = tmp_path / f"k{lookup_k}"
-        argv = [
-            "pipeline",
-            "--input", str(sample_ehr_300_path),
-            "--kb", str(sample_kb_path),
-            "--model", str(sample_model_path),
-            "--out-dir", str(out_dir),
-            "--lookup-k", str(lookup_k),
-        ]
-        assert main(argv) == 0
-        return (out_dir / "standard.csv").read_bytes()
-
-    assert standard(1) == standard(6)
-
-
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_nan_score_threshold_exits_1(
     source, tmp_path, capsys, sample_kb_path, sample_model_path, sample_ehr_path
@@ -961,6 +961,8 @@ NOT_UTF8 = b"Gender,Age\n\xff\xfe\n"
 REPEATED_COLUMN = (
     b"Gender,Age,Diagnosis,Diagnosis Date,Note,Note\nM,30,Asthma,1/2/1440,first,second\n"
 )
+# One digit more than int() converts by default (sys.get_int_max_str_digits()).
+LONG_NUMBER = b"9" * 4301
 MODEL_HEAD = "ehr2icd-tagger\t1\nfeatures\tv1\nepochs\t10\nseed\t13\n"
 STANDARD_HEAD = (
     "Gender,Age,Diagnosis,Diagnosis Date,ICD_10 Code,ICD_10 Name,ICD_10 Category\n"
@@ -1023,6 +1025,14 @@ MALFORMED_INPUTS = {
         b'[{"label": ["Disease Name"], "points": [{"start": 0, "end": 20}]}]}\n',
         2,
     ),
+    "corpus-long-number": (
+        TRAIN, b'{"content": "Cystitis", "entities": [[0, %s]]}\n' % LONG_NUMBER, 2
+    ),
+    "corpus-long-number-evaluate": (
+        ["evaluate", "--kb", "{kb}", "--model", "{model}", "--out-dir", "{out}", "--corpus"],
+        b'{"content": "Cystitis", "entities": [[0, %s]]}\n' % LONG_NUMBER,
+        2,
+    ),
     "corpus-lone-surrogate": (
         TRAIN,
         b'{"content": "\\ud800 Cystitis", "entities": [[2, 10]]}\n'
@@ -1043,6 +1053,11 @@ MALFORMED_INPUTS = {
     "annotations-invalid-json": (
         [*LINK, "--kb", "{kb}", "--annotations"], b'{"row_index": 1,\n', 2
     ),
+    "annotations-long-row-index": (
+        [*LINK, "--kb", "{kb}", "--annotations"],
+        b'{"row_index": %s, "content": "Tonsillitis", "entities": []}\n' % LONG_NUMBER,
+        2,
+    ),
     "standard": (["report", "--out-dir", "{out}", "--input"], NOT_UTF8, 2),
     "standard-age-not-integer": (
         ["report", "--out-dir", "{out}", "--input"],
@@ -1054,10 +1069,18 @@ MALFORMED_INPUTS = {
         (STANDARD_HEAD + "Female,0,Cystitis,9/4/1439,,,\n").encode(),
         2,
     ),
+    "standard-long-date": (
+        ["report", "--out-dir", "{out}", "--input"],
+        STANDARD_HEAD.encode() + b"Female,20,Cystitis,%s/4/1439,,,\n" % LONG_NUMBER,
+        2,
+    ),
     "stoplist": ([*EVALUATE, "--stoplist"], NOT_UTF8, 2),
     "extra-terms": ([*EVALUATE, "--extra-terms"], NOT_UTF8, 2),
     "config": ([*LINK, "--config"], NOT_UTF8, 1),
-    "config-repeated-key": ([*LINK, "--config"], b"lookup_k = 2\nlookup_k = 3\n", 1),
+    "config-repeated-key": (
+        [*LINK, "--config"], b"score_threshold = 0.2\nscore_threshold = 0.3\n", 1
+    ),
+    "config-lookup-k": ([*LINK, "--config"], b"lookup_k = 4\n", 1),
 }
 
 

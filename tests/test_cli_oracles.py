@@ -109,7 +109,7 @@ def test_every_cache_at_one_entry_gives_the_same_bytes(export, tmp_path, monkeyp
     # Each cache the runs went through held one entry and was missed.
     caches = [getattr(normalization, name) for name in NORMALIZERS]
     for thing in loaded:
-        slots = ("_top",) if isinstance(thing, linker.KnowledgeBase) else (
+        slots = ("top",) if isinstance(thing, linker.KnowledgeBase) else (
             "_prefix", "_context", "_spans"
         )
         caches += [getattr(thing, slot) for slot in slots]

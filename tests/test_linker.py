@@ -20,23 +20,25 @@ from ehr2icd.errors import DuplicateCode, InvalidCode
 from ehr2icd.linker import (
     KBEntry,
     KnowledgeBase,
-    StandardRecord,
-    assign,
     build_index,
     code_to_category,
     load_kb,
     lookup,
     query_tokens,
     read_kb,
-    read_standard_csv,
-    write_standard_csv,
-    STANDARD_HEADER,
 )
 from ehr2icd.samples import sample_path
 from ehr2icd.ner import tokenizer
 from ehr2icd.ner.spans import make_span
 from ehr2icd.ner.tokenizer import tokenize
 from ehr2icd.normalization import DateTriple, NormalizedRecord
+from ehr2icd.standard import (
+    STANDARD_HEADER,
+    StandardRecord,
+    assign,
+    read_standard_csv,
+    write_standard_csv,
+)
 
 TABLE9_FILE = (
     "E10.9\tType 1 diabetes mellitus without complications\n"
@@ -674,7 +676,7 @@ def test_assign_matches_per_span_lookup_oracle(cache_size, records, thresholds):
             expected = _oracle_assign(record, spans, kb, threshold)
             assert assign(record, spans, kb, threshold) == expected
     if cache_size is not None:
-        assert kb._top.cache_info().currsize <= cache_size
+        assert kb.top.cache_info().currsize <= cache_size
 
 
 # The compiled KB images. Every test has its own empty XDG_CACHE_HOME

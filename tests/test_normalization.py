@@ -81,6 +81,24 @@ def test_date_table_cases(raw, rendered):
     assert normalize_date(raw).render() == rendered
 
 
+# More digits than int() converts by default (sys.get_int_max_str_digits()).
+TOO_LONG = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "raw", [TOO_LONG, f"{TOO_LONG} years", f"{TOO_LONG} 1/2", f"0{TOO_LONG}"]
+)
+def test_an_age_too_long_for_int_is_na(raw):
+    assert normalize_age(raw) is None
+
+
+@pytest.mark.parametrize(
+    "raw", [f"{TOO_LONG}/2/2020", f"9/{TOO_LONG}/2020", f"9-2-{TOO_LONG}"]
+)
+def test_a_date_too_long_for_int_is_na(raw):
+    assert normalize_date(raw) is None
+
+
 def test_textual_date_is_na():
     assert normalize_date("more than 10 years") is None
     assert normalize_date("5 years ago") is None

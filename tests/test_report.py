@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from conftest import DATA_DIR
 
 from ehr2icd.errors import MalformedFile
-from ehr2icd.linker import StandardRecord, read_standard_csv
 from ehr2icd.normalization import DateTriple
 from ehr2icd.report import (
     StatsReport,
@@ -16,6 +15,7 @@ from ehr2icd.report import (
     bin_age,
     emit_report,
 )
+from ehr2icd.standard import StandardRecord, read_standard_csv
 from ehr2icd.textio import open_input
 
 # Independent statement of the intended bin edges.

@@ -37,8 +37,7 @@ PACKAGE_EXPORTS = {
         ],
         "ingestion": ["RawRecord", "drop_missing", "load_dataset"],
         "linker": [
-            "KBEntry", "KnowledgeBase", "LinkCandidate", "StandardRecord", "assign",
-            "code_to_category", "load_kb", "lookup",
+            "KBEntry", "KnowledgeBase", "LinkCandidate", "code_to_category", "load_kb", "lookup",
         ],
         "ner": [
             "AnnotatedExample", "EntitySpan", "TaggerModel", "decode_biluo", "encode_biluo",
@@ -50,6 +49,7 @@ PACKAGE_EXPORTS = {
         ],
         "report": ["StatsReport", "aggregate", "bin_age", "emit_report"],
         "samples": ["sample_path"],
+        "standard": ["StandardRecord", "assign"],
     },
     "ehr2icd.ner": {
         "biluo": ["TAGS", "TagSequence", "decode_biluo", "encode_biluo"],
@@ -105,6 +105,27 @@ def test_the_train_set_up_loads_only_the_corpus_reader(flags):
 
 
 @FLAGS
+def test_the_pipeline_set_up_loads_no_normalization(flags):
+    # What the benchmark's set-up probe runs: load the model and the KB.
+    code = (
+        "import ehr2icd, ehr2icd.cli\n"
+        "from ehr2icd.linker import load_kb\nfrom ehr2icd.ner import load_model\n"
+        f"load_model({str(sample_path('sample_model.txt'))!r})\n"
+        f"load_kb({str(sample_path('sample_kb.tsv'))!r})\n"
+    )
+    loaded = _loaded(flags, code * 2)  # an image miss, then a hit
+    assert {"linker", "kbimage", "ner.tagger"} <= loaded
+    assert not loaded & {"normalization", "ingestion", "standard"}
+
+
+@FLAGS
+def test_the_linker_loads_no_standard_rows_code(flags):
+    loaded = _loaded(flags, "import ehr2icd.linker")
+    assert "linker" in loaded
+    assert not loaded & {"normalization", "ingestion", "standard"}
+
+
+@FLAGS
 def test_train_loads_nothing_of_linking_or_reporting(flags, tmp_path):
     argv = [
         "train", "--corpus", sample_path("sample_corpus.jsonl"),
@@ -157,6 +178,18 @@ def test_evaluate_on_an_image_hit_loads_no_linker(flags, tmp_path):
 
 
 @FLAGS
+def test_evaluate_on_an_image_miss_loads_no_normalization(flags, tmp_path):
+    argv = [
+        "evaluate", "--corpus", sample_path("sample_corpus.jsonl"),
+        "--kb", sample_path("sample_kb.tsv"), "--model", sample_path("sample_model.txt"),
+        "--out-dir", tmp_path / "eval",
+    ]
+    loaded = _loaded(flags, _main(argv))  # each test starts with an empty cache
+    assert {"dictionary", "linker", "evaluation"} <= loaded  # the KB was parsed
+    assert not loaded & {"normalization", "ingestion", "standard"}
+
+
+@FLAGS
 def test_the_image_module_loads_no_other_module(flags):
     assert _loaded(flags, "import ehr2icd.kbimage") == {"kbimage"}
 
@@ -165,8 +198,8 @@ def test_the_image_module_loads_no_other_module(flags):
 def test_report_loads_no_image_code(flags, tmp_path):
     standard = Path(__file__).parent / "golden" / "standard.csv"
     loaded = _loaded(flags, _main(["report", "--input", standard, "--out-dir", tmp_path]))
-    assert "report" in loaded
-    assert not loaded & {"kbimage", "dictionary", "ner.tagger"}
+    assert {"report", "standard"} <= loaded
+    assert not loaded & {"kbimage", "dictionary", "linker", "ner"}
 
 
 CHECK_EXPORTS = """

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ehr2icd.errors import MalformedFile, UnwritablePath
-from ehr2icd.linker import StandardRecord, write_standard_csv
 from ehr2icd.normalization import DateTriple
 from ehr2icd.report import CSV_FILES, StatsReport, emit_report
+from ehr2icd.standard import StandardRecord, write_standard_csv
 from ehr2icd.textio import atomic_group, atomic_write, csv_line, read_text
 
 
