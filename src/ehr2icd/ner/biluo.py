@@ -3,7 +3,9 @@
 Decoding is total: invalid sequences are repaired rather than rejected. An
 I or L with no open entity starts a new entity at that token, and an entity
 opened by B but never closed by L ends at its last consecutive I. On valid
-input, decoding inverts encoding exactly.
+input, decoding inverts encoding exactly. The repair rules live in
+``entity_runs``, which reads the tags alone; ``decode_biluo`` and the tagger
+both call it.
 """
 
 from __future__ import annotations
@@ -72,19 +74,17 @@ def encode_biluo(tokens: list[Token], spans: list[EntitySpan]) -> TagSequence:
     return TagSequence(tokens=tuple(tokens), tags=tuple(tags))
 
 
-def decode_biluo(seq: TagSequence, source: str) -> list[EntitySpan]:
-    """Turn a (possibly invalid) tag sequence into non-overlapping spans."""
-    spans: list[EntitySpan] = []
+def entity_runs(tags) -> list[tuple[int, int]]:
+    """The first and last token index of each entity that a (possibly
+    invalid) tag sequence marks, repaired as the module docstring says; any
+    tag other than B, I, L and U counts as O."""
+    runs: list[tuple[int, int]] = []
     open_start: int | None = None  # token index of the current B/I run
     last = -1  # last token index added to the open run
-
-    def close(upto: int) -> None:
-        spans.append(_token_span(seq.tokens, open_start, upto, source))
-
-    for k, tag in enumerate(seq.tags):
+    for k, tag in enumerate(tags):
         if tag == B:
             if open_start is not None:
-                close(last)
+                runs.append((open_start, last))
             open_start, last = k, k
         elif tag == I:
             if open_start is None:
@@ -93,21 +93,25 @@ def decode_biluo(seq: TagSequence, source: str) -> list[EntitySpan]:
         elif tag == L:
             if open_start is None:
                 open_start = k  # repair: lone L is a single-token entity
-            close(k)
+            runs.append((open_start, k))
             open_start = None
         elif tag == U:
             if open_start is not None:
-                close(last)
+                runs.append((open_start, last))
                 open_start = None
-            spans.append(_token_span(seq.tokens, k, k, source))
-        else:  # O
-            if open_start is not None:
-                close(last)
-                open_start = None
+            runs.append((k, k))
+        elif open_start is not None:  # O
+            runs.append((open_start, last))
+            open_start = None
     if open_start is not None:
-        close(last)
-    return spans
+        runs.append((open_start, last))
+    return runs
 
 
-def _token_span(tokens, first: int, last: int, source: str) -> EntitySpan:
-    return make_span(source, tokens[first].start, tokens[last].end, DISEASE_LABEL)
+def decode_biluo(seq: TagSequence, source: str) -> list[EntitySpan]:
+    """Turn a (possibly invalid) tag sequence into non-overlapping spans."""
+    tokens = seq.tokens
+    return [
+        make_span(source, tokens[first].start, tokens[last].end, DISEASE_LABEL)
+        for first, last in entity_runs(seq.tags)
+    ]

@@ -7,8 +7,12 @@ order, except that a token for which no tag has any evidence at all stays
 outside any entity (an untrained model therefore predicts nothing).
 
 Training builds the features of each token that do not depend on the
-previous tag once, before the first epoch, and interns every feature to an
-integer id. Per id the learner keeps three integer vectors in TAGS order:
+previous tag before the first epoch, and interns every feature to an
+integer id: a token's own features (bias, w=, shape= and the affixes) once
+per distinct token text, and a word's four context features once per
+distinct lowercased word or boundary marker. A token's shape maps ASCII
+text through one ``str.translate`` table, and walks the characters of other
+text. Per id the learner keeps three integer vectors in TAGS order:
 weights, running totals and the tick of each slot's last change. A token is
 scored by adding its features' weight vectors, and an update changes only
 the true and the guessed slot. Every weight, score and total is an integer
@@ -36,6 +40,10 @@ or boundary marker. A token's scores are its cached prefix sums plus its
 context vectors, added in template order. Float addition is not
 associative, but this is the very sequence of additions a walk over all
 fourteen features makes, from the same +0.0, so the sums are bit-identical.
+Tagging a text takes its token texts from one ``findall`` of the tokenizer's
+pattern and repairs its tag list into entity runs with ``biluo.entity_runs``,
+the function ``decode_biluo`` uses; token offsets are found only when some
+tag is not O, and no per-text ``Token`` or ``TagSequence`` is built.
 The spans of each text are kept in a third bounded, per-model LRU cache,
 since exports repeat a few hundred diagnosis texts across thousands of rows;
 ``predict`` returns a fresh list on every call.
@@ -45,7 +53,7 @@ from __future__ import annotations
 
 import math
 import random
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 
 from ..errors import (
     EmptyCorpus,
@@ -57,9 +65,9 @@ from ..errors import (
 )
 from ..frozen import Frozen
 from ..textio import atomic_write, read_text
-from .biluo import B, I, L, O, TAGS, U, TagSequence, decode_biluo, encode_biluo
-from .spans import AnnotatedExample, EntitySpan
-from .tokenizer import tokenize
+from .biluo import B, I, L, O, TAGS, U, encode_biluo, entity_runs
+from .spans import AnnotatedExample, EntitySpan, make_span
+from .tokenizer import _TOKEN_RE, tokenize
 
 FEATURE_TEMPLATE = "v1"
 _MAGIC = "ehr2icd-tagger"
@@ -67,13 +75,19 @@ _FORMAT = "1"
 _BOUNDARY_LEFT = "-START-"
 _BOUNDARY_RIGHT = "-END-"
 _AFFIXES = tuple((k, f"pre{k}=", f"suf{k}=") for k in (1, 2, 3))
-_CONTEXT = tuple((offset, f"w{offset:+d}=") for offset in (-2, -1, 1, 2))
+_CONTEXT = tuple(f"w{offset:+d}=" for offset in (-2, -1, 1, 2))
 # Where ``prev=`` sits in the template: after bias, w= and shape=.
 _PREV_POSITION = 3
 # Training slots: TAGS order, then -START- as the first token's previous tag.
 _SLOTS = {tag: slot for slot, tag in enumerate(TAGS)}
 _O_SLOT = _SLOTS[O]
 _START = len(TAGS)
+# The shape of each ASCII letter and digit; any other ASCII character is its
+# own shape. (Spelled out: importing ``string`` would cost each process ~1 ms.)
+_ASCII_SHAPES = str.maketrans(
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789",
+    "X" * 26 + "x" * 26 + "d" * 10,
+)
 
 # Distinct texts whose spans each model keeps.
 PREDICT_CACHE_SIZE = 1024
@@ -113,6 +127,10 @@ class TaggerModel(Frozen):
 
 
 def _shape(token: str) -> str:
+    """The token with each digit as d and each letter as X (uppercase) or x;
+    other characters stay as they are."""
+    if token.isascii():
+        return token.translate(_ASCII_SHAPES)
     out = []
     for ch in token:
         if ch.isdigit():
@@ -135,14 +153,10 @@ def _own_features(word: str, shape: str) -> list[str]:
     return feats
 
 
-def _static_features(around: list[str], shape: str, i: int) -> list[str]:
-    """Feature template v1 for token i, except the previous tag's feature,
-    from ``_context_words`` of the text's lowercased words and the token's
-    shape."""
-    feats = _own_features(around[i + 2], shape)
-    for offset, name in _CONTEXT:
-        feats.append(name + around[i + 2 + offset])
-    return feats
+def _context_features(word: str) -> list[str]:
+    """The features of template v1 that ``word`` fires as each neighbour of
+    a token, at -2, -1, +1 and +2, in template order."""
+    return [name + word for name in _CONTEXT]
 
 
 def _prefix_features(text: str, prev_tag: str) -> list[str]:
@@ -256,6 +270,7 @@ class _PackedPerceptron:
 
 
 def _encode_corpus(examples: list[AnnotatedExample]):
+    """Each example's token texts and gold tags."""
     encoded = []
     for index, example in enumerate(examples, start=1):
         tokens = tokenize(example.content)
@@ -263,7 +278,7 @@ def _encode_corpus(examples: list[AnnotatedExample]):
             sequence = encode_biluo(tokens, list(example.spans))
         except (MisalignedSpan, OverlapError) as exc:
             raise EncodingError(index, str(exc)) from exc
-        encoded.append((tokens, sequence.tags))
+        encoded.append(([token.text for token in tokens], sequence.tags))
     return encoded
 
 
@@ -276,24 +291,38 @@ class _Interned(dict):
 
 
 def _intern_corpus(encoded) -> tuple[list[str], list[list[tuple[tuple[int, ...], int]]]]:
-    """Intern the static features of every token, once.
+    """Intern the static features of every token.
 
-    Returns the feature names by id and, per example, each token's static
-    feature ids in template order with the slot of its gold tag.
+    A token's own features are built and interned once per distinct token
+    text, and a word's four context features once per distinct word or
+    boundary marker. Returns the feature names by id and, per example, each
+    token's static feature ids in template order with the slot of its gold
+    tag.
     """
     ids = _Interned()
     for tag in (*TAGS, _BOUNDARY_LEFT):
         ids["prev=" + tag]
+    intern = ids.__getitem__
+
+    @cache
+    def own(text: str) -> tuple[int, ...]:
+        return tuple(map(intern, _own_features(text.lower(), _shape(text))))
+
+    @cache
+    def context(word: str) -> tuple[int, ...]:
+        return tuple(map(intern, _context_features(word)))
+
     examples = []
-    for tokens, gold in encoded:
-        around = _context_words([t.text.lower() for t in tokens])
+    for texts, gold in encoded:
+        around = list(map(context, _context_words([text.lower() for text in texts])))
+        # Token i's neighbours at -2, -1, +1 and +2 are around[i],
+        # around[i + 1], around[i + 3] and around[i + 4].
         examples.append(
             [
-                (
-                    tuple(map(ids.__getitem__, _static_features(around, _shape(t.text), i))),
-                    _SLOTS[tag],
+                (own(text) + (left2[0], left1[1], right1[2], right2[3]), _SLOTS[tag])
+                for text, tag, left2, left1, right1, right2 in zip(
+                    texts, gold, around, around[1:], around[3:], around[4:]
                 )
-                for i, (t, tag) in enumerate(zip(tokens, gold))
             ]
         )
     return list(ids), examples
@@ -358,26 +387,26 @@ def _prefix_sums(vectors: dict[str, Vector], text: str, prev_tag: str) -> Vector
 def _context_vectors(vectors: dict[str, Vector], word: str) -> tuple[Vector | None, ...]:
     """The vectors of ``word`` as each context feature, in template order
     (None where the model has no such feature)."""
-    return tuple(vectors.get(name + word) for _, name in _CONTEXT)
+    return tuple(map(vectors.get, _context_features(word)))
 
 
 def _tag_text(prefix, context, text: str) -> tuple[EntitySpan, ...]:
-    tokens = tokenize(text)
-    if not tokens:
-        return ()
-    around = list(map(context, _context_words([t.text.lower() for t in tokens])))
+    """Tag the text's tokens greedily and decode the repaired tags into
+    spans; token offsets are found only when there is a span."""
+    texts = _TOKEN_RE.findall(text)
+    around = list(map(context, _context_words([token.lower() for token in texts])))
     prev = _BOUNDARY_LEFT
     tags = []
     # Token i's neighbours at -2, -1, +1 and +2 are around[i], around[i + 1],
     # around[i + 3] and around[i + 4].
     for token, left2, left1, right1, right2 in zip(
-        tokens, around, around[1:], around[3:], around[4:]
+        texts, around, around[1:], around[3:], around[4:]
     ):
         # The sums a walk over the template makes: the cached prefix, then
         # the w-2=, w-1=, w+1= and w+2= vectors. The 0.0s of absent tags
         # change nothing: a sum that starts at +0.0 never becomes -0.0, and
         # x + 0.0 == x.
-        sb, si, sl, su, so = prefix(token.text, prev)
+        sb, si, sl, su, so = prefix(token, prev)
         for vector in (left2[0], left1[1], right1[2], right2[3]):
             if vector is not None:
                 vb, vi, vl, vu, vo = vector
@@ -401,8 +430,11 @@ def _tag_text(prefix, context, text: str) -> tuple[EntitySpan, ...]:
             tag = O
         tags.append(tag)
         prev = tag
-    sequence = TagSequence(tokens=tuple(tokens), tags=tuple(tags))
-    return tuple(decode_biluo(sequence, text))
+    runs = entity_runs(tags)
+    if not runs:
+        return ()
+    bounds = [match.span() for match in _TOKEN_RE.finditer(text)]
+    return tuple(make_span(text, bounds[first][0], bounds[last][1]) for first, last in runs)
 
 
 def save_model(model: TaggerModel, path) -> None:

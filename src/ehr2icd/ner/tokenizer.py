@@ -32,7 +32,10 @@ class Token(NamedTuple):
 
 
 def tokenize(text: str) -> list[Token]:
-    return [Token(m.group(), m.start(), m.end()) for m in _TOKEN_RE.finditer(text)]
+    # tuple.__new__ skips the named tuple's Python-level __new__.
+    return [
+        tuple.__new__(Token, (m.group(), m.start(), m.end())) for m in _TOKEN_RE.finditer(text)
+    ]
 
 
 def folded_tokens(text: str) -> list[str]:

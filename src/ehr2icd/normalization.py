@@ -106,9 +106,10 @@ def _whole_years(digits: str) -> Optional[int]:
 def normalize_date(raw: str) -> Optional[DateTriple]:
     """Parse a day/month/year cell separated by "/" or "-", else NA.
 
-    Textual values ("5 years ago") are NA. Components are only checked for
-    digit-ness and positivity; no calendar validation is attempted because
-    dates are used solely for grouping.
+    Textual values ("5 years ago") are NA, and so is a day outside 1-31, a
+    month outside 1-12 or a year below 1. Dates stay in their source
+    calendar (Gregorian or Hijri, both of twelve months of at most 31 days),
+    so no check against a month's own length is made.
     """
     match = _DATE_RE.match(raw.strip())
     if not match:
@@ -117,7 +118,7 @@ def normalize_date(raw: str) -> Optional[DateTriple]:
         day, month, year = map(int, match.groups())
     except ValueError:  # past int()'s limit on digits (4300 by default)
         return None
-    if day < 1 or month < 1 or year < 1:
+    if not (1 <= day <= 31 and 1 <= month <= 12 and year >= 1):
         return None
     return tuple.__new__(DateTriple, (day, month, year))
 

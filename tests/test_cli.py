@@ -82,6 +82,23 @@ def test_normalize_drops_an_age_or_date_too_long_for_int(tmp_path, capsys):
     assert "kept 1 rows, dropped 4 (missing=0, gender=0, age=2, date=2)" in err
 
 
+def test_normalize_drops_a_day_or_month_out_of_range(tmp_path, capsys):
+    raw = _write(
+        tmp_path,
+        "raw.csv",
+        "Gender,Age,Diagnosis,Diagnosis Date\n"
+        "F,30,Cystitis,45/13/2020\n"
+        "M,30,Cystitis,32/1/2020\n"
+        "F,30,Cystitis,9/13/1439\n"
+        "M,30,Cystitis,31/12/1439\n",
+    )
+    out = tmp_path / "normalized.csv"
+    assert main(["normalize", "--input", str(raw), "--output", str(out)]) == 0
+    assert out.read_text().splitlines()[1:] == ["Male,30,Cystitis,31/12/1439"]
+    err = capsys.readouterr().err
+    assert "kept 1 rows, dropped 3 (missing=0, gender=0, age=0, date=3)" in err
+
+
 def test_normalize_missing_header_exits_2(tmp_path, capsys):
     raw = _write(
         tmp_path, "raw.csv", "Gender,Age,Diagnosis Date\nF,20,9/4/1439\n"
@@ -1072,6 +1089,11 @@ MALFORMED_INPUTS = {
     "standard-long-date": (
         ["report", "--out-dir", "{out}", "--input"],
         STANDARD_HEAD.encode() + b"Female,20,Cystitis,%s/4/1439,,,\n" % LONG_NUMBER,
+        2,
+    ),
+    "standard-date-out-of-range": (
+        ["report", "--out-dir", "{out}", "--input"],
+        (STANDARD_HEAD + "Female,20,Cystitis,45/13/2020,,,\n").encode(),
         2,
     ),
     "stoplist": ([*EVALUATE, "--stoplist"], NOT_UTF8, 2),

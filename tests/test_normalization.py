@@ -108,6 +108,22 @@ def test_zero_date_component_is_na():
     assert normalize_date("0/4/1439") is None
 
 
+@pytest.mark.parametrize(
+    "raw", ["45/13/2020", "32/1/2020", "1/13/2020", "31-0-1439", "99/99/99999", "07/013/1439"]
+)
+def test_a_day_above_31_or_a_month_above_12_is_na(raw):
+    assert normalize_date(raw) is None
+
+
+@pytest.mark.parametrize(
+    "raw,triple",
+    [("31/12/2020", (31, 12, 2020)), ("30-2-1439", (30, 2, 1439)), ("1/1/1", (1, 1, 1))],
+)
+def test_dates_at_the_calendar_bounds_are_kept(raw, triple):
+    # Dates stay in their source calendar: a month's own length is not checked.
+    assert normalize_date(raw) == triple
+
+
 @given(
     st.integers(min_value=1, max_value=31),
     st.integers(min_value=1, max_value=12),

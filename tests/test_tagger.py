@@ -5,7 +5,7 @@ import random
 from collections import defaultdict
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ehr2icd.errors import (
     EmptyCorpus,
@@ -235,11 +235,24 @@ def test_unknown_tag_rejected(tmp_path):
         TaggerModel(weights={"bias": {"X-Disease": 1.0}}, epochs=1, seed=1)
 
 
-# Reference tagger: feature template v1 built in one piece, the sparse
-# (feature, tag) weights walked as dicts, the argmax with its TAGS-order
-# tie-break and all-zero -> O rule, greedy decoding, and the dict-walk
-# averaged perceptron, as the tagger scored and trained before its weights
-# were packed.
+# Reference tagger: feature template v1 built in one piece per token, the
+# character-loop shape, the sparse (feature, tag) weights walked as dicts,
+# the argmax with its TAGS-order tie-break and all-zero -> O rule, greedy
+# decoding of Token objects through decode_biluo, and the dict-walk averaged
+# perceptron, as the tagger scored and trained before its weights were
+# packed and its features built per distinct token.
+def _oracle_shape(token):
+    out = []
+    for ch in token:
+        if ch.isdigit():
+            out.append("d")
+        elif ch.isalpha():
+            out.append("X" if ch.isupper() else "x")
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
 def _oracle_features(lower, shapes, i, prev_tag):
     word = lower[i]
     feats = ["bias", "w=" + word, "shape=" + shapes[i], "prev=" + prev_tag]
@@ -279,7 +292,7 @@ def _oracle_best(scores):
 def _oracle_predict(weights, text):
     tokens = tokenize(text)
     lower = [t.text.lower() for t in tokens]
-    shapes = [_shape(t.text) for t in tokens]
+    shapes = [_oracle_shape(t.text) for t in tokens]
     prev, tags = "-START-", []
     for i in range(len(tokens)):
         prev = _oracle_best(_oracle_scores(weights, _oracle_features(lower, shapes, i, prev)))
@@ -349,7 +362,7 @@ def _oracle_train(examples, epochs, seed, mistakes=None):
             if not tokens:
                 continue
             lower = [t.text.lower() for t in tokens]
-            shapes = [_shape(t.text) for t in tokens]
+            shapes = [_oracle_shape(t.text) for t in tokens]
             prev = "-START-"
             for i in range(len(tokens)):
                 feats = _oracle_features(lower, shapes, i, prev)
@@ -366,7 +379,7 @@ def _all_features(text):
     """Every feature the text can fire, whatever the previous tag."""
     tokens = tokenize(text)
     lower = [t.text.lower() for t in tokens]
-    shapes = [_shape(t.text) for t in tokens]
+    shapes = [_oracle_shape(t.text) for t in tokens]
     return {
         feat
         for i in range(len(tokens))
@@ -392,20 +405,27 @@ WEIGHT_VALUES = [0.1, 0.2, 0.3, 1.0, 1.0, -0.5, -1.0, 2.5, 0.0, -0.0, 1e-17]
 def test_feature_template_matches_oracle(text):
     # Prediction sums float weights in template order, so the order counts:
     # a token's prefix features (with prev= at _PREV_POSITION), then its
-    # w-2=, w-1=, w+1= and w+2= features. Training builds the static
+    # w-2=, w-1=, w+1= and w+2= features. Training interns the static
     # features and inserts prev= at the same position.
     tokens = tokenize(text)
     lower = [t.text.lower() for t in tokens]
-    shapes = [_shape(t.text) for t in tokens]
+    shapes = [_oracle_shape(t.text) for t in tokens]
     around = tagger._context_words(lower)
+    names, (interned,) = tagger._intern_corpus([([t.text for t in tokens], ["O"] * len(tokens))])
+    assert len(interned) == len(tokens)
     for i, token in enumerate(tokens):
-        context = [name + around[i + 2 + offset] for offset, name in tagger._CONTEXT]
+        # As scoring reads them: the w-2= name of around[i], the w-1= name of
+        # around[i + 1], the w+1= of around[i + 3] and the w+2= of around[i + 4].
+        context = [
+            tagger._context_features(around[i + j])[k] for k, j in enumerate((0, 1, 3, 4))
+        ]
+        static_ids, _ = interned[i]
         for prev in ("-START-", *TAGS):
             expected = _oracle_features(lower, shapes, i, prev)
             prefix = tagger._prefix_features(token.text, prev)
             assert prefix[tagger._PREV_POSITION] == "prev=" + prev
             assert prefix + context == expected
-            static = tagger._static_features(around, shapes[i], i)
+            static = [names[id_] for id_ in static_ids]
             static.insert(tagger._PREV_POSITION, "prev=" + prev)
             assert static == expected
 
@@ -445,6 +465,77 @@ def test_packed_scoring_matches_sparse_oracle(table_and_texts):
     model = TaggerModel(weights=weights, epochs=1, seed=1)
     for text in texts:
         assert predict(model, text) == _oracle_predict(weights, text)
+
+
+# Texts of any shape: non-ASCII letters and digits (a capital I with a dot
+# that lowercases to two code points, a titlecase letter, a superscript two
+# and an Arabic-Indic three), "_" (neither a word character nor a space, so
+# a token of its own), tabs, newlines, runs of punctuation, and empty or
+# whitespace-only text.
+ODD_CHARS = list("aB7İǅß²٣_\t\n -/.()+")
+ODD_TEXTS = st.one_of(
+    st.text(st.sampled_from(ODD_CHARS), max_size=24),
+    st.text(st.sampled_from(" \t\n\r"), max_size=4),
+    st.text(max_size=24),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(ODD_TEXTS, st.text()))
+@example("".join(map(chr, range(128))))
+def test_shape_matches_character_loop_oracle(text):
+    assert _shape(text) == _oracle_shape(text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(weight_tables_and_texts(st.lists(ODD_TEXTS, min_size=1, max_size=4)))
+def test_predict_on_any_text_matches_token_oracle(table_and_texts):
+    weights, texts = table_and_texts
+    model = TaggerModel(weights=weights, epochs=1, seed=1)
+    for text in texts:
+        assert predict(model, text) == _oracle_predict(weights, text)
+
+
+def _forced_model():
+    """A model whose tag for a token is fixed by its lowercased text: "b",
+    "i", "l" and "u" get their BILUO tag whatever the previous tag, and any
+    other token O."""
+    weights = {f"w={word}": {tag: 1.0} for word, tag in zip("bilu", TAGS)}
+    return TaggerModel(weights=weights, epochs=1, seed=1)
+
+
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        ("x i x", ["i"]),  # a lone I opens an entity, which O closes
+        ("x i", ["i"]),  # ... or the end of the text
+        ("x l", ["l"]),  # a lone L is a one-token entity
+        ("i i l", ["i i l"]),
+        ("b u", ["b", "u"]),  # U closes the open entity, then is its own
+        ("b i u", ["b i", "u"]),
+        ("b b i", ["b", "b i"]),  # B closes the open entity
+        ("x b", ["b"]),  # B at the end: the entity ends there
+        ("b i", ["b i"]),  # ... or at its last I
+        ("b i x", ["b i"]),
+        ("b l u x", ["b l", "u"]),
+    ],
+)
+def test_every_repair_rule_matches_token_oracle(text, expected):
+    model = _forced_model()
+    spans = predict(model, text)
+    assert [span.text for span in spans] == expected
+    assert spans == _oracle_predict(model.weights, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from(["b", "i", "l", "u", "x", "B", "L", "-"]), max_size=10),
+    st.sampled_from([" ", "\t", "/", "\n  "]),
+)
+def test_forced_tag_sequences_match_token_oracle(words, separator):
+    model = _forced_model()
+    text = separator.join(words)
+    assert predict(model, text) == _oracle_predict(model.weights, text)
 
 
 def test_bundled_model_matches_oracle_on_bundled_corpus(sample_corpus_path, sample_model_path):
@@ -629,17 +720,33 @@ def test_corpus_of_empty_texts_trains_no_weights(monkeypatch):
 
 
 def test_training_builds_each_tokens_features_once(monkeypatch, sample_corpus_path):
+    # A token's own features are built once per distinct token text, and a
+    # word's context features once per distinct lowercased word or boundary
+    # marker, however often each recurs.
     corpus = read_corpus(sample_corpus_path)[:30]
-    calls = []
-    build = tagger._static_features
+    calls = defaultdict(list)
 
-    def counted(*args):
-        calls.append(args)
-        return build(*args)
+    def counted(name):
+        build = getattr(tagger, name)
 
-    monkeypatch.setattr(tagger, "_static_features", counted)
+        def wrapper(*args):
+            calls[name].append(args)
+            return build(*args)
+
+        monkeypatch.setattr(tagger, name, wrapper)
+
+    counted("_own_features")
+    counted("_context_features")
     train_tagger(corpus, epochs=4, seed=13)
-    assert len(calls) == sum(len(tokenize(example.content)) for example in corpus)
+    texts = [token.text for example in corpus for token in tokenize(example.content)]
+    distinct = set(texts)
+    words = {text.lower() for text in distinct}
+    assert len(texts) > len(distinct) > len(words)
+    own = calls["_own_features"]
+    assert len(own) == len(distinct)
+    assert set(own) == {(text.lower(), _oracle_shape(text)) for text in distinct}
+    context = [word for (word,) in calls["_context_features"]]
+    assert sorted(context) == sorted(words | {"-START-", "-END-"})
 
 
 def test_predict_cache_stays_bounded_and_exact(sample_model_path):
