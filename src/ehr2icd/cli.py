@@ -18,12 +18,29 @@ Commands look each callee up on this module when they call it
 Replacing the attribute (``setattr(ehr2icd.cli, "predict", wrapper)``, as
 the benchmark's tracer and the tests do) therefore catches every call a
 command makes, whether or not the callee was loaded before.
+
+Run as the program (``main()`` with no arguments: the console script,
+``python -m ehr2icd.cli``), a command runs with the cyclic garbage collector
+off, and before it returns ``main`` freezes every object still alive and
+turns the collector back on. No collection runs during the command, and the
+collections at interpreter exit skip what the command built; each object is
+freed or kept exactly as it would be otherwise. This is safe because a
+command makes no reference cycle per row, example or text: the cyclic
+garbage one command leaves is bounded whatever the input's size (the
+parser, a knowledge base and its caches). Called as a library
+(``main([...])``), the collector is left as the caller set it.
+
+Standard output is flushed before ``main`` returns, so a closed pipe or a
+full disk there is a data error (exit 2, one ``error:`` line) like any other
+failed write, not an error the interpreter reports at exit.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -78,6 +95,11 @@ class _Parser(argparse.ArgumentParser):
     # data errors, so route usage problems through ConfigError instead.
     def error(self, message):
         raise ConfigError(message)
+
+    def exit(self, status=0, message=None):
+        # --help and --version print their text, then exit here.
+        _flush_stdout()
+        super().exit(status, message)
 
 
 def _build_parser() -> _Parser:
@@ -411,10 +433,25 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code. With no ``argv`` it runs as
+    the program, with the collector off (see the module docstring)."""
+    if argv is not None:
+        return _run(argv)
+    gc.disable()
+    try:
+        return _run(None)
+    finally:
+        gc.freeze()
+        gc.enable()
+
+
+def _run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        _flush_stdout()
+        return code
     except ConfigError as exc:
         _diag(f"error: {exc}")
         return 1
@@ -424,6 +461,23 @@ def main(argv=None) -> int:
     except OSError as exc:
         _diag(f"error: {exc}")
         return 2
+
+
+def _flush_stdout() -> None:
+    """Write out buffered standard output while a failure can still be
+    reported as a data error (exit 2), not by the interpreter at exit."""
+    if sys.stdout is None:  # started with fd 1 closed
+        return
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # The buffered text can never be written (a closed pipe, a full
+        # disk). Point fd 1 at the null device, so the interpreter's own
+        # flush at exit succeeds instead of failing again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise
 
 
 if __name__ == "__main__":

@@ -41,36 +41,32 @@ class TagSequence(Frozen):
 
 
 def encode_biluo(tokens: list[Token], spans: list[EntitySpan]) -> TagSequence:
-    """Tag tokens for the given spans; boundaries must sit on token edges."""
+    """Tag tokens for the given spans; boundaries must sit on token edges.
+
+    ``tokens`` are ordered and disjoint, as ``tokenize`` gives them. A span
+    is aligned iff a token starts where it starts, a token ends where it
+    ends, and the first comes no later than the last: then the tokens
+    between them are the ones it covers, and no other token touches it.
+    """
     tags = [O] * len(tokens)
+    first_at = {tok.start: k for k, tok in enumerate(tokens)}
+    last_at = {tok.end: k for k, tok in enumerate(tokens)}
     for span in sorted(spans, key=lambda s: (s.start, s.end)):
-        covered = [
-            k
-            for k, tok in enumerate(tokens)
-            if tok.start >= span.start and tok.end <= span.end
-        ]
-        touching = [
-            tok for tok in tokens if tok.start < span.end and tok.end > span.start
-        ]
-        if (
-            not covered
-            or len(touching) != len(covered)
-            or tokens[covered[0]].start != span.start
-            or tokens[covered[-1]].end != span.end
-        ):
+        first = first_at.get(span.start)
+        last = last_at.get(span.end)
+        if first is None or last is None or first > last:
             raise MisalignedSpan(
                 f"span ({span.start}, {span.end}) {span.text!r} does not align "
                 f"with token boundaries"
             )
-        if any(tags[k] != O for k in covered):
+        if any(tag != O for tag in tags[first : last + 1]):
             raise OverlapError(None, f"span ({span.start}, {span.end}) overlaps another span")
-        if len(covered) == 1:
-            tags[covered[0]] = U
+        if first == last:
+            tags[first] = U
         else:
-            tags[covered[0]] = B
-            for k in covered[1:-1]:
-                tags[k] = I
-            tags[covered[-1]] = L
+            tags[first] = B
+            tags[first + 1 : last] = [I] * (last - first - 1)
+            tags[last] = L
     return TagSequence(tokens=tuple(tokens), tags=tuple(tags))
 
 

@@ -1,9 +1,9 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ehr2icd.errors import MisalignedSpan, OverlapError
 from ehr2icd.ner.biluo import TAGS, TagSequence, decode_biluo, encode_biluo
-from ehr2icd.ner.spans import make_span
+from ehr2icd.ner.spans import EntitySpan, make_span
 from ehr2icd.ner.tokenizer import Token, tokenize
 
 
@@ -133,3 +133,81 @@ def test_roundtrip_property(case):
     text, tokens, spans = case
     seq = encode_biluo(tokens, spans)
     assert decode_biluo(seq, text) == spans
+
+
+def _oracle_encode(tokens, spans):
+    """``encode_biluo`` as first written: every token is scanned twice per
+    span, to find the tokens it covers and the tokens it touches."""
+    tags = ["O"] * len(tokens)
+    for span in sorted(spans, key=lambda s: (s.start, s.end)):
+        covered = [
+            k for k, tok in enumerate(tokens) if tok.start >= span.start and tok.end <= span.end
+        ]
+        touching = [tok for tok in tokens if tok.start < span.end and tok.end > span.start]
+        if (
+            not covered
+            or len(touching) != len(covered)
+            or tokens[covered[0]].start != span.start
+            or tokens[covered[-1]].end != span.end
+        ):
+            raise MisalignedSpan(
+                f"span ({span.start}, {span.end}) {span.text!r} does not align "
+                f"with token boundaries"
+            )
+        if any(tags[k] != "O" for k in covered):
+            raise OverlapError(None, f"span ({span.start}, {span.end}) overlaps another span")
+        if len(covered) == 1:
+            tags[covered[0]] = "U-Disease"
+        else:
+            tags[covered[0]] = "B-Disease"
+            for k in covered[1:-1]:
+                tags[k] = "I-Disease"
+            tags[covered[-1]] = "L-Disease"
+    return TagSequence(tokens=tuple(tokens), tags=tuple(tags))
+
+
+def _outcome(encode, tokens, spans):
+    try:
+        return encode(tokens, spans)
+    except (MisalignedSpan, OverlapError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _text_and_offsets(draw):
+    """A text and span offsets: each span runs from a token's start to a
+    token's end, each end moved by one character a third of the time, so
+    that aligned, adjacent, overlapping and misaligned spans are all common.
+    The first token may come after the last: an ``EntitySpan`` built
+    directly may be empty or reversed."""
+    text = draw(st.text(alphabet="ab1 -,.", max_size=24))
+    tokens = tokenize(text)
+    if not tokens:
+        offset = st.integers(min_value=0, max_value=len(text))
+        return text, draw(st.lists(st.tuples(offset, offset), max_size=2))
+    index = st.integers(min_value=0, max_value=len(tokens) - 1)
+    nudge = st.sampled_from([0, 0, 0, 0, -1, 1])
+    spans = draw(st.lists(st.tuples(index, index, nudge, nudge), max_size=4))
+    return text, [
+        (max(0, tokens[i].start + a), min(len(text), tokens[j].end + b)) for i, j, a, b in spans
+    ]
+
+
+@given(_text_and_offsets())
+@example(("", []))
+@example(("aa bb", []))
+@example(("aa bb cc", [(0, 2), (3, 5)]))  # adjacent single tokens
+@example(("aa,bb cc", [(0, 2), (2, 3), (3, 8)]))  # adjacent, no space between
+@example(("aa bb cc", [(3, 8), (0, 5)]))  # overlapping, out of order
+@example(("aa bb cc", [(0, 8), (3, 5)]))  # one inside another
+@example(("aa bb cc", [(1, 5)]))  # starts inside a token
+@example(("aa bb cc", [(0, 4)]))  # ends in the gap after a token
+@example(("aa bb cc", [(2, 3)]))  # only whitespace
+@example(("aa,bb", [(2, 3), (2, 3)]))  # the same span twice
+@example(("aa,bb", [(2, 2)]))  # empty, between two tokens that touch
+@example(("aa,bb", [(3, 2)]))  # ends before it starts
+def test_encode_matches_token_scan_oracle(case):
+    text, offsets = case
+    tokens = tokenize(text)
+    spans = [EntitySpan(start, end, text[start:end]) for start, end in offsets]
+    assert _outcome(encode_biluo, tokens, spans) == _outcome(_oracle_encode, tokens, spans)

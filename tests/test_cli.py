@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import os
 import shutil
@@ -32,6 +33,15 @@ NORMALIZED_CSV = (
     "Female,19,Arthritis,6/4/1439\n"
     "Male,22,Hypertension,14/5/1439\n"
 )
+
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
+
+
+def _child_env(**extra) -> dict:
+    """The environment of a child interpreter that imports this checkout."""
+    pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": pythonpath, **extra}
 
 
 def _write(tmp_path, name, text):
@@ -245,12 +255,10 @@ def test_train_under_optimize_flag_writes_bundled_model(
     # The real CLI in a fresh interpreter with asserts stripped (-O) trains the
     # bundled model byte for byte: no invariant of training rests on assert.
     model = tmp_path / "m.model"
-    src = str(Path(cli.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "ehr2icd.cli", "train",
          "--corpus", str(sample_corpus_path), "--model-out", str(model)],
-        env={**os.environ, "PYTHONPATH": pythonpath},
+        env=_child_env(),
         capture_output=True,
         timeout=60,
     )
@@ -662,6 +670,16 @@ def _pipeline_argv(out_dir, sample_ehr_path, sample_kb_path, sample_model_path):
     ]
 
 
+def _evaluate_argv(out_dir, kb_path):
+    return [
+        "evaluate",
+        "--corpus", str(sample_path("sample_corpus.jsonl")),
+        "--kb", str(kb_path),
+        "--model", str(sample_path("sample_model.txt")),
+        "--out-dir", str(out_dir),
+    ]
+
+
 def test_pipeline_reads_the_kb_image_on_a_second_run(
     tmp_path, monkeypatch, private_cache_home, sample_ehr_path, sample_kb_path,
     sample_model_path,
@@ -680,9 +698,7 @@ def test_pipeline_with_an_unwritable_cache_writes_the_golden_outputs(
 ):
     not_a_directory = tmp_path / "cache"
     not_a_directory.write_text("a regular file\n")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": pythonpath, "XDG_CACHE_HOME": str(not_a_directory)}
+    env = _child_env(XDG_CACHE_HOME=str(not_a_directory))
     for run in ("first", "second"):
         argv = _pipeline_argv(tmp_path / run, sample_ehr_path, sample_kb_path, sample_model_path)
         proc = subprocess.run(
@@ -697,20 +713,156 @@ def test_pipeline_with_an_unwritable_cache_writes_the_golden_outputs(
     assert not_a_directory.read_text() == "a regular file\n"
 
 
+@pytest.mark.parametrize("command", ["evaluate", "--version"])
+def test_a_closed_stdout_exits_2_with_one_error_line(tmp_path, command, sample_kb_path):
+    # Without PYTHONUNBUFFERED, standard output to a pipe is buffered until
+    # the command ends; a reader that has gone is reported as a data error,
+    # not by the interpreter's own flush at exit (exit 120).
+    argv = _evaluate_argv(tmp_path / "out", sample_kb_path) if command == "evaluate" else [command]
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ehr2icd.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr.decode()) == (2, "error: [Errno 32] Broken pipe\n")
+
+
+def test_a_stdout_closed_at_start_is_no_error(tmp_path, sample_kb_path):
+    # Started with fd 1 closed, the interpreter sets sys.stdout to None and
+    # print() writes nothing; there is nothing to flush either.
+    argv = _evaluate_argv(tmp_path / "out", sample_kb_path)
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$0" -m ehr2icd.cli "$@" >&-', sys.executable, *argv],
+        env=_child_env(),
+        capture_output=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert (tmp_path / "out" / "summary.json").is_file()
+
+
+# Runs the CLI as the program, with sys.argv set, and prints the exit code,
+# the collector's state after main() and the generation of every collection
+# that ran during the command.
+AS_PROGRAM = """
+import gc, json, sys
+from ehr2icd.cli import main
+sys.argv = ["ehr2icd", *sys.argv[1:]]
+starts = []
+gc.callbacks.append(lambda phase, info: phase == "start" and starts.append(info["generation"]))
+code = main()
+del gc.callbacks[-1]
+print(json.dumps([code, gc.isenabled(), gc.get_freeze_count(), starts]))
+"""
+
+
+def test_the_program_collects_nothing_during_a_command_and_freezes_at_the_end(
+    tmp_path, sample_ehr_path, sample_kb_path, sample_model_path
+):
+    argv = _pipeline_argv(tmp_path / "out", sample_ehr_path, sample_kb_path, sample_model_path)
+    proc = subprocess.run(
+        [sys.executable, "-c", AS_PROGRAM, *argv],
+        env=_child_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, enabled, frozen, starts = json.loads(proc.stdout)
+    assert (code, enabled, starts) == (0, True, [])
+    assert frozen > 0
+    _assert_golden(tmp_path / "out")
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_a_library_call_leaves_the_collector_as_it_was(tmp_path, enabled):
+    raw = _write(tmp_path, "raw.csv", RAW_CSV)
+    was_enabled = gc.isenabled()
+    frozen = gc.get_freeze_count()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(["normalize", "--input", str(raw), "--output", str(tmp_path / "n.csv")]) == 0
+        assert main(["normalize", "--no-such-flag"]) == 1
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+# Runs one command with the collector off and prints the exit code and the
+# number of unreachable objects it left.
+CYCLIC_GARBAGE = """
+import gc, json, sys
+from ehr2icd.cli import main
+gc.disable()
+gc.collect()
+code = main(sys.argv[1:])
+print(json.dumps([code, gc.collect()]))
+"""
+
+
+@pytest.mark.parametrize("command", ["pipeline", "train", "evaluate"])
+def test_a_command_leaves_as_much_cyclic_garbage_on_ten_times_its_input(
+    tmp_path, command, sample_ehr_path, sample_corpus_path, sample_kb_path, sample_model_path
+):
+    # The program runs each command with the collector off (see the cli
+    # docstring). That holds memory flat only while no row, example or text
+    # makes a reference cycle, so the garbage left must not grow with input.
+    def repeated(path, times, header):
+        lines = path.read_text().splitlines(keepends=True)
+        head, body = (lines[:1], lines[1:]) if header else ([], lines)
+        out = tmp_path / f"{times}x_{path.name}"
+        out.write_text("".join(head + body * times))
+        return str(out)
+
+    garbage = []
+    for times in (1, 10):
+        run = tmp_path / f"run{times}"
+        argv = {
+            "pipeline": _pipeline_argv(
+                run, repeated(sample_ehr_path, times, True), sample_kb_path, sample_model_path
+            ),
+            "train": [
+                "train", "--corpus", repeated(sample_corpus_path, times, False),
+                "--model-out", str(run / "model.txt"), "--epochs", "2",
+            ],
+            "evaluate": [
+                "evaluate", "--corpus", repeated(sample_corpus_path, times, False),
+                "--kb", str(sample_kb_path), "--model", str(sample_model_path),
+                "--out-dir", str(run),
+            ],
+        }[command]
+        run.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-c", CYCLIC_GARBAGE, *argv],
+            # Each run misses the KB image cache, so both take the same path.
+            env=_child_env(XDG_CACHE_HOME=str(run / "cache")),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, unreachable = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0, proc.stderr
+        garbage.append(unreachable)
+    assert garbage[0] == garbage[1]
+
+
 EVALUATE_OUTPUTS = ("outcomes_tagger.csv", "outcomes_dictionary.csv", "summary.json")
 
 
 def _evaluate(capsys, out_dir, kb_path):
     """Stdout and the output files' bytes of ``evaluate`` on the bundled samples."""
     capsys.readouterr()
-    argv = [
-        "evaluate",
-        "--corpus", str(sample_path("sample_corpus.jsonl")),
-        "--kb", str(kb_path),
-        "--model", str(sample_path("sample_model.txt")),
-        "--out-dir", str(out_dir),
-    ]
-    assert main(argv) == 0
+    assert main(_evaluate_argv(out_dir, kb_path)) == 0
     return capsys.readouterr().out, [(out_dir / name).read_bytes() for name in EVALUATE_OUTPUTS]
 
 
