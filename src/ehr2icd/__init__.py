@@ -41,7 +41,6 @@ _EXPORTS = {
     "lookup": "linker",
     "AnnotatedExample": "ner.spans",
     "EntitySpan": "ner.spans",
-    "decode_biluo": "ner.biluo",
     "encode_biluo": "ner.biluo",
     "split_corpus": "ner.corpus",
     "TaggerModel": "ner.tagger",

@@ -51,12 +51,15 @@ from .errors import ConfigError, DataError, EncodingError, RecordError
 from .textio import atomic_group, atomic_write, csv_line
 
 if TYPE_CHECKING:
+    from .ingestion import RawRecord
     from .normalization import NormalizedRecord
     from .standard import StandardRecord
 
 # Callee name -> (module under the package, attribute) it is imported from.
 _CALLEES = {
+    # No command reads a header alone; the benchmark's tracer still wraps it.
     "read_header": ("ingestion", "read_header"),
+    "read_dataset": ("ingestion", "read_dataset"),
     "load_dataset": ("ingestion", "load_dataset"),
     "drop_missing": ("ingestion", "drop_missing"),
     "normalize_with_reason": ("normalization", "normalize_with_reason"),
@@ -182,12 +185,11 @@ def _diag(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _normalize_file(path) -> tuple[list[NormalizedRecord], dict[str, int]]:
-    """Front half of the pipeline: load, drop missing, normalize.
+def _normalize(records: list[RawRecord]) -> tuple[list[NormalizedRecord], dict[str, int]]:
+    """Front half of the pipeline, after loading: drop missing, normalize.
 
     Returns the normalized records and the number of dropped rows by reason.
     """
-    records = _cli.load_dataset(path)
     kept = _cli.drop_missing(records)
     reasons = {"missing": len(records) - len(kept), "gender": 0, "age": 0, "date": 0}
     normalized: list[NormalizedRecord] = []
@@ -224,29 +226,22 @@ def _standard_rows(normalized, spans_of, kb, config) -> list[StandardRecord]:
     return rows
 
 
-def _normalized_row(record: NormalizedRecord, header: list[str]) -> list[str]:
-    cells = []
-    for name in header:
-        if name == "Gender":
-            cells.append(record.gender)
-        elif name == "Age":
-            cells.append(str(record.age_years))
-        elif name == "Diagnosis":
-            cells.append(record.diagnosis_text)
-        elif name == "Diagnosis Date":
-            cells.append(record.diagnosis_date.render())
-        else:
-            cells.append(record.extras.get(name, ""))
-    return cells
-
-
 def cmd_normalize(args) -> int:
-    normalized, reasons = _normalize_file(args.input)
-    header = _cli.read_header(args.input)
+    from .ingestion import REQUIRED_COLUMNS
+
+    header, records = _cli.read_dataset(args.input)
+    normalized, reasons = _normalize(records)
     with atomic_write(args.output, newline="") as fh:
         fh.write(csv_line(header))
         for record in normalized:
-            fh.write(csv_line(_normalized_row(record, header)))
+            standard = (
+                record.gender,
+                str(record.age_years),
+                record.diagnosis_text,
+                record.diagnosis_date.render(),
+            )
+            cells = {**record.extras, **dict(zip(REQUIRED_COLUMNS, standard))}
+            fh.write(csv_line([cells[name] for name in header]))
     _diag(
         f"normalize: kept {len(normalized)} rows, "
         f"dropped {sum(reasons.values())} ({_histogram(reasons)})"
@@ -267,11 +262,17 @@ def cmd_train(args) -> int:
         model = _cli.train_tagger(train, epochs=config.epochs, seed=config.seed)
     except EncodingError as exc:
         # exc.record counts within the shuffled training split; name the
-        # file line the example came from instead.
+        # file line the example came from instead. That takes a second read,
+        # which a pipe cannot give: then name its position in the corpus.
         example = train[exc.record - 1]
         position = next(n for n, item in enumerate(corpus) if item is example)
-        line = _cli.corpus_lines(args.corpus)[position]
-        raise RecordError(line, exc.detail, args.corpus) from exc
+        try:
+            lines = _cli.corpus_lines(args.corpus)
+        except (DataError, OSError):
+            lines = []
+        if len(lines) != len(corpus):
+            raise DataError(f"{args.corpus}: example {position + 1}: {exc.detail}") from exc
+        raise RecordError(lines[position], exc.detail, args.corpus) from exc
     _cli.save_model(model, args.model_out)
     _diag(f"train: split {len(train)}/{len(test)} of {len(corpus)} examples")
     if test:
@@ -292,7 +293,7 @@ def cmd_train(args) -> int:
 
 def cmd_annotate(args) -> int:
     spans_of = _tagger_spans(_cli.load_model(args.model))
-    normalized, _ = _normalize_file(args.input)
+    normalized, _ = _normalize(_cli.load_dataset(args.input))
     _cli.write_annotations(
         args.output,
         {
@@ -314,7 +315,7 @@ def cmd_link(args) -> int:
     if not config.kb_path:
         raise ConfigError("link requires --kb (or kb_path in the config)")
     kb = _cli.load_kb(config.kb_path)
-    normalized, _ = _normalize_file(args.input)
+    normalized, _ = _normalize(_cli.load_dataset(args.input))
 
     if args.annotations:
         by_row = _cli.read_annotations(args.annotations)
@@ -402,7 +403,7 @@ def cmd_pipeline(args) -> int:
     kb = _cli.load_kb(config.kb_path)
     model = _cli.load_model(config.model_path)
 
-    normalized, reasons = _normalize_file(args.input)
+    normalized, reasons = _normalize(_cli.load_dataset(args.input))
     rows = _standard_rows(normalized, _tagger_spans(model), kb, config)
 
     out_dir = Path(args.out_dir)

@@ -31,32 +31,27 @@ Annotator = Callable[[str], list[EntitySpan]]
 
 
 class EvalSummary(Frozen):
-    """One annotator's outcome counts and accuracy; checked when built."""
+    """One annotator's outcome counts, with the total and the accuracy
+    derived from them when built."""
 
     __slots__ = ("n_exact", "n_partial", "n_false", "total", "accuracy")
 
-    def __init__(self, n_exact: int, n_partial: int, n_false: int, total: int, accuracy: float):
-        if n_exact + n_partial + n_false != total:
-            raise ValueError("outcome counts do not sum to the total")
-        if not 0.0 <= accuracy <= 1.0:
-            raise ValueError(f"accuracy {accuracy} outside [0, 1]")
-        for name, value in zip(self.__slots__, (n_exact, n_partial, n_false, total, accuracy)):
-            object.__setattr__(self, name, value)
-
-    def _key(self) -> tuple:
-        return self.n_exact, self.n_partial, self.n_false, self.total, self.accuracy
-
-    @property
-    def n_true(self) -> int:
-        return self.n_exact + self.n_partial
-
-    @classmethod
-    def from_counts(cls, n_exact: int, n_partial: int, n_false: int) -> "EvalSummary":
+    def __init__(self, n_exact: int, n_partial: int, n_false: int):
+        if min(n_exact, n_partial, n_false) < 0:
+            raise ValueError(f"negative outcome count in {(n_exact, n_partial, n_false)}")
         total = n_exact + n_partial + n_false
         # Raises ZeroDivisionError on an empty evaluation rather than
         # producing a NaN.
         accuracy = (n_exact + n_partial) / total
-        return cls(n_exact, n_partial, n_false, total, accuracy)
+        for name, value in zip(self.__slots__, (n_exact, n_partial, n_false, total, accuracy)):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return self.n_exact, self.n_partial, self.n_false
+
+    @property
+    def n_true(self) -> int:
+        return self.n_exact + self.n_partial
 
 
 class OutcomeRow(NamedTuple):
@@ -118,7 +113,7 @@ def evaluate_annotator(
                 classification=outcome,
             )
         )
-    summary = EvalSummary.from_counts(counts[EXACT], counts[PARTIAL], counts[FALSE])
+    summary = EvalSummary(counts[EXACT], counts[PARTIAL], counts[FALSE])
     return summary, tuple(outcomes)
 
 

@@ -1,5 +1,5 @@
-"""The base of the immutable slot classes whose fields are checked or compiled
-when they are built: ``EvalSummary``, ``TagSequence``, ``KnowledgeBase`` and
+"""The base of the immutable slot classes whose fields are checked, derived or
+compiled when they are built: ``EvalSummary``, ``KnowledgeBase`` and
 ``TaggerModel``. Plain records are named tuples instead."""
 
 

@@ -45,7 +45,13 @@ def read_header(path) -> list[str]:
 
 
 def load_dataset(path) -> list[RawRecord]:
-    """Read the export at ``path`` into RawRecords, one per data row.
+    """The records of ``read_dataset(path)``."""
+    return read_dataset(path)[1]
+
+
+def read_dataset(path) -> tuple[list[str], list[RawRecord]]:
+    """Read the export at ``path`` once: its header row, and a RawRecord per
+    data row.
 
     Raises MissingAttribute if any of the four standard headers is absent
     and MalformedFile for a header that names a column twice and for rows
@@ -78,7 +84,7 @@ def load_dataset(path) -> list[RawRecord]:
         if extra_columns:
             extras = MappingProxyType({name: row[i] for i, name in extra_columns})
         records.append(new(RawRecord, (row[g], row[a], row[d], row[t], n, extras)))
-    return records
+    return header, records
 
 
 def drop_missing(records: list[RawRecord]) -> list[RawRecord]:

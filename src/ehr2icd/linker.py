@@ -71,18 +71,17 @@ class SurfaceIndex(NamedTuple):
 
     Surfaces are numbered in KB order: entry by entry, the name first, then
     the synonyms in order. A posting holds a surface's key, its size (number
-    of distinct tokens) times ``stride`` plus its number, so keys order
-    surfaces by size first and KB order second. Each posting list, in
-    ascending key order, is then in ascending size order, and the surfaces
-    of one size s lie between keys s * stride and (s + 1) * stride. Typed
-    arrays keep the index small on a large KB; keys take 32 bits unless one
-    needs more.
+    of distinct tokens) times the stride plus its number, where the stride
+    is the number of surfaces, ``len(entry_of)``. So keys order surfaces by
+    size first and KB order second. Each posting list, in ascending key
+    order, is then in ascending size order, and the surfaces of one size s
+    lie between keys s * stride and (s + 1) * stride. Typed arrays keep the
+    index small on a large KB; keys take 32 bits unless one needs more.
     """
 
     postings: dict[str, array]  # token -> ascending surface keys
     entry_of: array  # surface number -> entry id
     name_surface: array  # entry id -> surface number of its name
-    stride: int  # the number of surfaces: key = size * stride + surface number
 
 
 class KnowledgeBase(Frozen):
@@ -139,7 +138,7 @@ def _build_index(entries: tuple[KBEntry, ...], typecode: str) -> SurfaceIndex:
             entry_of.append(entry_id)
     for token, keys in postings.items():
         postings[token] = array(typecode, sorted(keys))
-    return SurfaceIndex(postings, entry_of, name_surface, stride)
+    return SurfaceIndex(postings, entry_of, name_surface)
 
 
 def read_kb(path, data: Optional[bytes] = None) -> tuple[KBEntry, ...]:
@@ -203,14 +202,11 @@ def _kb_fields(kb: KnowledgeBase) -> list:
         b"".join(keys.tobytes() for keys in postings.values()),
         kb.index.entry_of.tobytes(),
         kb.index.name_surface.tobytes(),
-        kb.index.stride,
     ]
 
 
 def _kb_from_fields(fields: list) -> KnowledgeBase:
-    codes, names, synonyms, tokens, typecode, lengths, keys, entry_of, name_surface, stride = (
-        fields
-    )
+    codes, names, synonyms, tokens, typecode, lengths, keys, entry_of, name_surface = fields
     fields.clear()  # so that each value is freed once it has been used
     keys = _words(typecode, keys)
     postings: dict[str, array] = {}
@@ -221,7 +217,7 @@ def _kb_from_fields(fields: list) -> KnowledgeBase:
     if start != len(keys):
         raise ValueError("the posting lists' lengths do not add up")
     del keys
-    index = SurfaceIndex(postings, _words("I", entry_of), _words("I", name_surface), stride)
+    index = SurfaceIndex(postings, _words("I", entry_of), _words("I", name_surface))
     return KnowledgeBase(tuple(map(KBEntry._make, zip(codes, names, synonyms))), index)
 
 
@@ -247,7 +243,8 @@ _NO_KEYS = array("I")
 def _rank(
     entries: tuple[KBEntry, ...], index: SurfaceIndex, query: set[str], k: int
 ) -> list[LinkCandidate]:
-    entry_of, name_surface, stride = index.entry_of, index.name_surface, index.stride
+    entry_of, name_surface = index.entry_of, index.name_surface
+    stride = len(entry_of)
     lists = sorted((index.postings.get(token, _NO_KEYS) for token in query), key=len)
     q = len(lists)
     best: dict[int, float] = {}  # entry id -> best score of its surfaces met

@@ -10,8 +10,6 @@ from .. import _lazy_attributes
 # Exported name -> the module, under this package, that defines it.
 _EXPORTS = {
     "TAGS": "biluo",
-    "TagSequence": "biluo",
-    "decode_biluo": "biluo",
     "encode_biluo": "biluo",
     "read_corpus": "corpus",
     "split_corpus": "corpus",

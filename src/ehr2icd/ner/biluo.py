@@ -1,18 +1,17 @@
-"""Encode entity spans as BILUO tag sequences and decode them back.
+"""Encode entity spans as BILUO tag sequences, and find the entities a tag
+sequence marks.
 
-Decoding is total: invalid sequences are repaired rather than rejected. An
-I or L with no open entity starts a new entity at that token, and an entity
-opened by B but never closed by L ends at its last consecutive I. On valid
-input, decoding inverts encoding exactly. The repair rules live in
-``entity_runs``, which reads the tags alone; ``decode_biluo`` and the tagger
-both call it.
+Reading tags is total: invalid sequences are repaired rather than rejected.
+An I or L with no open entity starts a new entity at that token, and an
+entity opened by B but never closed by L ends at its last consecutive I. On
+valid input, ``entity_runs`` gives back exactly the token runs that
+``encode_biluo`` tagged. The tagger decodes its tags through it.
 """
 
 from __future__ import annotations
 
 from ..errors import MisalignedSpan, OverlapError
-from ..frozen import Frozen
-from .spans import DISEASE_LABEL, EntitySpan, make_span
+from .spans import EntitySpan
 from .tokenizer import Token
 
 B = "B-Disease"
@@ -25,23 +24,9 @@ O = "O"
 TAGS = (B, I, L, U, O)
 
 
-class TagSequence(Frozen):
-    """Tokens and their tags, one each; checked when built."""
-
-    __slots__ = ("tokens", "tags")
-
-    def __init__(self, tokens: tuple[Token, ...], tags: tuple[str, ...]):
-        if len(tokens) != len(tags):
-            raise ValueError("tokens and tags must have equal length")
-        object.__setattr__(self, "tokens", tokens)
-        object.__setattr__(self, "tags", tags)
-
-    def _key(self) -> tuple:
-        return self.tokens, self.tags
-
-
-def encode_biluo(tokens: list[Token], spans: list[EntitySpan]) -> TagSequence:
-    """Tag tokens for the given spans; boundaries must sit on token edges.
+def encode_biluo(tokens: list[Token], spans: list[EntitySpan]) -> tuple[str, ...]:
+    """The tag of each token for the given spans; boundaries must sit on
+    token edges.
 
     ``tokens`` are ordered and disjoint, as ``tokenize`` gives them. A span
     is aligned iff a token starts where it starts, a token ends where it
@@ -67,7 +52,7 @@ def encode_biluo(tokens: list[Token], spans: list[EntitySpan]) -> TagSequence:
             tags[first] = B
             tags[first + 1 : last] = [I] * (last - first - 1)
             tags[last] = L
-    return TagSequence(tokens=tuple(tokens), tags=tuple(tags))
+    return tuple(tags)
 
 
 def entity_runs(tags) -> list[tuple[int, int]]:
@@ -102,12 +87,3 @@ def entity_runs(tags) -> list[tuple[int, int]]:
     if open_start is not None:
         runs.append((open_start, last))
     return runs
-
-
-def decode_biluo(seq: TagSequence, source: str) -> list[EntitySpan]:
-    """Turn a (possibly invalid) tag sequence into non-overlapping spans."""
-    tokens = seq.tokens
-    return [
-        make_span(source, tokens[first].start, tokens[last].end, DISEASE_LABEL)
-        for first, last in entity_runs(seq.tags)
-    ]

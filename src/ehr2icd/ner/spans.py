@@ -19,11 +19,11 @@ class EntitySpan(NamedTuple):
         return self.start < other.end and other.start < self.end
 
 
-def make_span(source: str, start: int, end: int, label: str = DISEASE_LABEL) -> EntitySpan:
-    """Build a span over ``source``, slicing its covered text."""
+def make_span(source: str, start: int, end: int) -> EntitySpan:
+    """Build a disease span over ``source``, slicing its covered text."""
     if not (0 <= start < end <= len(source)):
         raise ValueError(f"span ({start}, {end}) outside text of length {len(source)}")
-    return EntitySpan(start=start, end=end, text=source[start:end], label=label)
+    return EntitySpan(start=start, end=end, text=source[start:end])
 
 
 class AnnotatedExample(NamedTuple):

@@ -41,9 +41,9 @@ context vectors, added in template order. Float addition is not
 associative, but this is the very sequence of additions a walk over all
 fourteen features makes, from the same +0.0, so the sums are bit-identical.
 Tagging a text takes its token texts from one ``findall`` of the tokenizer's
-pattern and repairs its tag list into entity runs with ``biluo.entity_runs``,
-the function ``decode_biluo`` uses; token offsets are found only when some
-tag is not O, and no per-text ``Token`` or ``TagSequence`` is built.
+pattern and repairs its tag list into entity runs with ``biluo.entity_runs``;
+token offsets are found only when some tag is not O, and no per-text
+``Token`` is built.
 The spans of each text are kept in a third bounded, per-model LRU cache,
 since exports repeat a few hundred diagnosis texts across thousands of rows;
 ``predict`` returns a fresh list on every call.
@@ -102,28 +102,27 @@ Vector = tuple[float, float, float, float, float]  # weights of B, I, L, U, O
 
 class TaggerModel(Frozen):
     """Immutable trained model: sparse (feature, tag) weights plus metadata,
-    and the caches compiled from them.
+    and the caches compiled from them. Its features are those of template
+    ``FEATURE_TEMPLATE``, the only one this module builds.
 
     ``weights`` must not be changed after construction: the packed vectors
     and the caches are derived from it then. Equality and pickling use the
     weights and metadata only; unpickling compiles the model again.
     """
 
-    __slots__ = ("weights", "epochs", "seed", "feature_template", "_prefix", "_context", "_spans")
+    __slots__ = ("weights", "epochs", "seed", "_prefix", "_context", "_spans")
 
-    def __init__(
-        self, weights: Weights, epochs: int, seed: int, feature_template: str = FEATURE_TEMPLATE
-    ):
+    def __init__(self, weights: Weights, epochs: int, seed: int):
         vectors = _pack(weights)
         prefix = lru_cache(PREFIX_CACHE_SIZE)(partial(_prefix_sums, vectors))
         context = lru_cache(CONTEXT_CACHE_SIZE)(partial(_context_vectors, vectors))
         spans = lru_cache(PREDICT_CACHE_SIZE)(partial(_tag_text, prefix, context))
-        fields = (weights, epochs, seed, feature_template, prefix, context, spans)
+        fields = (weights, epochs, seed, prefix, context, spans)
         for name, value in zip(self.__slots__, fields):
             object.__setattr__(self, name, value)
 
     def _key(self) -> tuple:
-        return self.weights, self.epochs, self.seed, self.feature_template
+        return self.weights, self.epochs, self.seed
 
 
 def _shape(token: str) -> str:
@@ -275,10 +274,10 @@ def _encode_corpus(examples: list[AnnotatedExample]):
     for index, example in enumerate(examples, start=1):
         tokens = tokenize(example.content)
         try:
-            sequence = encode_biluo(tokens, list(example.spans))
+            tags = encode_biluo(tokens, list(example.spans))
         except (MisalignedSpan, OverlapError) as exc:
             raise EncodingError(index, str(exc)) from exc
-        encoded.append(([token.text for token in tokens], sequence.tags))
+        encoded.append(([token.text for token in tokens], tags))
     return encoded
 
 
@@ -441,7 +440,7 @@ def save_model(model: TaggerModel, path) -> None:
     """Serialize to the flat, sorted text format (byte-stable per model)."""
     lines = [
         f"{_MAGIC}\t{_FORMAT}",
-        f"features\t{model.feature_template}",
+        f"features\t{FEATURE_TEMPLATE}",
         f"epochs\t{model.epochs}",
         f"seed\t{model.seed}",
     ]
@@ -504,9 +503,4 @@ def load_model(path) -> TaggerModel:
             detail = f"weight for {feat!r}, {tag!r} repeats an earlier line"
             raise MalformedFile(path, lineno, detail)
         per_tag[tag] = weight
-    return TaggerModel(
-        weights=weights,
-        epochs=meta["epochs"],
-        seed=meta["seed"],
-        feature_template=meta["features"],
-    )
+    return TaggerModel(weights=weights, epochs=meta["epochs"], seed=meta["seed"])

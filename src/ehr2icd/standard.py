@@ -21,6 +21,7 @@ import csv
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 from .errors import MalformedFile
+from .ingestion import REQUIRED_COLUMNS
 from .normalization import DateTriple, NormalizedRecord, normalize_date
 from .textio import atomic_write, csv_cell, csv_line, open_input
 
@@ -28,15 +29,7 @@ if TYPE_CHECKING:
     from .linker import KnowledgeBase
     from .ner.spans import EntitySpan
 
-STANDARD_HEADER = (
-    "Gender",
-    "Age",
-    "Diagnosis",
-    "Diagnosis Date",
-    "ICD_10 Code",
-    "ICD_10 Name",
-    "ICD_10 Category",
-)
+STANDARD_HEADER = (*REQUIRED_COLUMNS, "ICD_10 Code", "ICD_10 Name", "ICD_10 Category")
 
 
 class StandardRecord(NamedTuple):

@@ -6,6 +6,7 @@ import pytest
 
 from ehr2icd import linker
 from ehr2icd.linker import KBEntry, KnowledgeBase
+from ehr2icd.ner.spans import make_span
 from ehr2icd.samples import sample_path
 
 TESTS_DIR = Path(__file__).parent
@@ -50,6 +51,21 @@ def feeding_fifo(path: Path, data: bytes):
     yield
     writer.join(timeout=30)
     assert not writer.is_alive(), "nothing read the pipe"
+
+
+def decode_biluo(tokens, tags, text: str) -> list:
+    """The spans of ``text`` that a (possibly invalid) tag sequence over
+    ``tokens`` marks, repaired as ``ner.biluo`` says, but found without its
+    ``entity_runs``: an entity tag joins the entity before it exactly when it
+    is I or L and follows B or I. The oracle of ``entity_runs`` and of the
+    tagger's decoding."""
+    runs: list[list[int]] = []
+    for k, tag in enumerate(tags):
+        if tag in ("I-Disease", "L-Disease") and k and tags[k - 1] in ("B-Disease", "I-Disease"):
+            runs[-1][1] = k
+        elif tag in ("B-Disease", "I-Disease", "L-Disease", "U-Disease"):
+            runs.append([k, k])
+    return [make_span(text, tokens[first].start, tokens[last].end) for first, last in runs]
 
 
 def make_kb(*entries: KBEntry) -> KnowledgeBase:

@@ -1,8 +1,9 @@
 import pytest
+from conftest import decode_biluo
 from hypothesis import example, given, strategies as st
 
 from ehr2icd.errors import MisalignedSpan, OverlapError
-from ehr2icd.ner.biluo import TAGS, TagSequence, decode_biluo, encode_biluo
+from ehr2icd.ner.biluo import TAGS, encode_biluo, entity_runs
 from ehr2icd.ner.spans import EntitySpan, make_span
 from ehr2icd.ner.tokenizer import Token, tokenize
 
@@ -13,26 +14,26 @@ def test_tag_order_is_fixed():
 
 def test_single_token_entity_is_u():
     text = "ANXIETY"
-    seq = encode_biluo(tokenize(text), [make_span(text, 0, 7)])
-    assert seq.tags == ("U-Disease",)
+    tags = encode_biluo(tokenize(text), [make_span(text, 0, 7)])
+    assert tags == ("U-Disease",)
 
 
 def test_multi_token_entity_is_b_l():
     text = "Colon cancer for liver evaluation"
-    seq = encode_biluo(tokenize(text), [make_span(text, 0, 12)])
-    assert seq.tags == ("B-Disease", "L-Disease", "O", "O", "O")
+    tags = encode_biluo(tokenize(text), [make_span(text, 0, 12)])
+    assert tags == ("B-Disease", "L-Disease", "O", "O", "O")
 
 
 def test_three_token_entity_has_inside_tag():
     text = "major depressive disorder"
-    seq = encode_biluo(tokenize(text), [make_span(text, 0, len(text))])
-    assert seq.tags == ("B-Disease", "I-Disease", "L-Disease")
+    tags = encode_biluo(tokenize(text), [make_span(text, 0, len(text))])
+    assert tags == ("B-Disease", "I-Disease", "L-Disease")
 
 
 def test_no_spans_is_all_o():
     text = "for liver evaluation"
-    seq = encode_biluo(tokenize(text), [])
-    assert seq.tags == ("O", "O", "O")
+    tags = encode_biluo(tokenize(text), [])
+    assert tags == ("O", "O", "O")
 
 
 def test_misaligned_span_rejected():
@@ -50,24 +51,23 @@ def test_overlapping_spans_rejected():
 
 def test_decode_u():
     text = "ANXIETY"
-    seq = TagSequence(tuple(tokenize(text)), ("U-Disease",))
-    assert [(s.start, s.end, s.text) for s in decode_biluo(seq, text)] == [
+    spans = decode_biluo(tokenize(text), ("U-Disease",), text)
+    assert [(s.start, s.end, s.text) for s in spans] == [
         (0, 7, "ANXIETY")
     ]
 
 
 def test_decode_b_l():
     text = "Colon cancer for liver evaluation"
-    seq = TagSequence(tuple(tokenize(text)), ("B-Disease", "L-Disease", "O", "O", "O"))
-    assert [(s.start, s.end, s.text) for s in decode_biluo(seq, text)] == [
+    spans = decode_biluo(tokenize(text), ("B-Disease", "L-Disease", "O", "O", "O"), text)
+    assert [(s.start, s.end, s.text) for s in spans] == [
         (0, 12, "Colon cancer")
     ]
 
 
 def test_decode_all_o():
     text = "for liver evaluation"
-    seq = TagSequence(tuple(tokenize(text)), ("O", "O", "O"))
-    assert decode_biluo(seq, text) == []
+    assert decode_biluo(tokenize(text), ("O", "O", "O"), text) == []
 
 
 @pytest.mark.parametrize(
@@ -87,19 +87,22 @@ def test_decode_all_o():
 def test_decode_repairs_invalid_sequences(tags, expected):
     text = "aa bb cc"
     tokens = tokenize(text)
-    seq = TagSequence(tuple(tokens), tags)
-    spans = decode_biluo(seq, text)
+    spans = decode_biluo(tokens, tags, text)
     offsets = [
         (tokens.index(next(t for t in tokens if t.start == s.start)),
          tokens.index(next(t for t in tokens if t.end == s.end)))
         for s in spans
     ]
     assert offsets == expected
+    assert entity_runs(tags) == expected
 
 
-def test_length_mismatch_rejected():
-    with pytest.raises(ValueError):
-        TagSequence((Token("a", 0, 1),), ("O", "O"))
+@given(st.lists(st.sampled_from([*TAGS, "X"]), max_size=12))
+def test_entity_runs_matches_the_decode_oracle(tags):
+    # Token k is the k-th "a" of "a a a ...", at offsets [2k, 2k + 1).
+    tokens = [Token("a", 2 * k, 2 * k + 1) for k in range(len(tags))]
+    spans = decode_biluo(tokens, tags, " ".join("a" * len(tags)))
+    assert entity_runs(tags) == [(span.start // 2, span.end // 2) for span in spans]
 
 
 @st.composite
@@ -131,8 +134,7 @@ def _tokens_and_spans(draw):
 @given(_tokens_and_spans())
 def test_roundtrip_property(case):
     text, tokens, spans = case
-    seq = encode_biluo(tokens, spans)
-    assert decode_biluo(seq, text) == spans
+    assert decode_biluo(tokens, encode_biluo(tokens, spans), text) == spans
 
 
 def _oracle_encode(tokens, spans):
@@ -163,7 +165,7 @@ def _oracle_encode(tokens, spans):
             for k in covered[1:-1]:
                 tags[k] = "I-Disease"
             tags[covered[-1]] = "L-Disease"
-    return TagSequence(tokens=tuple(tokens), tags=tuple(tags))
+    return tuple(tags)
 
 
 def _outcome(encode, tokens, spans):

@@ -231,15 +231,20 @@ def test_train_rejects_overlapping_record(tmp_path, capsys):
     assert "2" in capsys.readouterr().err
 
 
-def test_train_names_file_line_of_misaligned_span(tmp_path, capsys):
-    # The bad record is on line 9 (after a blank line); in the shuffled
-    # training split it is another example number.
+def _misaligned_corpus() -> str:
+    """A corpus whose eighth example, on line 9 (after a blank line), has a
+    span that cuts a token; in the shuffled training split it is another
+    example number."""
     good = [{"content": f"Cystitis case {i}", "entities": [[0, 8]]} for i in range(11)]
     bad = {"content": "fever and cough", "entities": [[1, 5]]}
     lines = [json.dumps(record) for record in good[:3]] + [""]
     lines += [json.dumps(record) for record in good[3:7]] + [json.dumps(bad)]
     lines += [json.dumps(record) for record in good[7:]]
-    corpus = _write(tmp_path, "c.jsonl", "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def test_train_names_file_line_of_misaligned_span(tmp_path, capsys):
+    corpus = _write(tmp_path, "c.jsonl", _misaligned_corpus())
     model = tmp_path / "m.model"
     assert main(["train", "--corpus", str(corpus), "--model-out", str(model)]) == 2
     err = capsys.readouterr().err
@@ -247,6 +252,18 @@ def test_train_names_file_line_of_misaligned_span(tmp_path, capsys):
         f"error: {corpus}: row 9: span (1, 5) 'ever' does not align with token boundaries\n"
     )
     assert not model.exists()
+
+
+def test_train_names_the_position_of_a_misaligned_span_read_from_a_pipe(tmp_path):
+    # A pipe cannot be read a second time to find the example's file line.
+    argv = ["train", "--corpus", "/dev/stdin", "--model-out", "m.model"]
+    proc = _run_in(tmp_path, argv, _misaligned_corpus().encode())
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr == (
+        b"error: /dev/stdin: example 8: span (1, 5) 'ever' does not align with "
+        b"token boundaries\n"
+    )
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_train_under_optimize_flag_writes_bundled_model(
@@ -902,6 +919,106 @@ def test_a_kb_read_from_a_pipe_is_never_cached(
         with feeding_fifo(fifo, kb_bytes):
             assert _evaluate(capsys, out_dir / "evaluate", fifo) == expected
     assert not (private_cache_home / "ehr2icd").exists()
+
+
+def _run_in(cwd: Path, argv: list[str], stdin: bytes) -> subprocess.CompletedProcess:
+    """The CLI run as the program in ``cwd``, with ``stdin`` fed through a pipe."""
+    return subprocess.run(
+        [sys.executable, "-m", "ehr2icd.cli", *argv],
+        cwd=cwd,
+        env=_child_env(),
+        input=stdin,
+        capture_output=True,
+        timeout=60,
+    )
+
+
+def _piped_inputs(tmp_path) -> dict[str, Path]:
+    norm = _write(tmp_path, "n.csv", NORMALIZED_CSV)
+    annotations = _write(
+        tmp_path,
+        "a.jsonl",
+        "".join(
+            json.dumps({"row_index": row, "content": text, "entities": [[0, len(text)]]}) + "\n"
+            for row, text in enumerate(("Tonsillitis", "Arthritis", "Hypertension"), start=1)
+        ),
+    )
+    return {
+        "raw": sample_path("sample_ehr.csv"),
+        "norm": norm,
+        "annotations": annotations,
+        "standard": GOLDEN_DIR / "standard.csv",
+        "corpus": sample_path("sample_corpus.jsonl"),
+        "kb": sample_path("sample_kb.tsv"),
+        "model": sample_path("sample_model.txt"),
+        "stoplist": sample_path("stoplist.txt"),
+        "extra": sample_path("extra_terms.txt"),
+        "config": _write(tmp_path, "c.cfg", "epochs = 3\nscore_threshold = 0.3\n"),
+    }
+
+
+# Each command with every file it reads named by a placeholder; outputs are
+# written under the run's working directory.
+PIPED_COMMANDS = {
+    "normalize": ["normalize", "--input", "{raw}", "--output", "n.csv"],
+    "train": [
+        "train", "--corpus", "{corpus}", "--stoplist", "{stoplist}", "--config", "{config}",
+        "--model-out", "m.txt",
+    ],
+    "annotate": ["annotate", "--input", "{norm}", "--model", "{model}", "--output", "a.jsonl"],
+    "link-annotations": [
+        "link", "--input", "{norm}", "--kb", "{kb}", "--annotations", "{annotations}",
+        "--config", "{config}", "--output", "s.csv",
+    ],
+    "link-model": [
+        "link", "--input", "{norm}", "--kb", "{kb}", "--model", "{model}", "--output", "s.csv",
+    ],
+    "evaluate": [
+        "evaluate", "--corpus", "{corpus}", "--kb", "{kb}", "--model", "{model}",
+        "--stoplist", "{stoplist}", "--extra-terms", "{extra}", "--out-dir", "out",
+    ],
+    "report-csv": ["report", "--input", "{standard}", "--out-dir", "out"],
+    "report-json": ["report", "--input", "{standard}", "--out-dir", "out", "--format", "json"],
+    "pipeline": [
+        "pipeline", "--input", "{raw}", "--kb", "{kb}", "--model", "{model}",
+        "--config", "{config}", "--out-dir", "out",
+    ],
+}
+PIPED_FILES = [
+    (command, arg[1:-1])
+    for command, argv in PIPED_COMMANDS.items()
+    for arg in argv
+    if arg.startswith("{")
+]
+
+
+def _piped_run(tmp_path, command: str, piped: str | None):
+    """Exit code, standard output and error, and every file written, of
+    ``command`` run with its files, the one named ``piped`` read from a pipe
+    on /dev/stdin."""
+    run_dir = tmp_path / f"run-{piped}"
+    run_dir.mkdir()
+    inputs = _piped_inputs(tmp_path)
+    stdin = inputs[piped].read_bytes() if piped else b""
+    if piped:
+        inputs[piped] = "/dev/stdin"
+    argv = [arg.format(**inputs) for arg in PIPED_COMMANDS[command]]
+    proc = _run_in(run_dir, argv, stdin)
+    written = {
+        str(path.relative_to(run_dir)): path.read_bytes()
+        for path in sorted(run_dir.rglob("*"))
+        if path.is_file()
+    }
+    return proc.returncode, proc.stdout, proc.stderr, written
+
+
+@pytest.mark.parametrize("command, piped", PIPED_FILES, ids=map("-".join, PIPED_FILES))
+def test_every_file_read_from_a_pipe_gives_the_same_bytes(tmp_path, command, piped):
+    # Fed with subprocess input, /dev/stdin is a pipe that can be read only
+    # once; a "< file" redirect would make it the regular file itself.
+    expected = _piped_run(tmp_path, command, None)
+    assert expected[0] == 0, expected[2]
+    assert _piped_run(tmp_path, command, piped) == expected
 
 
 def test_failed_pipeline_keeps_previous_output_set(

@@ -84,20 +84,15 @@ def test_empty_gold_with_prediction_is_false():
 
 
 def test_summary_arithmetic():
-    summary = EvalSummary.from_counts(3, 1, 1)
+    summary = EvalSummary(3, 1, 1)
     assert summary.total == 5
     assert summary.n_true == 4
     assert summary.accuracy == pytest.approx(0.8)
 
 
-def test_summary_counts_must_sum():
-    with pytest.raises(ValueError):
-        EvalSummary(n_exact=1, n_partial=1, n_false=1, total=5, accuracy=0.4)
-
-
 def test_summary_zero_total_raises():
     with pytest.raises(ZeroDivisionError):
-        EvalSummary.from_counts(0, 0, 0)
+        EvalSummary(0, 0, 0)
 
 
 @pytest.mark.parametrize(
@@ -162,7 +157,7 @@ def test_outcomes_csv_shape(tmp_path):
 
 
 def test_summary_document_keys():
-    doc = summary_to_dict(EvalSummary.from_counts(2, 1, 1))
+    doc = summary_to_dict(EvalSummary(2, 1, 1))
     assert doc == {
         "exact": 2,
         "partial": 1,

@@ -792,7 +792,7 @@ def test_an_empty_kb_round_trips_through_its_image(tmp_path, monkeypatch):
     assert load_kb(path).entries == ()
     kb = load_kb(path)
     assert len(parses) == 1
-    assert kb.entries == () and kb.index.postings == {} and kb.index.stride == 0
+    assert kb.entries == () and kb.index.postings == {} and len(kb.index.entry_of) == 0
     assert lookup("Cystitis", kb) == []
 
 

@@ -15,7 +15,7 @@ from ehr2icd import linker
 from ehr2icd.config import PipelineConfig, apply_overrides
 from ehr2icd.evaluation import EvalSummary
 from ehr2icd.linker import KBEntry, KnowledgeBase, build_index, lookup
-from ehr2icd.ner import TagSequence, load_model, predict, tokenize
+from ehr2icd.ner import load_model, predict
 from ehr2icd.report import StatsReport
 
 SRC = str(Path(linker.__file__).resolve().parents[1])
@@ -74,19 +74,19 @@ def test_compiled_records_are_immutable(table9_kb, sample_model_path):
     # The caches of a KnowledgeBase and a TaggerModel are derived from their
     # fields when built, and the checks of the others run only then.
     model = load_model(sample_model_path)
-    summary = EvalSummary.from_counts(1, 1, 2)
-    sequence = TagSequence(tuple(tokenize("Cystitis")), ("U-Disease",))
+    summary = EvalSummary(1, 1, 2)
     for record, name, value in (
         (table9_kb, "entries", ()),
         (model, "weights", {}),
         (summary, "n_false", 5),
-        (sequence, "tags", ()),
+        (summary, "total", 5),
         (PipelineConfig(), "epochs", 3),
     ):
         with pytest.raises(AttributeError):
             setattr(record, name, value)
-    assert summary == EvalSummary(1, 1, 2, 4, 0.5)
-    assert summary != (1, 1, 2, 4, 0.5)
+    assert (summary.total, summary.accuracy) == (4, 0.5)
+    assert summary == EvalSummary(1, 1, 2)
+    assert summary != (1, 1, 2)
 
 
 def test_each_stats_report_has_its_own_maps():
@@ -109,13 +109,9 @@ def test_apply_overrides_leaves_its_input_unchanged():
 
 CHECKS_UNDER_O = """
 from ehr2icd.evaluation import EvalSummary
-from ehr2icd.ner import TagSequence, tokenize
-for build in (
-    lambda: EvalSummary(1, 1, 1, 4, 0.75),
-    lambda: TagSequence(tuple(tokenize("Cystitis")), ()),
-):
+for counts in ((-1, 0, 2), (1, -1, 1)):
     try:
-        build()
+        EvalSummary(*counts)
     except ValueError:
         print("raised")
 """

@@ -5,6 +5,7 @@ import random
 from collections import defaultdict
 
 import pytest
+from conftest import decode_biluo
 from hypothesis import example, given, settings, strategies as st
 
 from ehr2icd.errors import (
@@ -15,7 +16,7 @@ from ehr2icd.errors import (
 )
 from ehr2icd.evaluation import evaluate_annotator
 from ehr2icd.ner import read_corpus, split_corpus, tagger
-from ehr2icd.ner.biluo import TAGS, TagSequence, decode_biluo, encode_biluo
+from ehr2icd.ner.biluo import TAGS, encode_biluo
 from ehr2icd.ner.spans import AnnotatedExample, EntitySpan
 from ehr2icd.ner.tagger import (
     PREDICT_CACHE_SIZE,
@@ -157,10 +158,13 @@ def test_bundled_model_matches_default_training(
     assert regenerated.read_bytes() == sample_model_path.read_bytes()
 
 
-def test_model_metadata_recorded():
+def test_model_metadata_recorded(tmp_path):
     model = train_tagger([ANXIETY], epochs=4, seed=9)
-    assert (model.epochs, model.seed, model.feature_template) == (4, 9, "v1")
+    assert (model.epochs, model.seed) == (4, 9)
     assert isinstance(model, TaggerModel)
+    path = tmp_path / "m.model"
+    save_model(model, path)
+    assert path.read_text().split("\n")[1:4] == ["features\tv1", "epochs\t4", "seed\t9"]
 
 
 def test_overlap_error_names_example_and_span():
@@ -238,8 +242,8 @@ def test_unknown_tag_rejected(tmp_path):
 # Reference tagger: feature template v1 built in one piece per token, the
 # character-loop shape, the sparse (feature, tag) weights walked as dicts,
 # the argmax with its TAGS-order tie-break and all-zero -> O rule, greedy
-# decoding of Token objects through decode_biluo, and the dict-walk averaged
-# perceptron, as the tagger scored and trained before its weights were
+# decoding of Token objects through conftest's decode_biluo, and the
+# dict-walk averaged perceptron, as the tagger scored and trained before its weights were
 # packed and its features built per distinct token.
 def _oracle_shape(token):
     out = []
@@ -297,7 +301,7 @@ def _oracle_predict(weights, text):
     for i in range(len(tokens)):
         prev = _oracle_best(_oracle_scores(weights, _oracle_features(lower, shapes, i, prev)))
         tags.append(prev)
-    return decode_biluo(TagSequence(tuple(tokens), tuple(tags)), text)
+    return decode_biluo(tokens, tags, text)
 
 
 class _OracleAveragedPerceptron:
@@ -350,7 +354,7 @@ def _oracle_train(examples, epochs, seed, mistakes=None):
     encoded = []
     for example in examples:
         tokens = tokenize(example.content)
-        encoded.append((tokens, encode_biluo(tokens, list(example.spans)).tags))
+        encoded.append((tokens, encode_biluo(tokens, list(example.spans))))
     rng = random.Random(seed)
     learner = _OracleAveragedPerceptron()
     order = list(range(len(encoded)))
