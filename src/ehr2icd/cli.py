@@ -27,8 +27,12 @@ collections at interpreter exit skip what the command built; each object is
 freed or kept exactly as it would be otherwise. This is safe because a
 command makes no reference cycle per row, example or text: the cyclic
 garbage one command leaves is bounded whatever the input's size (the
-parser, a knowledge base and its caches). Called as a library
-(``main([...])``), the collector is left as the caller set it.
+argument parser's). Called as a library (``main([...])``), the collector is
+left as the caller set it.
+
+A command works out each distinct text, span text and cell once, in memos
+(``frozen.Memo``) that last the command. They sit beneath ``predict``,
+``assign`` and ``normalize_with_reason``, never around those calls here.
 
 Standard output is flushed before ``main`` returns, so a closed pipe or a
 full disk there is a data error (exit 2, one ``error:`` line) like any other

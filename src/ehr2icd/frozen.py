@@ -1,6 +1,6 @@
-"""The base of the immutable slot classes whose fields are checked, derived or
-compiled when they are built: ``EvalSummary``, ``KnowledgeBase`` and
-``TaggerModel``. Plain records are named tuples instead."""
+"""``Frozen``, the base of the immutable slot classes whose fields are
+checked, derived or compiled when built (``EvalSummary``, ``KnowledgeBase``
+and ``TaggerModel``; plain records are named tuples), and ``Memo``."""
 
 
 class Frozen:
@@ -10,11 +10,11 @@ class Frozen:
     Two instances are equal when they are of the same class and their
     ``_key()`` fields are equal, and an instance hashes by them (so it is
     unhashable if one of them is). It pickles as those fields, and unpickling
-    builds it again from them: the checks run again and any caches start
+    builds it again from them: the checks run again and any memos start
     empty, so ``_key()`` must give ``__init__``'s arguments.
     """
 
-    __slots__ = ()
+    __slots__ = ("__weakref__",)
 
     def _key(self) -> tuple:
         raise NotImplementedError
@@ -35,3 +35,18 @@ class Frozen:
 
     def __repr__(self):
         return f"{type(self).__name__}{self._key()!r}"
+
+
+class Memo(dict):
+    """``function``'s result per distinct key, computed on the key's first
+    lookup (``memo[key]``). It evicts nothing and lives as long as its owner
+    (a model, a KB, a call), so its size is the distinct keys looked up."""
+
+    __slots__ = ("function",)
+
+    def __init__(self, function):
+        self.function = function
+
+    def __missing__(self, key):
+        value = self[key] = self.function(key)
+        return value

@@ -38,8 +38,8 @@ class RawRecord(NamedTuple):
 
 def read_header(path) -> list[str]:
     """Return the header row of a CSV file."""
-    with open_input(path, newline="") as fh:
-        for row in csv.reader(fh):
+    with open_input(path) as lines:
+        for row in csv.reader(lines):
             return row
     raise MalformedFile(path, 1, "empty file: header row required")
 
@@ -57,8 +57,8 @@ def read_dataset(path) -> tuple[list[str], list[RawRecord]]:
     and MalformedFile for a header that names a column twice and for rows
     whose cell count disagrees with the header.
     """
-    with open_input(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    with open_input(path) as lines:
+        rows = list(csv.reader(lines))
     if not rows:
         raise MalformedFile(path, 1, "empty file: header row required")
 

@@ -28,11 +28,11 @@ surface that scores ``t`` or more is scored exactly and ties are still
 ranked by code.
 
 Assignment (``standard.assign``) codes each disease from its top-ranked
-candidate alone, so each KnowledgeBase keeps, in a bounded LRU cache keyed
-by span text (``KnowledgeBase.top``), that candidate's score, code, name
-and category: a text repeated across rows is tokenized, ranked and its
-category derived once. ``lookup`` caches nothing and returns a fresh list
-on every call.
+candidate alone, so each KnowledgeBase keeps, in a memo keyed by span text
+(``KnowledgeBase.top``), that candidate's score, code, name and category: a
+text repeated across rows is tokenized, ranked and its category derived
+once. The memo holds the entries and index, not the KnowledgeBase, so the
+two make no cycle. ``lookup`` memoizes nothing and returns a fresh list.
 
 ``load_kb`` defines the KnowledgeBase's image form (``kbimage.Form``): the
 entries by column, and the index's typed arrays as bytes.
@@ -44,17 +44,14 @@ import heapq
 import re
 from array import array
 from bisect import bisect_left
-from functools import lru_cache, partial
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple, Optional
 
 from .errors import DuplicateCode, InvalidCode, MalformedFile
-from .frozen import Frozen
+from .frozen import Frozen, Memo
 from .ner.tokenizer import folded_words as query_tokens
 from .textio import decode_text
-
-# Distinct span texts whose top candidate each KnowledgeBase keeps.
-TOP_CACHE_SIZE = 4096
 
 # Uppercase letter, two digits, optional "." plus one or two alphanumerics.
 CODE_RE = re.compile(r"^[A-Z][0-9]{2}(?:\.[A-Za-z0-9]{1,2})?$")
@@ -85,7 +82,7 @@ class SurfaceIndex(NamedTuple):
 
 
 class KnowledgeBase(Frozen):
-    """Entries plus the surface index compiled from them, and the cache of
+    """Entries plus the surface index compiled from them, and the memo of
     each span text's top candidate; immutable.
 
     ``index`` is compiled from the entries when not given. Equality, hashing
@@ -97,7 +94,7 @@ class KnowledgeBase(Frozen):
     def __init__(self, entries: tuple[KBEntry, ...], index: Optional[SurfaceIndex] = None):
         if index is None:
             index = build_index(entries)
-        top = lru_cache(TOP_CACHE_SIZE)(partial(_top_candidate, self))
+        top = Memo(partial(_top_candidate, entries, index))
         for name, value in zip(self.__slots__, (entries, index, top)):
             object.__setattr__(self, name, value)
 
@@ -231,10 +228,7 @@ def lookup(term: str, kb: KnowledgeBase, k: int = 4) -> list[LinkCandidate]:
     """Rank KB entries sharing at least one token with the term; top k returned."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    query = query_tokens(term)
-    if not query:
-        return []
-    return _rank(kb.entries, kb.index, query, k)
+    return _rank(kb.entries, kb.index, query_tokens(term), k)
 
 
 _NO_KEYS = array("I")
@@ -335,10 +329,10 @@ def code_to_category(code: str) -> str:
 
 
 def _top_candidate(
-    kb: KnowledgeBase, text: str
+    entries: tuple[KBEntry, ...], index: SurfaceIndex, text: str
 ) -> Optional[tuple[float, tuple[str, str, str]]]:
     """Score, and (code, name, category), of the top candidate for ``text``, if any."""
-    candidates = lookup(text, kb, k=1)
+    candidates = _rank(entries, index, query_tokens(text), 1)
     if not candidates:
         return None
     top = candidates[0]

@@ -33,27 +33,27 @@ token adds a few vectors, in the same feature order as the sparse weights
 and with bit-identical sums. The template's first ten features (bias, w=,
 shape=, prev= and the six affixes) depend only on the token's own text and
 the previous tag, of which there are six, and its last four only on the
-neighbouring words. So each model keeps two bounded LRU caches: the five
-running sums after the first ten features, per (token text, previous tag),
-and the vectors of a word as each of the four context features, per word
-or boundary marker. A token's scores are its cached prefix sums plus its
-context vectors, added in template order. Float addition is not
+neighbouring words. So each model keeps two memos (``frozen.Memo``): the
+five running sums after the first ten features, per (token text, previous
+tag), and the vectors of a word as each of the four context features, per
+word or boundary marker. A token's scores are its memoized prefix sums plus
+its context vectors, added in template order. Float addition is not
 associative, but this is the very sequence of additions a walk over all
 fourteen features makes, from the same +0.0, so the sums are bit-identical.
 Tagging a text takes its token texts from one ``findall`` of the tokenizer's
 pattern and repairs its tag list into entity runs with ``biluo.entity_runs``;
 token offsets are found only when some tag is not O, and no per-text
 ``Token`` is built.
-The spans of each text are kept in a third bounded, per-model LRU cache,
-since exports repeat a few hundred diagnosis texts across thousands of rows;
-``predict`` returns a fresh list on every call.
+The spans of each text are kept in a third memo, so each distinct text is
+tagged once per model, however many there are; ``predict`` returns a fresh
+list on every call.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from functools import cache, lru_cache, partial
+from functools import cache, partial
 
 from ..errors import (
     EmptyCorpus,
@@ -63,7 +63,7 @@ from ..errors import (
     OverlapError,
     UnsupportedModelVersion,
 )
-from ..frozen import Frozen
+from ..frozen import Frozen, Memo
 from ..textio import atomic_write, read_text
 from .biluo import B, I, L, O, TAGS, U, encode_biluo, entity_runs
 from .spans import AnnotatedExample, EntitySpan, make_span
@@ -89,24 +89,17 @@ _ASCII_SHAPES = str.maketrans(
     "X" * 26 + "x" * 26 + "d" * 10,
 )
 
-# Distinct texts whose spans each model keeps.
-PREDICT_CACHE_SIZE = 1024
-# Distinct (token text, previous tag) pairs whose prefix sums each model
-# keeps, and distinct context words whose context vectors it keeps.
-PREFIX_CACHE_SIZE = 8192
-CONTEXT_CACHE_SIZE = 4096
-
 Weights = dict[str, dict[str, float]]
 Vector = tuple[float, float, float, float, float]  # weights of B, I, L, U, O
 
 
 class TaggerModel(Frozen):
     """Immutable trained model: sparse (feature, tag) weights plus metadata,
-    and the caches compiled from them. Its features are those of template
+    and the memos compiled from them. Its features are those of template
     ``FEATURE_TEMPLATE``, the only one this module builds.
 
     ``weights`` must not be changed after construction: the packed vectors
-    and the caches are derived from it then. Equality and pickling use the
+    and the memos are derived from it then. Equality and pickling use the
     weights and metadata only; unpickling compiles the model again.
     """
 
@@ -114,9 +107,9 @@ class TaggerModel(Frozen):
 
     def __init__(self, weights: Weights, epochs: int, seed: int):
         vectors = _pack(weights)
-        prefix = lru_cache(PREFIX_CACHE_SIZE)(partial(_prefix_sums, vectors))
-        context = lru_cache(CONTEXT_CACHE_SIZE)(partial(_context_vectors, vectors))
-        spans = lru_cache(PREDICT_CACHE_SIZE)(partial(_tag_text, prefix, context))
+        prefix = Memo(partial(_prefix_sums, vectors))
+        context = Memo(partial(_context_vectors, vectors))
+        spans = Memo(partial(_tag_text, prefix, context))
         fields = (weights, epochs, seed, prefix, context, spans)
         for name, value in zip(self.__slots__, fields):
             object.__setattr__(self, name, value)
@@ -364,14 +357,15 @@ def train_tagger(
 
 def predict(model: TaggerModel, text: str) -> list[EntitySpan]:
     """Greedily tag the text and decode the (repaired) tags into spans."""
-    return list(model._spans(text))
+    return list(model._spans[text])
 
 
-def _prefix_sums(vectors: dict[str, Vector], text: str, prev_tag: str) -> Vector:
-    """The five running score sums after a token's prefix features: from
-    +0.0, each present feature's vector added in template order."""
+def _prefix_sums(vectors: dict[str, Vector], key: tuple[str, str]) -> Vector:
+    """The five running score sums after the prefix features of ``key``, a
+    (token text, previous tag): from +0.0, each present feature's vector
+    added in template order."""
     sb = si = sl = su = so = 0.0
-    for feat in _prefix_features(text, prev_tag):
+    for feat in _prefix_features(*key):
         vector = vectors.get(feat)
         if vector is not None:
             vb, vi, vl, vu, vo = vector
@@ -389,11 +383,11 @@ def _context_vectors(vectors: dict[str, Vector], word: str) -> tuple[Vector | No
     return tuple(map(vectors.get, _context_features(word)))
 
 
-def _tag_text(prefix, context, text: str) -> tuple[EntitySpan, ...]:
+def _tag_text(prefix: Memo, context: Memo, text: str) -> tuple[EntitySpan, ...]:
     """Tag the text's tokens greedily and decode the repaired tags into
     spans; token offsets are found only when there is a span."""
     texts = _TOKEN_RE.findall(text)
-    around = list(map(context, _context_words([token.lower() for token in texts])))
+    around = list(map(context.__getitem__, _context_words([token.lower() for token in texts])))
     prev = _BOUNDARY_LEFT
     tags = []
     # Token i's neighbours at -2, -1, +1 and +2 are around[i], around[i + 1],
@@ -401,11 +395,11 @@ def _tag_text(prefix, context, text: str) -> tuple[EntitySpan, ...]:
     for token, left2, left1, right1, right2 in zip(
         texts, around, around[1:], around[3:], around[4:]
     ):
-        # The sums a walk over the template makes: the cached prefix, then
+        # The sums a walk over the template makes: the memoized prefix, then
         # the w-2=, w-1=, w+1= and w+2= vectors. The 0.0s of absent tags
         # change nothing: a sum that starts at +0.0 never becomes -0.0, and
         # x + 0.0 == x.
-        sb, si, sl, su, so = prefix(token, prev)
+        sb, si, sl, su, so = prefix[token, prev]
         for vector in (left2[0], left1[1], right1[2], right2[3]):
             if vector is not None:
                 vb, vi, vl, vu, vo = vector

@@ -9,15 +9,16 @@ tuple's Python-level ``__new__``; no default applies, so every field is
 given.
 
 Exports repeat the same few genders, ages and dates across many rows, so
-each normalizer keeps its recent results in a bounded LRU cache. A result
-depends only on the cell, and is None, a string, an int or a DateTriple, all
-immutable, so a cached result is the one a fresh call would return.
+each normalizer memoizes its result per distinct cell (``functools.cache``,
+which evicts nothing). A result depends only on the cell, and is None, a
+string, an int or a DateTriple, all immutable, so a memoized result is the
+one a fresh call would return.
 """
 
 from __future__ import annotations
 
 import re
-from functools import lru_cache
+from functools import cache
 from typing import Mapping, NamedTuple, Optional
 
 from .ingestion import NO_EXTRAS, RawRecord
@@ -34,9 +35,6 @@ _YEARS_RE = re.compile(r"^(\d+)\s*(?:y|yr|yrs|year|years)$", re.IGNORECASE)
 _MONTHS_RE = re.compile(r"^(\d+)\s*(?:m|month|months)$", re.IGNORECASE)
 _FRACTION_RE = re.compile(r"^(\d+)\s+\d+/\d+$")
 _DATE_RE = re.compile(r"^(\d+)[/-](\d+)[/-](\d+)$")
-
-# Distinct cells whose result each normalizer keeps.
-CELL_CACHE_SIZE = 4096
 
 
 class DateTriple(NamedTuple):
@@ -60,7 +58,7 @@ class NormalizedRecord(NamedTuple):
     extras: Mapping[str, str] = NO_EXTRAS  # the raw record's, shared
 
 
-@lru_cache(CELL_CACHE_SIZE)
+@cache
 def normalize_gender(raw: str) -> Optional[str]:
     """Map one of the eight known gender formats to Female/Male, else NA."""
     value = raw.strip()
@@ -71,7 +69,7 @@ def normalize_gender(raw: str) -> Optional[str]:
     return None
 
 
-@lru_cache(CELL_CACHE_SIZE)
+@cache
 def normalize_age(raw: str) -> Optional[int]:
     """Extract whole years from an age cell, else NA.
 
@@ -102,7 +100,7 @@ def _whole_years(digits: str) -> Optional[int]:
     return age if age >= 1 else None
 
 
-@lru_cache(CELL_CACHE_SIZE)
+@cache
 def normalize_date(raw: str) -> Optional[DateTriple]:
     """Parse a day/month/year cell separated by "/" or "-", else NA.
 

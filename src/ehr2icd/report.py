@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import UnwritablePath
+from .frozen import Memo
 from .standard import StandardRecord
 from .textio import atomic_group, atomic_write, csv_line
 
@@ -91,7 +92,7 @@ def aggregate(rows: Iterable[StandardRecord]) -> StatsReport:
     by_category_gender: dict[tuple[str, str], int] = {}
     by_category_agebin: dict[tuple[str, str], int] = {}
     by_month: dict[tuple[int, int], int] = {}
-    bins: dict[int, str] = {}  # age -> bin_age(age), for the ages met
+    bins = Memo(bin_age)
     total_rows = na_rows = 0
     for row in rows:
         total_rows += 1
@@ -105,11 +106,7 @@ def aggregate(rows: Iterable[StandardRecord]) -> StatsReport:
         by_category[category] = by_category.get(category, 0) + 1
         gender_key = (category, row.gender)
         by_category_gender[gender_key] = by_category_gender.get(gender_key, 0) + 1
-        age = row.age_years
-        age_bin = bins.get(age)
-        if age_bin is None:
-            age_bin = bins[age] = bin_age(age)
-        bin_key = (category, age_bin)
+        bin_key = (category, bins[row.age_years])
         by_category_agebin[bin_key] = by_category_agebin.get(bin_key, 0) + 1
     report = StatsReport(
         by_category, by_category_gender, by_category_agebin, by_month, total_rows, na_rows

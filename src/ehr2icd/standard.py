@@ -1,7 +1,7 @@
 """Standard records: assembly from linked spans, and the standard CSV file.
 
 Assignment takes the top-ranked candidate per recognized disease, from the
-KnowledgeBase's per-text cache (``KnowledgeBase.top``); rows whose lookup
+KnowledgeBase's per-text memo (``KnowledgeBase.top``); rows whose lookup
 comes up empty, or scores below the threshold, keep NA in all three ICD
 fields so they stay available for manual coding.
 
@@ -9,7 +9,9 @@ The standard file is RFC 4180 CSV with minimal quoting: a cell is quoted,
 with its quotes doubled, only if it holds a comma, a quote, CR or LF
 (``textio.csv_cell``). Rows repeat a few genders, ages, dates, diagnosis
 texts and ICD triples many times, so the writer renders and quotes each
-distinct one once and writes every row as one string of those cells.
+distinct one once, in memos that last one call, and writes every row as one
+string of those cells. The reader rejects a row whose three ICD cells are
+neither all filled nor all empty (NA), which a report would miscount.
 
 Only type annotations name the KnowledgeBase and the spans, so reading a
 standard file (``report``) loads neither the linker nor the tagger.
@@ -21,6 +23,7 @@ import csv
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 from .errors import MalformedFile
+from .frozen import Memo
 from .ingestion import REQUIRED_COLUMNS
 from .normalization import DateTriple, NormalizedRecord, normalize_date
 from .textio import atomic_write, csv_cell, csv_line, open_input
@@ -69,25 +72,12 @@ def assign(
         return [new(StandardRecord, head + _NA)]
     rows = []
     for span in spans:
-        top = kb.top(span.text)
+        top = kb.top[span.text]
         if top is not None and top[0] >= score_threshold:
             rows.append(new(StandardRecord, head + top[1]))
         else:
             rows.append(new(StandardRecord, head + _NA))
     return rows
-
-
-class _Memo(dict):
-    """``function``'s result per distinct key, computed on first use."""
-
-    __slots__ = ("function",)
-
-    def __init__(self, function):
-        self.function = function
-
-    def __missing__(self, key):
-        value = self[key] = self.function(key)
-        return value
 
 
 def _icd_cells(icd: tuple[Optional[str], Optional[str], Optional[str]]) -> str:
@@ -101,10 +91,10 @@ def write_standard_csv(path, rows: Iterable[StandardRecord]) -> None:
     Each distinct cell, and each distinct (code, name, category), is
     rendered once; a row is then one f-string of those cells.
     """
-    cell = _Memo(csv_cell)
-    age_cell = _Memo(str)
-    date_cell = _Memo(DateTriple.render)
-    icd_cells = _Memo(_icd_cells)
+    cell = Memo(csv_cell)
+    age_cell = Memo(str)
+    date_cell = Memo(DateTriple.render)
+    icd_cells = Memo(_icd_cells)
     with atomic_write(path, newline="") as fh:
         write = fh.write
         write(csv_line(STANDARD_HEADER))
@@ -116,8 +106,8 @@ def write_standard_csv(path, rows: Iterable[StandardRecord]) -> None:
 
 
 def read_standard_csv(path) -> list[StandardRecord]:
-    with open_input(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with open_input(path) as lines:
+        reader = csv.reader(lines)
         header = next(reader, None)
         if header is None or tuple(header) != STANDARD_HEADER:
             raise MalformedFile(path, 1, "unexpected header for a standard file")
@@ -134,6 +124,8 @@ def read_standard_csv(path) -> list[StandardRecord]:
             date = normalize_date(cells[3])
             if date is None:
                 raise MalformedFile(path, n, f"unparseable date {cells[3]!r}")
+            if any(cells[4:]) and not all(cells[4:]):
+                raise MalformedFile(path, n, "ICD_10 cells must be all filled or all empty")
             rows.append(
                 StandardRecord(
                     gender=cells[0],

@@ -1,5 +1,7 @@
 """Open UTF-8 input files so that unreadable content names the file, and
-write output files whole or not at all, alone or as a group."""
+write output files whole or not at all, alone or as a group. An input may
+start with a byte order mark (U+FEFF), as Excel's "CSV UTF-8" writes; it is
+dropped, without seeking (so a pipe reads the same) and without a codec."""
 
 from __future__ import annotations
 
@@ -7,6 +9,7 @@ import csv
 import os
 from contextlib import contextmanager
 from contextvars import ContextVar
+from itertools import chain
 from pathlib import Path
 
 from .errors import MalformedFile
@@ -17,16 +20,15 @@ _staged: ContextVar[list | None] = ContextVar("staged", default=None)
 
 
 @contextmanager
-def open_input(path, newline=None):
-    """Open ``path`` for reading as UTF-8 text.
-
-    Bytes that do not decode as UTF-8, and CSV syntax errors, met while the
-    file is read become MalformedFile naming the file. CSV readers pass
-    ``newline=""``.
+def open_input(path):
+    """The lines of the UTF-8 CSV file at ``path``, for ``csv.reader``, read
+    once, front to back. Bytes that do not decode as UTF-8, and CSV syntax
+    errors, met while the file is read become MalformedFile naming the file.
     """
-    with Path(path).open(encoding="utf-8", newline=newline) as fh:
+    with Path(path).open(encoding="utf-8", newline="") as fh:
         try:
-            yield fh
+            first = fh.readline().removeprefix("\ufeff")
+            yield chain((first,) if first else (), fh)
         except UnicodeDecodeError as exc:
             raise MalformedFile(path, None, f"not valid UTF-8 ({exc.reason})") from exc
         except csv.Error as exc:
@@ -34,7 +36,8 @@ def open_input(path, newline=None):
 
 
 def read_text(path) -> str:
-    """The whole of a UTF-8 file, with line endings translated to ``\\n``."""
+    """The whole of a UTF-8 file, without one leading byte order mark, with
+    line endings translated to ``\\n``."""
     return decode_text(path, Path(path).read_bytes())
 
 
@@ -44,7 +47,7 @@ def decode_text(path, data: bytes) -> str:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MalformedFile(path, None, f"not valid UTF-8 ({exc.reason})") from exc
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
 
 
 def csv_cell(value: str) -> str:

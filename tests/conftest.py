@@ -1,11 +1,14 @@
+import sys
 import threading
 from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
-from ehr2icd import linker
+from ehr2icd import linker, report, standard
+from ehr2icd.frozen import Memo
 from ehr2icd.linker import KBEntry, KnowledgeBase
+from ehr2icd.ner import tagger
 from ehr2icd.ner.spans import make_span
 from ehr2icd.samples import sample_path
 
@@ -35,6 +38,36 @@ def count_parses(monkeypatch) -> list:
 
     monkeypatch.setattr(linker, "read_kb", counting)
     return calls
+
+
+def bypass_memos(monkeypatch) -> list:
+    """Make every ``Memo`` built from now on store nothing, so that each
+    lookup computes its value again. Returns the memos built; each counts
+    its lookups in ``asked``."""
+    made = []
+
+    class Bypassed(Memo):
+        __slots__ = ("asked",)
+
+        def __init__(self, function):
+            super().__init__(function)
+            self.asked = 0
+            made.append(self)
+
+        def __missing__(self, key):
+            self.asked += 1
+            return self.function(key)
+
+    users = {
+        name: module
+        for name, module in sys.modules.items()
+        if name.startswith("ehr2icd.") and name != "ehr2icd.frozen"
+        and vars(module).get("Memo") is Memo
+    }
+    assert {tagger, linker, standard, report} <= set(users.values()), sorted(users)
+    for module in users.values():
+        monkeypatch.setattr(module, "Memo", Bypassed)
+    return made
 
 
 @contextmanager

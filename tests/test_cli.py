@@ -992,16 +992,23 @@ PIPED_FILES = [
 ]
 
 
-def _piped_run(tmp_path, command: str, piped: str | None):
+def _piped_run(tmp_path, command: str, piped: str | None, way: str = "pipe"):
     """Exit code, standard output and error, and every file written, of
     ``command`` run with its files, the one named ``piped`` read from a pipe
-    on /dev/stdin."""
-    run_dir = tmp_path / f"run-{piped}"
+    on /dev/stdin (``way`` "pipe") or from a copy that starts with a UTF-8
+    byte order mark ("bom")."""
+    run_dir = tmp_path / f"run-{piped}-{way}"
     run_dir.mkdir()
     inputs = _piped_inputs(tmp_path)
-    stdin = inputs[piped].read_bytes() if piped else b""
-    if piped:
+    stdin = b""
+    if piped and way == "pipe":
+        stdin = inputs[piped].read_bytes()
         inputs[piped] = "/dev/stdin"
+    elif piped:
+        copy = tmp_path / "bom" / inputs[piped].name
+        copy.parent.mkdir(exist_ok=True)
+        copy.write_bytes(b"\xef\xbb\xbf" + inputs[piped].read_bytes())
+        inputs[piped] = copy
     argv = [arg.format(**inputs) for arg in PIPED_COMMANDS[command]]
     proc = _run_in(run_dir, argv, stdin)
     written = {
@@ -1015,10 +1022,13 @@ def _piped_run(tmp_path, command: str, piped: str | None):
 @pytest.mark.parametrize("command, piped", PIPED_FILES, ids=map("-".join, PIPED_FILES))
 def test_every_file_read_from_a_pipe_gives_the_same_bytes(tmp_path, command, piped):
     # Fed with subprocess input, /dev/stdin is a pipe that can be read only
-    # once; a "< file" redirect would make it the regular file itself.
+    # once; a "< file" redirect would make it the regular file itself. A
+    # leading byte order mark, as Excel's "CSV UTF-8" export writes, is
+    # dropped from every file.
     expected = _piped_run(tmp_path, command, None)
     assert expected[0] == 0, expected[2]
     assert _piped_run(tmp_path, command, piped) == expected
+    assert _piped_run(tmp_path, command, piped, "bom") == expected
 
 
 def test_failed_pipeline_keeps_previous_output_set(
@@ -1363,6 +1373,16 @@ MALFORMED_INPUTS = {
     "standard-date-out-of-range": (
         ["report", "--out-dir", "{out}", "--input"],
         (STANDARD_HEAD + "Female,20,Cystitis,45/13/2020,,,\n").encode(),
+        2,
+    ),
+    "standard-half-coded": (
+        ["report", "--out-dir", "{out}", "--input"],
+        (STANDARD_HEAD + "Female,20,Cystitis,9/4/1439,A06.81,Amebic cystitis,\n").encode(),
+        2,
+    ),
+    "standard-category-only": (
+        ["report", "--out-dir", "{out}", "--input"],
+        (STANDARD_HEAD + "Female,20,Cystitis,9/4/1439,,,A06\n").encode(),
         2,
     ),
     "stoplist": ([*EVALUATE, "--stoplist"], NOT_UTF8, 2),

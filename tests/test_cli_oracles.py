@@ -1,22 +1,23 @@
 """Whole-CLI oracles: properties of ``normalize``, ``annotate``, ``link``,
-``evaluate`` and ``pipeline`` output that hold whatever the caches and the
+``evaluate`` and ``pipeline`` output that hold whatever the memos and the
 input row order.
 
 Each runs the commands in-process on the bundled samples and on a seed-13
 export from the benchmark's generator (``perfbench/gen.py``), whose mixed
-case, misspellings and few-hundred-entry KB miss and hit every cache.
+case, misspellings and few-hundred-entry KB miss and hit every memo.
 """
 
 import csv
 import random
 import re
 import sys
-from functools import lru_cache
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from conftest import bypass_memos
 
-from ehr2icd import cli, linker, normalization
+from ehr2icd import linker, normalization
 from ehr2icd.cli import main
 from ehr2icd.ner import tagger
 from ehr2icd.samples import sample_path
@@ -76,47 +77,41 @@ def _run_all(out_dir: Path, raw: Path, kb: Path, capsys) -> dict[str, bytes]:
     return {**_outputs(out_dir), "stderr": capsys.readouterr().err.encode()}
 
 
-def _keep(loaded: list, load):
-    """``load``, keeping what each call returns in ``loaded``."""
+def _bypass_normalizers(monkeypatch) -> Counter:
+    """Make each normalizer run its body on every call; counts the calls."""
+    calls = Counter()
+    for name in NORMALIZERS:
 
-    def wrapper(path):
-        loaded.append(load(path))
-        return loaded[-1]
+        def counted(cell, name=name, body=getattr(normalization, name).__wrapped__):
+            calls[name] += 1
+            return body(cell)
 
-    return wrapper
+        monkeypatch.setattr(normalization, name, counted)
+    return calls
+
+
+def _assert_bypassed(memos: list) -> None:
+    """Each memo was asked more than once and stored nothing."""
+    for memo in memos:
+        assert memo.asked > 1 and not memo, memo.function
 
 
 def test_every_cache_at_one_entry_gives_the_same_bytes(export, tmp_path, monkeypatch, capsys):
+    # Every memo bypassed, so that each lookup computes its value again,
+    # against every memo on.
     raw, kb, _ = export
-    cached = _run_all(tmp_path / "cached", raw, kb, capsys)
+    memoized = _run_all(tmp_path / "memoized", raw, kb, capsys)
 
-    for module, name in (
-        (tagger, "PREDICT_CACHE_SIZE"),
-        (tagger, "PREFIX_CACHE_SIZE"),
-        (tagger, "CONTEXT_CACHE_SIZE"),
-        (linker, "TOP_CACHE_SIZE"),
-    ):
-        monkeypatch.setattr(module, name, 1)
-    for name in NORMALIZERS:
-        body = getattr(normalization, name).__wrapped__
-        monkeypatch.setattr(normalization, name, lru_cache(1)(body))
-    loaded = []
-    monkeypatch.setattr(cli, "load_kb", _keep(loaded, cli.load_kb))
-    monkeypatch.setattr(cli, "load_model", _keep(loaded, cli.load_model))
-    uncached = _run_all(tmp_path / "uncached", raw, kb, capsys)
+    memos = bypass_memos(monkeypatch)
+    calls = _bypass_normalizers(monkeypatch)
+    bypassed = _run_all(tmp_path / "bypassed", raw, kb, capsys)
 
-    assert uncached == cached
-    # Each cache the runs went through held one entry and was missed.
-    caches = [getattr(normalization, name) for name in NORMALIZERS]
-    for thing in loaded:
-        slots = ("top",) if isinstance(thing, linker.KnowledgeBase) else (
-            "_prefix", "_context", "_spans"
-        )
-        caches += [getattr(thing, slot) for slot in slots]
-    assert len(caches) == 3 + 2 * 1 + 2 * 3  # link and pipeline each load both
-    for cache in caches:
-        info = cache.cache_info()
-        assert info.maxsize == 1 and info.misses > 1, cache
+    assert bypassed == memoized
+    # link and pipeline each build a model's three memos, a KB's and the
+    # standard writer's four; pipeline also the report's.
+    assert len(memos) == 2 * (3 + 1 + 4) + 1
+    _assert_bypassed(memos)
+    assert all(calls[name] > 1 for name in NORMALIZERS), calls
 
 
 def _run_tagger_commands(out_dir: Path, raw: Path, kb: Path, corpus: Path, capsys) -> dict:
@@ -135,22 +130,52 @@ def _run_tagger_commands(out_dir: Path, raw: Path, kb: Path, corpus: Path, capsy
 def test_tagger_caches_at_one_entry_give_the_same_annotate_and_evaluate_bytes(
     export, tmp_path, monkeypatch, capsys
 ):
+    # The tagger's memos bypassed against the tagger's memos on.
     raw, kb, corpus = export
-    cached = _run_tagger_commands(tmp_path / "cached", raw, kb, corpus, capsys)
+    memoized = _run_tagger_commands(tmp_path / "memoized", raw, kb, corpus, capsys)
 
-    for name in ("PREDICT_CACHE_SIZE", "PREFIX_CACHE_SIZE", "CONTEXT_CACHE_SIZE"):
-        monkeypatch.setattr(tagger, name, 1)
-    models = []
-    monkeypatch.setattr(cli, "load_model", _keep(models, cli.load_model))
-    uncached = _run_tagger_commands(tmp_path / "uncached", raw, kb, corpus, capsys)
+    memos = bypass_memos(monkeypatch)
+    bypassed = _run_tagger_commands(tmp_path / "bypassed", raw, kb, corpus, capsys)
 
-    assert uncached == cached
-    assert b"tagger," in cached["stdout"]
-    assert len(models) == 2  # annotate's and evaluate's
-    for model in models:
-        for slot in ("_prefix", "_context", "_spans"):
-            info = getattr(model, slot).cache_info()
-            assert info.maxsize == 1 and info.misses > 1, slot
+    assert bypassed == memoized
+    assert b"tagger," in memoized["stdout"]
+    assert len(memos) == 2 * 3  # annotate's and evaluate's models
+    _assert_bypassed(memos)
+
+
+def _counting(counts: Counter, function):
+    """``function``, counting its calls by their last argument."""
+
+    def counted(*args):
+        counts[args[-1]] += 1
+        return function(*args)
+
+    return counted
+
+
+def test_each_distinct_text_span_and_date_is_worked_out_once_per_command(
+    tmp_path, monkeypatch, capsys
+):
+    # More distinct diagnosis texts than 1,024, and more distinct span texts
+    # and date cells than 4,096, each on two rows in shuffled order.
+    n = 4200
+    texts = [f"Diabetes mellitus type {i}" for i in range(n)]
+    dates = [f"{1 + i % 28}/{1 + i % 12}/{1000 + i}" for i in range(n)]
+    rows = [["F", "40", text, date] for text, date in zip(texts, dates)] * 2
+    random.Random(13).shuffle(rows)
+    header = ["Gender", "Age", "Diagnosis", "Diagnosis Date"]
+    raw = _write_rows(tmp_path / "raw.csv", [header, *rows])
+    tagged, linked = Counter(), Counter()
+    monkeypatch.setattr(tagger, "_tag_text", _counting(tagged, tagger._tag_text))
+    monkeypatch.setattr(linker, "_top_candidate", _counting(linked, linker._top_candidate))
+    normalization.normalize_date.cache_clear()
+
+    outputs, err = _pipeline(tmp_path / "out", raw, sample_path("sample_kb.tsv"), capsys)
+
+    assert "standard_rows=8400 na_rows=0" in err
+    assert tagged == Counter(texts)
+    assert len(linked) > 4096 and set(linked.values()) == {1}
+    assert normalization.normalize_date.cache_info().misses == n
 
 
 def _read_rows(path: Path) -> list[list[str]]:

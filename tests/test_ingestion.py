@@ -10,8 +10,11 @@ from ehr2icd.ingestion import (
     RawRecord,
     drop_missing,
     load_dataset,
+    read_dataset,
     read_header,
 )
+
+BOM = b"\xef\xbb\xbf"
 
 
 def _write_dataset(path, records, header):
@@ -65,6 +68,31 @@ def test_empty_file(tmp_path):
     path.write_text("")
     with pytest.raises(MalformedFile):
         load_dataset(path)
+
+
+@pytest.mark.parametrize("data", [b"", BOM], ids=["empty", "bom-only"])
+def test_empty_file_needs_a_header_row(tmp_path, data):
+    path = tmp_path / "nothing.csv"
+    path.write_bytes(data)
+    for read in (read_dataset, read_header):
+        with pytest.raises(MalformedFile, match="empty file: header row required"):
+            read(path)
+
+
+def test_one_leading_byte_order_mark_is_dropped(tmp_path, sample_ehr_path):
+    data = sample_ehr_path.read_bytes()
+    path = tmp_path / "bom.csv"
+    path.write_bytes(BOM + data)
+    assert read_dataset(path) == read_dataset(sample_ehr_path)
+    assert read_header(path) == read_header(sample_ehr_path)
+    # Only one, and only at the start of the file.
+    path.write_bytes(BOM + BOM + data)
+    with pytest.raises(MissingAttribute):
+        read_dataset(path)
+    header, rest = data.split(b"\n", 1)
+    path.write_bytes(header + b"\n" + BOM + rest)
+    [first, *_] = read_dataset(sample_ehr_path)[1]
+    assert read_dataset(path)[1][0].gender_raw == "\ufeff" + first.gender_raw
 
 
 def test_ragged_row_reports_row_number(tmp_path):

@@ -1,8 +1,10 @@
 import csv
+import gc
 import os
 import pickle
 import subprocess
 import sys
+import weakref
 from array import array
 from fractions import Fraction
 from pathlib import Path
@@ -400,14 +402,15 @@ def test_assign_two_diseases_share_demographics():
 
 
 def test_assign_asks_lookup_for_the_top_candidate_only(monkeypatch):
-    kb = make_kb(KBEntry("A06.81", "Amebic cystitis"), KBEntry("N30.9", "Cystitis"))
     ks = []
+    rank = linker._rank
 
-    def spy(term, kb, k=4):
+    def spy(entries, index, query, k):
         ks.append(k)
-        return lookup(term, kb, k)
+        return rank(entries, index, query, k)
 
-    monkeypatch.setattr(linker, "lookup", spy)
+    monkeypatch.setattr(linker, "_rank", spy)
+    kb = make_kb(KBEntry("A06.81", "Amebic cystitis"), KBEntry("N30.9", "Cystitis"))
     text = "Cystitis"
     [row] = assign(_record(text), [make_span(text, 0, 8)], kb)
     assert (row.icd10_code, ks) == ("N30.9", [1])
@@ -503,13 +506,20 @@ _CELL_CHARS = st.sampled_from([",", '"', "\n", "\u2028", "\xa0", " ", "é", "漢
 
 
 @st.composite
-def standard_rows(draw, chars):
-    """Rows drawn from small pools of cells, so that cells and whole ICD triples repeat."""
+def standard_rows(draw, chars, all_or_none=False):
+    """Rows drawn from small pools of cells, so that cells and whole ICD triples
+    repeat. With ``all_or_none``, each ICD triple is NA or wholly filled, as
+    ``assign`` makes them and as ``read_standard_csv`` accepts them."""
     cells = st.text(chars, max_size=8)
-    known = st.none() | st.text(chars, min_size=1, max_size=8)
+    filled = st.text(chars, min_size=1, max_size=8)
+    if all_or_none:
+        icd = st.just((None, None, None)) | st.tuples(filled, filled, filled)
+    else:
+        known = st.none() | filled
+        icd = st.tuples(known, known, known)
     genders = draw(st.lists(cells, min_size=1, max_size=3))
     texts = draw(st.lists(cells, min_size=1, max_size=4))
-    icds = draw(st.lists(st.tuples(known, known, known), min_size=1, max_size=4))
+    icds = draw(st.lists(icd, min_size=1, max_size=4))
     row = st.builds(
         lambda gender, age, date, text, icd: StandardRecord(gender, age, date, text, *icd),
         st.sampled_from(genders),
@@ -530,7 +540,7 @@ def test_standard_csv_bytes_match_csv_writer(tmp_path_factory, rows):
 
 
 @settings(max_examples=150, deadline=None)
-@given(rows=standard_rows(_CELL_CHARS | st.just("\r")))
+@given(rows=standard_rows(_CELL_CHARS | st.just("\r"), all_or_none=True))
 def test_standard_csv_reads_back_the_rows_written(tmp_path_factory, rows):
     # Unlike csv.writer with lineterminator="\n", a cell holding a bare CR
     # is quoted, so the reader does not end the row there.
@@ -612,6 +622,20 @@ def test_knowledge_base_pickles_without_its_cache(table9_kb):
     assert lookup("diabetic cataract", copy) == expected
 
 
+def test_a_kb_with_a_filled_top_memo_is_freed_by_del_alone(sample_kb_path):
+    # The memo holds the entries and the index, not the KB: no cycle.
+    kb = load_kb(sample_kb_path)
+    assert kb.top["Cystitis"] is not None and kb.top["Tonsillitis"] is None
+    assert len(kb.top) == 2
+    alive = weakref.ref(kb)
+    gc.disable()
+    try:
+        del kb
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
 def test_standard_record_is_immutable(sample_kb_path):
     kb = load_kb(sample_kb_path)
     text = "Cystitis"
@@ -650,19 +674,14 @@ _SPAN_TEXTS = st.lists(st.sampled_from(_LINK_WORDS), min_size=1, max_size=3).map
 _THRESHOLDS = [0.0, 0.2, 1 / 3, 0.5, 2 / 3, 1.0, 1.01]
 
 
-@pytest.mark.parametrize("cache_size", [None, 1, 3])
 @settings(max_examples=60, deadline=None)
 @given(
     records=st.lists(st.lists(_SPAN_TEXTS, max_size=3), min_size=1, max_size=12),
     thresholds=st.lists(st.sampled_from(_THRESHOLDS), min_size=1, max_size=3),
 )
-def test_assign_matches_per_span_lookup_oracle(cache_size, records, thresholds):
-    # With a memo of one or three texts, entries are evicted and looked up
-    # again; the threshold is compared per call, never memoized.
-    with pytest.MonkeyPatch.context() as patch:
-        if cache_size is not None:
-            patch.setattr(linker, "TOP_CACHE_SIZE", cache_size)
-        kb = KnowledgeBase(read_kb(sample_path("sample_kb.tsv")))
+def test_assign_matches_per_span_lookup_oracle(records, thresholds):
+    # The threshold is compared per call, never memoized.
+    kb = KnowledgeBase(read_kb(sample_path("sample_kb.tsv")))
     cases = []
     for parts in records:
         text = " , ".join(parts)
@@ -675,8 +694,6 @@ def test_assign_matches_per_span_lookup_oracle(cache_size, records, thresholds):
         for record, spans in cases + cases[::-1]:
             expected = _oracle_assign(record, spans, kb, threshold)
             assert assign(record, spans, kb, threshold) == expected
-    if cache_size is not None:
-        assert kb.top.cache_info().currsize <= cache_size
 
 
 # The compiled KB images. Every test has its own empty XDG_CACHE_HOME

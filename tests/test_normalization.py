@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from ehr2icd.ingestion import RawRecord
 from ehr2icd.normalization import (
-    CELL_CACHE_SIZE,
     DateTriple,
     normalize_age,
     normalize_date,
@@ -226,26 +225,9 @@ _cells = st.tuples(_pad, _bare_cells, _pad).map("".join)
 def test_memoized_normalizers_match_their_uncached_bodies(cells):
     for normalize in NORMALIZERS:
         expected = [normalize.__wrapped__(cell) for cell in cells]
-        # Twice (misses, then hits), then again from an empty cache.
+        # Twice (misses, then hits), then again from an empty memo.
         assert [normalize(cell) for cell in cells] == expected
         assert [normalize(cell) for cell in cells] == expected
         normalize.cache_clear()
         assert [normalize(cell) for cell in cells] == expected
 
-
-def test_normalizer_caches_stay_bounded_and_exact():
-    n = CELL_CACHE_SIZE + 50
-    cells = {
-        normalize_gender: [f"{(GENDER_FORMATS + ('x',))[i % 9]}{' ' * (i // 9)}" for i in range(n)],
-        normalize_age: [f"{i} years" if i % 3 else f"{i} m" for i in range(n)],
-        normalize_date: [f"{i % 28}/{i % 12 + 1}/{1000 + i}" for i in range(n)],
-    }
-    for normalize in NORMALIZERS:
-        normalize.cache_clear()
-        first = [normalize(cell) for cell in cells[normalize]]
-        assert first == [normalize.__wrapped__(cell) for cell in cells[normalize]]
-        assert normalize.cache_info().currsize == CELL_CACHE_SIZE
-        # The first 50 cells were evicted; they are computed again, exactly.
-        misses = normalize.cache_info().misses
-        assert [normalize(cell) for cell in cells[normalize][:50]] == first[:50]
-        assert normalize.cache_info().misses == misses + 50

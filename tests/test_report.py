@@ -165,8 +165,8 @@ def read_report(out_dir) -> StatsReport:
 
 def _read_csv(path: Path, width: int, int_columns: tuple[int, ...]) -> list[list]:
     """The data rows of a report CSV, with the cells in ``int_columns`` as ints."""
-    with open_input(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    with open_input(path) as lines:
+        rows = list(csv.reader(lines))
     if not rows:
         raise MalformedFile(path, 1, "missing header row")
     for n, row in enumerate(rows[1:], start=2):
@@ -179,6 +179,26 @@ def _read_csv(path: Path, width: int, int_columns: tuple[int, ...]) -> list[list
                 detail = f"cell {row[i]!r} is not an integer"
                 raise MalformedFile(path, n, detail) from None
     return rows[1:]
+
+
+@pytest.mark.parametrize(
+    "icd",
+    ["A06.81,Amebic cystitis,", ",,A06", "A06.81,,A06", ",Amebic cystitis,"],
+)
+def test_a_half_coded_row_is_rejected_naming_its_line(tmp_path, icd):
+    # A row whose three ICD cells are neither all filled nor all empty would
+    # count as NA, or under a category with no code.
+    path = tmp_path / "standard.csv"
+    path.write_text(
+        "Gender,Age,Diagnosis,Diagnosis Date,ICD_10 Code,ICD_10 Name,ICD_10 Category\n"
+        "Female,20,Cystitis,9/4/1439,A06.81,Amebic cystitis,A06\n"
+        f"Female,20,Cystitis,9/4/1439,{icd}\n"
+        "Female,20,Tonsillitis,9/4/1439,,,\n"
+    )
+    with pytest.raises(MalformedFile) as err:
+        read_standard_csv(path)
+    assert err.value.row == 3
+    assert "all filled or all empty" in str(err.value)
 
 
 def test_csv_roundtrip(tmp_path):

@@ -1,11 +1,13 @@
 import csv
+import gc
 import itertools
 import pickle
 import random
+import weakref
 from collections import defaultdict
 
 import pytest
-from conftest import decode_biluo
+from conftest import bypass_memos, decode_biluo
 from hypothesis import example, given, settings, strategies as st
 
 from ehr2icd.errors import (
@@ -15,11 +17,11 @@ from ehr2icd.errors import (
     UnsupportedModelVersion,
 )
 from ehr2icd.evaluation import evaluate_annotator
+from ehr2icd.frozen import Memo
 from ehr2icd.ner import read_corpus, split_corpus, tagger
 from ehr2icd.ner.biluo import TAGS, encode_biluo
 from ehr2icd.ner.spans import AnnotatedExample, EntitySpan
 from ehr2icd.ner.tagger import (
-    PREDICT_CACHE_SIZE,
     TaggerModel,
     _shape,
     load_model,
@@ -558,23 +560,38 @@ SHARED_TOKEN_TEXTS = st.lists(
 )
 
 
-@pytest.mark.parametrize("cache_size", [None, 1])
+class _KeepingOne(Memo):
+    """A memo that keeps only its latest entry, so that any other key is
+    computed again on its next lookup, between lookups that hit."""
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        self.clear()
+        return super().__missing__(key)
+
+
+@pytest.mark.parametrize("memo_size", [None, 1])
 @settings(max_examples=80, deadline=None)
 @given(table_and_texts=weight_tables_and_texts(SHARED_TOKEN_TEXTS))
-def test_cached_token_scores_match_sparse_oracle(cache_size, table_and_texts):
-    # With caches of one entry, every prefix and context entry is evicted
-    # and computed again.
+def test_cached_token_scores_match_sparse_oracle(memo_size, table_and_texts):
+    # With memos of one entry, prefix and context entries are computed again
+    # and again; with memos bypassed, at every lookup.
     weights, texts = table_and_texts
     with pytest.MonkeyPatch.context() as patch:
-        if cache_size is not None:
-            for name in ("PREDICT_CACHE_SIZE", "PREFIX_CACHE_SIZE", "CONTEXT_CACHE_SIZE"):
-                patch.setattr(tagger, name, cache_size)
+        memos = bypass_memos(patch)
+        bypassed = TaggerModel(weights=weights, epochs=1, seed=1)
+    with pytest.MonkeyPatch.context() as patch:
+        if memo_size is not None:
+            patch.setattr(tagger, "Memo", _KeepingOne)
         model = TaggerModel(weights=weights, epochs=1, seed=1)
     for text in texts + texts[::-1]:
-        assert predict(model, text) == _oracle_predict(weights, text)
-    if cache_size is not None:
-        assert model._prefix.cache_info().currsize <= cache_size
-        assert model._context.cache_info().currsize <= cache_size
+        expected = _oracle_predict(weights, text)
+        assert predict(model, text) == expected
+        assert predict(bypassed, text) == expected
+    if memo_size is not None:
+        assert len(model._prefix) <= 1 and len(model._context) <= 1
+    assert len(memos) == 3 and not any(memos)
 
 
 def _diagnosis_texts(path):
@@ -598,25 +615,6 @@ def test_tagging_order_does_not_change_spans(sample_model_path, sample_corpus_pa
     first = {text: predict(forward, text) for text in texts}
     second = {text: predict(backward, text) for text in shuffled}
     assert first == second
-
-
-def test_token_caches_stay_bounded_and_exact(sample_model_path):
-    # More distinct tokens, and so context words, than either cache holds.
-    words = [f"lesion{i}" for i in range(tagger.PREFIX_CACHE_SIZE + 40)]
-    assert len(words) > tagger.CONTEXT_CACHE_SIZE
-    texts = [" ".join(["Colon", *words[i : i + 8], "cancer"]) for i in range(0, len(words), 8)]
-    model = load_model(sample_model_path)
-    first = [predict(model, text) for text in texts]
-    assert model._prefix.cache_info().currsize <= tagger.PREFIX_CACHE_SIZE
-    assert model._context.cache_info().currsize <= tagger.CONTEXT_CACHE_SIZE
-    assert model._prefix.cache_info().misses > tagger.PREFIX_CACHE_SIZE
-    # With the span cache emptied, the first texts' tokens, evicted by now,
-    # are scored again, and agree with a fresh model.
-    model._spans.cache_clear()
-    assert [predict(model, text) for text in texts] == first
-    fresh = load_model(sample_model_path)
-    assert [predict(fresh, text) for text in reversed(texts)] == first[::-1]
-    assert first == [_oracle_predict(model.weights, text) for text in texts]
 
 
 @st.composite
@@ -753,18 +751,6 @@ def test_training_builds_each_tokens_features_once(monkeypatch, sample_corpus_pa
     assert sorted(context) == sorted(words | {"-START-", "-END-"})
 
 
-def test_predict_cache_stays_bounded_and_exact(sample_model_path):
-    model = load_model(sample_model_path)
-    texts = [f"Colon cancer stage {i} with hypertension" for i in range(PREDICT_CACHE_SIZE + 40)]
-    first = [predict(model, text) for text in texts]
-    assert model._spans.cache_info().currsize <= PREDICT_CACHE_SIZE
-    fresh = load_model(sample_model_path)
-    # Evicted texts are tagged again, and agree with a fresh model.
-    assert [predict(model, text) for text in texts] == first
-    assert [predict(fresh, text) for text in texts] == first
-    assert model._spans.cache_info().currsize <= PREDICT_CACHE_SIZE
-
-
 def test_mutating_predict_result_leaves_cache_intact(sample_model_path):
     model = load_model(sample_model_path)
     text = "New discovered hypertension + stroke"
@@ -783,6 +769,18 @@ def test_predict_caches_are_per_model(sample_model_path):
     assert predict(trained, text) != []
     assert predict(untrained, text) == []
     assert predict(trained, text) != []
+
+
+def test_a_model_with_filled_memos_is_freed_by_del_alone(sample_model_path):
+    model = load_model(sample_model_path)
+    assert predict(model, "New discovered hypertension + stroke")
+    alive = weakref.ref(model)
+    gc.disable()
+    try:
+        del model
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_model_pickles_without_its_cache(sample_model_path):

@@ -153,12 +153,13 @@ def test_report_csvs_are_replaced_as_a_set(tmp_path):
     )
 )
 def test_read_text_reads_as_a_text_file_does(tmp_path_factory, data):
-    # Universal newlines, and undecodable bytes named as the file's fault.
+    # Universal newlines, one leading byte order mark dropped, and
+    # undecodable bytes named as the file's fault.
     path = tmp_path_factory.mktemp("read_text") / "input.txt"
     path.write_bytes(data)
     try:
         with open(path, encoding="utf-8") as fh:
-            expected = fh.read()
+            expected = fh.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         with pytest.raises(MalformedFile) as err:
             read_text(path)
