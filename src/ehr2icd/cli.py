@@ -20,19 +20,21 @@ the benchmark's tracer and the tests do) therefore catches every call a
 command makes, whether or not the callee was loaded before.
 
 Run as the program (``main()`` with no arguments: the console script,
-``python -m ehr2icd.cli``), a command runs with the cyclic garbage collector
-off, and before it returns ``main`` freezes every object still alive and
-turns the collector back on. No collection runs during the command, and the
-collections at interpreter exit skip what the command built; each object is
-freed or kept exactly as it would be otherwise. This is safe because a
-command makes no reference cycle per row, example or text: the cyclic
-garbage one command leaves is bounded whatever the input's size (the
-argument parser's). Called as a library (``main([...])``), the collector is
-left as the caller set it.
+``python -m ehr2icd.cli``, or ``runpy.run_module`` as ``__main__``), a
+command runs with the cyclic garbage collector off, and before it returns
+``main`` freezes every object still alive and turns the collector back on.
+No collection runs during the command, and the collections at interpreter
+exit skip what the command built; each object is freed or kept exactly as it
+would be otherwise. This is safe because a command makes no reference cycle
+per row, example or text: the cyclic garbage one command leaves is bounded
+whatever the input's size (the argument parser's). Called as a library
+(``main([...])``), the collector is left as the caller set it.
 
 A command works out each distinct text, span text and cell once, in memos
-(``frozen.Memo``) that last the command. They sit beneath ``predict``,
-``assign`` and ``normalize_with_reason``, never around those calls here.
+that last the command: the model's and the KB's (``frozen.Memo``) go with
+them, and ``main`` empties the normalizers' when the command ends. They sit
+beneath ``predict``, ``assign`` and ``normalize_with_reason``, never around
+those calls here.
 
 Standard output is flushed before ``main`` returns, so a closed pipe or a
 full disk there is a data error (exit 2, one ``error:`` line) like any other
@@ -93,7 +95,14 @@ _CALLEES = {
     "write_outcomes_csv": ("evaluation", "write_outcomes_csv"),
 }
 
-_cli = sys.modules[__name__]
+_cli = sys.modules.get(__name__)
+if getattr(_cli, "__dict__", None) is not globals():
+    # ``runpy.run_module(..., run_name="__main__")`` runs this code in a
+    # namespace that no module owns, with the caller's module as __main__.
+    # The commands then run from this module as the package imports it.
+    from importlib import import_module
+
+    _cli = import_module(__spec__.name)
 __getattr__, __dir__ = _lazy_attributes(globals(), _CALLEES)
 
 
@@ -466,6 +475,12 @@ def _run(argv) -> int:
     except OSError as exc:
         _diag(f"error: {exc}")
         return 2
+    finally:
+        # The normalizers' memos last one command, as the model's and the
+        # KB's do. A command that never loaded them has none to empty.
+        normalization = sys.modules.get(f"{__package__}.normalization")
+        if normalization is not None:
+            normalization.clear_memos()
 
 
 def _flush_stdout() -> None:
@@ -486,4 +501,4 @@ def _flush_stdout() -> None:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_cli.main())

@@ -12,13 +12,26 @@ integer id: a token's own features (bias, w=, shape= and the affixes) once
 per distinct token text, and a word's four context features once per
 distinct lowercased word or boundary marker. A token's shape maps ASCII
 text through one ``str.translate`` table, and walks the characters of other
-text. Per id the learner keeps three integer vectors in TAGS order:
-weights, running totals and the tick of each slot's last change. A token is
-scored by adding its features' weight vectors, and an update changes only
-the true and the guessed slot. Every weight, score and total is an integer
-during training, so sums are exact in any order (below 2**53); the only
-rounding is the final ``total / ticks``, from the same operands a walk over
-sparse per-feature dicts has, so the averaged weights are bit-identical.
+text. Per id the learner keeps three integer lists in TAGS order (weights,
+running totals and the tick of each slot's last change), which averaging
+reads, and one packed int: the id's five weights as fixed-width fields, slot
+k's weight times ``2**(width * k)``. A token step is scored by one C-level
+``sum`` of its features' packed ints, started from ``offset``, which adds
+``2**(width - 1)`` to every field; five shifts and masks read the fields
+back, and a correct guess makes no Python call. Only a wrong guess calls
+``update``, which changes the true and the guessed slot of the lists and
+moves the same two fields of each packed int.
+
+The width comes from a bound, not a setting. A token fires at most 14
+features (bias, w=, shape=, six affixes, prev= and four context words), and
+each update moves a weight by at most 1, with at most one update per step,
+so every score lies within ``bound = 14 * epochs * tokens``. The width is the
+least whose fields hold ``2**(width - 1) + bound``, so every field of a
+packed sum lies in 1 .. 2**width - 1 and reads back exactly. Every weight,
+score and total is an exact integer during training, so sums are exact in
+any order; the only rounding is the final ``total / ticks``, from the same
+operands a walk over sparse per-feature dicts has, so the averaged weights
+are bit-identical.
 
 Training stops after the first epoch in which no guess was wrong. Such an
 epoch leaves the weights as they were, and a greedy guess depends only on
@@ -40,11 +53,18 @@ word or boundary marker. A token's scores are its memoized prefix sums plus
 its context vectors, added in template order. Float addition is not
 associative, but this is the very sequence of additions a walk over all
 fourteen features makes, from the same +0.0, so the sums are bit-identical.
+Decoding keeps that order on purpose and uses no ``sum()``: another order
+can round otherwise, and since Python 3.12 ``sum()`` of floats is
+compensated, so its results would differ across Python versions.
+
 Tagging a text takes its token texts from one ``findall`` of the tokenizer's
-pattern and repairs its tag list into entity runs with ``biluo.entity_runs``;
-token offsets are found only when some tag is not O, and no per-text
-``Token`` is built.
-The spans of each text are kept in a third memo, so each distinct text is
+pattern, adds each token's four context vectors written out (no per-token
+tuple or inner loop), and repairs its tag list into entity runs with
+``biluo.entity_runs``. Token offsets are found only for a text with a span:
+only whitespace lies between tokens, so each token starts at its text's
+first occurrence after the end of the token before it (``str.find``). Spans
+are built with ``tuple.__new__``, and no per-text ``Token`` is built. The
+spans of each text are kept in a third memo, so each distinct text is
 tagged once per model, however many there are; ``predict`` returns a fresh
 list on every call.
 """
@@ -66,7 +86,7 @@ from ..errors import (
 from ..frozen import Frozen, Memo
 from ..textio import atomic_write, read_text
 from .biluo import B, I, L, O, TAGS, U, encode_biluo, entity_runs
-from .spans import AnnotatedExample, EntitySpan, make_span
+from .spans import DISEASE_LABEL, AnnotatedExample, EntitySpan
 from .tokenizer import _TOKEN_RE, tokenize
 
 FEATURE_TEMPLATE = "v1"
@@ -78,6 +98,9 @@ _AFFIXES = tuple((k, f"pre{k}=", f"suf{k}=") for k in (1, 2, 3))
 _CONTEXT = tuple(f"w{offset:+d}=" for offset in (-2, -1, 1, 2))
 # Where ``prev=`` sits in the template: after bias, w= and shape=.
 _PREV_POSITION = 3
+# The most features a token fires: bias, w=, shape=, the affixes, prev= and
+# the four context words.
+_MOST_FEATURES = _PREV_POSITION + 2 * len(_AFFIXES) + 1 + len(_CONTEXT)
 # Training slots: TAGS order, then -START- as the first token's previous tag.
 _SLOTS = {tag: slot for slot, tag in enumerate(TAGS)}
 _O_SLOT = _SLOTS[O]
@@ -182,70 +205,59 @@ class _PackedPerceptron:
 
     Features are integer ids. Each id owns three 5-slot lists in TAGS order:
     its weights, its running totals and the tick at which each slot last
-    changed. Ids 0-4 are ``prev=`` of each tag and id ``_START`` is
+    changed; and one int, ``packed[id]``, that holds the same five weights
+    as fields of ``width`` bits: slot k's weight times ``2 ** (width * k)``.
+    Ids 0-4 are ``prev=`` of each tag and id ``_START`` is
     ``prev=-START-``, so a guessed slot is also the next token's ``prev=`` id.
     """
 
-    def __init__(self, n_features: int):
+    def __init__(self, n_features: int, width: int):
+        self.packed = [0] * n_features
         self.weights = [[0] * len(TAGS) for _ in range(n_features)]
         self._totals = [[0] * len(TAGS) for _ in range(n_features)]
         self._stamps = [[0] * len(TAGS) for _ in range(n_features)]
         # Feature id -> the slots updated so far, in the order first updated;
         # the keys are in the order the features were first updated.
         self._touched: dict[int, list[int]] = {}
-        self._ticks = 0
+        self.units = tuple(1 << width * slot for slot in range(len(TAGS)))
+        # Field k of a step's packed sum is slot k's score plus half the
+        # field's range, which ``offset`` adds once: every field then lies in
+        # 0 .. ``mask``, and the sum is ``offset`` exactly when every score is
+        # zero.
+        self.offset = sum(self.units) * (1 << width >> 1)
+        self.mask = (1 << width) - 1
         # Guesses that were wrong, so updates made, so far.
         self.mistakes = 0
 
-    def predict(self, prev: int, vectors: tuple[list[int], ...]) -> int:
-        """The slot of the best tag for a token, given its ``prev=`` id and
-        its other features' weight vectors: the first strict maximum in TAGS
-        order, or O when every score is zero."""
-        sb, si, sl, su, so = self.weights[prev]
-        for vb, vi, vl, vu, vo in vectors:
-            sb += vb
-            si += vi
-            sl += vl
-            su += vu
-            so += vo
-        scores = [sb, si, sl, su, so]
-        best = max(scores)
-        if best or any(scores):
-            return scores.index(best)
-        return _O_SLOT
-
-    def update(self, truth: int, guess: int, feats: tuple[int, ...], prev: int) -> None:
-        self._ticks += 1
-        if truth == guess:
-            return
+    def update(
+        self, truth: int, guess: int, feats: tuple[int, ...], prev: int, ticks: int
+    ) -> None:
+        """Move the weights of a wrong guess, made at tick ``ticks``: +1 for
+        the true slot and -1 for the guessed one, of every feature fired."""
         self.mistakes += 1
-        ticks = self._ticks
-        weights, totals, stamps, touched = (
-            self.weights, self._totals, self._stamps, self._touched
+        delta = self.units[truth] - self.units[guess]
+        packed, weights, totals, stamps, touched = (
+            self.packed, self.weights, self._totals, self._stamps, self._touched
         )
         # Template order, so that features are first updated in the order a
         # walk over _features would meet them.
         for feat in (*feats[:_PREV_POSITION], prev, *feats[_PREV_POSITION:]):
+            packed[feat] += delta
             weight, total, stamp = weights[feat], totals[feat], stamps[feat]
             slots = touched.get(feat)
             if slots is None:
                 slots = touched[feat] = []
-            for slot, delta in ((truth, 1), (guess, -1)):
+            for slot, step in ((truth, 1), (guess, -1)):
                 last = stamp[slot]
                 if not last:
                     slots.append(slot)
                 total[slot] += (ticks - last) * weight[slot]
                 stamp[slot] = ticks
-                weight[slot] += delta
+                weight[slot] += step
 
-    def skip(self, steps: int) -> None:
-        """Count ``steps`` correct guesses without making them: each would
-        only add one tick."""
-        self._ticks += steps
-
-    def averaged(self, names: list[str]) -> Weights:
-        """Average weights by feature name, keeping only nonzero values."""
-        ticks = self._ticks
+    def averaged(self, names: list[str], ticks: int) -> Weights:
+        """Average weights over ``ticks`` steps by feature name, keeping only
+        nonzero values."""
         if ticks == 0:
             return {}
         averaged: Weights = {}
@@ -259,6 +271,21 @@ class _PackedPerceptron:
             if kept:
                 averaged[names[feat]] = kept
         return averaged
+
+
+def _field_width(epochs: int, tokens: int) -> int:
+    """The bits of one packed score field when training runs ``epochs``
+    epochs over ``tokens`` tokens.
+
+    A weight moves by at most 1 per update, and there is at most one update
+    per token step, so no weight passes ``epochs * tokens`` in magnitude, and
+    no score, a sum of at most ``_MOST_FEATURES`` weights, passes
+    ``bound = _MOST_FEATURES * epochs * tokens``. The width makes
+    ``bound < 2**(width - 1)``, so a score plus ``2**(width - 1)`` lies in
+    1 .. 2**width - 1: it fits in the field.
+    """
+    bound = _MOST_FEATURES * epochs * tokens
+    return (2 * bound).bit_length()
 
 
 def _encode_corpus(examples: list[AnnotatedExample]):
@@ -327,32 +354,47 @@ def train_tagger(
     if not train:
         raise EmptyCorpus()
     names, examples = _intern_corpus(_encode_corpus(train))
-    learner = _PackedPerceptron(len(names))
-    # The learner changes its weight lists in place, so a tuple of them taken
-    # now stays current.
-    vector = learner.weights.__getitem__
-    steps = [
-        [(tuple(map(vector, feats)), feats, truth) for feats, truth in example]
-        for example in examples
-    ]
+    tokens = sum(map(len, examples))
+    width = _field_width(epochs, tokens)
+    learner = _PackedPerceptron(len(names), width)
+    packed, update, offset, mask = learner.packed, learner.update, learner.offset, learner.mask
+    score = packed.__getitem__
+    at_i, at_l, at_u, at_o = width, 2 * width, 3 * width, 4 * width
     rng = random.Random(seed)
-    order = list(range(len(steps)))
+    order = list(range(len(examples)))
+    ticks = 0
     for epoch in range(epochs):
         mistakes = learner.mistakes
         rng.shuffle(order)
         for index in order:
             prev = _START
-            for vectors, feats, truth in steps[index]:
-                guess = learner.predict(prev, vectors)
-                learner.update(truth, guess, feats, prev)
+            for feats, truth in examples[index]:
+                ticks += 1
+                total = sum(map(score, feats), packed[prev] + offset)
+                # The first strict maximum in TAGS order (B, I, L, U, O), or
+                # O when every score is zero.
+                guess, best = 0, total & mask
+                field = total >> at_i & mask
+                if field > best:
+                    guess, best = 1, field
+                field = total >> at_l & mask
+                if field > best:
+                    guess, best = 2, field
+                field = total >> at_u & mask
+                if field > best:
+                    guess, best = 3, field
+                if total >> at_o > best or total == offset:
+                    guess = _O_SLOT
+                if guess != truth:
+                    update(truth, guess, feats, prev, ticks)
                 prev = guess
         if learner.mistakes == mistakes:
             # The weights did not change, and a greedy guess depends only on
             # the weights and its example, so every later epoch would guess
             # every token right again. Only their ticks remain to be counted.
-            learner.skip((epochs - epoch - 1) * sum(map(len, steps)))
+            ticks += (epochs - epoch - 1) * tokens
             break
-    return TaggerModel(weights=learner.averaged(names), epochs=epochs, seed=seed)
+    return TaggerModel(weights=learner.averaged(names, ticks), epochs=epochs, seed=seed)
 
 
 def predict(model: TaggerModel, text: str) -> list[EntitySpan]:
@@ -400,14 +442,38 @@ def _tag_text(prefix: Memo, context: Memo, text: str) -> tuple[EntitySpan, ...]:
         # change nothing: a sum that starts at +0.0 never becomes -0.0, and
         # x + 0.0 == x.
         sb, si, sl, su, so = prefix[token, prev]
-        for vector in (left2[0], left1[1], right1[2], right2[3]):
-            if vector is not None:
-                vb, vi, vl, vu, vo = vector
-                sb += vb
-                si += vi
-                sl += vl
-                su += vu
-                so += vo
+        vector = left2[0]
+        if vector is not None:
+            vb, vi, vl, vu, vo = vector
+            sb += vb
+            si += vi
+            sl += vl
+            su += vu
+            so += vo
+        vector = left1[1]
+        if vector is not None:
+            vb, vi, vl, vu, vo = vector
+            sb += vb
+            si += vi
+            sl += vl
+            su += vu
+            so += vo
+        vector = right1[2]
+        if vector is not None:
+            vb, vi, vl, vu, vo = vector
+            sb += vb
+            si += vi
+            sl += vl
+            su += vu
+            so += vo
+        vector = right2[3]
+        if vector is not None:
+            vb, vi, vl, vu, vo = vector
+            sb += vb
+            si += vi
+            sl += vl
+            su += vu
+            so += vo
         # The first strict maximum in TAGS order, or O when every score is
         # zero.
         tag, best = B, sb
@@ -417,17 +483,28 @@ def _tag_text(prefix: Memo, context: Memo, text: str) -> tuple[EntitySpan, ...]:
             tag, best = L, sl
         if su > best:
             tag, best = U, su
-        if so > best:
-            tag = O
-        if sb == si == sl == su == so == 0.0:
+        if so > best or sb == si == sl == su == so == 0.0:
             tag = O
         tags.append(tag)
         prev = tag
     runs = entity_runs(tags)
     if not runs:
         return ()
-    bounds = [match.span() for match in _TOKEN_RE.finditer(text)]
-    return tuple(make_span(text, bounds[first][0], bounds[last][1]) for first, last in runs)
+    # Only whitespace lies between tokens, so a token starts at its text's
+    # first occurrence after the end of the token before it.
+    starts, ends = [], []
+    end = 0
+    for token in texts[: runs[-1][1] + 1]:
+        start = text.find(token, end)
+        end = start + len(token)
+        starts.append(start)
+        ends.append(end)
+    spans = []
+    for first, last in runs:
+        start, end = starts[first], ends[last]
+        # tuple.__new__ skips the named tuple's Python-level __new__.
+        spans.append(tuple.__new__(EntitySpan, (start, end, text[start:end], DISEASE_LABEL)))
+    return tuple(spans)
 
 
 def save_model(model: TaggerModel, path) -> None:

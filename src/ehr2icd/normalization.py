@@ -12,7 +12,9 @@ Exports repeat the same few genders, ages and dates across many rows, so
 each normalizer memoizes its result per distinct cell (``functools.cache``,
 which evicts nothing). A result depends only on the cell, and is None, a
 string, an int or a DateTriple, all immutable, so a memoized result is the
-one a fresh call would return.
+one a fresh call would return. ``clear_memos`` empties the three memos; the
+CLI calls it when each command ends, so that they last one command, not the
+process.
 """
 
 from __future__ import annotations
@@ -119,6 +121,16 @@ def normalize_date(raw: str) -> Optional[DateTriple]:
     if not (1 <= day <= 31 and 1 <= month <= 12 and year >= 1):
         return None
     return tuple.__new__(DateTriple, (day, month, year))
+
+
+# The memos as defined here, whatever later replaces the module's names.
+_MEMOS = (normalize_gender, normalize_age, normalize_date)
+
+
+def clear_memos() -> None:
+    """Empty the three normalizers' memos."""
+    for memo in _MEMOS:
+        memo.cache_clear()
 
 
 def normalize_with_reason(

@@ -800,6 +800,50 @@ def test_the_program_collects_nothing_during_a_command_and_freezes_at_the_end(
     _assert_golden(tmp_path / "out")
 
 
+# Runs the module as __main__ in a namespace that no module owns, as
+# launchers built on runpy do; the caller's module stays __main__.
+RUN_MODULE = "import runpy; runpy.run_module('ehr2icd.cli', run_name='__main__')"
+
+
+@pytest.mark.parametrize(
+    "command", ["normalize", "pipeline", "evaluate", "missing-input", "usage", "--version"]
+)
+def test_run_module_as_main_runs_as_python_dash_m_does(
+    tmp_path, command, sample_ehr_path, sample_kb_path, sample_model_path, sample_corpus_path
+):
+    model = ["--kb", str(sample_kb_path), "--model", str(sample_model_path)]
+    argv = {
+        "normalize": ["normalize", "--input", str(sample_ehr_path), "--output", "n.csv"],
+        "pipeline": ["pipeline", "--input", str(sample_ehr_path), "--out-dir", "out", *model],
+        "evaluate": ["evaluate", "--corpus", str(sample_corpus_path), "--out-dir", "ev", *model],
+        "missing-input": ["normalize", "--input", "missing.csv", "--output", "n.csv"],
+        "usage": ["frobnicate"],
+        "--version": ["--version"],
+    }[command]
+    runs = {}
+    for way, launcher in (("m", ["-m", "ehr2icd.cli"]), ("runpy", ["-c", RUN_MODULE])):
+        cwd = tmp_path / way
+        cwd.mkdir()
+        proc = subprocess.run(
+            [sys.executable, *launcher, *argv],
+            cwd=cwd,
+            env=_child_env(),
+            capture_output=True,
+            timeout=60,
+        )
+        files = {
+            path.relative_to(cwd).as_posix(): path.read_bytes()
+            for path in sorted(cwd.rglob("*"))
+            if path.is_file()
+        }
+        runs[way] = (proc.returncode, proc.stdout, proc.stderr, files)
+    assert runs["runpy"] == runs["m"]
+    code, _, stderr, files = runs["m"]
+    assert code == {"missing-input": 2, "usage": 1}.get(command, 0), stderr
+    assert b"Traceback" not in stderr
+    assert bool(files) == (command in ("normalize", "pipeline", "evaluate"))
+
+
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
 def test_a_library_call_leaves_the_collector_as_it_was(tmp_path, enabled):
     raw = _write(tmp_path, "raw.csv", RAW_CSV)

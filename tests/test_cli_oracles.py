@@ -1,6 +1,6 @@
-"""Whole-CLI oracles: properties of ``normalize``, ``annotate``, ``link``,
-``evaluate`` and ``pipeline`` output that hold whatever the memos and the
-input row order.
+"""Whole-CLI oracles: properties of ``normalize``, ``train``, ``annotate``,
+``link``, ``evaluate`` and ``pipeline`` output that hold whatever the memos
+and the input row order.
 
 Each runs the commands in-process on the bundled samples and on a seed-13
 export from the benchmark's generator (``perfbench/gen.py``), whose mixed
@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 from conftest import bypass_memos
 
-from ehr2icd import linker, normalization
+from ehr2icd import linker, normalization, standard
 from ehr2icd.cli import main
 from ehr2icd.ner import tagger
 from ehr2icd.samples import sample_path
@@ -143,6 +143,30 @@ def test_tagger_caches_at_one_entry_give_the_same_annotate_and_evaluate_bytes(
     _assert_bypassed(memos)
 
 
+def _train(model: Path, corpus: Path, capsys) -> tuple[bytes, str]:
+    """Train on the corpus; the model's bytes and stderr."""
+    assert main(["train", "--corpus", str(corpus), "--model-out", str(model)]) == 0
+    return model.read_bytes(), capsys.readouterr().err
+
+
+def test_train_with_its_memos_bypassed_gives_the_same_model_and_report(
+    export, tmp_path, monkeypatch, capsys
+):
+    # The trained model's memos (the held-out check asks them) bypassed,
+    # against them on. Both runs write one path, so that stderr can match.
+    _, _, corpus = export
+    model = tmp_path / "model.txt"
+    memoized = _train(model, corpus, capsys)
+
+    memos = bypass_memos(monkeypatch)
+    bypassed = _train(model, corpus, capsys)
+
+    assert bypassed == memoized
+    assert "train: held-out accuracy" in memoized[1]
+    assert len(memos) == 3  # the trained model's
+    _assert_bypassed(memos)
+
+
 def _counting(counts: Counter, function):
     """``function``, counting its calls by their last argument."""
 
@@ -168,14 +192,58 @@ def test_each_distinct_text_span_and_date_is_worked_out_once_per_command(
     tagged, linked = Counter(), Counter()
     monkeypatch.setattr(tagger, "_tag_text", _counting(tagged, tagger._tag_text))
     monkeypatch.setattr(linker, "_top_candidate", _counting(linked, linker._top_candidate))
-    normalization.normalize_date.cache_clear()
+    memo, misses = normalization.normalize_date, []
+
+    def observed(cell):
+        date = memo(cell)
+        misses.append(memo.cache_info().misses)
+        return date
+
+    monkeypatch.setattr(normalization, "normalize_date", observed)
 
     outputs, err = _pipeline(tmp_path / "out", raw, sample_path("sample_kb.tsv"), capsys)
 
     assert "standard_rows=8400 na_rows=0" in err
     assert tagged == Counter(texts)
     assert len(linked) > 4096 and set(linked.values()) == {1}
-    assert normalization.normalize_date.cache_info().misses == n
+    assert len(misses) == 2 * n and misses[-1] == n
+    assert memo.cache_info().currsize == 0  # emptied as the command ended
+
+
+def test_the_normalizer_memos_last_one_command(tmp_path, monkeypatch, capsys):
+    # normalize, pipeline and report each use the memos and leave them empty;
+    # a second round of the three writes what the first did.
+    memos = [getattr(normalization, name) for name in NORMALIZERS]
+    used = []
+
+    def observed(memo):
+        def call(cell):
+            used.append(cell)
+            return memo(cell)
+
+        return call
+
+    for name, memo in zip(NORMALIZERS, memos):
+        monkeypatch.setattr(normalization, name, observed(memo))
+    monkeypatch.setattr(standard, "normalize_date", observed(standard.normalize_date))
+    raw, kb = sample_path("sample_ehr_300.csv"), sample_path("sample_kb.tsv")
+    runs = []
+    for run in ("first", "second"):
+        out = tmp_path / run
+        out.mkdir()
+        for argv in (
+            ["normalize", "--input", str(raw), "--output", str(out / "normalized.csv")],
+            ["pipeline", "--input", str(raw), "--out-dir", str(out / "pipeline"),
+             "--kb", str(kb), "--model", str(MODEL)],
+            ["report", "--input", str(out / "pipeline" / "standard.csv"),
+             "--out-dir", str(out / "report")],
+        ):
+            used.clear()
+            assert main(argv) == 0
+            assert used and not any(memo.cache_info().currsize for memo in memos), argv[0]
+        stderr = capsys.readouterr().err.replace(str(out), "<out>")
+        runs.append({**_outputs(out), "stderr": stderr.encode()})
+    assert runs[0] == runs[1]
 
 
 def _read_rows(path: Path) -> list[list[str]]:

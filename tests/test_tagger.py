@@ -1,6 +1,7 @@
 import csv
 import gc
 import itertools
+import operator
 import pickle
 import random
 import weakref
@@ -659,16 +660,70 @@ def test_packed_training_matches_oracle_on_bundled_corpus(sample_corpus_path):
     )
 
 
-def _count_predict_calls(monkeypatch):
-    calls = []
-    guess = tagger._PackedPerceptron.predict
+@pytest.mark.parametrize("epochs,tokens", [(1, 1), (3, 7), (10, 2690), (64, 10**6)])
+def test_extreme_scores_unpack_exactly_at_the_training_width(epochs, tokens):
+    # No weight passes epochs * tokens in magnitude and a token fires at most
+    # 14 features, so every score lies within +-bound. Pack +bound and -bound
+    # in every slot over 14 features, at the width training picks for that
+    # many epochs and tokens; the packed sum must give back each score.
+    assert tagger._MOST_FEATURES == 14
+    width = tagger._field_width(epochs, tokens)
+    learner = tagger._PackedPerceptron(14, width)
+    most = epochs * tokens
+    bound = 14 * most
+    half = 1 << width >> 1
+    for signs in [*itertools.product((1, -1), repeat=5), (0,) * 5]:
+        weights = [sign * most for sign in signs]
+        learner.packed[:] = [sum(map(operator.mul, weights, learner.units))] * 14
+        total = sum(learner.packed, learner.offset)
+        scores = [(total >> width * slot & learner.mask) - half for slot in range(5)]
+        assert scores == [sign * bound for sign in signs]
+        assert (total == learner.offset) == (signs == (0,) * 5)
 
-    def counted(self, *args):
-        calls.append(None)
-        return guess(self, *args)
 
-    monkeypatch.setattr(tagger._PackedPerceptron, "predict", counted)
-    return calls
+def test_packed_weights_follow_each_update():
+    # Each update moves the true and the guessed slot's packed fields as it
+    # moves their weight lists, negative weights included.
+    learner = tagger._PackedPerceptron(19, tagger._field_width(2, 3))
+    feats = tuple(range(6, 19))
+    for ticks, (truth, guess) in enumerate([(0, 4), (4, 0), (4, 0), (2, 1), (3, 4)], start=1):
+        learner.update(truth, guess, feats, tagger._START, ticks)
+    for feat in (tagger._START, *feats):
+        assert learner.packed[feat] == sum(map(operator.mul, learner.weights[feat], learner.units))
+    assert learner.weights[6] == [-1, -1, 1, 1, 0]
+
+
+def test_a_corpus_of_many_mistakes_over_many_epochs_matches_the_oracle():
+    # The same text with and without its spans, repeated: some guess is wrong
+    # in every one of the 40 epochs.
+    text = "Type 2 diabetes mellitus with anxiety and HTN"
+    spans = (EntitySpan(7, 24, "diabetes mellitus"), EntitySpan(30, 37, "anxiety"))
+    corpus = [AnnotatedExample(text, spans), AnnotatedExample(text, ()), ANXIETY] * 4
+    mistakes = []
+    expected = _oracle_train(corpus, 40, 7, mistakes)
+    assert all(mistakes) and sum(mistakes) > 400
+    assert repr(train_tagger(corpus, epochs=40, seed=7).weights) == repr(expected)
+
+
+def _count_scored_steps(monkeypatch):
+    """A list that gains an item each time training takes a token's step,
+    counted as it reads the interned steps of each example."""
+    scored = []
+
+    class Counted(list):
+        def __iter__(self):
+            for step in super().__iter__():
+                scored.append(None)
+                yield step
+
+    intern = tagger._intern_corpus
+
+    def counting(encoded):
+        names, examples = intern(encoded)
+        return names, [Counted(example) for example in examples]
+
+    monkeypatch.setattr(tagger, "_intern_corpus", counting)
+    return scored
 
 
 def _token_count(corpus):
@@ -682,9 +737,9 @@ def test_bundled_split_stops_after_first_clean_epoch(monkeypatch, sample_corpus_
     mistakes = []
     expected = _oracle_train(train, 10, 13, mistakes)
     assert mistakes[7:] == [0, 0, 0] and all(mistakes[:7])
-    calls = _count_predict_calls(monkeypatch)
+    steps = _count_scored_steps(monkeypatch)
     model = train_tagger(train, epochs=10, seed=13)
-    assert len(calls) == _token_count(train) * 8
+    assert len(steps) == _token_count(train) * 8
     assert repr(model.weights) == repr(expected)
     assert model.epochs == 10
 
@@ -693,9 +748,9 @@ def test_bundled_split_stops_after_first_clean_epoch(monkeypatch, sample_corpus_
 def test_epoch_without_update_ends_training(monkeypatch, epochs):
     # The untrained model guesses O for the U token once; the second epoch
     # makes no mistake and is the last one run.
-    calls = _count_predict_calls(monkeypatch)
+    steps = _count_scored_steps(monkeypatch)
     model = train_tagger([ANXIETY], epochs=epochs, seed=13)
-    assert len(calls) == min(epochs, 2)
+    assert len(steps) == min(epochs, 2)
     assert repr(model.weights) == repr(_oracle_train([ANXIETY], epochs, 13))
     assert model.epochs == epochs
 
@@ -703,21 +758,21 @@ def test_epoch_without_update_ends_training(monkeypatch, epochs):
 def test_corpus_that_never_converges_runs_every_epoch(monkeypatch):
     # The same text with and without its span: some guess is wrong in every epoch.
     corpus = [ANXIETY, AnnotatedExample("ANXIETY", ()), ANXIETY]
-    calls = _count_predict_calls(monkeypatch)
+    steps = _count_scored_steps(monkeypatch)
     mistakes = []
     expected = _oracle_train(corpus, 12, 7, mistakes)
     assert all(mistakes)
     model = train_tagger(corpus, epochs=12, seed=7)
-    assert len(calls) == _token_count(corpus) * 12
+    assert len(steps) == _token_count(corpus) * 12
     assert repr(model.weights) == repr(expected)
 
 
 def test_corpus_of_empty_texts_trains_no_weights(monkeypatch):
-    calls = _count_predict_calls(monkeypatch)
+    steps = _count_scored_steps(monkeypatch)
     corpus = [AnnotatedExample("", ()), AnnotatedExample(" \t", ())]
     model = train_tagger(corpus, epochs=10, seed=1)
     assert model.weights == {}
-    assert calls == []
+    assert steps == []
     assert model.epochs == 10
 
 
