@@ -74,11 +74,16 @@ def classify_text(
     stoplist: frozenset[str] = DEFAULT_STOPLIST,
 ) -> str:
     """Classify one text; invariant under permutation of the predicted spans."""
-    gold = list(gold)
-    predicted = list(predicted)
-    gold_offsets = {(s.start, s.end) for s in gold}
-    predicted_offsets = {(s.start, s.end) for s in predicted}
-    if gold_offsets == predicted_offsets and len(gold) == len(predicted):
+    # A list or tuple is read as it is; any other iterable is read once.
+    if not isinstance(gold, (list, tuple)):
+        gold = list(gold)
+    if not isinstance(predicted, (list, tuple)):
+        predicted = list(predicted)
+    # Equal sequences of spans have equal offsets: the sets need not be built.
+    if gold == predicted or (
+        len(gold) == len(predicted)
+        and {(s.start, s.end) for s in gold} == {(s.start, s.end) for s in predicted}
+    ):
         return EXACT
     for span in predicted:
         if span.text.strip().lower() in stoplist:
@@ -101,18 +106,13 @@ def evaluate_annotator(
     """Run one annotator over every gold text; record ids are 1-based."""
     counts = {EXACT: 0, PARTIAL: 0, FALSE: 0}
     outcomes = []
-    for record_id, example in enumerate(corpus, start=1):
-        predicted = tuple(annotate(example.content))
-        outcome = classify_text(example.spans, predicted, stoplist)
+    for record_id, (content, spans) in enumerate(corpus, start=1):
+        predicted = tuple(annotate(content))
+        outcome = classify_text(spans, predicted, stoplist)
         counts[outcome] += 1
-        outcomes.append(
-            OutcomeRow(
-                record_id=record_id,
-                gold_text=example.content,
-                predicted=predicted,
-                classification=outcome,
-            )
-        )
+        # tuple.__new__ skips the named tuple's Python-level __new__; the
+        # fields are record_id, gold_text, predicted and classification.
+        outcomes.append(tuple.__new__(OutcomeRow, (record_id, content, predicted, outcome)))
     summary = EvalSummary(counts[EXACT], counts[PARTIAL], counts[FALSE])
     return summary, tuple(outcomes)
 

@@ -9,6 +9,9 @@ Two newline-delimited JSON formats are understood:
   ``content`` and ``entities`` as [start, end, label] triples using
   exclusive ends. Annotations files add an integer ``row_index`` per line.
 
+Offsets and row indexes must be JSON integers. JSON's ``true`` and ``false``
+load as ``bool``, a subclass of ``int``, so they are checked by exact type.
+
 External offsets are inclusive at the right edge and are shifted by one
 during conversion. Only records whose status is "done" are kept, and only
 annotations labelled "Disease Name" (or already "Disease") are converted.
@@ -84,7 +87,7 @@ def _external_records(path, document: str):
             for point in _objects(path, lineno, annotation.get("points"), "points"):
                 start = point.get("start")
                 end_inclusive = point.get("end")
-                if not isinstance(start, int) or not isinstance(end_inclusive, int):
+                if type(start) is not int or type(end_inclusive) is not int:
                     raise MalformedFile(path, lineno, "point offsets must be integers")
                 end = end_inclusive + 1
                 if not (0 <= start < end <= len(content)):
@@ -95,7 +98,7 @@ def _external_records(path, document: str):
                         path,
                     )
                 spans.append(
-                    EntitySpan(start, end, content[start:end], DISEASE_LABEL)
+                    tuple.__new__(EntitySpan, (start, end, content[start:end], DISEASE_LABEL))
                 )
         yield lineno, _build_example(path, lineno, content, spans)
 
@@ -103,16 +106,17 @@ def _external_records(path, document: str):
 def _build_example(
     path, lineno: int, content: str, spans: list[EntitySpan]
 ) -> AnnotatedExample:
-    spans = sorted(spans, key=lambda s: (s.start, s.end))
-    for previous, current in zip(spans, spans[1:]):
-        if previous.end > current.start:
-            raise OverlapError(
-                lineno,
-                f"spans ({previous.start}, {previous.end}) and "
-                f"({current.start}, {current.end}) overlap",
-                path,
-            )
-    return AnnotatedExample(content=content, spans=tuple(spans))
+    if len(spans) > 1:
+        spans.sort(key=lambda s: (s.start, s.end))
+        for previous, current in zip(spans, spans[1:]):
+            if previous.end > current.start:
+                raise OverlapError(
+                    lineno,
+                    f"spans ({previous.start}, {previous.end}) and "
+                    f"({current.start}, {current.end}) overlap",
+                    path,
+                )
+    return tuple.__new__(AnnotatedExample, (content, tuple(spans)))
 
 
 def _entity(path, lineno: int, content: str, item) -> EntitySpan:
@@ -121,7 +125,7 @@ def _entity(path, lineno: int, content: str, item) -> EntitySpan:
     if valid:
         start, end = item[0], item[1]
         label = item[2] if len(item) == 3 else DISEASE_LABEL
-        valid = isinstance(start, int) and isinstance(end, int) and isinstance(label, str)
+        valid = type(start) is int and type(end) is int and isinstance(label, str)
     if not valid:
         raise MalformedFile(
             path, lineno, "each entity must be [start, end] or [start, end, label]"
@@ -129,7 +133,8 @@ def _entity(path, lineno: int, content: str, item) -> EntitySpan:
     if not (0 <= start < end <= len(content)):
         detail = f"entity ({start}, {end}) exceeds content length"
         raise OffsetOutOfRange(lineno, detail, path)
-    return EntitySpan(start, end, content[start:end], label)
+    # tuple.__new__ skips the named tuple's Python-level __new__.
+    return tuple.__new__(EntitySpan, (start, end, content[start:end], label))
 
 
 def _internal_records(path, text: str):
@@ -148,7 +153,7 @@ def read_annotations(path) -> dict[int, AnnotatedExample]:
     by_row = {}
     for lineno, obj, example in _internal_records(path, read_text(path)):
         row_index = obj.get("row_index")
-        if not isinstance(row_index, int):
+        if type(row_index) is not int:
             raise MalformedFile(path, lineno, "record has no integer row_index")
         if row_index in by_row:
             raise MalformedFile(path, lineno, f"row_index {row_index} repeats an earlier record")

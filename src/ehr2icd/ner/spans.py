@@ -1,4 +1,5 @@
-"""Character-offset entity spans and annotated examples."""
+"""Character-offset entity spans, annotated examples, and the spans over runs
+of a text's tokens that both annotators build."""
 
 from __future__ import annotations
 
@@ -24,6 +25,29 @@ def make_span(source: str, start: int, end: int) -> EntitySpan:
     if not (0 <= start < end <= len(source)):
         raise ValueError(f"span ({start}, {end}) outside text of length {len(source)}")
     return EntitySpan(start=start, end=end, text=source[start:end])
+
+
+def run_spans(text: str, tokens: list[str], runs: list[tuple[int, int]]) -> list[EntitySpan]:
+    """The disease spans of ``text`` over each (first, last) run of the
+    indexes of its ``tokens``, which are its token texts in order.
+
+    Only whitespace lies between tokens, so a token starts at its text's
+    first occurrence after the end of the token before it: offsets are found
+    only for the tokens up to the last run's end.
+    """
+    starts, ends = [], []
+    end = 0
+    for token in tokens[: runs[-1][1] + 1]:
+        start = text.find(token, end)
+        end = start + len(token)
+        starts.append(start)
+        ends.append(end)
+    spans = []
+    for first, last in runs:
+        start, end = starts[first], ends[last]
+        # tuple.__new__ skips the named tuple's Python-level __new__.
+        spans.append(tuple.__new__(EntitySpan, (start, end, text[start:end], DISEASE_LABEL)))
+    return spans
 
 
 class AnnotatedExample(NamedTuple):

@@ -60,10 +60,11 @@ compensated, so its results would differ across Python versions.
 Tagging a text takes its token texts from one ``findall`` of the tokenizer's
 pattern, adds each token's four context vectors written out (no per-token
 tuple or inner loop), and repairs its tag list into entity runs with
-``biluo.entity_runs``. Token offsets are found only for a text with a span:
-only whitespace lies between tokens, so each token starts at its text's
-first occurrence after the end of the token before it (``str.find``). Spans
-are built with ``tuple.__new__``, and no per-text ``Token`` is built. The
+``biluo.entity_runs``. Token offsets are found only for a text with a span
+(``spans.run_spans``, which the dictionary annotator shares): only
+whitespace lies between tokens, so each token starts at its text's first
+occurrence after the end of the token before it (``str.find``). Spans are
+built with ``tuple.__new__``, and no per-text ``Token`` is built. The
 spans of each text are kept in a third memo, so each distinct text is
 tagged once per model, however many there are; ``predict`` returns a fresh
 list on every call.
@@ -86,7 +87,7 @@ from ..errors import (
 from ..frozen import Frozen, Memo
 from ..textio import atomic_write, read_text
 from .biluo import B, I, L, O, TAGS, U, encode_biluo, entity_runs
-from .spans import DISEASE_LABEL, AnnotatedExample, EntitySpan
+from .spans import AnnotatedExample, EntitySpan, run_spans
 from .tokenizer import _TOKEN_RE, tokenize
 
 FEATURE_TEMPLATE = "v1"
@@ -490,21 +491,7 @@ def _tag_text(prefix: Memo, context: Memo, text: str) -> tuple[EntitySpan, ...]:
     runs = entity_runs(tags)
     if not runs:
         return ()
-    # Only whitespace lies between tokens, so a token starts at its text's
-    # first occurrence after the end of the token before it.
-    starts, ends = [], []
-    end = 0
-    for token in texts[: runs[-1][1] + 1]:
-        start = text.find(token, end)
-        end = start + len(token)
-        starts.append(start)
-        ends.append(end)
-    spans = []
-    for first, last in runs:
-        start, end = starts[first], ends[last]
-        # tuple.__new__ skips the named tuple's Python-level __new__.
-        spans.append(tuple.__new__(EntitySpan, (start, end, text[start:end], DISEASE_LABEL)))
-    return tuple(spans)
+    return tuple(run_spans(text, texts, runs))
 
 
 def save_model(model: TaggerModel, path) -> None:

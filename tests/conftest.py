@@ -10,6 +10,7 @@ from ehr2icd.frozen import Memo
 from ehr2icd.linker import KBEntry, KnowledgeBase
 from ehr2icd.ner import tagger
 from ehr2icd.ner.spans import make_span
+from ehr2icd.ner.tokenizer import tokenize
 from ehr2icd.samples import sample_path
 
 TESTS_DIR = Path(__file__).parent
@@ -99,6 +100,29 @@ def decode_biluo(tokens, tags, text: str) -> list:
         elif tag in ("B-Disease", "I-Disease", "L-Disease", "U-Disease"):
             runs.append([k, k])
     return [make_span(text, tokens[first].start, tokens[last].end) for first, last in runs]
+
+
+def oracle_dict_annotate(text: str, lexicon) -> list:
+    """The spans the dictionary annotator marks in ``text``, found from the
+    lexicon's terms alone: at each token, every length from the longest
+    term's token count down to 1 is joined from the text's ``Token``
+    objects, lowercased, and the first length whose join is a term is a
+    span; the scan goes on after it, or one token on. The oracle of
+    ``dictionary.dict_annotate``."""
+    tokens = tokenize(text)
+    lower = [t.text.lower() for t in tokens]
+    longest = max((len(term.split(" ")) for term in lexicon.terms), default=0)
+    spans = []
+    i = 0
+    while i < len(tokens):
+        matched = 0
+        for length in range(min(longest, len(tokens) - i), 0, -1):
+            if " ".join(lower[i : i + length]) in lexicon.terms:
+                spans.append(make_span(text, tokens[i].start, tokens[i + length - 1].end))
+                matched = length
+                break
+        i += matched or 1
+    return spans
 
 
 def make_kb(*entries: KBEntry) -> KnowledgeBase:

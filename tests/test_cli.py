@@ -1373,6 +1373,26 @@ MALFORMED_INPUTS = {
         b'{"content": "Cystitis", "entities": [[0, %s]]}\n' % LONG_NUMBER,
         2,
     ),
+    # JSON's true and false are not offsets or row indexes, though Python's
+    # bool is an int.
+    "corpus-boolean-entity-evaluate": (
+        ["evaluate", "--kb", "{kb}", "--model", "{model}", "--out-dir", "{out}", "--corpus"],
+        b'{"content": "Asthma attack", "entities": [[false, true, "Disease"]]}\n',
+        2,
+    ),
+    "corpus-boolean-point": (
+        TRAIN,
+        b'{"content": "Asthma attack", "metadata": {"status": "done"}, "annotation": '
+        b'[{"label": ["Disease Name"], "points": [{"start": false, "end": 5}]}]}\n',
+        2,
+    ),
+    "annotations-boolean-row-index": (
+        [*LINK, "--kb", "{kb}", "--annotations"],
+        b'{"row_index": true, "content": "Tonsillitis", "entities": [[0, 11]]}\n'
+        b'{"row_index": 2, "content": "Arthritis", "entities": []}\n'
+        b'{"row_index": 3, "content": "Hypertension", "entities": []}\n',
+        2,
+    ),
     "corpus-lone-surrogate": (
         TRAIN,
         b'{"content": "\\ud800 Cystitis", "entities": [[2, 10]]}\n'
@@ -1459,6 +1479,8 @@ def test_malformed_input_exits_with_code_naming_file(case, tmp_path, capsys):
     # An uncaught exception (a traceback) fails the test here.
     assert main(_argv(template, bad, tmp_path)) == code
     assert str(bad) in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert not [path for path in out.rglob("*") if path.is_file()]
 
 
 MAIN_INPUT_COMMANDS = [

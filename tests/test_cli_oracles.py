@@ -78,7 +78,8 @@ def _run_all(out_dir: Path, raw: Path, kb: Path, capsys) -> dict[str, bytes]:
 
 
 def _bypass_normalizers(monkeypatch) -> Counter:
-    """Make each normalizer run its body on every call; counts the calls."""
+    """Make each normalizer run its body on every call, also where the
+    standard reader imported it; counts the calls."""
     calls = Counter()
     for name in NORMALIZERS:
 
@@ -86,7 +87,9 @@ def _bypass_normalizers(monkeypatch) -> Counter:
             calls[name] += 1
             return body(cell)
 
-        monkeypatch.setattr(normalization, name, counted)
+        for module in (normalization, standard):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -112,6 +115,33 @@ def test_every_cache_at_one_entry_gives_the_same_bytes(export, tmp_path, monkeyp
     assert len(memos) == 2 * (3 + 1 + 4) + 1
     _assert_bypassed(memos)
     assert all(calls[name] > 1 for name in NORMALIZERS), calls
+
+
+@pytest.mark.parametrize("form", ["csv", "json"])
+def test_report_with_its_memos_bypassed_gives_the_same_bytes(
+    export, form, tmp_path, monkeypatch, capsys
+):
+    # Every memo report uses bypassed (the age bins' and the date
+    # normalizer's), against every memo on.
+    raw, kb, _ = export
+    _pipeline(tmp_path / "pipeline", raw, kb, capsys)
+    argv = ["report", "--input", str(tmp_path / "pipeline" / "standard.csv"), "--format", form]
+
+    def report(out_dir: Path) -> dict[str, bytes]:
+        assert main(argv + ["--out-dir", str(out_dir)]) == 0
+        err = capsys.readouterr().err.replace(str(out_dir), "<out>")
+        return {**_outputs(out_dir), "stderr": err.encode()}
+
+    memoized = report(tmp_path / "memoized")
+    memos = bypass_memos(monkeypatch)
+    calls = _bypass_normalizers(monkeypatch)
+    bypassed = report(tmp_path / "bypassed")
+
+    assert bypassed == memoized
+    assert any(name.endswith(f".{form}") for name in memoized)
+    assert len(memos) == 1  # the report's age bins
+    _assert_bypassed(memos)
+    assert calls["normalize_date"] > 1, calls
 
 
 def _run_tagger_commands(out_dir: Path, raw: Path, kb: Path, corpus: Path, capsys) -> dict:
@@ -141,6 +171,45 @@ def test_tagger_caches_at_one_entry_give_the_same_annotate_and_evaluate_bytes(
     assert b"tagger," in memoized["stdout"]
     assert len(memos) == 2 * 3  # annotate's and evaluate's models
     _assert_bypassed(memos)
+
+
+def _evaluate(out_dir: Path, corpus: Path, kb: Path, capsys) -> tuple[dict, list[list[str]]]:
+    """Run evaluate; each outcome file's rows, and stdout's rows."""
+    argv = ["evaluate", "--corpus", str(corpus), "--out-dir", str(out_dir)]
+    assert main(argv + ["--kb", str(kb), "--model", str(MODEL)]) == 0
+    outcomes = {
+        name: _read_rows(out_dir / f"outcomes_{name}.csv")[1:] for name in ("tagger", "dictionary")
+    }
+    stdout = list(csv.reader(capsys.readouterr().out.splitlines()))
+    return outcomes, stdout
+
+
+def test_evaluate_on_each_half_of_the_corpus_adds_up_to_the_whole(export, tmp_path, capsys):
+    # A metamorphic relation: each text is classified on its own, so
+    # evaluating the two halves of a corpus gives the whole run's outcomes,
+    # and counts that add up to its counts.
+    _, kb, corpus = export
+    lines = [line for line in corpus.read_text(encoding="utf-8").split("\n") if line.strip()]
+    middle = len(lines) // 2
+    halves = []
+    for name, part in (("first", lines[:middle]), ("second", lines[middle:])):
+        path = tmp_path / f"{name}.jsonl"
+        path.write_text("\n".join(part) + "\n", encoding="utf-8")
+        halves.append(_evaluate(tmp_path / name, path, kb, capsys))
+    (first, first_out), (second, second_out) = halves
+    whole, whole_out = _evaluate(tmp_path / "whole", corpus, kb, capsys)
+
+    shift = len(first["tagger"])
+    assert 0 < shift < len(whole["tagger"])
+    for name in ("tagger", "dictionary"):
+        shifted = [[str(int(row[0]) + shift), *row[1:]] for row in second[name]]
+        assert first[name] + shifted == whole[name], name
+    # Annotator,True result,False result,Accuracy: the counts add up.
+    assert first_out[0] == second_out[0] == whole_out[0]
+    for a, b, w in zip(first_out[1:], second_out[1:], whole_out[1:]):
+        assert a[0] == b[0] == w[0]
+        assert [int(a[1]) + int(b[1]), int(a[2]) + int(b[2])] == [int(w[1]), int(w[2])]
+    assert [row[0] for row in whole_out[1:]] == ["tagger", "dictionary"]
 
 
 def _train(model: Path, corpus: Path, capsys) -> tuple[bytes, str]:

@@ -123,6 +123,46 @@ def test_annotations_reject_a_repeated_row(tmp_path):
     assert (err.value.path, err.value.row) == (path, 3)
 
 
+# JSON's true and false load as Python bools, which are ints too; none of
+# them is an offset or a row index. Each case's line follows a valid line of
+# its schema.
+_INTERNAL_LINE = '{"content": "Cystitis", "entities": [[0, 8]]}'
+_EXTERNAL_LINE = _external_record("Cystitis", [{"start": 0, "end": 7}])
+_BOOLEAN_OFFSETS = {
+    "entity-start-and-end": (
+        _INTERNAL_LINE, '{"content": "Asthma attack", "entities": [[false, true, "Disease"]]}'
+    ),
+    "entity-end": (_INTERNAL_LINE, '{"content": "Asthma attack", "entities": [[0, true]]}'),
+    "entity-start": (_INTERNAL_LINE, '{"content": "Asthma attack", "entities": [[true, 6]]}'),
+    "point-start": (
+        _EXTERNAL_LINE, _external_record("Asthma attack", [{"start": False, "end": 5}])
+    ),
+    "point-end": (_EXTERNAL_LINE, _external_record("Asthma attack", [{"start": 0, "end": True}])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BOOLEAN_OFFSETS))
+def test_boolean_offsets_are_rejected_naming_their_line(tmp_path, case):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("\n".join(_BOOLEAN_OFFSETS[case]) + "\n")
+    with pytest.raises(MalformedFile) as err:
+        read_corpus(path)
+    assert (err.value.path, err.value.row) == (path, 2)
+
+
+@pytest.mark.parametrize("row_index", ["true", "false"])
+def test_a_boolean_row_index_is_rejected_naming_its_line(tmp_path, row_index):
+    path = tmp_path / "spans.jsonl"
+    path.write_text(
+        '{"row_index": 1, "content": "Cystitis", "entities": []}\n'
+        f'{{"row_index": {row_index}, "content": "Asthma", "entities": []}}\n'
+    )
+    with pytest.raises(MalformedFile) as err:
+        read_annotations(path)
+    assert (err.value.path, err.value.row) == (path, 2)
+    assert "integer row_index" in str(err.value)
+
+
 def test_read_corpus_detects_both_schemas(tmp_path):
     external = tmp_path / "external.jsonl"
     external.write_text(

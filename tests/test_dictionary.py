@@ -1,9 +1,14 @@
+from unittest import mock
+
+from conftest import oracle_dict_annotate
 from hypothesis import given, settings, strategies as st
 
+from ehr2icd import linker
 from ehr2icd.dictionary import (
     Lexicon,
     build_lexicon,
     dict_annotate,
+    load_lexicon,
     read_terms,
 )
 from ehr2icd.linker import KBEntry
@@ -23,7 +28,7 @@ def test_kb_names_enter_the_lexicon():
 def test_empty_kb_gives_empty_lexicon():
     lexicon = build_lexicon(())
     assert lexicon.terms == frozenset()
-    assert lexicon.max_term_tokens == 0
+    assert lexicon.first_words == {}
     assert dict_annotate("anything at all", lexicon) == []
 
 
@@ -35,8 +40,10 @@ def test_synonyms_enter_the_lexicon():
 
 
 def test_max_term_tokens_tracks_longest_term():
-    lexicon = _lexicon("anemia", "iron deficiency anemia")
-    assert lexicon.max_term_tokens == 3
+    # The longest term's token count is the index's longest length.
+    lexicon = _lexicon("anemia", "iron deficiency anemia", "iron", "Anemia of pregnancy")
+    assert lexicon.first_words == {"anemia": (3, 1), "iron": (3, 1)}
+    assert max(max(lengths) for lengths in lexicon.first_words.values()) == 3
 
 
 def test_whole_term_match():
@@ -101,9 +108,9 @@ def test_extra_terms_file(tmp_path):
 
 
 def test_lexicon_is_frozen():
-    lexicon = Lexicon(terms=frozenset({"asthma"}), max_term_tokens=1)
+    lexicon = Lexicon(terms=frozenset({"asthma"}), first_words={"asthma": (1,)})
     try:
-        lexicon.max_term_tokens = 2
+        lexicon.first_words = {}
         raised = False
     except AttributeError:
         raised = True
@@ -117,15 +124,19 @@ def normalize_term(text):
 
 
 def _oracle_lexicon(entries, extra_terms):
+    """The lexicon's terms, and its first-word index as a dict of lists."""
     keys = set()
-    longest = 0
+    first_words = {}
     surfaces = [s for e in entries for s in (e.name, *e.synonyms)] + list(extra_terms)
     for surface in surfaces:
         key = normalize_term(surface)
         if key:
             keys.add(key)
-            longest = max(longest, len(key.split(" ")))
-    return keys, longest
+            words = key.split(" ")
+            lengths = first_words.setdefault(words[0], [])
+            if len(words) not in lengths:
+                lengths.append(len(words))
+    return keys, {word: sorted(lengths, reverse=True) for word, lengths in first_words.items()}
 
 
 # Characters whose lowercase is longer or special ('İ' becomes two code
@@ -150,6 +161,62 @@ def test_lexicon_matches_token_object_oracle(kb_surfaces, extra_terms):
         for i, (name, synonyms) in enumerate(kb_surfaces)
     ]
     lexicon = build_lexicon(entries, extra_terms)
-    assert (set(lexicon.terms), lexicon.max_term_tokens) == _oracle_lexicon(
-        entries, extra_terms
-    )
+    first_words = {word: list(lengths) for word, lengths in lexicon.first_words.items()}
+    assert (set(lexicon.terms), first_words) == _oracle_lexicon(entries, extra_terms)
+    assert all(type(lengths) is tuple for lengths in lexicon.first_words.values())
+
+
+# Separators between the words of a drawn text: nothing, spaces, other
+# whitespace, and a line separator.
+_GAPS = ["", " ", "  ", "\u00a0", "\n", "\u2028"]
+
+
+def _kb_can_hold(term: str) -> bool:
+    """Whether a KB file can hold ``term`` as an entry's name."""
+    return bool(term.strip()) and len(term.splitlines()) == 1 and not {"\t", "|"} & set(term)
+
+
+@st.composite
+def texts_and_lexicon_terms(draw):
+    """A text over a few words of the tricky alphabet, and (KB terms, extra
+    terms): runs of the text's tokens, so that many terms share a first word
+    at different lengths, some running past the text's end, one longer than
+    the whole text, and a few other surfaces."""
+    words = draw(st.lists(st.text(_TRICKY, min_size=1, max_size=3), min_size=1, max_size=4))
+    pieces = draw(st.lists(st.sampled_from(words), max_size=12))
+    gaps = draw(st.lists(st.sampled_from(_GAPS), min_size=len(pieces), max_size=len(pieces)))
+    text = "".join(gap + piece for gap, piece in zip(gaps, pieces))
+    tokens = [token.text for token in tokenize(text)] or ["x"]
+    starts = draw(st.lists(st.integers(0, len(tokens) - 1), max_size=4))
+    terms = []
+    for start in starts:
+        for length in draw(st.sets(st.integers(1, len(tokens) + 2), max_size=4)):
+            run = tokens[start : start + length]
+            terms.append(" ".join(run + ["x"] * (start + length - len(tokens))))
+    terms.append(" ".join(tokens) + " x")
+    terms.extend(draw(st.lists(SURFACES, max_size=3)))
+    extra = draw(st.lists(st.booleans(), min_size=len(terms), max_size=len(terms)))
+    kb_terms = [t for t, e in zip(terms, extra) if not e and _kb_can_hold(t)]
+    extra_terms = [t for t in terms if t not in kb_terms]
+    return text, kb_terms, extra_terms
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts_and_lexicon_terms())
+def test_dict_annotate_matches_the_scan_oracle(tmp_path_factory, drawn):
+    text, kb_terms, extra_terms = drawn
+    entries = [KBEntry(f"A{i:02d}", term) for i, term in enumerate(kb_terms)]
+    fresh = build_lexicon(entries, extra_terms)
+    expected = oracle_dict_annotate(text, fresh)
+    assert dict_annotate(text, fresh) == expected
+    # The same through the lexicon's image: written on the first load, read
+    # on the second. One path for every example: each rewrite leaves a stale
+    # image behind.
+    path = tmp_path_factory.getbasetemp() / "dict_annotate_property" / "kb.tsv"
+    path.parent.mkdir(exist_ok=True)
+    path.write_text("".join(f"{e.code}\t{e.name}\n" for e in entries), encoding="utf-8")
+    assert dict_annotate(text, load_lexicon(path, extra_terms)) == expected
+    with mock.patch.object(linker, "read_kb", side_effect=AssertionError("parsed")):
+        loaded = load_lexicon(path, extra_terms)
+    assert loaded == fresh
+    assert dict_annotate(text, loaded) == expected

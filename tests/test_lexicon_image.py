@@ -2,6 +2,8 @@
 the compiled form of a KB that ``evaluate`` reads, in place of the
 KnowledgeBase that ``link`` and ``pipeline`` read."""
 
+import marshal
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -22,8 +24,10 @@ from test_linker import (  # noqa: F401 - collected here with the fixture below
     test_only_the_newest_images_of_a_form_are_kept,
 )
 
-from ehr2icd import linker
-from ehr2icd.dictionary import build_lexicon, load_lexicon
+from conftest import count_parses
+
+from ehr2icd import dictionary, kbimage, linker
+from ehr2icd.dictionary import build_lexicon, dict_annotate, load_lexicon
 from ehr2icd.linker import read_kb
 
 
@@ -64,5 +68,43 @@ def test_a_lexicon_through_its_image_equals_a_fresh_build(tmp_path_factory, kb_a
     assert_same = LEXICON_FORM.assert_same
     assert_same(load_lexicon(path, extras), expected)
     with mock.patch.object(linker, "read_kb", side_effect=AssertionError("parsed")):
-        assert_same(load_lexicon(path, extras), expected)
+        loaded = load_lexicon(path, extras)
+        assert_same(loaded, expected)
         assert_same(load_lexicon(path), build_lexicon(read_kb(path)))
+    # The extra terms' index merged into the image's is the fresh build's.
+    assert loaded.first_words == expected.first_words
+
+
+def _older_fields(lexicon):
+    """The lexicon image's payload before the first-word index: the terms and
+    the token count of the longest."""
+    longest = max((len(term.split(" ")) for term in lexicon.terms), default=0)
+    return [list(lexicon.terms), longest]
+
+
+def test_an_image_of_the_layout_before_the_index_is_not_read(
+    tmp_path, monkeypatch, sample_kb_path
+):
+    # Code that wrote the older payload differs from this code, so the image
+    # it left has another key: it is parsed around and replaced.
+    path = tmp_path / "kb.tsv"
+    path.write_bytes(sample_kb_path.read_bytes())
+    source = Path(dictionary.__file__)
+    older = tmp_path / "older_dictionary.py"
+    older.write_bytes(source.read_bytes().replace(b"first_words", b"max_term_tokens"))
+    with monkeypatch.context() as patch:
+        code_files = [older if f == source else f for f in kbimage.CODE_FILES]
+        patch.setattr(kbimage, "CODE_FILES", tuple(code_files))
+        patch.setattr(dictionary, "_lexicon_fields", _older_fields)
+        load_lexicon(path)
+    image = LEXICON_FORM.image_of(path)
+    assert isinstance(marshal.loads(image.read_bytes()[kbimage._HEAD_END :])[1], int)
+    fresh = build_lexicon(read_kb(path))
+    parses = count_parses(monkeypatch)
+    LEXICON_FORM.assert_same(load_lexicon(path), fresh)
+    assert len(parses) == 1
+    LEXICON_FORM.assert_same(load_lexicon(path), fresh)
+    assert len(parses) == 1
+    assert dict_annotate("Acute cystitis", load_lexicon(path)) == dict_annotate(
+        "Acute cystitis", fresh
+    )

@@ -717,7 +717,10 @@ def _assert_same_kb(loaded, fresh):
 def _assert_same_lexicon(loaded, fresh):
     # A named tuple equals any tuple of the same items, so check the type too.
     assert type(loaded) is Lexicon and type(fresh) is Lexicon
-    assert loaded == fresh
+    assert type(loaded.terms) is frozenset and loaded.terms == fresh.terms
+    # The first-word index: the same words, each with the same lengths.
+    assert type(loaded.first_words) is dict and loaded.first_words == fresh.first_words
+    assert all(type(lengths) is tuple for lengths in loaded.first_words.values())
 
 
 class ImageForm(NamedTuple):
