@@ -57,7 +57,7 @@ def load_config(path) -> PipelineConfig:
         text = read_text(path)
     except (OSError, MalformedFile) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

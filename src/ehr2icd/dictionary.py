@@ -105,7 +105,7 @@ def read_terms(path) -> list[str]:
     """A term file (extra lexicon terms or a stoplist): one term per line,
     blank lines and '#' comments ignored."""
     terms = []
-    for line in read_text(path).splitlines():
+    for line in read_text(path).split("\n"):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

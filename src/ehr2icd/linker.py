@@ -5,13 +5,13 @@ compiles them, and ``load_kb`` does both, or loads the compiled form from an
 image on disk (``kbimage``). Each entry's name and synonyms are
 its surfaces; each is tokenized once by ``query_tokens`` (the shared
 tokenizer's case-folded words) into a surface-level inverted index: token ->
-ascending surface keys, plus each surface's entry and each entry's name. A
-key orders surfaces by token count first and KB order second, so every
-posting list is ordered by surface size. The token-set Jaccard score of a
-surface is shared / (query size + surface size - shared). An entry scores by
-its best surface, the name winning a tie with a synonym whatever their
-sizes, and candidates are ranked by score descending with ties broken by
-code.
+ascending surface keys, plus each surface's entry (an entry's name is its
+first surface). A key orders surfaces by token count first and KB order
+second, so every posting list is ordered by surface size. The token-set
+Jaccard score of a surface is shared / (query size + surface size -
+shared). An entry scores by its best surface, the name winning a tie with a
+synonym whatever their sizes, and candidates are ranked by score
+descending with ties broken by code.
 
 A lookup is an exact top-k search with prefix and size filters (Xiao et al.,
 "Top-k Set Similarity Joins", ICDE 2009; Bayardo et al., "Scaling Up All
@@ -74,11 +74,13 @@ class SurfaceIndex(NamedTuple):
     order, is then in ascending size order, and the surfaces of one size s
     lie between keys s * stride and (s + 1) * stride. Typed arrays keep the
     index small on a large KB; keys take 32 bits unless one needs more.
+
+    An entry's name is its first surface: surface s is a name exactly when
+    s is 0 or surface s - 1 belongs to another entry.
     """
 
     postings: dict[str, array]  # token -> ascending surface keys
     entry_of: array  # surface number -> entry id
-    name_surface: array  # entry id -> surface number of its name
 
 
 class KnowledgeBase(Frozen):
@@ -121,9 +123,7 @@ def _build_index(entries: tuple[KBEntry, ...], typecode: str) -> SurfaceIndex:
     stride = sum(1 + len(entry.synonyms) for entry in entries)
     postings: dict[str, array] = {}
     entry_of = array("I")
-    name_surface = array("I")
     for entry_id, entry in enumerate(entries):
-        name_surface.append(len(entry_of))
         for surface in (entry.name, *entry.synonyms):
             tokens = query_tokens(surface)
             key = len(tokens) * stride + len(entry_of)
@@ -135,7 +135,7 @@ def _build_index(entries: tuple[KBEntry, ...], typecode: str) -> SurfaceIndex:
             entry_of.append(entry_id)
     for token, keys in postings.items():
         postings[token] = array(typecode, sorted(keys))
-    return SurfaceIndex(postings, entry_of, name_surface)
+    return SurfaceIndex(postings, entry_of)
 
 
 def read_kb(path, data: Optional[bytes] = None) -> tuple[KBEntry, ...]:
@@ -148,7 +148,7 @@ def read_kb(path, data: Optional[bytes] = None) -> tuple[KBEntry, ...]:
         data = path.read_bytes()
     entries: list[KBEntry] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(decode_text(path, data).splitlines(), 1):
+    for lineno, line in enumerate(decode_text(path, data).split("\n"), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -198,12 +198,11 @@ def _kb_fields(kb: KnowledgeBase) -> list:
         array("I", map(len, postings.values())).tobytes(),
         b"".join(keys.tobytes() for keys in postings.values()),
         kb.index.entry_of.tobytes(),
-        kb.index.name_surface.tobytes(),
     ]
 
 
 def _kb_from_fields(fields: list) -> KnowledgeBase:
-    codes, names, synonyms, tokens, typecode, lengths, keys, entry_of, name_surface = fields
+    codes, names, synonyms, tokens, typecode, lengths, keys, entry_of = fields
     fields.clear()  # so that each value is freed once it has been used
     keys = _words(typecode, keys)
     postings: dict[str, array] = {}
@@ -214,7 +213,7 @@ def _kb_from_fields(fields: list) -> KnowledgeBase:
     if start != len(keys):
         raise ValueError("the posting lists' lengths do not add up")
     del keys
-    index = SurfaceIndex(postings, _words("I", entry_of), _words("I", name_surface))
+    index = SurfaceIndex(postings, _words("I", entry_of))
     return KnowledgeBase(tuple(map(KBEntry._make, zip(codes, names, synonyms))), index)
 
 
@@ -237,7 +236,7 @@ _NO_KEYS = array("I")
 def _rank(
     entries: tuple[KBEntry, ...], index: SurfaceIndex, query: set[str], k: int
 ) -> list[LinkCandidate]:
-    entry_of, name_surface = index.entry_of, index.name_surface
+    entry_of = index.entry_of
     stride = len(entry_of)
     lists = sorted((index.postings.get(token, _NO_KEYS) for token in query), key=len)
     q = len(lists)
@@ -267,7 +266,7 @@ def _rank(
             # Same integers as |query & surface| / |query | surface|.
             score = shared / (q + size - shared)
             entry = entry_of[surface]
-            is_name = surface == name_surface[entry]
+            is_name = surface == 0 or entry_of[surface - 1] != entry
             old = best.get(entry, 0.0)
             if score == old and is_name:
                 via_name[entry] = True

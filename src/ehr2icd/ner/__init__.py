@@ -17,7 +17,6 @@ _EXPORTS = {
     "DISEASE_LABEL": "spans",
     "AnnotatedExample": "spans",
     "EntitySpan": "spans",
-    "make_span": "spans",
     "FEATURE_TEMPLATE": "tagger",
     "TaggerModel": "tagger",
     "load_model": "tagger",

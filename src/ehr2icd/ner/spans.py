@@ -20,13 +20,6 @@ class EntitySpan(NamedTuple):
         return self.start < other.end and other.start < self.end
 
 
-def make_span(source: str, start: int, end: int) -> EntitySpan:
-    """Build a disease span over ``source``, slicing its covered text."""
-    if not (0 <= start < end <= len(source)):
-        raise ValueError(f"span ({start}, {end}) outside text of length {len(source)}")
-    return EntitySpan(start=start, end=end, text=source[start:end])
-
-
 def run_spans(text: str, tokens: list[str], runs: list[tuple[int, int]]) -> list[EntitySpan]:
     """The disease spans of ``text`` over each (first, last) run of the
     indexes of its ``tokens``, which are its token texts in order.

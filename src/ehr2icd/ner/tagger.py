@@ -12,15 +12,14 @@ integer id: a token's own features (bias, w=, shape= and the affixes) once
 per distinct token text, and a word's four context features once per
 distinct lowercased word or boundary marker. A token's shape maps ASCII
 text through one ``str.translate`` table, and walks the characters of other
-text. Per id the learner keeps three integer lists in TAGS order (weights,
-running totals and the tick of each slot's last change), which averaging
-reads, and one packed int: the id's five weights as fixed-width fields, slot
-k's weight times ``2**(width * k)``. A token step is scored by one C-level
-``sum`` of its features' packed ints, started from ``offset``, which adds
-``2**(width - 1)`` to every field; five shifts and masks read the fields
-back, and a correct guess makes no Python call. Only a wrong guess calls
-``update``, which changes the true and the guessed slot of the lists and
-moves the same two fields of each packed int.
+text. Per id the learner keeps one packed int, the id's five weights in TAGS
+order as fixed-width fields: slot k's weight times ``2**(width * k)``. A
+token step is scored by one C-level ``sum`` of its features' packed ints,
+started from ``offset``, which adds ``2**(width - 1)`` to every field; five
+shifts and masks read the fields back, and a correct guess makes no Python
+call. Only a wrong guess calls ``update``, which moves the true and the
+guessed field of each packed int and adds tick times step to that slot's
+entry in the id's move sums.
 
 The width comes from a bound, not a setting. A token fires at most 14
 features (bias, w=, shape=, six affixes, prev= and four context words), and
@@ -28,10 +27,15 @@ each update moves a weight by at most 1, with at most one update per step,
 so every score lies within ``bound = 14 * epochs * tokens``. The width is the
 least whose fields hold ``2**(width - 1) + bound``, so every field of a
 packed sum lies in 1 .. 2**width - 1 and reads back exactly. Every weight,
-score and total is an exact integer during training, so sums are exact in
-any order; the only rounding is the final ``total / ticks``, from the same
-operands a walk over sparse per-feature dicts has, so the averaged weights
-are bit-identical.
+score and move sum is an exact integer during training. A weight that ends
+at w after steps d_i at ticks t_i sums over T ticks to ``T*w - sum(t_i*d_i)``
+(Collins, EMNLP 2002; Daumé III, "A Course in Machine Learning", ch. 4), the
+very integer that running totals with last-change stamps reach. So the only
+rounding is the final division by T, from the same operands a walk over
+sparse per-feature dicts has, and the averaged weights are bit-identical.
+The move sums keep the order in which features and slots are first moved,
+which is the order that walk creates its dict keys in, so the averaged
+weights come out in its order too.
 
 Training stops after the first epoch in which no guess was wrong. Such an
 epoch leaves the weights as they were, and a greedy guess depends only on
@@ -204,22 +208,21 @@ def _pack(weights: Weights) -> dict[str, Vector]:
 class _PackedPerceptron:
     """Collins-style perceptron with lazily accumulated weight averages.
 
-    Features are integer ids. Each id owns three 5-slot lists in TAGS order:
-    its weights, its running totals and the tick at which each slot last
-    changed; and one int, ``packed[id]``, that holds the same five weights
-    as fields of ``width`` bits: slot k's weight times ``2 ** (width * k)``.
-    Ids 0-4 are ``prev=`` of each tag and id ``_START`` is
-    ``prev=-START-``, so a guessed slot is also the next token's ``prev=`` id.
+    Features are integer ids. An id's five weights, in TAGS order, live only
+    in ``packed[id]``: slot k's weight times ``2 ** (width * k)``. Ids 0-4
+    are ``prev=`` of each tag and id ``_START`` is ``prev=-START-``, so a
+    guessed slot is also the next token's ``prev=`` id. A weight ending at
+    w after steps d_i at ticks t_i sums to ``T * w - sum(t_i * d_i)`` over T
+    ticks, so ``moved`` keeps, per id first updated, slot ->
+    ``sum(t_i * d_i)``. Both levels keep first-moved order, the order in
+    which a walk over sparse dicts creates its keys and so gives its
+    averaged weights.
     """
 
     def __init__(self, n_features: int, width: int):
         self.packed = [0] * n_features
-        self.weights = [[0] * len(TAGS) for _ in range(n_features)]
-        self._totals = [[0] * len(TAGS) for _ in range(n_features)]
-        self._stamps = [[0] * len(TAGS) for _ in range(n_features)]
-        # Feature id -> the slots updated so far, in the order first updated;
-        # the keys are in the order the features were first updated.
-        self._touched: dict[int, list[int]] = {}
+        self.moved: dict[int, dict[int, int]] = {}
+        self.width = width
         self.units = tuple(1 << width * slot for slot in range(len(TAGS)))
         # Field k of a step's packed sum is slot k's score plus half the
         # field's range, which ``offset`` adds once: every field then lies in
@@ -237,36 +240,28 @@ class _PackedPerceptron:
         the true slot and -1 for the guessed one, of every feature fired."""
         self.mistakes += 1
         delta = self.units[truth] - self.units[guess]
-        packed, weights, totals, stamps, touched = (
-            self.packed, self.weights, self._totals, self._stamps, self._touched
-        )
+        packed, moved = self.packed, self.moved
         # Template order, so that features are first updated in the order a
-        # walk over _features would meet them.
+        # walk over the template would meet them.
         for feat in (*feats[:_PREV_POSITION], prev, *feats[_PREV_POSITION:]):
             packed[feat] += delta
-            weight, total, stamp = weights[feat], totals[feat], stamps[feat]
-            slots = touched.get(feat)
-            if slots is None:
-                slots = touched[feat] = []
-            for slot, step in ((truth, 1), (guess, -1)):
-                last = stamp[slot]
-                if not last:
-                    slots.append(slot)
-                total[slot] += (ticks - last) * weight[slot]
-                stamp[slot] = ticks
-                weight[slot] += step
+            sums = moved.get(feat)
+            if sums is None:
+                sums = moved[feat] = {}
+            sums[truth] = sums.get(truth, 0) + ticks
+            sums[guess] = sums.get(guess, 0) - ticks
 
     def averaged(self, names: list[str], ticks: int) -> Weights:
         """Average weights over ``ticks`` steps by feature name, keeping only
         nonzero values."""
-        if ticks == 0:
-            return {}
+        width, mask, half = self.width, self.mask, 1 << self.width >> 1
         averaged: Weights = {}
-        for feat, slots in self._touched.items():
-            weight, total, stamp = self.weights[feat], self._totals[feat], self._stamps[feat]
+        for feat, sums in self.moved.items():
+            fields = self.packed[feat] + self.offset
             kept = {}
-            for slot in slots:
-                value = (total[slot] + (ticks - stamp[slot]) * weight[slot]) / ticks
+            for slot, moved in sums.items():
+                weight = (fields >> width * slot & mask) - half
+                value = (ticks * weight - moved) / ticks
                 if value:
                     kept[TAGS[slot]] = value
             if kept:
@@ -511,7 +506,7 @@ def save_model(model: TaggerModel, path) -> None:
 
 
 def load_model(path) -> TaggerModel:
-    lines = read_text(path).splitlines()
+    lines = read_text(path).split("\n")
     if not lines or lines[0].split("\t") != [_MAGIC, _FORMAT]:
         raise MalformedFile(path, 1, "not a tagger model file")
     # Header lines are "key<TAB>value" in any order, each key at most once;

@@ -37,7 +37,8 @@ def open_input(path):
 
 def read_text(path) -> str:
     """The whole of a UTF-8 file, without one leading byte order mark, with
-    line endings translated to ``\\n``."""
+    line endings translated to ``\\n``; line readers split at ``\\n`` alone
+    (``str.splitlines`` also splits at U+2028, U+0085 and others)."""
     return decode_text(path, Path(path).read_bytes())
 
 

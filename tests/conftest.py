@@ -9,7 +9,7 @@ from ehr2icd import linker, report, standard
 from ehr2icd.frozen import Memo
 from ehr2icd.linker import KBEntry, KnowledgeBase
 from ehr2icd.ner import tagger
-from ehr2icd.ner.spans import make_span
+from ehr2icd.ner.spans import EntitySpan
 from ehr2icd.ner.tokenizer import tokenize
 from ehr2icd.samples import sample_path
 
@@ -85,6 +85,14 @@ def feeding_fifo(path: Path, data: bytes):
     yield
     writer.join(timeout=30)
     assert not writer.is_alive(), "nothing read the pipe"
+
+
+def make_span(source: str, start: int, end: int) -> EntitySpan:
+    """A disease span over ``source`` from ``start`` to ``end``, with the
+    text it covers."""
+    if not (0 <= start < end <= len(source)):
+        raise ValueError(f"span ({start}, {end}) outside text of length {len(source)}")
+    return EntitySpan(start=start, end=end, text=source[start:end])
 
 
 def decode_biluo(tokens, tags, text: str) -> list:

@@ -7,7 +7,7 @@ lines as they happen).
 import random
 import time
 
-from conftest import GOLDEN_DIR, decode_biluo
+from conftest import GOLDEN_DIR, decode_biluo, make_span
 
 from ehr2icd.cli import main
 from ehr2icd.dictionary import build_lexicon, dict_annotate, read_terms
@@ -22,7 +22,6 @@ from ehr2icd.ner import (
     train_tagger,
 )
 from ehr2icd.ner.biluo import encode_biluo
-from ehr2icd.ner.spans import make_span
 from ehr2icd.ner.tokenizer import Token
 from ehr2icd.normalization import (
     normalize_age,

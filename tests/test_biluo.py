@@ -1,10 +1,10 @@
 import pytest
-from conftest import decode_biluo
+from conftest import decode_biluo, make_span
 from hypothesis import example, given, strategies as st
 
 from ehr2icd.errors import MisalignedSpan, OverlapError
 from ehr2icd.ner.biluo import TAGS, encode_biluo, entity_runs
-from ehr2icd.ner.spans import EntitySpan, make_span
+from ehr2icd.ner.spans import EntitySpan
 from ehr2icd.ner.tokenizer import Token, tokenize
 
 

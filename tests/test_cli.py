@@ -1,10 +1,12 @@
 import csv
 import gc
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -1460,9 +1462,13 @@ MALFORMED_INPUTS = {
 
 
 def _argv(template, bad, tmp_path):
+    """``template`` with ``bad`` as its last argument. The output directory
+    is made here, so a command that writes a file in it can succeed."""
+    (tmp_path / "out").mkdir(exist_ok=True)
     files = {
         "bad": bad,
         "out": tmp_path / "out",
+        "ehr": sample_path("sample_ehr.csv"),
         "norm": _write(tmp_path, "n.csv", NORMALIZED_CSV),
         "kb": sample_path("sample_kb.tsv"),
         "model": sample_path("sample_model.txt"),
@@ -1514,3 +1520,75 @@ def test_any_main_input_bytes_exit_0_1_or_2(tmp_path_factory, template, prefix, 
     bad = tmp_path / "input"
     bad.write_bytes(prefix + tail)
     assert main(_argv(template, bad, tmp_path)) in (0, 1, 2)
+
+
+PIPELINE = ["pipeline", "--input", "{ehr}", "--out-dir", "{out}"]
+ANNOTATION_LINES = (
+    b'{"row_index": 1, "content": "Tonsillitis", "entities": [[0, 11]]}\n'
+    b'{"row_index": 2, "content": "Arthritis", "entities": []}\n'
+    b'{"row_index": 3, "content": "Hypertension", "entities": []}\n'
+)
+# Each file argument besides a command's main input: (the command, with the
+# file last; valid starts of the file's format, up to a whole valid file).
+FILE_ARGUMENTS = {
+    "kb": (
+        [*PIPELINE, "--model", "{model}", "--kb"],
+        [b"", b"# curated\n", b"C16\tMalignant neoplasm of stomach\tStomach Cancer|",
+         sample_path("sample_kb.tsv").read_bytes()],
+    ),
+    "kb-lexicon": (
+        ["evaluate", "--corpus", "{corpus}", "--model", "{model}", "--out-dir", "{out}", "--kb"],
+        [b"", b"A06.81\tAmebic cystitis\n", sample_path("sample_kb.tsv").read_bytes()],
+    ),
+    "model": (
+        [*PIPELINE, "--kb", "{kb}", "--model"],
+        [b"", b"ehr2icd-tagger\t1\n", MODEL_HEAD.encode(), MODEL_HEAD.encode() + b"bias\tO\t",
+         sample_path("sample_model.txt").read_bytes()],
+    ),
+    "config": (
+        [*PIPELINE, "--kb", "{kb}", "--model", "{model}", "--config"],
+        [b"", b"# settings\n", b"score_threshold = ", b"epochs = 3\nseed = 7\n"],
+    ),
+    "config-evaluate": (
+        [*EVALUATE, "--config"],
+        [b"", b"train_fraction = 0.7\n", b"stoplist = disease, ", b"score_threshold = 0.5\n"],
+    ),
+    "stoplist": (
+        [*EVALUATE, "--stoplist"],
+        [b"", b"# vague\n", b"disease\npain\n", sample_path("stoplist.txt").read_bytes()],
+    ),
+    "extra-terms": (
+        [*EVALUATE, "--extra-terms"],
+        [b"", b"shortness of breath\n", sample_path("extra_terms.txt").read_bytes()],
+    ),
+    "annotations": (
+        [*LINK, "--kb", "{kb}", "--annotations"],
+        [b"", b'{"row_index": 1, "content": "Tonsillitis", "entities": [', ANNOTATION_LINES],
+    ),
+}
+
+
+@pytest.mark.parametrize("argument", sorted(FILE_ARGUMENTS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_any_bytes_in_each_file_argument_exit_0_1_or_2(tmp_path_factory, argument, data):
+    template, prefixes = FILE_ARGUMENTS[argument]
+    prefix = data.draw(st.sampled_from(prefixes), label="prefix")
+    tail = data.draw(
+        st.one_of(st.binary(max_size=64), st.text(max_size=64).map(str.encode)), label="tail"
+    )
+    tmp_path = tmp_path_factory.mktemp("any_file")
+    bad = tmp_path / "input"
+    bad.write_bytes(prefix + tail)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    # An uncaught exception fails the test here.
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = main(_argv(template, bad, tmp_path))
+    assert code in (0, 1, 2)
+    assert "Traceback" not in stderr.getvalue()
+    written = [path for path in (tmp_path / "out").rglob("*") if path.is_file()]
+    if code:
+        assert not written, written
+    else:
+        assert written
+    assert not list(tmp_path.rglob("*.tmp"))

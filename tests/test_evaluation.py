@@ -1,4 +1,5 @@
 import pytest
+from conftest import make_span
 
 from ehr2icd.evaluation import (
     DEFAULT_STOPLIST,
@@ -13,7 +14,7 @@ from ehr2icd.evaluation import (
     summary_to_dict,
     write_outcomes_csv,
 )
-from ehr2icd.ner.spans import AnnotatedExample, make_span
+from ehr2icd.ner.spans import AnnotatedExample
 
 
 def _spans(text, *offsets):

@@ -1,5 +1,6 @@
 import csv
 import gc
+import marshal
 import os
 import pickle
 import subprocess
@@ -14,7 +15,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import count_parses, feeding_fifo, make_kb
+from conftest import count_parses, feeding_fifo, make_kb, make_span
 
 from ehr2icd import dictionary, kbimage, linker, textio
 from ehr2icd.dictionary import Lexicon, build_lexicon, load_lexicon
@@ -31,7 +32,6 @@ from ehr2icd.linker import (
 )
 from ehr2icd.samples import sample_path
 from ehr2icd.ner import tokenizer
-from ehr2icd.ner.spans import make_span
 from ehr2icd.ner.tokenizer import tokenize
 from ehr2icd.normalization import DateTriple, NormalizedRecord
 from ehr2icd.standard import (
@@ -927,6 +927,48 @@ def test_edited_code_never_reads_an_old_image(tmp_path, monkeypatch, module, for
     form.assert_same(form.load(path), fresh)
     assert len(parses) == 1
     form.assert_same(form.load(path), fresh)
+    assert len(parses) == 1
+
+
+def _nine_fields(kb):
+    """The image payload of a KB before names were found from ``entry_of``:
+    today's fields, then each entry's name surface."""
+    name_surface, surfaces = array("I"), 0
+    for entry in kb.entries:
+        name_surface.append(surfaces)
+        surfaces += 1 + len(entry.synonyms)
+    return [*_EIGHT_FIELDS(kb), name_surface.tobytes()]
+
+
+_EIGHT_FIELDS = linker._kb_fields
+
+
+@pytest.mark.parametrize("older_code", [True, False], ids=["older-code", "this-code"])
+def test_an_image_with_each_names_surface_is_not_read(
+    tmp_path, monkeypatch, sample_kb_path, older_code
+):
+    # Written by the code that stored the name surfaces, the image has
+    # another key; under this code's key, its nine fields do not unpack.
+    # Either way it is parsed around and replaced.
+    path = tmp_path / "kb.tsv"
+    path.write_bytes(sample_kb_path.read_bytes())
+    with monkeypatch.context() as patch:
+        if older_code:
+            source = Path(linker.__file__)
+            older = tmp_path / "older_linker.py"
+            older.write_bytes(source.read_bytes().replace(b"entry_of[surface - 1]", b"name_of"))
+            code_files = [older if f == source else f for f in kbimage.CODE_FILES]
+            patch.setattr(kbimage, "CODE_FILES", tuple(code_files))
+        patch.setattr(linker, "_kb_fields", _nine_fields)
+        load_kb(path)
+    image = KB_FORM.image_of(path)
+    assert len(marshal.loads(image.read_bytes()[kbimage._HEAD_END :])) == 9
+    fresh = KnowledgeBase(read_kb(path))
+    parses = count_parses(monkeypatch)
+    _assert_same_kb(load_kb(path), fresh)
+    assert len(parses) == 1
+    assert len(marshal.loads(image.read_bytes()[kbimage._HEAD_END :])) == 8
+    _assert_same_kb(load_kb(path), fresh)
     assert len(parses) == 1
 
 

@@ -54,7 +54,7 @@ PACKAGE_EXPORTS = {
     "ehr2icd.ner": {
         "biluo": ["TAGS", "encode_biluo"],
         "corpus": ["read_corpus", "split_corpus", "write_internal"],
-        "spans": ["DISEASE_LABEL", "AnnotatedExample", "EntitySpan", "make_span"],
+        "spans": ["DISEASE_LABEL", "AnnotatedExample", "EntitySpan"],
         "tagger": [
             "FEATURE_TEMPLATE", "TaggerModel", "load_model", "predict", "save_model",
             "train_tagger",

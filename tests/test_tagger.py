@@ -681,16 +681,82 @@ def test_extreme_scores_unpack_exactly_at_the_training_width(epochs, tokens):
         assert (total == learner.offset) == (signs == (0,) * 5)
 
 
+def _fields(learner, packed):
+    """The five signed weights held in the fields of one packed int."""
+    total = packed + learner.offset
+    half = learner.mask + 1 >> 1
+    return [(total >> learner.width * slot & learner.mask) - half for slot in range(5)]
+
+
 def test_packed_weights_follow_each_update():
-    # Each update moves the true and the guessed slot's packed fields as it
-    # moves their weight lists, negative weights included.
+    # Each update moves the true and the guessed slot's packed fields as a
+    # walk over per-feature weight dicts moves their weights, negative
+    # weights included.
     learner = tagger._PackedPerceptron(19, tagger._field_width(2, 3))
     feats = tuple(range(6, 19))
+    walk = defaultdict(lambda: [0] * 5)
     for ticks, (truth, guess) in enumerate([(0, 4), (4, 0), (4, 0), (2, 1), (3, 4)], start=1):
         learner.update(truth, guess, feats, tagger._START, ticks)
-    for feat in (tagger._START, *feats):
-        assert learner.packed[feat] == sum(map(operator.mul, learner.weights[feat], learner.units))
-    assert learner.weights[6] == [-1, -1, 1, 1, 0]
+        for feat in (tagger._START, *feats):
+            walk[feat][truth] += 1
+            walk[feat][guess] -= 1
+        for feat in range(19):
+            assert _fields(learner, learner.packed[feat]) == walk[feat]
+            assert learner.packed[feat] == sum(map(operator.mul, walk[feat], learner.units))
+    assert walk[6] == [-1, -1, 1, 1, 0]
+
+
+def _stamps_and_totals(steps, names, ticks):
+    """The averaged weights of ``steps`` (tick, truth, guess, feats, prev),
+    from per-slot weights, running totals and last-change stamps, all exact
+    integers, and each weight divided by ``ticks`` once at the end."""
+    weights, totals, stamps = {}, {}, {}
+    for tick, truth, guess, feats, prev in steps:
+        for feat in (*feats[: tagger._PREV_POSITION], prev, *feats[tagger._PREV_POSITION :]):
+            weight = weights.setdefault(feat, {})
+            total, stamp = totals.setdefault(feat, {}), stamps.setdefault(feat, {})
+            for slot, step in ((truth, 1), (guess, -1)):
+                total[slot] = total.get(slot, 0) + (tick - stamp.get(slot, 0)) * weight.get(slot, 0)
+                stamp[slot] = tick
+                weight[slot] = weight.get(slot, 0) + step
+    averaged = {}
+    for feat, weight in weights.items():
+        kept = {}
+        for slot, value in weight.items():
+            value = (totals[feat][slot] + (ticks - stamps[feat][slot]) * value) / ticks
+            if value:
+                kept[TAGS[slot]] = value
+        if kept:
+            averaged[names[feat]] = kept
+    return averaged
+
+
+@st.composite
+def update_runs(draw):
+    """Wrong guesses at increasing ticks, apart by up to 2**40, each with
+    static features drawn from ids 6-19 and a ``prev=`` id, then the ticks
+    that follow the last."""
+    steps, tick = [], 0
+    for _ in range(draw(st.integers(0, 30))):
+        tick += draw(st.one_of(st.integers(1, 3), st.integers(1, 2**40)))
+        truth, guess = draw(st.lists(st.integers(0, 4), min_size=2, max_size=2, unique=True))
+        feats = tuple(draw(st.lists(st.integers(6, 19), min_size=1, max_size=13, unique=True)))
+        prev = draw(st.integers(0, tagger._START))
+        steps.append((tick, truth, guess, feats, prev))
+    return steps, tick + draw(st.one_of(st.integers(0, 3), st.integers(0, 2**40)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(update_runs())
+def test_averaged_weights_equal_stamps_and_totals(run):
+    steps, ticks = run
+    names = [f"f{feat}" for feat in range(20)]
+    learner = tagger._PackedPerceptron(len(names), tagger._field_width(1, max(len(steps), 1)))
+    for step in steps:
+        learner.update(*step[1:], step[0])
+    assert learner.mistakes == len(steps)
+    # The same floats, in the same order of features and of tags.
+    assert repr(learner.averaged(names, ticks)) == repr(_stamps_and_totals(steps, names, ticks))
 
 
 def test_a_corpus_of_many_mistakes_over_many_epochs_matches_the_oracle():

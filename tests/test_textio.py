@@ -7,7 +7,12 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ehr2icd.cli import main
+from ehr2icd.config import load_config
+from ehr2icd.dictionary import read_terms
 from ehr2icd.errors import MalformedFile, UnwritablePath
+from ehr2icd.linker import KBEntry, read_kb
+from ehr2icd.ner.tagger import TaggerModel, load_model, save_model
 from ehr2icd.normalization import DateTriple
 from ehr2icd.report import CSV_FILES, StatsReport, emit_report
 from ehr2icd.standard import StandardRecord, write_standard_csv
@@ -167,3 +172,58 @@ def test_read_text_reads_as_a_text_file_does(tmp_path_factory, data):
         assert f"not valid UTF-8 ({exc.reason})" in str(err.value)
     else:
         assert read_text(path) == expected
+
+
+# The characters besides LF and CR at which str.splitlines() breaks a line;
+# each is whitespace, so str.strip() drops it at either end of a value.
+NOT_LINE_BREAKS = pytest.mark.parametrize(
+    "char",
+    ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+    ids=lambda char: f"U+{ord(char):04X}",
+)
+
+
+@NOT_LINE_BREAKS
+def test_a_kb_line_holding_a_unicode_line_boundary_is_one_entry(tmp_path, char):
+    path = tmp_path / "kb.tsv"
+    path.write_text(
+        f"A01\tCholera{char}B02\tOther thing\nA02\tFever{char}\tpyrexia\n", encoding="utf-8"
+    )
+    assert read_kb(path) == (
+        KBEntry("A01", f"Cholera{char}B02", ("Other thing",)),
+        KBEntry("A02", "Fever", ("pyrexia",)),
+    )
+
+
+@NOT_LINE_BREAKS
+def test_a_term_line_holding_a_unicode_line_boundary_is_one_term(tmp_path, char):
+    path = tmp_path / "terms.txt"
+    path.write_text(f"heart{char}attack\n# a comment\nasthma{char}\n", encoding="utf-8")
+    assert read_terms(path) == [f"heart{char}attack", "asthma"]
+
+
+@NOT_LINE_BREAKS
+def test_a_config_line_holding_a_unicode_line_boundary_is_one_setting(
+    tmp_path, capsys, sample_kb_path, sample_model_path, sample_ehr_path, char
+):
+    # A KB file whose name holds the character, named only by the config.
+    kb = tmp_path / f"kb{char}one.tsv"
+    kb.write_bytes(sample_kb_path.read_bytes())
+    config = tmp_path / "run.cfg"
+    config.write_text(f"kb_path = {kb}\nepochs = 3\n", encoding="utf-8")
+    assert load_config(config).kb_path == str(kb)
+    common = ["pipeline", "--input", str(sample_ehr_path), "--model", str(sample_model_path)]
+    assert main([*common, "--config", str(config), "--out-dir", str(tmp_path / "a")]) == 0
+    assert main([*common, "--kb", str(sample_kb_path), "--out-dir", str(tmp_path / "b")]) == 0
+    capsys.readouterr()
+    standard = "standard.csv"
+    assert (tmp_path / "a" / standard).read_bytes() == (tmp_path / "b" / standard).read_bytes()
+
+
+@NOT_LINE_BREAKS
+def test_a_model_feature_holding_a_unicode_line_boundary_reads_back(tmp_path, char):
+    weights = {f"w=a{char}b": {"O": 1.5}, "bias": {"B-Disease": -0.25}}
+    model = TaggerModel(weights, epochs=2, seed=3)
+    path = tmp_path / "model.txt"
+    save_model(model, path)
+    assert load_model(path) == model
