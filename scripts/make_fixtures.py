@@ -4,8 +4,8 @@
 Produces, under src/ehr2icd/data/:
 
 * sample_corpus.jsonl - template-synthesized annotated diagnosis texts;
-* sample_model.txt    - tagger trained on the default 0.7/13 split of that
-                        corpus (what `ehr2icd train` writes with defaults);
+* sample_model.txt    - tagger trained on the default split of that corpus
+                        (what `ehr2icd train` writes with defaults);
 * sample_ehr_300.csv  - a 300-row raw export in which exactly 59 rows carry
                         a blank cell in one of the four standard columns.
 
@@ -20,6 +20,7 @@ import csv
 import random
 from pathlib import Path
 
+from ehr2icd.config import PipelineConfig
 from ehr2icd.ner import AnnotatedExample, EntitySpan, split_corpus, train_tagger
 from ehr2icd.ner.corpus import write_internal
 from ehr2icd.ner.tagger import save_model
@@ -176,8 +177,9 @@ def main() -> None:
     write_internal(DATA_DIR / "sample_corpus.jsonl", corpus)
     print(f"corpus: {len(corpus)} examples")
 
-    train, test = split_corpus(corpus, 0.7, 13)
-    model = train_tagger(train, epochs=10, seed=13)
+    defaults = PipelineConfig()
+    train, test = split_corpus(corpus, defaults.train_fraction, defaults.seed)
+    model = train_tagger(train, epochs=defaults.epochs, seed=defaults.seed)
     save_model(model, DATA_DIR / "sample_model.txt")
     print(f"model: trained on {len(train)}, held out {len(test)}")
 

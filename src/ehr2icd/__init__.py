@@ -41,7 +41,6 @@ _EXPORTS = {
     "lookup": "linker",
     "AnnotatedExample": "ner.spans",
     "EntitySpan": "ner.spans",
-    "encode_biluo": "ner.biluo",
     "split_corpus": "ner.corpus",
     "TaggerModel": "ner.tagger",
     "predict": "ner.tagger",

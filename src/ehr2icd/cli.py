@@ -137,9 +137,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--corpus", required=True, help="annotation export or internal corpus")
     p.add_argument("--model-out", required=True, help="model file to write")
     _add_config_flags(p)
-    p.add_argument("--seed", type=int, help="shuffle seed (default 13)")
-    p.add_argument("--epochs", type=int, help="training epochs (default 10)")
-    p.add_argument("--train-fraction", type=float, help="train split fraction (default 0.7)")
+    defaults = PipelineConfig()
+    p.add_argument("--seed", type=int, help=f"shuffle seed (default {defaults.seed})")
+    p.add_argument("--epochs", type=int, help=f"training epochs (default {defaults.epochs})")
+    p.add_argument(
+        "--train-fraction",
+        type=float,
+        help=f"train split fraction (default {defaults.train_fraction})",
+    )
     p.add_argument("--stoplist", help="file of vague terms for the held-out report")
 
     p = sub.add_parser("annotate", help="recognize diseases in normalized records")

@@ -31,16 +31,13 @@ class MalformedFile(DataError):
 
 
 class RecordError(DataError):
-    """A problem within one record.
+    """A problem within one record; ``path`` names its file when it came
+    from one."""
 
-    ``path`` names its file when it came from one; ``record`` is None for
-    spans checked outside any record, whose caller names them.
-    """
-
-    def __init__(self, record: int | None, detail: str, path=None):
+    def __init__(self, record: int, detail: str, path=None):
         if path is not None:
             detail = f"{path}: row {record}: {detail}"
-        elif record is not None:
+        else:
             detail = f"record {record}: {detail}"
         super().__init__(detail)
         self.record = record
@@ -53,11 +50,6 @@ class OffsetOutOfRange(RecordError):
 
 class OverlapError(RecordError):
     """Two spans of one record overlap."""
-
-
-class MisalignedSpan(DataError):
-    def __init__(self, detail: str):
-        super().__init__(detail)
 
 
 class EmptyCorpus(DataError):

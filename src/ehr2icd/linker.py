@@ -224,10 +224,44 @@ def _words(typecode: str, data: bytes) -> array:
 
 
 def lookup(term: str, kb: KnowledgeBase, k: int = 4) -> list[LinkCandidate]:
-    """Rank KB entries sharing at least one token with the term; top k returned."""
+    """Rank KB entries sharing at least one token with the term; top k returned.
+
+    A candidate is matched via its name when the entry's name surface scores
+    the entry's best score, and via a synonym otherwise."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return _rank(kb.entries, kb.index, query_tokens(term), k)
+    entries, index = kb.entries, kb.index
+    query = query_tokens(term)
+    lists = [index.postings[token] for token in query if token in index.postings]
+    stride = len(index.entry_of)
+    candidates = []
+    for entry_id, score in _rank(entries, index, query, k):
+        # Surfaces are numbered entry by entry, name first.
+        name = bisect_left(index.entry_of, entry_id)
+        via = "name" if _score(lists, stride, len(query), name) == score else "synonym"
+        candidates.append(LinkCandidate(entries[entry_id], score, via))
+    return candidates
+
+
+def _score(lists: list[array], stride: int, q: int, surface: int) -> float:
+    """The score of ``surface`` against a query of ``q`` tokens whose
+    posting lists are ``lists``.
+
+    The surface's key in a list is size * stride + surface, for its size, so
+    each list is bisected once per surface size it holds, up to that one.
+    """
+    shared = size = 0
+    for keys in lists:
+        at = 0
+        while at < len(keys):
+            key = keys[at] // stride * stride + surface  # at the size of keys[at]
+            at = bisect_left(keys, key, at)
+            if at < len(keys) and keys[at] == key:
+                shared, size = shared + 1, key // stride
+                break
+            at = bisect_left(keys, key - surface + stride, at)
+    # Same integers as |query & surface| / |query | surface|.
+    return shared / (q + size - shared)
 
 
 _NO_KEYS = array("I")
@@ -235,13 +269,14 @@ _NO_KEYS = array("I")
 
 def _rank(
     entries: tuple[KBEntry, ...], index: SurfaceIndex, query: set[str], k: int
-) -> list[LinkCandidate]:
+) -> list[tuple[int, float]]:
+    """The ids of the (up to) k best entries for ``query``, best first, each
+    with its score."""
     entry_of = index.entry_of
     stride = len(entry_of)
     lists = sorted((index.postings.get(token, _NO_KEYS) for token in query), key=len)
     q = len(lists)
     best: dict[int, float] = {}  # entry id -> best score of its surfaces met
-    via_name: dict[int, bool] = {}
     top: list[int] = []  # k distinct entries; the lowest of their scores is t
     t = 0.0
     seen: set[int] = set()
@@ -266,14 +301,9 @@ def _rank(
             # Same integers as |query & surface| / |query | surface|.
             score = shared / (q + size - shared)
             entry = entry_of[surface]
-            is_name = surface == 0 or entry_of[surface - 1] != entry
-            old = best.get(entry, 0.0)
-            if score == old and is_name:
-                via_name[entry] = True
-            if score <= old:
+            if score <= best.get(entry, 0.0):
                 continue
             best[entry] = score
-            via_name[entry] = is_name
             if entry not in top:
                 if len(top) == k:
                     if score <= t:
@@ -288,14 +318,7 @@ def _rank(
     # Every entry outside ``top`` scores at most t, the k-th best score.
     ranked = [entry for entry, score in best.items() if score >= t]
     chosen = heapq.nsmallest(k, ranked, key=lambda e: (-best[e], entries[e].code))
-    return [
-        LinkCandidate(
-            entry=entries[entry_id],
-            score=best[entry_id],
-            matched_via="name" if via_name[entry_id] else "synonym",
-        )
-        for entry_id in chosen
-    ]
+    return [(entry_id, best[entry_id]) for entry_id in chosen]
 
 
 def _window(keys, stride, pos, end, t, q, m) -> tuple[int, int]:
@@ -331,9 +354,9 @@ def _top_candidate(
     entries: tuple[KBEntry, ...], index: SurfaceIndex, text: str
 ) -> Optional[tuple[float, tuple[str, str, str]]]:
     """Score, and (code, name, category), of the top candidate for ``text``, if any."""
-    candidates = _rank(entries, index, query_tokens(text), 1)
-    if not candidates:
+    ranked = _rank(entries, index, query_tokens(text), 1)
+    if not ranked:
         return None
-    top = candidates[0]
-    code = top.entry.code
-    return top.score, (code, top.entry.name, code_to_category(code))
+    [(entry_id, score)] = ranked
+    code, name, _ = entries[entry_id]
+    return score, (code, name, code_to_category(code))

@@ -1,4 +1,4 @@
-"""Disease recognition: spans, tokenization, BILUO codec, corpora, tagger.
+"""Disease recognition: spans, tokenization, BILUO tags, corpora, tagger.
 
 As in the ``ehr2icd`` package, each name below is imported from its module
 on first access, so ``from ehr2icd.ner import read_corpus`` loads the corpus
@@ -10,7 +10,6 @@ from .. import _lazy_attributes
 # Exported name -> the module, under this package, that defines it.
 _EXPORTS = {
     "TAGS": "biluo",
-    "encode_biluo": "biluo",
     "read_corpus": "corpus",
     "split_corpus": "corpus",
     "write_internal": "corpus",

@@ -6,13 +6,15 @@ scores are summed per (feature, tag) weight; ties break in the fixed TAGS
 order, except that a token for which no tag has any evidence at all stays
 outside any entity (an untrained model therefore predicts nothing).
 
-Training builds the features of each token that do not depend on the
-previous tag before the first epoch, and interns every feature to an
-integer id: a token's own features (bias, w=, shape= and the affixes) once
-per distinct token text, and a word's four context features once per
-distinct lowercased word or boundary marker. A token's shape maps ASCII
-text through one ``str.translate`` table, and walks the characters of other
-text. Per id the learner keeps one packed int, the id's five weights in TAGS
+Training reads each example once, before the first epoch: one
+``finditer`` of the tokenizer's pattern gives its token texts and offsets,
+its gold spans are aligned on those offsets straight to tag slots (TAGS
+order), and the features of each token that do not depend on the previous
+tag are interned to integer ids: a token's own features (bias, w=, shape=
+and the affixes) once per distinct token text, and a word's four context
+features once per distinct lowercased word or boundary marker. A token's
+shape maps ASCII text through one ``str.translate`` table, and walks the
+characters of other text. Per id the learner keeps one packed int, the id's five weights in TAGS
 order as fixed-width fields: slot k's weight times ``2**(width * k)``. A
 token step is scored by one C-level ``sum`` of its features' packed ints,
 started from ``offset``, which adds ``2**(width - 1)`` to every field; five
@@ -80,21 +82,17 @@ import math
 import random
 from functools import cache, partial
 
-from ..errors import (
-    EmptyCorpus,
-    EncodingError,
-    MalformedFile,
-    MisalignedSpan,
-    OverlapError,
-    UnsupportedModelVersion,
-)
+from ..config import PipelineConfig
+from ..errors import EmptyCorpus, EncodingError, MalformedFile, UnsupportedModelVersion
 from ..frozen import Frozen, Memo
 from ..textio import atomic_write, read_text
-from .biluo import B, I, L, O, TAGS, U, encode_biluo, entity_runs
+from .biluo import B, I, L, O, TAGS, U, entity_runs
 from .spans import AnnotatedExample, EntitySpan, run_spans
-from .tokenizer import _TOKEN_RE, tokenize
+from .tokenizer import _TOKEN_RE
 
 FEATURE_TEMPLATE = "v1"
+# Training's defaults are the pipeline's.
+_DEFAULTS = PipelineConfig()
 _MAGIC = "ehr2icd-tagger"
 _FORMAT = "1"
 _BOUNDARY_LEFT = "-START-"
@@ -284,72 +282,74 @@ def _field_width(epochs: int, tokens: int) -> int:
     return (2 * bound).bit_length()
 
 
-def _encode_corpus(examples: list[AnnotatedExample]):
-    """Each example's token texts and gold tags."""
-    encoded = []
-    for index, example in enumerate(examples, start=1):
-        tokens = tokenize(example.content)
-        try:
-            tags = encode_biluo(tokens, list(example.spans))
-        except (MisalignedSpan, OverlapError) as exc:
-            raise EncodingError(index, str(exc)) from exc
-        encoded.append(([token.text for token in tokens], tags))
-    return encoded
+def _training_steps(
+    examples: list[AnnotatedExample],
+) -> tuple[list[str], list[list[tuple[tuple[int, ...], int]]]]:
+    """The feature names by id and, per example, each token's static feature
+    ids in template order with the slot of its gold tag.
 
-
-class _Interned(dict):
-    """Feature name -> id, numbering each name the first time it is looked up."""
-
-    def __missing__(self, name: str) -> int:
-        self[name] = id_ = len(self)
-        return id_
-
-
-def _intern_corpus(encoded) -> tuple[list[str], list[list[tuple[tuple[int, ...], int]]]]:
-    """Intern the static features of every token.
-
-    A token's own features are built and interned once per distinct token
-    text, and a word's four context features once per distinct word or
-    boundary marker. Returns the feature names by id and, per example, each
-    token's static feature ids in template order with the slot of its gold
-    tag.
+    A span is aligned iff a token starts where it starts, a token ends where
+    it ends, and the first comes no later than the last: then the tokens
+    between them are the ones it covers. Spans are taken in (start, end)
+    order, so one overlaps an earlier one iff its first token comes no later
+    than the last token tagged so far.
     """
-    ids = _Interned()
-    for tag in (*TAGS, _BOUNDARY_LEFT):
-        ids["prev=" + tag]
-    intern = ids.__getitem__
+    ids = {"prev=" + tag: id_ for id_, tag in enumerate((*TAGS, _BOUNDARY_LEFT))}
 
     @cache
     def own(text: str) -> tuple[int, ...]:
-        return tuple(map(intern, _own_features(text.lower(), _shape(text))))
+        feats = _own_features(text.lower(), _shape(text))
+        return tuple([ids.setdefault(name, len(ids)) for name in feats])
 
     @cache
     def context(word: str) -> tuple[int, ...]:
-        return tuple(map(intern, _context_features(word)))
+        return tuple([ids.setdefault(name, len(ids)) for name in _context_features(word)])
 
-    examples = []
-    for texts, gold in encoded:
+    steps = []
+    for index, example in enumerate(examples, start=1):
+        texts, first_at, last_at = [], {}, {}
+        for match in _TOKEN_RE.finditer(example.content):
+            start, end = match.span()
+            first_at[start] = last_at[end] = len(texts)
+            texts.append(match.group())
+        slots = [_O_SLOT] * len(texts)
+        tagged = -1  # the last token of the spans aligned so far
+        for span in sorted(example.spans, key=lambda span: (span.start, span.end)):
+            first, last = first_at.get(span.start), last_at.get(span.end)
+            if first is None or last is None or first > last:
+                detail = f"{span.text!r} does not align with token boundaries"
+            elif first <= tagged:
+                detail = "overlaps another span"
+            else:
+                if first == last:
+                    slots[first] = _SLOTS[U]
+                else:
+                    slots[first : last + 1] = [_SLOTS[I]] * (last - first + 1)
+                    slots[first], slots[last] = _SLOTS[B], _SLOTS[L]
+                tagged = last
+                continue
+            raise EncodingError(index, f"span ({span.start}, {span.end}) {detail}")
         around = list(map(context, _context_words([text.lower() for text in texts])))
         # Token i's neighbours at -2, -1, +1 and +2 are around[i],
         # around[i + 1], around[i + 3] and around[i + 4].
-        examples.append(
+        steps.append(
             [
-                (own(text) + (left2[0], left1[1], right1[2], right2[3]), _SLOTS[tag])
-                for text, tag, left2, left1, right1, right2 in zip(
-                    texts, gold, around, around[1:], around[3:], around[4:]
+                (own(text) + (left2[0], left1[1], right1[2], right2[3]), slot)
+                for text, slot, left2, left1, right1, right2 in zip(
+                    texts, slots, around, around[1:], around[3:], around[4:]
                 )
             ]
         )
-    return list(ids), examples
+    return list(ids), steps
 
 
 def train_tagger(
-    train: list[AnnotatedExample], epochs: int = 10, seed: int = 13
+    train: list[AnnotatedExample], epochs: int = _DEFAULTS.epochs, seed: int = _DEFAULTS.seed
 ) -> TaggerModel:
     """Train on annotated examples; identical inputs and seed give identical weights."""
     if not train:
         raise EmptyCorpus()
-    names, examples = _intern_corpus(_encode_corpus(train))
+    names, examples = _training_steps(train)
     tokens = sum(map(len, examples))
     width = _field_width(epochs, tokens)
     learner = _PackedPerceptron(len(names), width)

@@ -95,6 +95,43 @@ def make_span(source: str, start: int, end: int) -> EntitySpan:
     return EntitySpan(start=start, end=end, text=source[start:end])
 
 
+class SpanError(ValueError):
+    """A span that ``encode_biluo`` cannot tag: misaligned, or overlapping
+    another."""
+
+
+def encode_biluo(tokens, spans) -> tuple[str, ...]:
+    """The BILUO tag of each token for the given spans, which must sit on
+    token edges; each error's message is the detail of the ``EncodingError``
+    that training raises for it. The oracle of the tagger's span alignment.
+
+    ``tokens`` are ordered and disjoint, as ``tokenize`` gives them. A span
+    is aligned iff a token starts where it starts, a token ends where it
+    ends, and the first comes no later than the last: then the tokens
+    between them are the ones it covers, and no other token touches it.
+    """
+    tags = ["O"] * len(tokens)
+    first_at = {tok.start: k for k, tok in enumerate(tokens)}
+    last_at = {tok.end: k for k, tok in enumerate(tokens)}
+    for span in sorted(spans, key=lambda s: (s.start, s.end)):
+        first = first_at.get(span.start)
+        last = last_at.get(span.end)
+        if first is None or last is None or first > last:
+            raise SpanError(
+                f"span ({span.start}, {span.end}) {span.text!r} does not align "
+                f"with token boundaries"
+            )
+        if any(tag != "O" for tag in tags[first : last + 1]):
+            raise SpanError(f"span ({span.start}, {span.end}) overlaps another span")
+        if first == last:
+            tags[first] = "U-Disease"
+        else:
+            tags[first] = "B-Disease"
+            tags[first + 1 : last] = ["I-Disease"] * (last - first - 1)
+            tags[last] = "L-Disease"
+    return tuple(tags)
+
+
 def decode_biluo(tokens, tags, text: str) -> list:
     """The spans of ``text`` that a (possibly invalid) tag sequence over
     ``tokens`` marks, repaired as ``ner.biluo`` says, but found without its

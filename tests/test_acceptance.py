@@ -7,7 +7,7 @@ lines as they happen).
 import random
 import time
 
-from conftest import GOLDEN_DIR, decode_biluo, make_span
+from conftest import GOLDEN_DIR, decode_biluo, encode_biluo, make_span
 
 from ehr2icd.cli import main
 from ehr2icd.dictionary import build_lexicon, dict_annotate, read_terms
@@ -15,13 +15,15 @@ from ehr2icd.evaluation import evaluate_annotator, render_percent
 from ehr2icd.ingestion import RawRecord, drop_missing, load_dataset
 from ehr2icd.linker import code_to_category, lookup, read_kb
 from ehr2icd.ner import (
+    TAGS,
+    AnnotatedExample,
     load_model,
     predict,
     read_corpus,
     split_corpus,
+    tagger,
     train_tagger,
 )
-from ehr2icd.ner.biluo import encode_biluo
 from ehr2icd.ner.tokenizer import Token
 from ehr2icd.normalization import (
     normalize_age,
@@ -181,7 +183,10 @@ def test_biluo_round_trip():
     rng = random.Random(42)
     for _ in range(1000):
         text, tokens, spans = _random_case(rng)
-        tags = encode_biluo(tokens, spans)
+        # Tagged as training tags its gold spans, from the text alone.
+        _, (steps,) = tagger._training_steps([AnnotatedExample(text, tuple(spans))])
+        tags = tuple(TAGS[slot] for _, slot in steps)
+        assert tags == encode_biluo(tokens, spans)
         decoded = decode_biluo(tokens, tags, text)
         assert decoded == spans
         assert decoded == _reconstruct_spans(tags, tokens, text)

@@ -1,9 +1,8 @@
 import pytest
-from conftest import decode_biluo, make_span
+from conftest import SpanError, decode_biluo, encode_biluo, make_span
 from hypothesis import example, given, strategies as st
 
-from ehr2icd.errors import MisalignedSpan, OverlapError
-from ehr2icd.ner.biluo import TAGS, encode_biluo, entity_runs
+from ehr2icd.ner.biluo import TAGS, entity_runs
 from ehr2icd.ner.spans import EntitySpan
 from ehr2icd.ner.tokenizer import Token, tokenize
 
@@ -38,14 +37,14 @@ def test_no_spans_is_all_o():
 
 def test_misaligned_span_rejected():
     text = "Colon cancer"
-    with pytest.raises(MisalignedSpan):
+    with pytest.raises(SpanError, match="does not align"):
         encode_biluo(tokenize(text), [make_span(text, 0, 3)])  # cuts "Colon"
 
 
 def test_overlapping_spans_rejected():
     text = "Colon cancer here"
     spans = [make_span(text, 0, 12), make_span(text, 6, 17)]
-    with pytest.raises(OverlapError):
+    with pytest.raises(SpanError, match="overlaps another span"):
         encode_biluo(tokenize(text), spans)
 
 
@@ -152,12 +151,12 @@ def _oracle_encode(tokens, spans):
             or tokens[covered[0]].start != span.start
             or tokens[covered[-1]].end != span.end
         ):
-            raise MisalignedSpan(
+            raise SpanError(
                 f"span ({span.start}, {span.end}) {span.text!r} does not align "
                 f"with token boundaries"
             )
         if any(tags[k] != "O" for k in covered):
-            raise OverlapError(None, f"span ({span.start}, {span.end}) overlaps another span")
+            raise SpanError(f"span ({span.start}, {span.end}) overlaps another span")
         if len(covered) == 1:
             tags[covered[0]] = "U-Disease"
         else:
@@ -171,7 +170,7 @@ def _oracle_encode(tokens, spans):
 def _outcome(encode, tokens, spans):
     try:
         return encode(tokens, spans)
-    except (MisalignedSpan, OverlapError) as exc:
+    except SpanError as exc:
         return type(exc), str(exc)
 
 

@@ -1,5 +1,6 @@
 import csv
 import gc
+import inspect
 import io
 import json
 import os
@@ -17,7 +18,7 @@ from ehr2icd import cli
 from ehr2icd.cli import main
 from ehr2icd.config import PipelineConfig, load_config
 from ehr2icd.errors import ConfigError
-from ehr2icd.ner import AnnotatedExample, EntitySpan
+from ehr2icd.ner import AnnotatedExample, EntitySpan, train_tagger
 from ehr2icd.ner.corpus import write_internal
 from ehr2icd.samples import sample_path
 from ehr2icd.standard import read_standard_csv
@@ -283,6 +284,25 @@ def test_train_under_optimize_flag_writes_bundled_model(
     )
     assert proc.returncode == 0, proc.stderr.decode()
     assert model.read_bytes() == sample_model_path.read_bytes()
+
+
+def test_train_defaults_are_the_configs(capsys):
+    # train --help and train_tagger state no default of their own: each is
+    # PipelineConfig's.
+    defaults = PipelineConfig()
+    with pytest.raises(SystemExit) as exit_:
+        main(["train", "--help"])
+    assert exit_.value.code == 0
+    shown = " ".join(capsys.readouterr().out.split())
+    assert f"--seed SEED shuffle seed (default {defaults.seed})" in shown
+    assert f"--epochs EPOCHS training epochs (default {defaults.epochs})" in shown
+    assert (
+        "--train-fraction TRAIN_FRACTION train split fraction "
+        f"(default {defaults.train_fraction})" in shown
+    )
+    parameters = inspect.signature(train_tagger).parameters
+    assert parameters["epochs"].default == defaults.epochs
+    assert parameters["seed"].default == defaults.seed
 
 
 def test_train_on_too_small_corpus_names_the_empty_split(tmp_path, capsys):

@@ -40,8 +40,8 @@ PACKAGE_EXPORTS = {
             "KBEntry", "KnowledgeBase", "LinkCandidate", "code_to_category", "load_kb", "lookup",
         ],
         "ner": [
-            "AnnotatedExample", "EntitySpan", "TaggerModel", "encode_biluo", "predict",
-            "split_corpus", "tokenize", "train_tagger",
+            "AnnotatedExample", "EntitySpan", "TaggerModel", "predict", "split_corpus",
+            "tokenize", "train_tagger",
         ],
         "normalization": [
             "DateTriple", "NormalizedRecord", "normalize_age", "normalize_date",
@@ -52,7 +52,7 @@ PACKAGE_EXPORTS = {
         "standard": ["StandardRecord", "assign"],
     },
     "ehr2icd.ner": {
-        "biluo": ["TAGS", "encode_biluo"],
+        "biluo": ["TAGS"],
         "corpus": ["read_corpus", "split_corpus", "write_internal"],
         "spans": ["DISEASE_LABEL", "AnnotatedExample", "EntitySpan"],
         "tagger": [

@@ -4,11 +4,13 @@ import itertools
 import operator
 import pickle
 import random
+import sys
 import weakref
 from collections import defaultdict
 
+import conftest
 import pytest
-from conftest import bypass_memos, decode_biluo
+from conftest import SpanError, bypass_memos, decode_biluo, encode_biluo
 from hypothesis import example, given, settings, strategies as st
 
 from ehr2icd.errors import (
@@ -19,8 +21,8 @@ from ehr2icd.errors import (
 )
 from ehr2icd.evaluation import evaluate_annotator
 from ehr2icd.frozen import Memo
-from ehr2icd.ner import read_corpus, split_corpus, tagger
-from ehr2icd.ner.biluo import TAGS, encode_biluo
+from ehr2icd.ner import read_corpus, split_corpus, tagger, tokenizer
+from ehr2icd.ner.biluo import TAGS
 from ehr2icd.ner.spans import AnnotatedExample, EntitySpan
 from ehr2icd.ner.tagger import (
     TaggerModel,
@@ -418,7 +420,7 @@ def test_feature_template_matches_oracle(text):
     lower = [t.text.lower() for t in tokens]
     shapes = [_oracle_shape(t.text) for t in tokens]
     around = tagger._context_words(lower)
-    names, (interned,) = tagger._intern_corpus([([t.text for t in tokens], ["O"] * len(tokens))])
+    names, (interned,) = tagger._training_steps([AnnotatedExample(text, ())])
     assert len(interned) == len(tokens)
     for i, token in enumerate(tokens):
         # As scoring reads them: the w-2= name of around[i], the w-1= name of
@@ -435,6 +437,79 @@ def test_feature_template_matches_oracle(text):
             static = [names[id_] for id_ in static_ids]
             static.insert(tagger._PREV_POSITION, "prev=" + prev)
             assert static == expected
+
+
+@st.composite
+def spans_over_tokens(draw):
+    """A text and span offsets over it: each from a token's start to a
+    token's end, an end moved by one character a third of the time, drawn in
+    any order and with repeats, so that aligned, adjacent, misaligned,
+    overlapping, duplicate and unsorted spans are all common. The text has
+    non-ASCII letters and digits and punctuation, may be empty, and mostly
+    ends with a token, so that spans end at its end. A span built directly
+    may be empty or reversed."""
+    text = draw(st.text(alphabet="aZé1٣δß -,.+/", max_size=24))
+    tokens = tokenize(text)
+    if not tokens:
+        offset = st.integers(min_value=0, max_value=len(text))
+        return text, draw(st.lists(st.tuples(offset, offset), max_size=2))
+    index = st.integers(min_value=0, max_value=len(tokens) - 1)
+    nudge = st.sampled_from([0, 0, 0, 0, -1, 1])
+    spans = draw(st.lists(st.tuples(index, index, nudge, nudge), max_size=4))
+    return text, [
+        (max(0, tokens[i].start + a), min(len(text), tokens[j].end + b)) for i, j, a, b in spans
+    ]
+
+
+@given(spans_over_tokens())
+@example(("", []))
+@example(("ß,é δ", [(0, 1), (4, 5)]))  # single tokens, the last at the text's end
+@example(("aa bb cc", [(3, 8), (0, 5)]))  # overlapping, out of order
+@example(("aa bb cc", [(0, 8), (3, 5)]))  # one inside another
+@example(("aa bb cc", [(6, 8), (0, 2)]))  # aligned, out of order
+@example(("aa bb cc", [(1, 5)]))  # starts inside a token
+@example(("aa bb cc", [(0, 4)]))  # ends in the gap after a token
+@example(("aa,bb", [(2, 3), (2, 3)]))  # the same span twice
+@example(("aa,bb", [(3, 5), (0, 1)]))  # misaligned after an aligned one
+@example(("aa,bb", [(2, 2)]))  # empty, between two tokens that touch
+@example(("aa,bb", [(3, 2)]))  # ends before it starts
+def test_training_aligns_spans_as_the_encode_oracle(case):
+    # Training aligns each example's spans on the offsets of its own token
+    # pass, straight to tag slots; the oracle tags Token objects.
+    text, offsets = case
+    spans = [EntitySpan(start, end, text[start:end]) for start, end in offsets]
+    try:
+        expected = encode_biluo(tokenize(text), spans)
+    except SpanError as exc:
+        expected = str(exc)
+    try:
+        _, (steps,) = tagger._training_steps([AnnotatedExample(text, tuple(spans))])
+        got = tuple(TAGS[slot] for _, slot in steps)
+    except EncodingError as exc:
+        assert exc.record == 1
+        got = exc.detail
+    assert got == expected
+
+
+def test_training_builds_no_token(monkeypatch, sample_corpus_path, sample_model_path, tmp_path):
+    # Training takes its tokens from one pass of the tokenizer's pattern: it
+    # calls neither ``tokenize``, which builds a Token per token, nor the
+    # encode oracle, and still gives the bundled model.
+    def refuse(*args):
+        raise AssertionError("training called tokenize or encode_biluo")
+
+    monkeypatch.setattr(conftest, "encode_biluo", refuse)
+    bound = [
+        module
+        for name, module in sys.modules.items()
+        if name.startswith("ehr2icd") and vars(module).get("tokenize") is tokenize
+    ]
+    assert tokenizer in bound
+    for module in bound:
+        monkeypatch.setattr(module, "tokenize", refuse)
+    train, _ = split_corpus(read_corpus(sample_corpus_path), 0.7, 13)
+    save_model(train_tagger(train), tmp_path / "model.txt")
+    assert (tmp_path / "model.txt").read_bytes() == sample_model_path.read_bytes()
 
 
 def test_scores_are_summed_in_template_order():
@@ -782,13 +857,13 @@ def _count_scored_steps(monkeypatch):
                 scored.append(None)
                 yield step
 
-    intern = tagger._intern_corpus
+    training_steps = tagger._training_steps
 
-    def counting(encoded):
-        names, examples = intern(encoded)
-        return names, [Counted(example) for example in examples]
+    def counting(examples):
+        names, steps = training_steps(examples)
+        return names, [Counted(example) for example in steps]
 
-    monkeypatch.setattr(tagger, "_intern_corpus", counting)
+    monkeypatch.setattr(tagger, "_training_steps", counting)
     return scored
 
 
