@@ -31,15 +31,10 @@ class MalformedFile(DataError):
 
 
 class RecordError(DataError):
-    """A problem within one record; ``path`` names its file when it came
-    from one."""
+    """A problem within one record of the file at ``path``."""
 
-    def __init__(self, record: int, detail: str, path=None):
-        if path is not None:
-            detail = f"{path}: row {record}: {detail}"
-        else:
-            detail = f"record {record}: {detail}"
-        super().__init__(detail)
+    def __init__(self, record: int, detail: str, path):
+        super().__init__(f"{path}: row {record}: {detail}")
         self.record = record
         self.path = path
 

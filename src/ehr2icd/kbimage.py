@@ -6,7 +6,10 @@ stores: the KnowledgeBase that ``linker.load_kb`` gives to ``link`` and
 ``pipeline``, and the lexicon that ``dictionary.load_lexicon`` gives to
 ``evaluate``. ``load`` is the one load path for both. This module imports no
 module of the package: loading a KnowledgeBase loads no dictionary, and
-loading a lexicon from its image loads no linker.
+loading a lexicon from its image loads no linker. A KnowledgeBase's image is
+its lookup-ready form as it is: the entries as columns (codes, names,
+synonym cells), and every posting list in one flat array of keys with one
+offset per token, so a hit builds no tuple per entry and no array per token.
 
 An image holds one form as ``marshal`` data, under ``$XDG_CACHE_HOME/ehr2icd/``
 (default ``~/.cache/ehr2icd/``, a directory made with mode 0700): one image
@@ -46,7 +49,7 @@ except ImportError:  # an interpreter built without it
     from hashlib import blake2b
 
 # The layout of an image; part of every image's key.
-IMAGE_FORMAT = 2
+IMAGE_FORMAT = 3
 
 # Images of one form kept in the cache directory; the least recently
 # written go first.

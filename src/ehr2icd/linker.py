@@ -2,15 +2,18 @@
 
 ``read_kb`` parses a KB file into entries, ``KnowledgeBase(entries)``
 compiles them, and ``load_kb`` does both, or loads the compiled form from an
-image on disk (``kbimage``). Each entry's name and synonyms are
-its surfaces; each is tokenized once by ``query_tokens`` (the shared
-tokenizer's case-folded words) into a surface-level inverted index: token ->
-ascending surface keys, plus each surface's entry (an entry's name is its
-first surface). A key orders surfaces by token count first and KB order
-second, so every posting list is ordered by surface size. The token-set
-Jaccard score of a surface is shared / (query size + surface size -
-shared). An entry scores by its best surface, the name winning a tie with a
-synonym whatever their sizes, and candidates are ranked by score
+image on disk (``kbimage``). The compiled form (``SurfaceIndex``) keeps the
+entries as columns (codes, names, synonym cells) beside a surface-level
+inverted index. Each entry's name and synonyms are its surfaces; each is
+tokenized once by ``query_tokens`` (the shared tokenizer's case-folded words)
+and its key filed under each of its tokens: every token's ascending keys lie
+in one flat key array, between that token's two offsets, and each surface's
+entry is kept too (an entry's name is its first surface). A key orders
+surfaces by token count first and KB order second, so every posting list is
+ordered by surface size; a lookup bisects views of the flat array in place.
+The token-set Jaccard score of a surface is shared / (query size + surface
+size - shared). An entry scores by its best surface, the name winning a tie
+with a synonym whatever their sizes, and candidates are ranked by score
 descending with ties broken by code.
 
 A lookup is an exact top-k search with prefix and size filters (Xiao et al.,
@@ -31,11 +34,14 @@ Assignment (``standard.assign``) codes each disease from its top-ranked
 candidate alone, so each KnowledgeBase keeps, in a memo keyed by span text
 (``KnowledgeBase.top``), that candidate's score, code, name and category: a
 text repeated across rows is tokenized, ranked and its category derived
-once. The memo holds the entries and index, not the KnowledgeBase, so the
-two make no cycle. ``lookup`` memoizes nothing and returns a fresh list.
+once. The memo holds the index, not the KnowledgeBase, so the two make
+no cycle. ``lookup`` memoizes nothing and returns a fresh list.
 
 ``load_kb`` defines the KnowledgeBase's image form (``kbimage.Form``): the
-entries by column, and the index's typed arrays as bytes.
+index's columns and token numbers as they are, and its three typed arrays
+(offsets, the flat keys and each surface's entry) as bytes. A KB loaded from
+its image, or compiled by ``load_kb``, builds its tuple of ``KBEntry`` from
+the columns only when ``entries`` is first read.
 """
 
 from __future__ import annotations
@@ -66,39 +72,61 @@ class KBEntry(NamedTuple):
 class SurfaceIndex(NamedTuple):
     """The KB compiled for lookup.
 
+    Entry ids number the entries in KB order; ``codes``, ``names`` and
+    ``synonyms`` give each entry's code, name and its synonyms joined by
+    "|" (a KB file's synonyms hold no "|", and none is empty).
+
     Surfaces are numbered in KB order: entry by entry, the name first, then
     the synonyms in order. A posting holds a surface's key, its size (number
     of distinct tokens) times the stride plus its number, where the stride
     is the number of surfaces, ``len(entry_of)``. So keys order surfaces by
     size first and KB order second. Each posting list, in ascending key
     order, is then in ascending size order, and the surfaces of one size s
-    lie between keys s * stride and (s + 1) * stride. Typed arrays keep the
-    index small on a large KB; keys take 32 bits unless one needs more.
+    lie between keys s * stride and (s + 1) * stride. Token number n's list
+    is ``keys[offsets[n]:offsets[n + 1]]``. Typed arrays keep the index
+    small on a large KB; keys take 32 bits unless one needs more.
 
     An entry's name is its first surface: surface s is a name exactly when
     s is 0 or surface s - 1 belongs to another entry.
     """
 
-    postings: dict[str, array]  # token -> ascending surface keys
+    codes: tuple[str, ...]  # entry id -> code
+    names: tuple[str, ...]  # entry id -> name
+    synonyms: tuple[str, ...]  # entry id -> its synonyms, "|"-joined
+    tokens: dict[str, int]  # token -> its number
+    offsets: array  # token number -> where its list starts; one more at the end
+    keys: array  # every token's ascending surface keys, in token number order
     entry_of: array  # surface number -> entry id
 
 
 class KnowledgeBase(Frozen):
-    """Entries plus the surface index compiled from them, and the memo of
-    each span text's top candidate; immutable.
+    """The surface index compiled from the entries, and the memo of each
+    span text's top candidate; immutable.
 
-    ``index`` is compiled from the entries when not given. Equality, hashing
-    and pickling use the entries only; unpickling compiles the index again.
+    Built from the entries, or from the index alone: the entries are then
+    made from its columns when first read. Equality, hashing and pickling
+    use the entries only; unpickling compiles the index again.
     """
 
-    __slots__ = ("entries", "index", "top")
+    __slots__ = ("index", "top", "_entries")
 
-    def __init__(self, entries: tuple[KBEntry, ...], index: Optional[SurfaceIndex] = None):
+    def __init__(
+        self, entries: Optional[tuple[KBEntry, ...]] = None, index: Optional[SurfaceIndex] = None
+    ):
         if index is None:
             index = build_index(entries)
-        top = Memo(partial(_top_candidate, entries, index))
-        for name, value in zip(self.__slots__, (entries, index, top)):
+        top = Memo(partial(_top_candidate, index))
+        for name, value in zip(self.__slots__, (index, top, entries)):
             object.__setattr__(self, name, value)
+
+    @property
+    def entries(self) -> tuple[KBEntry, ...]:
+        if self._entries is None:
+            codes, names, cells = self.index[:3]
+            synonyms = (tuple(cell.split("|")) if cell else () for cell in cells)
+            entries = tuple(map(KBEntry._make, zip(codes, names, synonyms)))
+            object.__setattr__(self, "_entries", entries)
+        return self._entries
 
     def _key(self) -> tuple:
         return (self.entries,)
@@ -111,31 +139,36 @@ class LinkCandidate(NamedTuple):
 
 
 def build_index(entries: tuple[KBEntry, ...]) -> SurfaceIndex:
-    try:
-        return _build_index(entries, "I")
-    except OverflowError:  # a key past 32 bits: a very long surface in a large KB
-        return _build_index(entries, "Q")
-
-
-def _build_index(entries: tuple[KBEntry, ...], typecode: str) -> SurfaceIndex:
-    # Each surface is tokenized once and its key appended as it goes; one
-    # sort per posting list at the end puts the keys in order.
+    # Each surface is tokenized once and its key appended to its tokens'
+    # lists as it goes; at the end each list is sorted onto the flat array.
     stride = sum(1 + len(entry.synonyms) for entry in entries)
-    postings: dict[str, array] = {}
+    postings: dict[str, list[int]] = {}
     entry_of = array("I")
     for entry_id, entry in enumerate(entries):
         for surface in (entry.name, *entry.synonyms):
             tokens = query_tokens(surface)
             key = len(tokens) * stride + len(entry_of)
             for token in tokens:
-                keys = postings.get(token)
-                if keys is None:
-                    postings[token] = keys = array(typecode)
-                keys.append(key)
+                postings.setdefault(token, []).append(key)
             entry_of.append(entry_id)
-    for token, keys in postings.items():
-        postings[token] = array(typecode, sorted(keys))
-    return SurfaceIndex(postings, entry_of)
+    flat: list[int] = []
+    offsets = array("I", [0])
+    for keys in postings.values():
+        flat += sorted(keys)
+        offsets.append(len(flat))
+    try:
+        keys = array("I", flat)
+    except OverflowError:  # a key past 32 bits: a very long surface in a large KB
+        keys = array("Q", flat)
+    return SurfaceIndex(
+        tuple(entry.code for entry in entries),
+        tuple(entry.name for entry in entries),
+        tuple("|".join(entry.synonyms) for entry in entries),
+        dict(zip(postings, range(len(postings)))),
+        offsets,
+        keys,
+        entry_of,
+    )
 
 
 def read_kb(path, data: Optional[bytes] = None) -> tuple[KBEntry, ...]:
@@ -180,41 +213,24 @@ def load_kb(path) -> KnowledgeBase:
 
 
 def _compile_kb(path: Path, data: bytes) -> KnowledgeBase:
-    return KnowledgeBase(read_kb(path, data))
+    # Built from the index alone, as an image loads it.
+    return KnowledgeBase(index=build_index(read_kb(path, data)))
 
 
 def _kb_fields(kb: KnowledgeBase) -> list:
-    """The compiled KB as the plain values ``marshal`` stores: the entries
-    by column, and the posting lists' keys, in token order, as one run of
+    """The compiled KB as the plain values ``marshal`` stores: the index's
+    columns and token numbers, the keys' typecode, and its typed arrays as
     machine words."""
-    entries, postings = kb.entries, kb.index.postings
-    typecode = next((keys.typecode for keys in postings.values()), "I")
-    return [
-        [entry.code for entry in entries],
-        [entry.name for entry in entries],
-        [entry.synonyms for entry in entries],
-        list(postings),
-        typecode,
-        array("I", map(len, postings.values())).tobytes(),
-        b"".join(keys.tobytes() for keys in postings.values()),
-        kb.index.entry_of.tobytes(),
-    ]
+    codes, names, synonyms, tokens, offsets, keys, entry_of = kb.index
+    words = offsets.tobytes(), keys.tobytes(), entry_of.tobytes()
+    return [codes, names, synonyms, tokens, keys.typecode, *words]
 
 
 def _kb_from_fields(fields: list) -> KnowledgeBase:
-    codes, names, synonyms, tokens, typecode, lengths, keys, entry_of = fields
+    codes, names, synonyms, tokens, typecode, offsets, keys, entry_of = fields
     fields.clear()  # so that each value is freed once it has been used
-    keys = _words(typecode, keys)
-    postings: dict[str, array] = {}
-    start = 0
-    for token, length in zip(tokens, _words("I", lengths)):
-        postings[token] = keys[start : start + length]
-        start += length
-    if start != len(keys):
-        raise ValueError("the posting lists' lengths do not add up")
-    del keys
-    index = SurfaceIndex(postings, _words("I", entry_of))
-    return KnowledgeBase(tuple(map(KBEntry._make, zip(codes, names, synonyms))), index)
+    arrays = _words("I", offsets), _words(typecode, keys), _words("I", entry_of)
+    return KnowledgeBase(index=SurfaceIndex(codes, names, synonyms, tokens, *arrays))
 
 
 def _words(typecode: str, data: bytes) -> array:
@@ -230,22 +246,32 @@ def lookup(term: str, kb: KnowledgeBase, k: int = 4) -> list[LinkCandidate]:
     the entry's best score, and via a synonym otherwise."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    entries, index = kb.entries, kb.index
-    query = query_tokens(term)
-    lists = [index.postings[token] for token in query if token in index.postings]
+    index = kb.index
+    lists = _lists(index, query_tokens(term))
     stride = len(index.entry_of)
     candidates = []
-    for entry_id, score in _rank(entries, index, query, k):
+    for entry_id, score in _rank(index, lists, k):
         # Surfaces are numbered entry by entry, name first.
         name = bisect_left(index.entry_of, entry_id)
-        via = "name" if _score(lists, stride, len(query), name) == score else "synonym"
-        candidates.append(LinkCandidate(entries[entry_id], score, via))
+        via = "name" if _score(lists, stride, name) == score else "synonym"
+        candidates.append(LinkCandidate(kb.entries[entry_id], score, via))
     return candidates
 
 
-def _score(lists: list[array], stride: int, q: int, surface: int) -> float:
-    """The score of ``surface`` against a query of ``q`` tokens whose
-    posting lists are ``lists``.
+def _lists(index: SurfaceIndex, query: set[str]) -> list[memoryview]:
+    """The posting list of each query token: a view of the flat key array,
+    empty for a token that no surface holds."""
+    keys, offsets, tokens = memoryview(index.keys), index.offsets, index.tokens
+    lists = []
+    for token in query:
+        n = tokens.get(token)
+        lists.append(keys[:0] if n is None else keys[offsets[n] : offsets[n + 1]])
+    return lists
+
+
+def _score(lists: list[memoryview], stride: int, surface: int) -> float:
+    """The score of ``surface`` against the query whose tokens' posting
+    lists are ``lists``.
 
     The surface's key in a list is size * stride + surface, for its size, so
     each list is bisected once per surface size it holds, up to that one.
@@ -261,20 +287,15 @@ def _score(lists: list[array], stride: int, q: int, surface: int) -> float:
                 break
             at = bisect_left(keys, key - surface + stride, at)
     # Same integers as |query & surface| / |query | surface|.
-    return shared / (q + size - shared)
+    return shared / (len(lists) + size - shared)
 
 
-_NO_KEYS = array("I")
-
-
-def _rank(
-    entries: tuple[KBEntry, ...], index: SurfaceIndex, query: set[str], k: int
-) -> list[tuple[int, float]]:
-    """The ids of the (up to) k best entries for ``query``, best first, each
-    with its score."""
+def _rank(index: SurfaceIndex, lists: list[memoryview], k: int) -> list[tuple[int, float]]:
+    """The ids of the (up to) k best entries for the query whose tokens'
+    posting lists are ``lists``, best first, each with its score."""
     entry_of = index.entry_of
     stride = len(entry_of)
-    lists = sorted((index.postings.get(token, _NO_KEYS) for token in query), key=len)
+    lists = sorted(lists, key=len)
     q = len(lists)
     best: dict[int, float] = {}  # entry id -> best score of its surfaces met
     top: list[int] = []  # k distinct entries; the lowest of their scores is t
@@ -317,7 +338,8 @@ def _rank(
                 pos, end = _window(keys, stride, pos, end, t, q, m)
     # Every entry outside ``top`` scores at most t, the k-th best score.
     ranked = [entry for entry, score in best.items() if score >= t]
-    chosen = heapq.nsmallest(k, ranked, key=lambda e: (-best[e], entries[e].code))
+    codes = index.codes
+    chosen = heapq.nsmallest(k, ranked, key=lambda e: (-best[e], codes[e]))
     return [(entry_id, best[entry_id]) for entry_id in chosen]
 
 
@@ -351,12 +373,12 @@ def code_to_category(code: str) -> str:
 
 
 def _top_candidate(
-    entries: tuple[KBEntry, ...], index: SurfaceIndex, text: str
+    index: SurfaceIndex, text: str
 ) -> Optional[tuple[float, tuple[str, str, str]]]:
     """Score, and (code, name, category), of the top candidate for ``text``, if any."""
-    ranked = _rank(entries, index, query_tokens(text), 1)
+    ranked = _rank(index, _lists(index, query_tokens(text)), 1)
     if not ranked:
         return None
     [(entry_id, score)] = ranked
-    code, name, _ = entries[entry_id]
-    return score, (code, name, code_to_category(code))
+    code = index.codes[entry_id]
+    return score, (code, index.names[entry_id], code_to_category(code))

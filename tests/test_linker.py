@@ -30,6 +30,7 @@ from ehr2icd.linker import (
     query_tokens,
     read_kb,
 )
+from ehr2icd.cli import main
 from ehr2icd.samples import sample_path
 from ehr2icd.ner import tokenizer
 from ehr2icd.ner.tokenizer import tokenize
@@ -310,13 +311,20 @@ def test_size_window_is_exactly_the_sizes_that_can_reach_t():
                     assert list(keys[pos:end]) == expected, (c, u, q, m)
 
 
+def _postings(kb, token):
+    """The keys filed under ``token``: its slice of the flat key array."""
+    n = kb.index.tokens[token]
+    return kb.index.keys[kb.index.offsets[n] : kb.index.offsets[n + 1]]
+
+
 def test_keys_past_32_bits_fall_back_to_64_bit_postings():
     # 65536 surfaces and one of 65536 tokens: the largest key is 2**32.
     long_name = " ".join(f"w{i}" for i in range(65536))
     entries = [KBEntry("A00", long_name)]
     entries += [KBEntry(f"B{i % 100:02d}.{i // 100}", f"w{i % 7} v{i}") for i in range(65535)]
     kb = make_kb(*entries)
-    assert kb.index.postings["w0"].typecode == "Q"
+    assert kb.index.keys.typecode == "Q"
+    assert max(_postings(kb, "w0")) == 2**32
     [candidate] = lookup(long_name, kb, k=1)
     assert (candidate.entry.code, candidate.score) == ("A00", 1.0)
     assert [c.entry.code for c in lookup("w3 v3", kb, k=1)] == ["B03.0"]
@@ -405,9 +413,9 @@ def test_assign_asks_lookup_for_the_top_candidate_only(monkeypatch):
     ks = []
     rank = linker._rank
 
-    def spy(entries, index, query, k):
+    def spy(index, lists, k):
         ks.append(k)
-        return rank(entries, index, query, k)
+        return rank(index, lists, k)
 
     monkeypatch.setattr(linker, "_rank", spy)
     kb = make_kb(KBEntry("A06.81", "Amebic cystitis"), KBEntry("N30.9", "Cystitis"))
@@ -709,8 +717,7 @@ def _assert_same_kb(loaded, fresh):
     assert loaded.entries == fresh.entries
     assert all(type(entry) is KBEntry for entry in loaded.entries)
     assert loaded.index == fresh.index
-    typecodes = lambda kb: [keys.typecode for keys in kb.index.postings.values()]
-    assert typecodes(loaded) == typecodes(fresh)
+    assert loaded.index.keys.typecode == fresh.index.keys.typecode
     assert lookup("diabetic cataract", loaded) == lookup("diabetic cataract", fresh)
 
 
@@ -768,6 +775,97 @@ def test_lookups_through_a_loaded_image_equal_a_fresh_compile(tmp_path_factory, 
         assert lookup(term, loaded, k=k) == lookup(term, fresh, k=k)
 
 
+# Words and marks of the round-trip KBs: non-ASCII letters and digits, and
+# punctuation. Only a name may hold "|": in a KB file it separates synonyms.
+_TRIP_WORDS = ["cyst", "Cyst", "Straße", "δέλτα", "日本", "ünï", "x2", "٣", "of"]
+_TRIP_MARKS = ["-", ",", "/", "(", ")", "'", "&", "+", ".", "_", ";", "#"]
+
+
+def _trip_surface(marks):
+    parts = st.lists(st.sampled_from(_TRIP_WORDS + marks), min_size=1, max_size=6)
+    return st.builds(lambda parts, sep: sep.join(parts), parts, st.sampled_from([" ", "", "-"]))
+
+
+_TRIP_NAME = _trip_surface(_TRIP_MARKS + ["|"])
+_TRIP_SYNONYM = _trip_surface(_TRIP_MARKS)
+
+
+@st.composite
+def round_trip_kbs(draw):
+    """Entries with no synonym or many, names and synonyms repeating earlier
+    surfaces (a name may be another entry's synonym), and queries."""
+    entries = []
+    for code in draw(st.lists(st.sampled_from(MANY_CODES), min_size=1, max_size=12, unique=True)):
+        earlier = [s for e in entries for s in (e.name, *e.synonyms)]
+        name = draw(st.one_of(_TRIP_NAME, *([st.sampled_from(earlier)] if earlier else [])))
+        reused = [s for s in (*earlier, name) if "|" not in s]
+        synonym = st.one_of(_TRIP_SYNONYM, *([st.sampled_from(reused)] if reused else []))
+        count = draw(st.sampled_from([0, 0, 1, 2, 8]))
+        entries.append(KBEntry(code, name, tuple(draw(synonym) for _ in range(count))))
+    words = sorted({w for e in entries for s in (e.name, *e.synonyms) for w in query_tokens(s)})
+    mixed = st.lists(st.sampled_from(words or ["cyst"]), min_size=1, max_size=4).map(" ".join)
+    return entries, draw(st.lists(st.one_of(_TRIP_NAME, mixed), min_size=1, max_size=4))
+
+
+@settings(max_examples=80, deadline=None)
+@given(round_trip_kbs())
+def test_a_kb_image_round_trips(tmp_path_factory, kb_and_queries):
+    entries, queries = kb_and_queries
+    path = tmp_path_factory.getbasetemp() / "round_trip" / "kb.tsv"
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(_kb_text(entries), encoding="utf-8")
+    missed = load_kb(path)
+    with mock.patch.object(linker, "read_kb", side_effect=AssertionError("parsed")):
+        hit = load_kb(path)
+    for query in queries:  # before the entries are first read
+        assert hit.top[query] == missed.top[query]
+    assert hit.index == missed.index == build_index(tuple(entries))
+    assert hit.entries == missed.entries == tuple(entries)
+    assert all(type(entry) is KBEntry for kb in (hit, missed) for entry in kb.entries)
+    for query in queries:
+        for k in range(1, 6):
+            assert lookup(query, hit, k) == lookup(query, missed, k)
+
+
+class _Counted:
+    """Stands in for a class in the linker's namespace, and notes each value
+    built through it, by a call or by ``_make``."""
+
+    def __init__(self, cls, built: list):
+        self.cls, self.built = cls, built
+
+    def __call__(self, *args, **kwargs):
+        self.built.append(self.cls)
+        return self.cls(*args, **kwargs)
+
+    def _make(self, iterable):
+        self.built.append(self.cls)
+        return self.cls._make(iterable)
+
+
+def test_an_image_hit_builds_nothing_per_entry(tmp_path, monkeypatch, sample_kb_path):
+    # The entries are made from the index's columns when first read, and a
+    # lookup bisects views of the one flat key array.
+    export = sample_path("sample_ehr_300.csv")
+    texts = {row["Diagnosis"] for row in csv.DictReader(export.open(encoding="utf-8"))}
+    expected = read_kb(sample_kb_path)
+    load_kb(sample_kb_path)  # a miss writes the image
+    parses = count_parses(monkeypatch)
+    entries, arrays = [], []
+    monkeypatch.setattr(linker, "KBEntry", _Counted(KBEntry, entries))
+    monkeypatch.setattr(linker, "array", _Counted(array, arrays))
+    kb = load_kb(sample_kb_path)
+    assert len(arrays) == 3  # the image's offsets, keys and surface entries
+    for text in texts:
+        kb.top[text]
+    argv = ["pipeline", "--input", str(export), "--kb", str(sample_kb_path)]
+    argv += ["--model", str(sample_path("sample_model.txt")), "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    assert (parses, entries, len(arrays)) == ([], [], 6)
+    assert len(kb.entries) == len(expected) == len(entries)
+    assert kb.entries == expected
+
+
 def test_an_image_is_written_once_and_then_read(
     tmp_path, monkeypatch, private_cache_home, form
 ):
@@ -812,7 +910,8 @@ def test_an_empty_kb_round_trips_through_its_image(tmp_path, monkeypatch):
     assert load_kb(path).entries == ()
     kb = load_kb(path)
     assert len(parses) == 1
-    assert kb.entries == () and kb.index.postings == {} and len(kb.index.entry_of) == 0
+    assert kb.entries == () and kb.index.tokens == {} and len(kb.index.entry_of) == 0
+    assert list(kb.index.offsets) == [0] and len(kb.index.keys) == 0
     assert lookup("Cystitis", kb) == []
 
 
@@ -830,7 +929,8 @@ def test_an_image_keeps_64_bit_postings(tmp_path, monkeypatch):
     compiled = load_kb(path)
     loaded = load_kb(path)
     assert len(parses) == 1
-    assert loaded.index.postings["w0"].typecode == "Q"
+    assert loaded.index.keys.typecode == "Q"
+    assert max(_postings(loaded, "w0")) == 2**32
     _assert_same_kb(loaded, compiled)
     assert lookup(long_name, loaded, k=1) == lookup(long_name, compiled, k=1)
     for term in ("w3 v3", "w0 v7"):
