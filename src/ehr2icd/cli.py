@@ -247,19 +247,21 @@ def _standard_rows(normalized, spans_of, kb, config) -> list[StandardRecord]:
 def cmd_normalize(args) -> int:
     from .ingestion import REQUIRED_COLUMNS
 
-    header, records = _cli.read_dataset(args.input)
+    rows, records = _cli.read_dataset(args.input)
+    g, a, d, t = map(rows[0].index, REQUIRED_COLUMNS)
     normalized, reasons = _normalize(records)
     with atomic_write(args.output, newline="") as fh:
-        fh.write(csv_line(header))
+        fh.write(csv_line(rows[0]))
         for record in normalized:
-            standard = (
+            # The source row, with its four standard cells replaced.
+            row = rows[record.row_index]
+            row[g], row[a], row[d], row[t] = (
                 record.gender,
                 str(record.age_years),
                 record.diagnosis_text,
                 record.diagnosis_date.render(),
             )
-            cells = {**record.extras, **dict(zip(REQUIRED_COLUMNS, standard))}
-            fh.write(csv_line([cells[name] for name in header]))
+            fh.write(csv_line(row))
     _diag(
         f"normalize: kept {len(normalized)} rows, "
         f"dropped {sum(reasons.values())} ({_histogram(reasons)})"

@@ -1,28 +1,26 @@
 """Load tabular EHR exports and drop rows with missing values.
 
 The input is a UTF-8 CSV file (RFC 4180 quoting) whose header must contain
-the four standard columns, matched exactly and case-sensitively. Columns
-beyond the four are preserved verbatim so a write-back of untouched records
-reproduces the source rows; a header that names a column twice is rejected,
-since its cells could not be told apart.
+the four standard columns, matched exactly and case-sensitively; a header
+that names a column twice is rejected, since its cells could not be told
+apart. A record holds the row's four standard cells and its position.
+``read_dataset`` also returns the rows as parsed, other columns included,
+so that a writer can put each source row back with only its standard cells
+replaced.
 
-Records are named tuples, immutable like their read-only ``extras``
-mappings, so later stages pass them on and share them without copying.
+Records are named tuples, so later stages pass them on and share them
+without copying.
 """
 
 from __future__ import annotations
 
 import csv
-from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 from .errors import MalformedFile, MissingAttribute
 from .textio import open_input
 
 REQUIRED_COLUMNS = ("Gender", "Age", "Diagnosis", "Diagnosis Date")
-
-# The extras of every record from an export with only the four columns.
-NO_EXTRAS: Mapping[str, str] = MappingProxyType({})
 
 
 class RawRecord(NamedTuple):
@@ -33,7 +31,6 @@ class RawRecord(NamedTuple):
     diagnosis_text: str
     diagnosis_date_raw: str
     row_index: int  # 1-based position among data rows
-    extras: Mapping[str, str] = NO_EXTRAS  # read-only: column -> cell
 
 
 def read_header(path) -> list[str]:
@@ -49,9 +46,10 @@ def load_dataset(path) -> list[RawRecord]:
     return read_dataset(path)[1]
 
 
-def read_dataset(path) -> tuple[list[str], list[RawRecord]]:
-    """Read the export at ``path`` once: its header row, and a RawRecord per
-    data row.
+def read_dataset(path) -> tuple[list[list[str]], list[RawRecord]]:
+    """Read the export at ``path`` once: its rows as ``csv.reader`` parses
+    them, header first, so that data row n is ``rows[n]``; and a RawRecord
+    per data row.
 
     Raises MissingAttribute if any of the four standard headers is absent
     and MalformedFile for a header that names a column twice and for rows
@@ -71,20 +69,16 @@ def read_dataset(path) -> tuple[list[str], list[RawRecord]]:
         if name not in header:
             raise MissingAttribute(name)
     g, a, d, t = map(header.index, REQUIRED_COLUMNS)
-    extra_columns = [(i, name) for i, name in enumerate(header) if name not in REQUIRED_COLUMNS]
 
     records = []
-    extras = NO_EXTRAS
     # The record RawRecord(...) would build, without a named tuple's
-    # Python-level __new__; no default applies, so every field is given.
+    # Python-level __new__.
     new = tuple.__new__
     for n, row in enumerate(rows[1:], start=1):
         if len(row) != width:
             raise MalformedFile(path, n + 1, f"expected {width} fields, got {len(row)}")
-        if extra_columns:
-            extras = MappingProxyType({name: row[i] for i, name in extra_columns})
-        records.append(new(RawRecord, (row[g], row[a], row[d], row[t], n, extras)))
-    return header, records
+        records.append(new(RawRecord, (row[g], row[a], row[d], row[t], n)))
+    return rows, records
 
 
 def drop_missing(records: list[RawRecord]) -> list[RawRecord]:

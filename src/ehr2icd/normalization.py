@@ -5,8 +5,9 @@ patterns; a record is dropped as soon as any of its three demographic values
 normalizes to NA. Diagnosis text always passes through untouched.
 
 Records are built as ``tuple.__new__(Record, fields)``, which skips a named
-tuple's Python-level ``__new__``; no default applies, so every field is
-given.
+tuple's Python-level ``__new__``. A record keeps the source row's position,
+not its other cells: ``normalize`` writes those back from the rows that
+``ingestion.read_dataset`` returns.
 
 Exports repeat the same few genders, ages and dates across many rows, so
 each normalizer memoizes its result per distinct cell (``functools.cache``,
@@ -21,9 +22,9 @@ from __future__ import annotations
 
 import re
 from functools import cache
-from typing import Mapping, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
-from .ingestion import NO_EXTRAS, RawRecord
+from .ingestion import RawRecord
 
 FEMALE = "Female"
 MALE = "Male"
@@ -57,7 +58,6 @@ class NormalizedRecord(NamedTuple):
     diagnosis_date: DateTriple
     diagnosis_text: str
     row_index: int
-    extras: Mapping[str, str] = NO_EXTRAS  # the raw record's, shared
 
 
 @cache
@@ -150,5 +150,5 @@ def normalize_with_reason(
     date = normalize_date(record.diagnosis_date_raw)
     if date is None:
         return None, "date"
-    fields = (gender, age, date, record.diagnosis_text, record.row_index, record.extras)
+    fields = (gender, age, date, record.diagnosis_text, record.row_index)
     return tuple.__new__(NormalizedRecord, fields), None

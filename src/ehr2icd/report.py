@@ -3,8 +3,14 @@
 Counts are grouped by ICD category, by (category, gender), by (category,
 age bin), and by diagnosis (year, month). Rows with NA ICD fields count
 toward the totals and the month map but are excluded from the category maps.
-Emission is deterministic: maps are serialized in sorted key order, so the
-same report always produces byte-identical files.
+
+``COUNT_MAPS`` lays out the report: each map's CSV file and JSON section
+come from its row there. A CSV file holds one row per key, the key's cells
+and then the count; a JSON section maps a one-column key to its count, and
+nests a two-column key's second cell under its first. ``summary.csv`` and
+the document's top level hold the two totals. Emission is deterministic:
+keys are written in sorted order, so the same report always produces
+byte-identical files.
 
 Rows are ``standard.StandardRecord``s; ``standard`` reads and writes the
 standard file without the KB code, so ``report`` loads none of it.
@@ -21,40 +27,29 @@ from .frozen import Memo
 from .standard import StandardRecord
 from .textio import atomic_group, atomic_write, csv_line
 
-CSV_FILES = (
-    "by_category.csv",
-    "by_category_gender.csv",
-    "by_category_agebin.csv",
-    "by_month.csv",
-    "summary.csv",
+# Each count map: the StatsReport attribute, which names its CSV file and
+# JSON section, and the header of its key columns.
+COUNT_MAPS = (
+    ("by_category", ("Category",)),
+    ("by_category_gender", ("Category", "Gender")),
+    ("by_category_agebin", ("Category", "AgeBin")),
+    ("by_month", ("Year", "Month")),
 )
+TOTALS = ("na_rows", "total_rows")
+CSV_FILES = (*(f"{name}.csv" for name, _ in COUNT_MAPS), "summary.csv")
 
 
 class StatsReport:
     """The report's count maps and totals; each report has its own maps."""
 
-    __slots__ = (
-        "by_category",
-        "by_category_gender",
-        "by_category_agebin",
-        "by_month",
-        "total_rows",
-        "na_rows",
-    )
+    __slots__ = (*(name for name, _ in COUNT_MAPS), *TOTALS)
 
-    def __init__(
-        self,
-        by_category: dict[str, int] | None = None,
-        by_category_gender: dict[tuple[str, str], int] | None = None,
-        by_category_agebin: dict[tuple[str, str], int] | None = None,
-        by_month: dict[tuple[int, int], int] | None = None,
-        total_rows: int = 0,
-        na_rows: int = 0,
-    ):
-        self.by_category = {} if by_category is None else by_category
-        self.by_category_gender = {} if by_category_gender is None else by_category_gender
-        self.by_category_agebin = {} if by_category_agebin is None else by_category_agebin
-        self.by_month = {} if by_month is None else by_month
+    def __init__(self, total_rows: int = 0, na_rows: int = 0, **maps: dict):
+        for name, _ in COUNT_MAPS:
+            counts = maps.pop(name, None)
+            setattr(self, name, {} if counts is None else counts)
+        if maps:
+            raise TypeError(f"not a count map: {', '.join(sorted(maps))}")
         self.total_rows = total_rows
         self.na_rows = na_rows
 
@@ -109,7 +104,12 @@ def aggregate(rows: Iterable[StandardRecord]) -> StatsReport:
         bin_key = (category, bins[row.age_years])
         by_category_agebin[bin_key] = by_category_agebin.get(bin_key, 0) + 1
     report = StatsReport(
-        by_category, by_category_gender, by_category_agebin, by_month, total_rows, na_rows
+        total_rows,
+        na_rows,
+        by_category=by_category,
+        by_category_gender=by_category_gender,
+        by_category_agebin=by_category_agebin,
+        by_month=by_month,
     )
     report.validate()
     return report
@@ -131,61 +131,40 @@ def emit_report(report: StatsReport, out_dir, fmt: str = "csv") -> list[Path]:
     raise ValueError(f"unknown report format {fmt!r}")
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    with atomic_write(path, newline="") as fh:
-        fh.write(csv_line(header))
-        fh.writelines(map(csv_line, rows))
+def _key_cells(key, columns: tuple[str, ...]) -> list[str]:
+    """The cells of a count map's key, one per key column."""
+    return [str(key)] if len(columns) == 1 else list(map(str, key))
 
 
 def _emit_csv(report: StatsReport, out_dir: Path) -> list[Path]:
+    tables = [
+        (
+            [*columns, "Count"],
+            [
+                [*_key_cells(key, columns), str(count)]
+                for key, count in sorted(getattr(report, name).items())
+            ],
+        )
+        for name, columns in COUNT_MAPS
+    ]
+    tables.append((["Key", "Value"], [[key, str(getattr(report, key))] for key in TOTALS]))
     paths = [out_dir / name for name in CSV_FILES]
-    _write_csv(
-        paths[0],
-        ["Category", "Count"],
-        [[c, str(n)] for c, n in sorted(report.by_category.items())],
-    )
-    _write_csv(
-        paths[1],
-        ["Category", "Gender", "Count"],
-        [[c, g, str(n)] for (c, g), n in sorted(report.by_category_gender.items())],
-    )
-    _write_csv(
-        paths[2],
-        ["Category", "AgeBin", "Count"],
-        [[c, b, str(n)] for (c, b), n in sorted(report.by_category_agebin.items())],
-    )
-    _write_csv(
-        paths[3],
-        ["Year", "Month", "Count"],
-        [[str(y), str(m), str(n)] for (y, m), n in sorted(report.by_month.items())],
-    )
-    _write_csv(
-        paths[4],
-        ["Key", "Value"],
-        [["na_rows", str(report.na_rows)], ["total_rows", str(report.total_rows)]],
-    )
+    for path, (header, rows) in zip(paths, tables, strict=True):
+        with atomic_write(path, newline="") as fh:
+            fh.write(csv_line(header))
+            fh.writelines(map(csv_line, rows))
     return paths
 
 
 def _emit_json(report: StatsReport, out_dir: Path) -> list[Path]:
-    document = {
-        "by_category": dict(sorted(report.by_category.items())),
-        "by_category_gender": _nest(report.by_category_gender),
-        "by_category_agebin": _nest(report.by_category_agebin),
-        "by_month": _nest(
-            {(str(y), str(m)): n for (y, m), n in report.by_month.items()}
-        ),
-        "total_rows": report.total_rows,
-        "na_rows": report.na_rows,
-    }
+    document = {key: getattr(report, key) for key in TOTALS}
+    for name, columns in COUNT_MAPS:
+        section = document[name] = {}
+        for key, count in getattr(report, name).items():
+            cells = _key_cells(key, columns)
+            node = section if len(cells) == 1 else section.setdefault(cells[0], {})
+            node[cells[-1]] = count
     path = out_dir / "report.json"
     with atomic_write(path) as fh:
         fh.write(json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
     return [path]
-
-
-def _nest(pairs: dict[tuple[str, str], int]) -> dict[str, dict[str, int]]:
-    nested: dict[str, dict[str, int]] = {}
-    for (outer, inner), count in sorted(pairs.items()):
-        nested.setdefault(outer, {})[inner] = count
-    return nested

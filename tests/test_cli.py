@@ -11,7 +11,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from conftest import GOLDEN_DIR, count_parses, feeding_fifo
+from conftest import DATA_DIR, GOLDEN_DIR, count_parses, feeding_fifo
 from hypothesis import given, settings, strategies as st
 
 from ehr2icd import cli
@@ -164,6 +164,32 @@ def test_normalize_reproduces_extra_columns_byte_for_byte(tmp_path):
     out = tmp_path / "normalized.csv"
     assert main(["normalize", "--input", str(raw), "--output", str(out)]) == 0
     assert out.read_bytes() == raw.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "source, golden, histogram",
+    [
+        (
+            sample_path("sample_ehr.csv"),
+            "sample_ehr_normalized.csv",
+            "kept 19 rows, dropped 1 (missing=0, gender=0, age=0, date=1)",
+        ),
+        # Extra columns before, between and after the standard ones, with
+        # quoted, blank, multi-line and non-ASCII cells, a CRLF row, and rows
+        # dropped for each reason.
+        (
+            DATA_DIR / "extra_columns_ehr.csv",
+            "extra_columns_normalized.csv",
+            "kept 6 rows, dropped 5 (missing=2, gender=1, age=1, date=1)",
+        ),
+    ],
+    ids=["sample", "extra-columns"],
+)
+def test_normalize_matches_its_golden(tmp_path, capsys, source, golden, histogram):
+    out = tmp_path / "normalized.csv"
+    assert main(["normalize", "--input", str(source), "--output", str(out)]) == 0
+    assert out.read_bytes() == (DATA_DIR / golden).read_bytes()
+    assert f"normalize: {histogram}" in capsys.readouterr().err
 
 
 def test_a_bare_cr_in_a_diagnosis_survives_every_round_trip(
@@ -689,6 +715,20 @@ def test_pipeline_json_report_format(
     document = json.loads((out_dir / "report" / "report.json").read_text())
     assert document["total_rows"] == 21
     assert document["na_rows"] == 5
+
+
+def test_json_report_matches_its_golden(
+    tmp_path, sample_kb_path, sample_model_path, sample_ehr_path
+):
+    argv = _pipeline_argv(tmp_path / "out", sample_ehr_path, sample_kb_path, sample_model_path)
+    assert main([*argv, "--format", "json"]) == 0
+    golden = (DATA_DIR / "report.json").read_bytes()
+    assert (tmp_path / "out" / "report" / "report.json").read_bytes() == golden
+    # The report command writes the same document from the standard file.
+    standard = str(GOLDEN_DIR / "standard.csv")
+    argv = ["report", "--input", standard, "--out-dir", str(tmp_path / "r"), "--format", "json"]
+    assert main(argv) == 0
+    assert (tmp_path / "r" / "report.json").read_bytes() == golden
 
 
 def _assert_golden(out_dir):
@@ -1507,6 +1547,96 @@ def test_malformed_input_exits_with_code_naming_file(case, tmp_path, capsys):
     assert str(bad) in capsys.readouterr().err
     out = tmp_path / "out"
     assert not [path for path in out.rglob("*") if path.is_file()]
+
+
+CORPUS = sample_path("sample_corpus.jsonl").read_bytes()
+# (command, with the file argument last; that file's contents; expected exit
+# code; the error it reports). The first cases give valid files but flags
+# that leave the command unable to run.
+ERROR_BRANCHES = {
+    "train-fraction-above-1": (
+        [*TRAIN[:-1], "--train-fraction", "1.5", "--corpus"],
+        CORPUS,
+        1,
+        "train_fraction must be in (0, 1), got 1.5",
+    ),
+    "train-epochs-negative": (
+        [*TRAIN[:-1], "--epochs", "-1", "--corpus"], CORPUS, 1, "epochs must be >= 0, got -1"
+    ),
+    "link-without-annotations-or-model": (
+        [*LINK, "--kb"],
+        sample_path("sample_kb.tsv").read_bytes(),
+        1,
+        "link requires --annotations or --model",
+    ),
+    "evaluate-without-kb": (
+        ["evaluate", "--model", "{model}", "--out-dir", "{out}", "--corpus"],
+        CORPUS,
+        1,
+        "evaluate requires --kb",
+    ),
+    "evaluate-without-model": (
+        ["evaluate", "--kb", "{kb}", "--out-dir", "{out}", "--corpus"],
+        CORPUS,
+        1,
+        "evaluate requires --model",
+    ),
+    "pipeline-without-kb": (
+        ["pipeline", "--model", "{model}", "--out-dir", "{out}", "--input"],
+        sample_path("sample_ehr.csv").read_bytes(),
+        1,
+        "pipeline requires --kb and --model",
+    ),
+    "pipeline-without-model": (
+        ["pipeline", "--kb", "{kb}", "--out-dir", "{out}", "--input"],
+        sample_path("sample_ehr.csv").read_bytes(),
+        1,
+        "pipeline requires --kb and --model",
+    ),
+    "kb-blank-name": (
+        [*LINK, "--model", "{model}", "--kb"],
+        b"A06.81\tAmebic cystitis\nA09\t \tGastroenteritis\n",
+        2,
+        "row 2: entry name is empty",
+    ),
+    "corpus-annotation-not-objects": (
+        TRAIN,
+        b'{"content": "Cystitis", "annotation": ["Disease Name"]}\n',
+        2,
+        "row 1: annotation must be a list of objects",
+    ),
+    "corpus-points-not-objects": (
+        TRAIN,
+        b'{"content": "Cystitis", "annotation": [{"label": ["Disease Name"], '
+        b'"points": [[0, 7]]}]}\n',
+        2,
+        "row 1: points must be a list of objects",
+    ),
+    "corpus-entities-not-list": (
+        TRAIN, b'{"content": "Cystitis", "entities": {"0": 8}}\n', 2, "entities must be a list"
+    ),
+    "raw-export-field-too-large": (
+        ["normalize", "--output", "{out}/n.csv", "--input"],
+        b"Gender,Age,Diagnosis,Diagnosis Date\nF,20,%s,9/4/1439\n"
+        % (b"x" * (csv.field_size_limit() + 1)),
+        2,
+        "field larger than field limit",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_BRANCHES))
+def test_an_error_branch_exits_with_one_error_line_and_writes_nothing(case, tmp_path, capsys):
+    template, contents, code, detail = ERROR_BRANCHES[case]
+    given = tmp_path / "given_input"
+    given.write_bytes(contents)
+    # An uncaught exception (a traceback) fails the test here.
+    assert main(_argv(template, given, tmp_path)) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and detail in line, line
+    assert not [path for path in (tmp_path / "out").rglob("*") if path.is_file()]
 
 
 MAIN_INPUT_COMMANDS = [

@@ -73,6 +73,14 @@ def test_other_labels_ignored(tmp_path):
     assert example.spans == ()
 
 
+@pytest.mark.parametrize("label, kept", [("Disease Name", True), ("Symptom", False)])
+def test_a_bare_string_label_reads_as_a_list_of_one(tmp_path, label, kept):
+    annotation = {"label": label, "points": [{"start": 0, "end": 6}]}
+    document = json.dumps({"content": "ANXIETY", "annotation": [annotation]})
+    [example] = _read_document(tmp_path, document)
+    assert example.spans == ((EntitySpan(0, 7, "ANXIETY", "Disease"),) if kept else ())
+
+
 def test_overlapping_points_raise_with_record_number(tmp_path):
     document = "\n".join(
         [

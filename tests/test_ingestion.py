@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from ehr2icd.errors import MalformedFile, MissingAttribute
 from ehr2icd.ingestion import (
-    NO_EXTRAS,
     REQUIRED_COLUMNS,
     RawRecord,
     drop_missing,
@@ -17,15 +16,19 @@ from ehr2icd.ingestion import (
 BOM = b"\xef\xbb\xbf"
 
 
-def _write_dataset(path, records, header):
-    """Write records back to CSV under the given header order: the inverse of
-    ``load_dataset`` for the round-trip tests below."""
+def _write_dataset(path, rows):
+    """Write rows back to CSV: the inverse of the rows ``read_dataset``
+    returns, for the round-trip tests below."""
     with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for record in records:
-            cells = dict(zip(REQUIRED_COLUMNS, record[:4]), **record.extras)
-            writer.writerow([cells[name] for name in header])
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+def _assert_records_match_rows(rows, records):
+    """Record n holds data row n's four standard cells, and its position."""
+    columns = [rows[0].index(name) for name in REQUIRED_COLUMNS]
+    assert len(records) == len(rows) - 1
+    for n, record in enumerate(records, start=1):
+        assert record == (*(rows[n][i] for i in columns), n)
 
 
 def test_load_300_row_fixture(sample_ehr_300_path):
@@ -142,10 +145,12 @@ def test_drop_missing_is_a_subsequence(cells):
 
 
 def test_write_back_reproduces_bytes(sample_ehr_path, tmp_path):
-    records = load_dataset(sample_ehr_path)
-    header = read_header(sample_ehr_path)
+    rows, records = read_dataset(sample_ehr_path)
+    assert rows[0] == read_header(sample_ehr_path)
+    _assert_records_match_rows(rows, records)
+    assert records == load_dataset(sample_ehr_path)
     out = tmp_path / "copy.csv"
-    _write_dataset(out, records, header)
+    _write_dataset(out, rows)
     assert out.read_bytes() == sample_ehr_path.read_bytes()
 
 
@@ -155,10 +160,14 @@ def test_extra_columns_preserved(tmp_path):
         "Gender,Age,Clinic,Diagnosis,Diagnosis Date\n"
         "F,20,General,Cystitis,9/4/1439\n"
     )
-    records = load_dataset(path)
-    assert records[0].extras == {"Clinic": "General"}
+    rows, records = read_dataset(path)
+    assert rows == [
+        ["Gender", "Age", "Clinic", "Diagnosis", "Diagnosis Date"],
+        ["F", "20", "General", "Cystitis", "9/4/1439"],
+    ]
+    assert records == [RawRecord("F", "20", "Cystitis", "9/4/1439", 1)]
     out = tmp_path / "copy.csv"
-    _write_dataset(out, records, read_header(path))
+    _write_dataset(out, rows)
     assert out.read_bytes() == path.read_bytes()
 
 
@@ -183,17 +192,10 @@ def test_records_are_immutable(tmp_path):
     path = tmp_path / "extra.csv"
     path.write_text("Gender,Age,Clinic,Diagnosis,Diagnosis Date\nF,20,General,Cystitis,9/4/1439\n")
     [record] = load_dataset(path)
+    assert record._fields == (
+        "gender_raw", "age_raw", "diagnosis_text", "diagnosis_date_raw", "row_index"
+    )
     with pytest.raises(AttributeError):
         record.gender_raw = "M"
-    with pytest.raises(TypeError):
-        record.extras["Clinic"] = "Other"
-    with pytest.raises(TypeError):
-        record.extras["Ward"] = "3"
-    assert record.extras == {"Clinic": "General"}
-
-
-def test_records_without_extra_columns_share_one_empty_mapping(sample_ehr_300_path):
-    records = load_dataset(sample_ehr_300_path)
-    assert all(record.extras is NO_EXTRAS for record in records)
-    assert RawRecord("F", "20", "Cystitis", "9/4/1439", 1).extras is NO_EXTRAS
-    assert dict(NO_EXTRAS) == {}
+    with pytest.raises(AttributeError):
+        record.row_index = 2

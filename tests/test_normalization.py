@@ -1,4 +1,3 @@
-from types import MappingProxyType
 
 import pytest
 from hypothesis import given, strategies as st
@@ -189,15 +188,15 @@ def test_diagnosis_text_passes_through_verbatim():
     assert record.diagnosis_text == text
 
 
-def test_normalized_record_is_immutable_and_shares_the_raw_extras():
-    raw = RawRecord("F", "20", "Cystitis", "9/4/1439", 1, MappingProxyType({"Clinic": "A"}))
+def test_normalized_record_is_immutable():
+    raw = RawRecord("F", "20", "Cystitis", "9/4/1439", 7)
     record, _ = normalize_with_reason(raw)
-    assert record.extras is raw.extras
+    assert record == ("Female", 20, DateTriple(9, 4, 1439), "Cystitis", 7)
+    assert record._fields == (
+        "gender", "age_years", "diagnosis_date", "diagnosis_text", "row_index"
+    )
     with pytest.raises(AttributeError):
         record.age_years = 30
-    with pytest.raises(TypeError):
-        record.extras["Clinic"] = "B"
-    assert record.extras == {"Clinic": "A"}
 
 
 NORMALIZERS = (normalize_gender, normalize_age, normalize_date)

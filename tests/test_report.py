@@ -252,6 +252,23 @@ def test_validate_catches_inconsistent_totals():
         broken.validate()
 
 
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ("by_category_gender", "gender count exceeds category count for E10"),
+        ("by_category_agebin", "age-bin count exceeds category count for E10"),
+    ],
+)
+def test_validate_catches_a_breakdown_above_its_category(field, message):
+    counts = {("E10", "Female"): 2} if field == "by_category_gender" else {("E10", "30-49"): 2}
+    broken = StatsReport(by_category={"E10": 1}, total_rows=1, **{field: counts})
+    with pytest.raises(ValueError, match=message):
+        broken.validate()
+    # A key whose category has no count at all exceeds it too.
+    with pytest.raises(ValueError):
+        StatsReport(**{field: {("I15", "x"): 1}}).validate()
+
+
 def _oracle_aggregate(rows):
     """aggregate as it counted before: straight into the report, bin_age per row."""
     report = StatsReport()
