@@ -44,7 +44,7 @@ _EXPORTS = {
     "split_corpus": "ner.corpus",
     "TaggerModel": "ner.tagger",
     "predict": "ner.tagger",
-    "train_tagger": "ner.tagger",
+    "train_tagger": "ner.training",
     "tokenize": "ner.tokenizer",
     "DateTriple": "normalization",
     "NormalizedRecord": "normalization",

@@ -10,8 +10,14 @@ command loads only the modules it runs. ``_CALLEES`` names every function
 (or class) a command calls from another module of the package, as
 ``callee name -> (module, attribute)``; the module-level ``__getattr__``
 (PEP 562) imports that module on the callee's first use and keeps the
-callee on this module. ``train`` thus loads the corpus reader and the
-tagger but not the linker, the KB image code or the report writer.
+callee on this module. ``train`` thus loads the corpus reader, the tagger
+and its learner (``ner.training``) but not the linker, the KB image code or
+the report writer, and the commands that only tag text load no learner.
+``json`` is imported only where JSON is read or written (the corpus reader,
+``evaluate``'s summary and the JSON report), so ``pipeline`` and ``report``
+with CSV output, ``link`` and ``normalize`` load none of it. The parser
+lists every command, for help, usage and errors, but builds the arguments
+only of the command ``argv`` names: each argument costs a help formatter.
 
 Commands look each callee up on this module when they call it
 (``_cli.predict(model, text)``), never through a name bound at import.
@@ -45,7 +51,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import sys
 from pathlib import Path
@@ -75,7 +80,7 @@ _CALLEES = {
     "corpus_lines": ("ner.corpus", "corpus_lines"),
     "read_annotations": ("ner.corpus", "read_annotations"),
     "write_annotations": ("ner.corpus", "write_annotations"),
-    "train_tagger": ("ner.tagger", "train_tagger"),
+    "train_tagger": ("ner.training", "train_tagger"),
     "save_model": ("ner.tagger", "save_model"),
     "load_model": ("ner.tagger", "load_model"),
     "predict": ("ner.tagger", "predict"),
@@ -118,7 +123,9 @@ class _Parser(argparse.ArgumentParser):
         super().exit(status, message)
 
 
-def _build_parser() -> _Parser:
+def _build_parser(argv: list[str]) -> _Parser:
+    """The parser of every command, with arguments only for the one
+    ``argv`` names: its first item that is not an option."""
     parser = _Parser(
         prog="ehr2icd",
         description=(
@@ -128,61 +135,71 @@ def _build_parser() -> _Parser:
     )
     parser.add_argument("--version", action="version", version=f"ehr2icd {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # Every command is listed, so help, usage and errors name them all, but
+    # each argument costs a help formatter, so only the named one gets its.
+    named = next((item for item in argv if not item.startswith("-")), None)
 
     p = sub.add_parser("normalize", help="normalize gender, age, and diagnosis date")
-    p.add_argument("--input", required=True, help="raw CSV export")
-    p.add_argument("--output", required=True, help="normalized CSV to write")
+    if named == "normalize":
+        p.add_argument("--input", required=True, help="raw CSV export")
+        p.add_argument("--output", required=True, help="normalized CSV to write")
 
     p = sub.add_parser("train", help="train the disease tagger on an annotated corpus")
-    p.add_argument("--corpus", required=True, help="annotation export or internal corpus")
-    p.add_argument("--model-out", required=True, help="model file to write")
-    _add_config_flags(p)
-    defaults = PipelineConfig()
-    p.add_argument("--seed", type=int, help=f"shuffle seed (default {defaults.seed})")
-    p.add_argument("--epochs", type=int, help=f"training epochs (default {defaults.epochs})")
-    p.add_argument(
-        "--train-fraction",
-        type=float,
-        help=f"train split fraction (default {defaults.train_fraction})",
-    )
-    p.add_argument("--stoplist", help="file of vague terms for the held-out report")
+    if named == "train":
+        p.add_argument("--corpus", required=True, help="annotation export or internal corpus")
+        p.add_argument("--model-out", required=True, help="model file to write")
+        _add_config_flags(p)
+        defaults = PipelineConfig()
+        p.add_argument("--seed", type=int, help=f"shuffle seed (default {defaults.seed})")
+        p.add_argument("--epochs", type=int, help=f"training epochs (default {defaults.epochs})")
+        p.add_argument(
+            "--train-fraction",
+            type=float,
+            help=f"train split fraction (default {defaults.train_fraction})",
+        )
+        p.add_argument("--stoplist", help="file of vague terms for the held-out report")
 
     p = sub.add_parser("annotate", help="recognize diseases in normalized records")
-    p.add_argument("--input", required=True, help="normalized CSV")
-    p.add_argument("--model", required=True, help="trained tagger model")
-    p.add_argument("--output", required=True, help="annotations JSONL to write")
+    if named == "annotate":
+        p.add_argument("--input", required=True, help="normalized CSV")
+        p.add_argument("--model", required=True, help="trained tagger model")
+        p.add_argument("--output", required=True, help="annotations JSONL to write")
 
     p = sub.add_parser("link", help="assign ICD-10 code/name/category to records")
-    p.add_argument("--input", required=True, help="normalized CSV")
-    p.add_argument("--output", required=True, help="standard CSV to write")
-    p.add_argument("--kb", help="knowledge base TSV")
-    p.add_argument("--model", help="tagger model (when no --annotations)")
-    p.add_argument("--annotations", help="annotations JSONL from the annotate step")
-    _add_config_flags(p)
-    p.add_argument("--score-threshold", type=float, help="minimum link score (default 0)")
+    if named == "link":
+        p.add_argument("--input", required=True, help="normalized CSV")
+        p.add_argument("--output", required=True, help="standard CSV to write")
+        p.add_argument("--kb", help="knowledge base TSV")
+        p.add_argument("--model", help="tagger model (when no --annotations)")
+        p.add_argument("--annotations", help="annotations JSONL from the annotate step")
+        _add_config_flags(p)
+        p.add_argument("--score-threshold", type=float, help="minimum link score (default 0)")
 
     p = sub.add_parser("evaluate", help="compare the tagger against the dictionary baseline")
-    p.add_argument("--corpus", required=True, help="gold corpus")
-    p.add_argument("--kb", help="knowledge base TSV (builds the baseline lexicon)")
-    p.add_argument("--model", help="trained tagger model")
-    p.add_argument("--out-dir", required=True, help="directory for outcome files")
-    _add_config_flags(p)
-    p.add_argument("--stoplist", help="file of vague terms (one per line)")
-    p.add_argument("--extra-terms", help="extra lexicon terms file")
+    if named == "evaluate":
+        p.add_argument("--corpus", required=True, help="gold corpus")
+        p.add_argument("--kb", help="knowledge base TSV (builds the baseline lexicon)")
+        p.add_argument("--model", help="trained tagger model")
+        p.add_argument("--out-dir", required=True, help="directory for outcome files")
+        _add_config_flags(p)
+        p.add_argument("--stoplist", help="file of vague terms (one per line)")
+        p.add_argument("--extra-terms", help="extra lexicon terms file")
 
     p = sub.add_parser("report", help="aggregate a standard file into statistics")
-    p.add_argument("--input", required=True, help="standard CSV")
-    p.add_argument("--out-dir", required=True, help="directory for report files")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    if named == "report":
+        p.add_argument("--input", required=True, help="standard CSV")
+        p.add_argument("--out-dir", required=True, help="directory for report files")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("pipeline", help="run normalize, annotate, link, and report")
-    p.add_argument("--input", required=True, help="raw CSV export")
-    p.add_argument("--out-dir", required=True, help="directory for all outputs")
-    p.add_argument("--kb", help="knowledge base TSV")
-    p.add_argument("--model", help="trained tagger model")
-    _add_config_flags(p)
-    p.add_argument("--score-threshold", type=float)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    if named == "pipeline":
+        p.add_argument("--input", required=True, help="raw CSV export")
+        p.add_argument("--out-dir", required=True, help="directory for all outputs")
+        p.add_argument("--kb", help="knowledge base TSV")
+        p.add_argument("--model", help="trained tagger model")
+        _add_config_flags(p)
+        p.add_argument("--score-threshold", type=float)
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     return parser
 
@@ -361,6 +378,8 @@ def cmd_link(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    import json
+
     config = _effective_config(
         args,
         kb_path=args.kb,
@@ -467,7 +486,8 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
         code = _COMMANDS[args.command](args)

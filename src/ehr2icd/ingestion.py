@@ -62,9 +62,11 @@ def read_dataset(path) -> tuple[list[list[str]], list[RawRecord]]:
 
     header = rows[0]
     width = len(header)
-    for i, name in enumerate(header):
-        if name in header[:i]:
+    seen = set()
+    for name in header:
+        if name in seen:
             raise MalformedFile(path, 1, f"column {name!r} is named more than once")
+        seen.add(name)
     for name in REQUIRED_COLUMNS:
         if name not in header:
             raise MissingAttribute(name)

@@ -1,8 +1,10 @@
-"""Disease recognition: spans, tokenization, BILUO tags, corpora, tagger.
+"""Disease recognition: spans, tokenization, BILUO tags, corpora, tagger,
+training.
 
 As in the ``ehr2icd`` package, each name below is imported from its module
 on first access, so ``from ehr2icd.ner import read_corpus`` loads the corpus
-reader without the tagger.
+reader without the tagger, and ``from ehr2icd.ner import predict`` loads the
+tagger without its learner.
 """
 
 from .. import _lazy_attributes
@@ -21,7 +23,7 @@ _EXPORTS = {
     "load_model": "tagger",
     "predict": "tagger",
     "save_model": "tagger",
-    "train_tagger": "tagger",
+    "train_tagger": "training",
     "Token": "tokenizer",
     "tokenize": "tokenizer",
 }

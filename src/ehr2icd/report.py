@@ -18,7 +18,6 @@ standard file without the KB code, so ``report`` loads none of it.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Iterable
 
@@ -157,6 +156,8 @@ def _emit_csv(report: StatsReport, out_dir: Path) -> list[Path]:
 
 
 def _emit_json(report: StatsReport, out_dir: Path) -> list[Path]:
+    import json
+
     document = {key: getattr(report, key) for key in TOTALS}
     for name, columns in COUNT_MAPS:
         section = document[name] = {}

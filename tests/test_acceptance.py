@@ -21,8 +21,8 @@ from ehr2icd.ner import (
     predict,
     read_corpus,
     split_corpus,
-    tagger,
     train_tagger,
+    training,
 )
 from ehr2icd.ner.tokenizer import Token
 from ehr2icd.normalization import (
@@ -184,7 +184,7 @@ def test_biluo_round_trip():
     for _ in range(1000):
         text, tokens, spans = _random_case(rng)
         # Tagged as training tags its gold spans, from the text alone.
-        _, (steps,) = tagger._training_steps([AnnotatedExample(text, tuple(spans))])
+        _, (steps,) = training._training_steps([AnnotatedExample(text, tuple(spans))])
         tags = tuple(TAGS[slot] for _, slot in steps)
         assert tags == encode_biluo(tokens, spans)
         decoded = decode_biluo(tokens, tags, text)

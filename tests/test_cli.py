@@ -238,6 +238,73 @@ def test_unknown_command_exits_1(capsys):
     assert capsys.readouterr().err != ""
 
 
+# Each command's required options, with placeholder values: the parser
+# rejects what follows them before any file is opened.
+REQUIRED_OPTIONS = {
+    "normalize": ["--input", "in.csv", "--output", "out.csv"],
+    "train": ["--corpus", "corpus.jsonl", "--model-out", "out.model"],
+    "annotate": ["--input", "in.csv", "--model", "in.model", "--output", "out.jsonl"],
+    "link": ["--input", "in.csv", "--output", "out.csv"],
+    "evaluate": ["--corpus", "corpus.jsonl", "--out-dir", "out"],
+    "report": ["--input", "in.csv", "--out-dir", "out"],
+    "pipeline": ["--input", "in.csv", "--out-dir", "out"],
+}
+HELP_CASES = {
+    "help": ["--help"],
+    "version": ["--version"],
+    "no-command": [],
+    "unknown-command": ["frobnicate"],
+    "option-before-command": ["--bogus", "report", *REQUIRED_OPTIONS["report"]],
+    "bad-choice": ["report", *REQUIRED_OPTIONS["report"], "--format", "xml"],
+    "bad-type": ["train", *REQUIRED_OPTIONS["train"], "--epochs", "ten"],
+    **{f"{command}-help": [command, "--help"] for command in REQUIRED_OPTIONS},
+    **{
+        f"{command}-unknown-option": [command, *options, "--bogus"]
+        for command, options in REQUIRED_OPTIONS.items()
+    },
+    **{f"{command}-missing-option": [command] for command in REQUIRED_OPTIONS},
+}
+
+
+def _help_transcript(argv, capsys) -> str:
+    """The exit code, standard output and standard error of ``main(argv)``."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # --help and --version
+        code = exc.code
+    out, err = capsys.readouterr()
+    return f"exit: {code}\n--- stdout\n{out}--- stderr\n{err}"
+
+
+def _options(parser) -> dict[str, list[str]]:
+    """Each command's options, as its parser holds them."""
+    [commands] = parser._subparsers._group_actions
+    return {
+        name: [flag for action in p._actions for flag in action.option_strings]
+        for name, p in commands.choices.items()
+    }
+
+
+@pytest.mark.parametrize("command", [None, *REQUIRED_OPTIONS])
+def test_the_parser_gives_arguments_to_the_named_command_only(command):
+    argv = ["--version"] if command is None else ["--version", command, "--help"]
+    options = _options(cli._build_parser(argv))
+    assert list(options) == list(REQUIRED_OPTIONS)
+    for name, flags in options.items():
+        if name == command:
+            assert set(REQUIRED_OPTIONS[name][::2]) < set(flags)
+        else:
+            assert flags == ["-h", "--help"]
+
+
+@pytest.mark.parametrize("name", HELP_CASES)
+def test_help_and_usage_match_their_goldens(name, monkeypatch, capsys):
+    # Help text wraps at the terminal's width, which COLUMNS sets.
+    monkeypatch.setenv("COLUMNS", "80")
+    transcript = _help_transcript(HELP_CASES[name], capsys)
+    assert transcript.encode() == (DATA_DIR / "help" / f"{name}.txt").read_bytes()
+
+
 def test_train_reports_split_and_is_deterministic(tmp_path, capsys):
     corpus, _ = _micro_corpus(tmp_path)
     model_a = tmp_path / "a.model"

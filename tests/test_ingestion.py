@@ -1,4 +1,5 @@
 import csv
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -186,6 +187,26 @@ def test_column_named_twice_is_rejected_on_line_1(tmp_path, header):
     with pytest.raises(MalformedFile, match="is named more than once") as err:
         load_dataset(path)
     assert err.value.row == 1
+
+
+def test_a_wide_header_is_checked_for_repeats_in_linear_time(tmp_path):
+    # 100k columns, the one repeat last: a check that rescans the names
+    # before each column would take over a minute here.
+    header = [*REQUIRED_COLUMNS, *(f"c{i}" for i in range(99_995)), "c7"]
+    row = ["M", "30", "Asthma", "1/2/1440", *("x" * 99_996)]
+    started = time.monotonic()
+    path = tmp_path / "wide.csv"
+    _write_dataset(path, [header, row])
+    with pytest.raises(MalformedFile) as err:
+        load_dataset(path)
+    assert str(err.value) == f"{path}: row 1: column 'c7' is named more than once"
+    assert err.value.row == 1
+    unique = tmp_path / "wide_unique.csv"
+    _write_dataset(unique, [header[:-1], row[:-1]])
+    rows, records = read_dataset(unique)
+    assert rows == [header[:-1], row[:-1]]
+    assert records == [RawRecord("M", "30", "Asthma", "1/2/1440", 1)]
+    assert time.monotonic() - started < 10.0
 
 
 def test_records_are_immutable(tmp_path):

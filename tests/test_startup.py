@@ -19,10 +19,14 @@ from ehr2icd.samples import sample_path
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 FLAGS = pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
-# Prints the ehr2icd modules loaded so far, without the package prefix.
+# Prints the ehr2icd modules loaded so far, without the package prefix, and
+# "json" if the standard library's json module was loaded before it imports it.
 PRINT_LOADED = (
-    "\nimport json, sys\n"
-    "print(json.dumps([m[8:] for m in sys.modules if m.startswith('ehr2icd.')]))\n"
+    "\nimport sys\n"
+    "loaded = [m[8:] for m in sys.modules if m.startswith('ehr2icd.')]\n"
+    "loaded += ['json'] * ('json' in sys.modules)\n"
+    "import json\n"
+    "print(json.dumps(loaded))\n"
 )
 
 # Every name the packages export, with the module it was imported from
@@ -55,10 +59,8 @@ PACKAGE_EXPORTS = {
         "biluo": ["TAGS"],
         "corpus": ["read_corpus", "split_corpus", "write_internal"],
         "spans": ["DISEASE_LABEL", "AnnotatedExample", "EntitySpan"],
-        "tagger": [
-            "FEATURE_TEMPLATE", "TaggerModel", "load_model", "predict", "save_model",
-            "train_tagger",
-        ],
+        "tagger": ["FEATURE_TEMPLATE", "TaggerModel", "load_model", "predict", "save_model"],
+        "training": ["train_tagger"],
         "tokenizer": ["Token", "tokenize"],
     },
 }
@@ -99,7 +101,7 @@ def test_the_train_set_up_loads_only_the_corpus_reader(flags):
     assert "ner.corpus" in loaded
     unused = {
         "linker", "kbimage", "normalization", "ingestion", "report", "dictionary",
-        "evaluation", "ner.tagger",
+        "evaluation", "ner.tagger", "ner.training",
     }
     assert not loaded & unused
 
@@ -115,7 +117,7 @@ def test_the_pipeline_set_up_loads_no_normalization(flags):
     )
     loaded = _loaded(flags, code * 2)  # an image miss, then a hit
     assert {"linker", "kbimage", "ner.tagger"} <= loaded
-    assert not loaded & {"normalization", "ingestion", "standard"}
+    assert not loaded & {"normalization", "ingestion", "standard", "json", "ner.training"}
 
 
 @FLAGS
@@ -132,7 +134,7 @@ def test_train_loads_nothing_of_linking_or_reporting(flags, tmp_path):
         "--model-out", tmp_path / "m.model",
     ]
     loaded = _loaded(flags, _main(argv))
-    assert {"ner.tagger", "evaluation"} <= loaded  # the held-out report ran
+    assert {"ner.tagger", "ner.training", "evaluation"} <= loaded  # the held-out report ran
     unused = {"linker", "kbimage", "normalization", "ingestion", "report", "dictionary"}
     assert not loaded & unused
 
@@ -173,8 +175,8 @@ def test_evaluate_on_an_image_hit_loads_no_linker(flags, tmp_path):
     ]
     _python(flags, _main(argv))  # writes the lexicon's image
     loaded = _loaded(flags, _main(argv))
-    assert {"dictionary", "kbimage", "evaluation", "ner.tagger"} <= loaded
-    assert not loaded & {"linker", "normalization", "ingestion"}
+    assert {"dictionary", "kbimage", "evaluation", "ner.tagger", "json"} <= loaded
+    assert not loaded & {"linker", "normalization", "ingestion", "ner.training"}
 
 
 @FLAGS
@@ -185,8 +187,58 @@ def test_evaluate_on_an_image_miss_loads_no_normalization(flags, tmp_path):
         "--out-dir", tmp_path / "eval",
     ]
     loaded = _loaded(flags, _main(argv))  # each test starts with an empty cache
-    assert {"dictionary", "linker", "evaluation"} <= loaded  # the KB was parsed
-    assert not loaded & {"normalization", "ingestion", "standard"}
+    assert {"dictionary", "linker", "evaluation", "json"} <= loaded  # the KB was parsed
+    assert not loaded & {"normalization", "ingestion", "standard", "ner.training"}
+
+
+@FLAGS
+def test_commands_that_read_and_write_no_json_load_neither_json_nor_the_learner(
+    flags, tmp_path
+):
+    raw, kb = sample_path("sample_ehr.csv"), sample_path("sample_kb.tsv")
+    model = ["--kb", kb, "--model", sample_path("sample_model.txt")]
+    normalized = tmp_path / "normalized.csv"
+    normalize = ["normalize", "--input", raw, "--output", normalized]
+    link = ["link", "--input", normalized, "--output", tmp_path / "linked.csv", *model]
+    pipeline = [
+        "pipeline", "--input", raw, "--out-dir", tmp_path / "out", *model, "--format", "csv",
+    ]
+    standard = Path(__file__).parent / "golden" / "standard.csv"
+    report = ["report", "--input", standard, "--out-dir", tmp_path / "report", "--format", "csv"]
+    for argv, runs in ((normalize, 1), (link, 2), (pipeline, 2), (report, 1)):
+        # link and pipeline twice: a KB image miss, then a hit.
+        loaded = _loaded(flags, _main(argv) * runs)
+        assert not loaded & {"json", "ner.training"}, argv[0]
+
+
+@FLAGS
+def test_a_json_report_loads_json(flags, tmp_path):
+    # evaluate's summary.json is checked by the two evaluate tests above.
+    pipeline = [
+        "pipeline", "--input", sample_path("sample_ehr.csv"), "--out-dir", tmp_path / "out",
+        "--kb", sample_path("sample_kb.tsv"), "--model", sample_path("sample_model.txt"),
+        "--format", "json",
+    ]
+    standard = Path(__file__).parent / "golden" / "standard.csv"
+    report = ["report", "--input", standard, "--out-dir", tmp_path / "report", "--format", "json"]
+    for argv in (pipeline, report):
+        assert "json" in _loaded(flags, _main(argv)), argv[0]
+
+
+@FLAGS
+def test_annotate_loads_the_tagger_but_not_the_learner(flags, tmp_path):
+    normalized = tmp_path / "normalized.csv"
+    _python(
+        flags,
+        _main(["normalize", "--input", sample_path("sample_ehr.csv"), "--output", normalized]),
+    )
+    argv = [
+        "annotate", "--input", normalized, "--model", sample_path("sample_model.txt"),
+        "--output", tmp_path / "annotations.jsonl",
+    ]
+    loaded = _loaded(flags, _main(argv))
+    assert {"ner.tagger", "ner.corpus"} <= loaded
+    assert "ner.training" not in loaded
 
 
 @FLAGS

@@ -21,18 +21,12 @@ from ehr2icd.errors import (
 )
 from ehr2icd.evaluation import evaluate_annotator
 from ehr2icd.frozen import Memo
-from ehr2icd.ner import read_corpus, split_corpus, tagger, tokenizer
+from ehr2icd.ner import read_corpus, split_corpus, tagger, tokenizer, training
 from ehr2icd.ner.biluo import TAGS
 from ehr2icd.ner.spans import AnnotatedExample, EntitySpan
-from ehr2icd.ner.tagger import (
-    TaggerModel,
-    _shape,
-    load_model,
-    predict,
-    save_model,
-    train_tagger,
-)
+from ehr2icd.ner.tagger import TaggerModel, _shape, load_model, predict, save_model
 from ehr2icd.ner.tokenizer import tokenize
+from ehr2icd.ner.training import train_tagger
 
 ANXIETY = AnnotatedExample("ANXIETY", (EntitySpan(0, 7, "ANXIETY"),))
 
@@ -420,7 +414,7 @@ def test_feature_template_matches_oracle(text):
     lower = [t.text.lower() for t in tokens]
     shapes = [_oracle_shape(t.text) for t in tokens]
     around = tagger._context_words(lower)
-    names, (interned,) = tagger._training_steps([AnnotatedExample(text, ())])
+    names, (interned,) = training._training_steps([AnnotatedExample(text, ())])
     assert len(interned) == len(tokens)
     for i, token in enumerate(tokens):
         # As scoring reads them: the w-2= name of around[i], the w-1= name of
@@ -483,7 +477,7 @@ def test_training_aligns_spans_as_the_encode_oracle(case):
     except SpanError as exc:
         expected = str(exc)
     try:
-        _, (steps,) = tagger._training_steps([AnnotatedExample(text, tuple(spans))])
+        _, (steps,) = training._training_steps([AnnotatedExample(text, tuple(spans))])
         got = tuple(TAGS[slot] for _, slot in steps)
     except EncodingError as exc:
         assert exc.record == 1
@@ -741,9 +735,9 @@ def test_extreme_scores_unpack_exactly_at_the_training_width(epochs, tokens):
     # 14 features, so every score lies within +-bound. Pack +bound and -bound
     # in every slot over 14 features, at the width training picks for that
     # many epochs and tokens; the packed sum must give back each score.
-    assert tagger._MOST_FEATURES == 14
-    width = tagger._field_width(epochs, tokens)
-    learner = tagger._PackedPerceptron(14, width)
+    assert training._MOST_FEATURES == 14
+    width = training._field_width(epochs, tokens)
+    learner = training._PackedPerceptron(14, width)
     most = epochs * tokens
     bound = 14 * most
     half = 1 << width >> 1
@@ -767,12 +761,12 @@ def test_packed_weights_follow_each_update():
     # Each update moves the true and the guessed slot's packed fields as a
     # walk over per-feature weight dicts moves their weights, negative
     # weights included.
-    learner = tagger._PackedPerceptron(19, tagger._field_width(2, 3))
+    learner = training._PackedPerceptron(19, training._field_width(2, 3))
     feats = tuple(range(6, 19))
     walk = defaultdict(lambda: [0] * 5)
     for ticks, (truth, guess) in enumerate([(0, 4), (4, 0), (4, 0), (2, 1), (3, 4)], start=1):
-        learner.update(truth, guess, feats, tagger._START, ticks)
-        for feat in (tagger._START, *feats):
+        learner.update(truth, guess, feats, training._START, ticks)
+        for feat in (training._START, *feats):
             walk[feat][truth] += 1
             walk[feat][guess] -= 1
         for feat in range(19):
@@ -816,7 +810,7 @@ def update_runs(draw):
         tick += draw(st.one_of(st.integers(1, 3), st.integers(1, 2**40)))
         truth, guess = draw(st.lists(st.integers(0, 4), min_size=2, max_size=2, unique=True))
         feats = tuple(draw(st.lists(st.integers(6, 19), min_size=1, max_size=13, unique=True)))
-        prev = draw(st.integers(0, tagger._START))
+        prev = draw(st.integers(0, training._START))
         steps.append((tick, truth, guess, feats, prev))
     return steps, tick + draw(st.one_of(st.integers(0, 3), st.integers(0, 2**40)))
 
@@ -826,7 +820,7 @@ def update_runs(draw):
 def test_averaged_weights_equal_stamps_and_totals(run):
     steps, ticks = run
     names = [f"f{feat}" for feat in range(20)]
-    learner = tagger._PackedPerceptron(len(names), tagger._field_width(1, max(len(steps), 1)))
+    learner = training._PackedPerceptron(len(names), training._field_width(1, max(len(steps), 1)))
     for step in steps:
         learner.update(*step[1:], step[0])
     assert learner.mistakes == len(steps)
@@ -857,13 +851,13 @@ def _count_scored_steps(monkeypatch):
                 scored.append(None)
                 yield step
 
-    training_steps = tagger._training_steps
+    training_steps = training._training_steps
 
     def counting(examples):
         names, steps = training_steps(examples)
         return names, [Counted(example) for example in steps]
 
-    monkeypatch.setattr(tagger, "_training_steps", counting)
+    monkeypatch.setattr(training, "_training_steps", counting)
     return scored
 
 
@@ -925,13 +919,13 @@ def test_training_builds_each_tokens_features_once(monkeypatch, sample_corpus_pa
     calls = defaultdict(list)
 
     def counted(name):
-        build = getattr(tagger, name)
+        build = getattr(training, name)
 
         def wrapper(*args):
             calls[name].append(args)
             return build(*args)
 
-        monkeypatch.setattr(tagger, name, wrapper)
+        monkeypatch.setattr(training, name, wrapper)
 
     counted("_own_features")
     counted("_context_features")
