@@ -58,7 +58,7 @@ from typing import TYPE_CHECKING
 
 from . import __version__, _lazy_attributes
 from .config import PipelineConfig, apply_overrides, load_config
-from .errors import ConfigError, DataError, EncodingError, RecordError
+from .errors import ConfigError, DataError, EncodingError, MalformedFile
 from .textio import atomic_group, atomic_write, csv_line
 
 if TYPE_CHECKING:
@@ -308,8 +308,9 @@ def cmd_train(args) -> int:
         except (DataError, OSError):
             lines = []
         if len(lines) != len(corpus):
-            raise DataError(f"{args.corpus}: example {position + 1}: {exc.detail}") from exc
-        raise RecordError(lines[position], exc.detail, args.corpus) from exc
+            detail = f"example {position + 1}: {exc.detail}"
+            raise MalformedFile(args.corpus, None, detail) from exc
+        raise MalformedFile(args.corpus, lines[position], exc.detail) from exc
     _cli.save_model(model, args.model_out)
     _diag(f"train: split {len(train)}/{len(test)} of {len(corpus)} examples")
     if test:
@@ -361,9 +362,11 @@ def cmd_link(args) -> int:
             r.row_index for r in normalized if content.get(r.row_index) != r.diagnosis_text
         ]
         if unmatched:
-            raise DataError(
-                f"{args.annotations}: no annotations of the input's Diagnosis for "
-                f"rows {unmatched[:5]} (and possibly more)"
+            raise MalformedFile(
+                args.annotations,
+                None,
+                f"no annotations of the input's Diagnosis for rows {unmatched[:5]} "
+                "(and possibly more)",
             )
         spans_of = lambda record: by_row[record.row_index].spans
     elif config.model_path:

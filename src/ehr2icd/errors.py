@@ -2,7 +2,10 @@
 
 Everything derived from DataError describes a problem with input data and is
 mapped to exit code 2 by the CLI; ConfigError covers usage and configuration
-problems and maps to exit code 1.
+problems and maps to exit code 1. A bad input file raises MalformedFile,
+whose message names the file and, where the file has rows, the row. A file
+that cannot be read or written raises the OSError the system gave, which the
+CLI also maps to exit code 2.
 """
 
 from __future__ import annotations
@@ -16,35 +19,15 @@ class ConfigError(Exception):
     """Invalid configuration value or command usage."""
 
 
-class MissingAttribute(DataError):
-    def __init__(self, name: str):
-        super().__init__(f"required column {name!r} is missing from the header")
-        self.name = name
-
-
 class MalformedFile(DataError):
+    """A problem in the file at ``path``, on line or row ``row`` (1-based;
+    None when no one row is at fault)."""
+
     def __init__(self, path, row: int | None, detail: str):
         where = f" row {row}:" if row is not None else ""
         super().__init__(f"{path}:{where} {detail}")
         self.path = path
         self.row = row
-
-
-class RecordError(DataError):
-    """A problem within one record of the file at ``path``."""
-
-    def __init__(self, record: int, detail: str, path):
-        super().__init__(f"{path}: row {record}: {detail}")
-        self.record = record
-        self.path = path
-
-
-class OffsetOutOfRange(RecordError):
-    """An entity's offsets fall outside its record's content."""
-
-
-class OverlapError(RecordError):
-    """Two spans of one record overlap."""
 
 
 class EmptyCorpus(DataError):
@@ -57,29 +40,3 @@ class EncodingError(DataError):
         super().__init__(f"example {record}: {detail}")
         self.record = record
         self.detail = detail
-
-
-class DuplicateCode(DataError):
-    def __init__(self, code: str):
-        super().__init__(f"duplicate code {code!r} in knowledge base")
-        self.code = code
-
-
-class InvalidCode(DataError):
-    def __init__(self, code: str, line: int | None = None):
-        where = f" at line {line}" if line is not None else ""
-        super().__init__(f"invalid ICD-10 code {code!r}{where}")
-        self.code = code
-        self.line = line
-
-
-class UnsupportedModelVersion(DataError):
-    def __init__(self, version: str):
-        super().__init__(f"model uses unknown feature-template version {version!r}")
-        self.version = version
-
-
-class UnwritablePath(DataError):
-    def __init__(self, path, detail: str):
-        super().__init__(f"cannot write {path}: {detail}")
-        self.path = path

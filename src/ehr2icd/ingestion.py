@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 from typing import NamedTuple
 
-from .errors import MalformedFile, MissingAttribute
+from .errors import MalformedFile
 from .textio import open_input
 
 REQUIRED_COLUMNS = ("Gender", "Age", "Diagnosis", "Diagnosis Date")
@@ -51,9 +51,8 @@ def read_dataset(path) -> tuple[list[list[str]], list[RawRecord]]:
     them, header first, so that data row n is ``rows[n]``; and a RawRecord
     per data row.
 
-    Raises MissingAttribute if any of the four standard headers is absent
-    and MalformedFile for a header that names a column twice and for rows
-    whose cell count disagrees with the header.
+    Raises MalformedFile if any of the four standard headers is absent or
+    named twice, and for rows whose cell count disagrees with the header.
     """
     with open_input(path) as lines:
         rows = list(csv.reader(lines))
@@ -69,7 +68,8 @@ def read_dataset(path) -> tuple[list[list[str]], list[RawRecord]]:
         seen.add(name)
     for name in REQUIRED_COLUMNS:
         if name not in header:
-            raise MissingAttribute(name)
+            detail = f"required column {name!r} is missing from the header"
+            raise MalformedFile(path, 1, detail)
     g, a, d, t = map(header.index, REQUIRED_COLUMNS)
 
     records = []

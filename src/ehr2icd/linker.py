@@ -54,7 +54,7 @@ from functools import partial
 from pathlib import Path
 from typing import NamedTuple, Optional
 
-from .errors import DuplicateCode, InvalidCode, MalformedFile
+from .errors import MalformedFile
 from .frozen import Frozen, Memo
 from .ner.tokenizer import folded_words as query_tokens
 from .textio import decode_text
@@ -180,7 +180,7 @@ def read_kb(path, data: Optional[bytes] = None) -> tuple[KBEntry, ...]:
     if data is None:
         data = path.read_bytes()
     entries: list[KBEntry] = []
-    seen: set[str] = set()
+    seen: dict[str, int] = {}  # code -> the line it is first on
     for lineno, line in enumerate(decode_text(path, data).split("\n"), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -191,12 +191,13 @@ def read_kb(path, data: Optional[bytes] = None) -> tuple[KBEntry, ...]:
         code = parts[0].strip()
         name = parts[1].strip()
         if not CODE_RE.match(code):
-            raise InvalidCode(code, lineno)
+            raise MalformedFile(path, lineno, f"invalid ICD-10 code {code!r}")
         if not name:
             raise MalformedFile(path, lineno, "entry name is empty")
         if code in seen:
-            raise DuplicateCode(code)
-        seen.add(code)
+            detail = f"duplicate code {code!r}, first on row {seen[code]}"
+            raise MalformedFile(path, lineno, detail)
+        seen[code] = lineno
         synonyms = ()
         if len(parts) == 3:
             synonyms = tuple(s.strip() for s in parts[2].split("|") if s.strip())
@@ -368,7 +369,7 @@ def _window(keys, stride, pos, end, t, q, m) -> tuple[int, int]:
 def code_to_category(code: str) -> str:
     """The category is everything before the first '.'; undotted codes are their own category."""
     if not CODE_RE.match(code):
-        raise InvalidCode(code)
+        raise ValueError(f"invalid ICD-10 code {code!r}")
     return code.split(".", 1)[0]
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import random
 
-from ..errors import EmptyCorpus, MalformedFile, OffsetOutOfRange, OverlapError
+from ..errors import EmptyCorpus, MalformedFile
 from ..textio import atomic_write, read_text
 from .spans import DISEASE_LABEL, AnnotatedExample, EntitySpan
 
@@ -91,12 +91,11 @@ def _external_records(path, document: str):
                     raise MalformedFile(path, lineno, "point offsets must be integers")
                 end = end_inclusive + 1
                 if not (0 <= start < end <= len(content)):
-                    raise OffsetOutOfRange(
-                        lineno,
+                    detail = (
                         f"point ({start}, {end_inclusive}) exceeds content of "
-                        f"length {len(content)}",
-                        path,
+                        f"length {len(content)}"
                     )
+                    raise MalformedFile(path, lineno, detail)
                 spans.append(
                     tuple.__new__(EntitySpan, (start, end, content[start:end], DISEASE_LABEL))
                 )
@@ -110,11 +109,11 @@ def _build_example(
         spans.sort(key=lambda s: (s.start, s.end))
         for previous, current in zip(spans, spans[1:]):
             if previous.end > current.start:
-                raise OverlapError(
+                raise MalformedFile(
+                    path,
                     lineno,
                     f"spans ({previous.start}, {previous.end}) and "
                     f"({current.start}, {current.end}) overlap",
-                    path,
                 )
     return tuple.__new__(AnnotatedExample, (content, tuple(spans)))
 
@@ -132,7 +131,7 @@ def _entity(path, lineno: int, content: str, item) -> EntitySpan:
         )
     if not (0 <= start < end <= len(content)):
         detail = f"entity ({start}, {end}) exceeds content length"
-        raise OffsetOutOfRange(lineno, detail, path)
+        raise MalformedFile(path, lineno, detail)
     # tuple.__new__ skips the named tuple's Python-level __new__.
     return tuple.__new__(EntitySpan, (start, end, content[start:end], label))
 

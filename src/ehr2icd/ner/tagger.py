@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 from functools import partial
 
-from ..errors import MalformedFile, UnsupportedModelVersion
+from ..errors import MalformedFile
 from ..frozen import Frozen, Memo
 from ..textio import atomic_write, read_text
 from .biluo import B, I, L, O, TAGS, U, entity_runs
@@ -274,7 +274,7 @@ def load_model(path) -> TaggerModel:
     # Header lines are "key<TAB>value" in any order, each key at most once;
     # the first line with another key starts the weights.
     meta = {"features": "<missing>", "epochs": 0, "seed": 0}
-    seen = set()
+    seen = {}  # key -> its line
     body_start = 1
     while body_start < len(lines):
         key, _, value = lines[body_start].partition("\t")
@@ -283,7 +283,7 @@ def load_model(path) -> TaggerModel:
         body_start += 1
         if key in seen:
             raise MalformedFile(path, body_start, f"header key {key!r} repeats an earlier line")
-        seen.add(key)
+        seen[key] = body_start
         if key != "features":
             try:
                 value = int(value)
@@ -295,7 +295,8 @@ def load_model(path) -> TaggerModel:
                 raise MalformedFile(path, body_start, f"epochs {value} is negative")
         meta[key] = value
     if meta["features"] != FEATURE_TEMPLATE:
-        raise UnsupportedModelVersion(meta["features"])
+        detail = f"model uses unknown feature-template version {meta['features']!r}"
+        raise MalformedFile(path, seen.get("features"), detail)
     weights: Weights = {}
     for lineno, line in enumerate(lines[body_start:], start=body_start + 1):
         if not line:

@@ -21,7 +21,6 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable
 
-from .errors import UnwritablePath
 from .frozen import Memo
 from .standard import StandardRecord
 from .textio import atomic_group, atomic_write, csv_line
@@ -118,15 +117,12 @@ def emit_report(report: StatsReport, out_dir, fmt: str = "csv") -> list[Path]:
     """Write the report as CSV files or a single structured JSON document."""
     report.validate()
     out_dir = Path(out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        if fmt == "csv":
-            with atomic_group():
-                return _emit_csv(report, out_dir)
-        if fmt == "json":
-            return _emit_json(report, out_dir)
-    except OSError as exc:
-        raise UnwritablePath(out_dir, str(exc)) from exc
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if fmt == "csv":
+        with atomic_group():
+            return _emit_csv(report, out_dir)
+    if fmt == "json":
+        return _emit_json(report, out_dir)
     raise ValueError(f"unknown report format {fmt!r}")
 
 

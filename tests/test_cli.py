@@ -1,4 +1,5 @@
 import csv
+import errno
 import gc
 import inspect
 import io
@@ -1456,8 +1457,28 @@ MALFORMED_INPUTS = {
     "raw-export-repeated-column": (
         ["normalize", "--output", "{out}/n.csv", "--input"], REPEATED_COLUMN, 2
     ),
+    "raw-export-missing-column": (
+        ["pipeline", "--out-dir", "{out}", "--kb", "{kb}", "--model", "{model}", "--input"],
+        b"Gender,Age,Diagnosis\nM,30,Asthma\n",
+        2,
+    ),
     "kb": ([*LINK, "--model", "{model}", "--kb"], NOT_UTF8, 2),
+    "kb-duplicate-code": (
+        ["pipeline", "--out-dir", "{out}", "--input", "{ehr}", "--model", "{model}", "--kb"],
+        b"E10.9\tDiabetes\nE10.9\tDiabetes again\n",
+        2,
+    ),
+    "kb-invalid-code": (
+        ["pipeline", "--out-dir", "{out}", "--input", "{ehr}", "--model", "{model}", "--kb"],
+        b"E10.9\tDiabetes\nNOPE\tBad code\n",
+        2,
+    ),
     "model": ([*LINK, "--kb", "{kb}", "--model"], NOT_UTF8, 2),
+    "model-features-v2": (
+        ["pipeline", "--out-dir", "{out}", "--input", "{ehr}", "--kb", "{kb}", "--model"],
+        MODEL_HEAD.replace("\tv1", "\tv2").encode(),
+        2,
+    ),
     "model-weight": (
         [*LINK, "--kb", "{kb}", "--model"], (MODEL_HEAD + "bias\tO\tx\n").encode(), 2
     ),
@@ -1616,6 +1637,53 @@ def test_malformed_input_exits_with_code_naming_file(case, tmp_path, capsys):
     assert not [path for path in out.rglob("*") if path.is_file()]
 
 
+# The row and detail that some of MALFORMED_INPUTS' errors give after the path.
+MALFORMED_DETAILS = {
+    "raw-export-missing-column": (
+        "row 1: required column 'Diagnosis Date' is missing from the header"
+    ),
+    "kb-duplicate-code": "row 2: duplicate code 'E10.9', first on row 1",
+    "kb-invalid-code": "row 2: invalid ICD-10 code 'NOPE'",
+    "model-features-v2": "row 2: model uses unknown feature-template version 'v2'",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_DETAILS))
+def test_a_bad_input_file_is_named_with_its_row(case, tmp_path, capsys):
+    template, contents, code = MALFORMED_INPUTS[case]
+    detail = MALFORMED_DETAILS[case]
+    bad = tmp_path / "bad_input"
+    bad.write_bytes(contents)
+    assert main(_argv(template, bad, tmp_path)) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {bad}: {detail}\n")
+
+
+@pytest.mark.parametrize(
+    "below, code",
+    [("", errno.EEXIST), ("sub", errno.ENOTDIR)],
+    ids=["is-a-file", "under-a-file"],
+)
+def test_report_and_pipeline_report_an_unwritable_out_dir_alike(tmp_path, capsys, below, code):
+    blocker = _write(tmp_path, "blocker", "a regular file\n")
+    out_dir = blocker / below if below else blocker
+    errors = []
+    for argv in (
+        ["report", "--input", str(GOLDEN_DIR / "standard.csv")],
+        [
+            "pipeline", "--input", str(sample_path("sample_ehr.csv")),
+            "--kb", str(sample_path("sample_kb.tsv")),
+            "--model", str(sample_path("sample_model.txt")),
+        ],
+    ):
+        assert main([*argv, "--out-dir", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    expected = OSError(code, os.strerror(code), str(out_dir))
+    assert errors == [f"error: {expected}\n"] * 2
+
+
 CORPUS = sample_path("sample_corpus.jsonl").read_bytes()
 # (command, with the file argument last; that file's contents; expected exit
 # code; the error it reports). The first cases give valid files but flags
@@ -1681,6 +1749,14 @@ ERROR_BRANCHES = {
     ),
     "corpus-entities-not-list": (
         TRAIN, b'{"content": "Cystitis", "entities": {"0": 8}}\n', 2, "entities must be a list"
+    ),
+    "annotations-of-other-texts": (
+        [*LINK, "--kb", "{kb}", "--annotations"],
+        b'{"row_index": 1, "content": "Tonsillitis", "entities": [[0, 11]]}\n'
+        b'{"row_index": 3, "content": "Asthma", "entities": []}\n',
+        2,
+        "given_input: no annotations of the input's Diagnosis for rows [2, 3] "
+        "(and possibly more)",
     ),
     "raw-export-field-too-large": (
         ["normalize", "--output", "{out}/n.csv", "--input"],

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ehr2icd.errors import EmptyCorpus, MalformedFile, OffsetOutOfRange, OverlapError
+from ehr2icd.errors import EmptyCorpus, MalformedFile
 from ehr2icd.ner.corpus import (
     read_annotations,
     read_corpus,
@@ -47,9 +47,10 @@ def test_record_with_no_annotations(tmp_path):
 
 def test_point_beyond_content_raises(tmp_path):
     document = _external_record("ANXIETY", [{"start": 0, "end": 99, "text": "x"}])
-    with pytest.raises(OffsetOutOfRange) as err:
+    with pytest.raises(MalformedFile) as err:
         _read_document(tmp_path, document)
-    assert err.value.record == 1
+    assert err.value.row == 1
+    assert str(err.value).endswith(": row 1: point (0, 99) exceeds content of length 7")
 
 
 def test_line_separator_inside_content_keeps_record_whole(tmp_path):
@@ -91,9 +92,10 @@ def test_overlapping_points_raise_with_record_number(tmp_path):
             ),
         ]
     )
-    with pytest.raises(OverlapError) as err:
+    with pytest.raises(MalformedFile) as err:
         _read_document(tmp_path, document)
-    assert err.value.record == 2
+    assert err.value.row == 2
+    assert str(err.value).endswith(": row 2: spans (0, 12) and (6, 12) overlap")
 
 
 def test_internal_roundtrip(tmp_path):

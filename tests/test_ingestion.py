@@ -4,7 +4,7 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from ehr2icd.errors import MalformedFile, MissingAttribute
+from ehr2icd.errors import MalformedFile
 from ehr2icd.ingestion import (
     REQUIRED_COLUMNS,
     RawRecord,
@@ -56,9 +56,12 @@ def test_drop_missing_on_300_row_fixture(sample_ehr_300_path):
 def test_missing_gender_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("Sex,Age,Diagnosis,Diagnosis Date\nF,20,Cystitis,9/4/1439\n")
-    with pytest.raises(MissingAttribute) as err:
+    with pytest.raises(MalformedFile) as err:
         load_dataset(path)
-    assert err.value.name == "Gender"
+    assert err.value.row == 1
+    assert str(err.value) == (
+        f"{path}: row 1: required column 'Gender' is missing from the header"
+    )
 
 
 def test_header_only_file(tmp_path):
@@ -91,7 +94,7 @@ def test_one_leading_byte_order_mark_is_dropped(tmp_path, sample_ehr_path):
     assert read_header(path) == read_header(sample_ehr_path)
     # Only one, and only at the start of the file.
     path.write_bytes(BOM + BOM + data)
-    with pytest.raises(MissingAttribute):
+    with pytest.raises(MalformedFile, match="required column 'Gender' is missing"):
         read_dataset(path)
     header, rest = data.split(b"\n", 1)
     path.write_bytes(header + b"\n" + BOM + rest)

@@ -19,7 +19,7 @@ from conftest import count_parses, feeding_fifo, make_kb, make_span
 
 from ehr2icd import dictionary, kbimage, linker, textio
 from ehr2icd.dictionary import Lexicon, build_lexicon, load_lexicon
-from ehr2icd.errors import DuplicateCode, InvalidCode
+from ehr2icd.errors import MalformedFile
 from ehr2icd.linker import (
     KBEntry,
     KnowledgeBase,
@@ -71,16 +71,19 @@ def test_load_kb_four_entries(tmp_path):
 def test_load_kb_duplicate_code(tmp_path):
     path = tmp_path / "kb.tsv"
     path.write_text("I15.0\tRenovascular hypertension\nI15.0\tAgain\n")
-    with pytest.raises(DuplicateCode):
+    with pytest.raises(MalformedFile) as err:
         load_kb(path)
+    assert err.value.row == 2
+    assert str(err.value) == f"{path}: row 2: duplicate code 'I15.0', first on row 1"
 
 
 def test_load_kb_invalid_code(tmp_path):
     path = tmp_path / "kb.tsv"
     path.write_text("NOPE\tBad code\n")
-    with pytest.raises(InvalidCode) as err:
+    with pytest.raises(MalformedFile) as err:
         load_kb(path)
-    assert err.value.line == 1
+    assert err.value.row == 1
+    assert str(err.value) == f"{path}: row 1: invalid ICD-10 code 'NOPE'"
 
 
 def test_load_kb_empty_file(tmp_path):
@@ -390,7 +393,7 @@ def test_code_to_category(code, category):
 
 
 def test_code_to_category_rejects_invalid():
-    with pytest.raises(InvalidCode):
+    with pytest.raises(ValueError, match="invalid ICD-10 code 'bogus'"):
         code_to_category("bogus")
 
 
@@ -1109,8 +1112,8 @@ def test_only_the_newest_images_of_a_form_are_kept(tmp_path, private_cache_home,
 @pytest.mark.parametrize(
     "rewrite,error",
     [
-        ("E10.9\tOne\nE10.9\tTwo\n", DuplicateCode),
-        ("E10.9\tOne\nNOPE\tBad code\n", InvalidCode),
+        ("E10.9\tOne\nE10.9\tTwo\n", "row 2: duplicate code 'E10.9', first on row 1"),
+        ("E10.9\tOne\nNOPE\tBad code\n", "row 2: invalid ICD-10 code 'NOPE'"),
     ],
     ids=["duplicate-code", "invalid-code"],
 )
@@ -1121,8 +1124,9 @@ def test_a_warm_image_never_masks_an_invalid_kb(tmp_path, rewrite, error, form):
     form.load(path)
     path.write_text(rewrite)
     for _ in range(2):
-        with pytest.raises(error):
+        with pytest.raises(MalformedFile) as err:
             form.load(path)
+        assert str(err.value) == f"{path}: {error}"
 
 
 def test_an_unwritable_cache_is_ignored(tmp_path, monkeypatch, form):

@@ -66,6 +66,11 @@ def test_ages_under_one_year_are_na(raw):
     assert normalize_age(raw) is None
 
 
+@pytest.mark.parametrize("raw", ["1", "1 y", "1 year", "1 1/2", "01"])
+def test_an_age_of_exactly_one_year_is_kept(raw):
+    assert normalize_age(raw) == 1
+
+
 @pytest.mark.parametrize("raw", ["sixteen", "16 years old", "", "1/2", "-3"])
 def test_unrecognized_ages_are_na(raw):
     assert normalize_age(raw) is None

@@ -183,7 +183,14 @@ def _read_csv(path: Path, width: int, int_columns: tuple[int, ...]) -> list[list
 
 @pytest.mark.parametrize(
     "icd",
-    ["A06.81,Amebic cystitis,", ",,A06", "A06.81,,A06", ",Amebic cystitis,"],
+    [
+        "A06.81,Amebic cystitis,",
+        ",,A06",
+        "A06.81,,A06",
+        ",Amebic cystitis,",
+        "A06.81,,",
+        ",Amebic cystitis,A06",
+    ],
 )
 def test_a_half_coded_row_is_rejected_naming_its_line(tmp_path, icd):
     # A row whose three ICD cells are neither all filled nor all empty would
@@ -199,6 +206,47 @@ def test_a_half_coded_row_is_rejected_naming_its_line(tmp_path, icd):
         read_standard_csv(path)
     assert err.value.row == 3
     assert "all filled or all empty" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "row,detail",
+    [
+        ("Female,20,Cystitis,9/4/1439,A06.81,Amebic cystitis", "wrong number of cells"),
+        ("Female,20,Cystitis,9/4/1439,,,,", "wrong number of cells"),
+        ("Female,twenty,Cystitis,9/4/1439,,,", "age 'twenty' is not a whole number >= 1"),
+        ("Female,0,Cystitis,9/4/1439,,,", "age '0' is not a whole number >= 1"),
+        ("Female,-3,Cystitis,9/4/1439,,,", "age '-3' is not a whole number >= 1"),
+        ("Female,20,Cystitis,32/4/1439,,,", "unparseable date '32/4/1439'"),
+        ("Female,20,Cystitis,Tonsillitis,,,", "unparseable date 'Tonsillitis'"),
+    ],
+    ids=[
+        "short", "long", "age-not-integer", "age-zero", "age-negative", "bad-day", "date-text"
+    ],
+)
+def test_a_bad_standard_row_is_rejected_naming_its_line_and_cell(tmp_path, row, detail):
+    # The first data row, aged exactly 1, is valid; the bad one is line 3.
+    path = tmp_path / "standard.csv"
+    path.write_text(
+        "Gender,Age,Diagnosis,Diagnosis Date,ICD_10 Code,ICD_10 Name,ICD_10 Category\n"
+        "Male,1,Tonsillitis,9/4/1439,,,\n"
+        f"{row}\n"
+    )
+    with pytest.raises(MalformedFile) as err:
+        read_standard_csv(path)
+    assert err.value.row == 3
+    assert str(err.value) == f"{path}: row 3: {detail}"
+
+
+def test_a_standard_file_needs_its_header(tmp_path):
+    path = tmp_path / "standard.csv"
+    path.write_text("Gender,Age,Diagnosis,Diagnosis Date\nFemale,20,Cystitis,9/4/1439\n")
+    with pytest.raises(MalformedFile) as err:
+        read_standard_csv(path)
+    assert str(err.value) == f"{path}: row 1: unexpected header for a standard file"
+    path.write_text("")
+    with pytest.raises(MalformedFile) as err:
+        read_standard_csv(path)
+    assert err.value.row == 1
 
 
 def test_csv_roundtrip(tmp_path):

@@ -13,12 +13,7 @@ import pytest
 from conftest import SpanError, bypass_memos, decode_biluo, encode_biluo
 from hypothesis import example, given, settings, strategies as st
 
-from ehr2icd.errors import (
-    EmptyCorpus,
-    EncodingError,
-    MalformedFile,
-    UnsupportedModelVersion,
-)
+from ehr2icd.errors import EmptyCorpus, EncodingError, MalformedFile
 from ehr2icd.evaluation import evaluate_annotator
 from ehr2icd.frozen import Memo
 from ehr2icd.ner import read_corpus, split_corpus, tagger, tokenizer, training
@@ -66,8 +61,20 @@ def test_unknown_feature_template_rejected(tmp_path):
     save_model(model, path)
     text = path.read_text().replace("features\tv1", "features\tv999")
     path.write_text(text)
-    with pytest.raises(UnsupportedModelVersion):
+    with pytest.raises(MalformedFile) as err:
         load_model(path)
+    assert err.value.row == 2
+    assert str(err.value) == (
+        f"{path}: row 2: model uses unknown feature-template version 'v999'"
+    )
+    # With no features line there is no row to name.
+    path.write_text(text.replace("features\tv999\n", ""))
+    with pytest.raises(MalformedFile) as err:
+        load_model(path)
+    assert err.value.row is None
+    assert str(err.value) == (
+        f"{path}: model uses unknown feature-template version '<missing>'"
+    )
 
 
 def test_garbage_model_file_rejected(tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from ehr2icd.cli import main
 from ehr2icd.config import load_config
 from ehr2icd.dictionary import read_terms
-from ehr2icd.errors import MalformedFile, UnwritablePath
+from ehr2icd.errors import MalformedFile
 from ehr2icd.linker import KBEntry, read_kb
 from ehr2icd.ner.tagger import TaggerModel, load_model, save_model
 from ehr2icd.normalization import DateTriple
@@ -143,8 +143,9 @@ def test_report_csvs_are_replaced_as_a_set(tmp_path):
     # The last file cannot be written; the four before it must not change.
     (tmp_path / CSV_FILES[-1]).unlink()
     (tmp_path / CSV_FILES[-1]).mkdir()
-    with pytest.raises(UnwritablePath):
+    with pytest.raises(OSError) as err:
         emit_report(report, tmp_path)
+    assert err.value.filename == str(tmp_path / CSV_FILES[-1])
     for name in CSV_FILES[:-1]:
         assert (tmp_path / name).read_bytes() == previous[name]
     assert sorted(os.listdir(tmp_path)) == sorted(CSV_FILES)
