@@ -3,7 +3,8 @@
 One subcommand per phase (normalize, train, annotate, link, evaluate,
 report) plus the composite ``pipeline``. Diagnostics go to standard error;
 data goes to files or standard output. Exit codes: 0 success, 1 usage or
-configuration error, 2 data error.
+configuration error, 2 data error. A malformed input file, a piped corpus
+included, is reported as ``error: <path>: [row N: ]<detail>``.
 
 Each command is its own process, so start-up is paid once per step, and a
 command loads only the modules it runs. ``_CALLEES`` names every function
@@ -77,7 +78,7 @@ _CALLEES = {
     "AnnotatedExample": ("ner.spans", "AnnotatedExample"),
     "read_corpus": ("ner.corpus", "read_corpus"),
     "split_corpus": ("ner.corpus", "split_corpus"),
-    "corpus_lines": ("ner.corpus", "corpus_lines"),
+    "numbered_corpus": ("ner.corpus", "numbered_corpus"),
     "read_annotations": ("ner.corpus", "read_annotations"),
     "write_annotations": ("ner.corpus", "write_annotations"),
     "train_tagger": ("ner.training", "train_tagger"),
@@ -293,31 +294,25 @@ def cmd_train(args) -> int:
         epochs=args.epochs,
         train_fraction=args.train_fraction,
     )
-    corpus = _cli.read_corpus(args.corpus)
-    train, test = _cli.split_corpus(corpus, config.train_fraction, config.seed)
+    numbered = _cli.numbered_corpus(args.corpus)
     try:
-        model = _cli.train_tagger(train, epochs=config.epochs, seed=config.seed)
+        train, test = _cli.split_corpus(numbered, config.train_fraction, config.seed)
+    except ValueError as exc:  # a split that leaves nothing to train on
+        raise MalformedFile(args.corpus, None, str(exc)) from exc
+    examples = [example for _, example in train]
+    try:
+        model = _cli.train_tagger(examples, epochs=config.epochs, seed=config.seed)
     except EncodingError as exc:
-        # exc.record counts within the shuffled training split; name the
-        # file line the example came from instead. That takes a second read,
-        # which a pipe cannot give: then name its position in the corpus.
-        example = train[exc.record - 1]
-        position = next(n for n, item in enumerate(corpus) if item is example)
-        try:
-            lines = _cli.corpus_lines(args.corpus)
-        except (DataError, OSError):
-            lines = []
-        if len(lines) != len(corpus):
-            detail = f"example {position + 1}: {exc.detail}"
-            raise MalformedFile(args.corpus, None, detail) from exc
-        raise MalformedFile(args.corpus, lines[position], exc.detail) from exc
+        # exc.record counts within the shuffled training split.
+        raise MalformedFile(args.corpus, train[exc.record - 1][0], exc.detail) from exc
     _cli.save_model(model, args.model_out)
-    _diag(f"train: split {len(train)}/{len(test)} of {len(corpus)} examples")
+    _diag(f"train: split {len(train)}/{len(test)} of {len(numbered)} examples")
     if test:
         from .evaluation import evaluate_annotator
 
+        held_out = [example for _, example in test]
         summary, _ = evaluate_annotator(
-            test, lambda text: _cli.predict(model, text), config.stoplist
+            held_out, lambda text: _cli.predict(model, text), config.stoplist
         )
         _diag(
             "train: held-out accuracy "

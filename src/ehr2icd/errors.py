@@ -5,7 +5,8 @@ mapped to exit code 2 by the CLI; ConfigError covers usage and configuration
 problems and maps to exit code 1. A bad input file raises MalformedFile,
 whose message names the file and, where the file has rows, the row. A file
 that cannot be read or written raises the OSError the system gave, which the
-CLI also maps to exit code 2.
+CLI also maps to exit code 2. EncodingError numbers an example in a list to
+train on, which has no file; ``train`` names the corpus line instead.
 """
 
 from __future__ import annotations
@@ -28,11 +29,6 @@ class MalformedFile(DataError):
         super().__init__(f"{path}:{where} {detail}")
         self.path = path
         self.row = row
-
-
-class EmptyCorpus(DataError):
-    def __init__(self, detail: str = "corpus contains no examples"):
-        super().__init__(detail)
 
 
 class EncodingError(DataError):

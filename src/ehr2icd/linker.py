@@ -306,7 +306,7 @@ def _rank(index: SurfaceIndex, lists: list[memoryview], k: int) -> list[tuple[in
         m = q - i  # at most m shared tokens for a surface first met here
         if m / q < t:
             break
-        later = lists[i + 1 :]
+        later = None  # sliced once a new surface is met: many lists hold none
         pos, end = _window(keys, stride, 0, len(keys), t, q, m)
         while pos < end:
             key = keys[pos]
@@ -314,6 +314,8 @@ def _rank(index: SurfaceIndex, lists: list[memoryview], k: int) -> list[tuple[in
             if key in seen:
                 continue
             seen.add(key)
+            if later is None:
+                later = lists[i + 1 :]
             shared = 1
             for other in later:
                 at = bisect_left(other, key)

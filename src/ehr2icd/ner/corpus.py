@@ -15,6 +15,9 @@ load as ``bool``, a subclass of ``int``, so they are checked by exact type.
 External offsets are inclusive at the right edge and are shifted by one
 during conversion. Only records whose status is "done" are kept, and only
 annotations labelled "Disease Name" (or already "Disease") are converted.
+
+An error names the file and its line (``MalformedFile``). ``numbered_corpus``
+keeps each example's line from its one read, so ``train`` can name it too.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import json
 import random
 
-from ..errors import EmptyCorpus, MalformedFile
+from ..errors import MalformedFile
 from ..textio import atomic_write, read_text
 from .spans import DISEASE_LABEL, AnnotatedExample, EntitySpan
 
@@ -180,40 +183,34 @@ def write_annotations(path, by_row: dict[int, AnnotatedExample]) -> None:
 
 def read_corpus(path) -> list[AnnotatedExample]:
     """Read a non-empty corpus file, auto-detecting external vs internal schema."""
-    examples = [example for _, example in _numbered_examples(path, read_text(path))]
-    if not examples:
-        raise EmptyCorpus(f"{path} contains no examples")
-    return examples
+    return [example for _, example in numbered_corpus(path)]
 
 
-def corpus_lines(path) -> list[int]:
-    """The line number of each example ``read_corpus(path)`` returns, in order."""
-    return [lineno for lineno, _ in _numbered_examples(path, read_text(path))]
-
-
-def _numbered_examples(path, text: str) -> list[tuple[int, AnnotatedExample]]:
+def numbered_corpus(path) -> list[tuple[int, AnnotatedExample]]:
+    """(line number, example) for each example of a non-empty corpus file."""
+    text = read_text(path)
+    numbered = []
     for lineno, first in _json_objects(path, text):
         if "annotation" in first:
-            return list(_external_records(path, text))
-        if "entities" in first:
-            return [(n, example) for n, _, example in _internal_records(path, text)]
-        raise MalformedFile(
-            path, lineno, "records carry neither 'annotation' nor 'entities'"
-        )
-    return []
+            numbered = list(_external_records(path, text))
+        elif "entities" in first:
+            numbered = [(n, example) for n, _, example in _internal_records(path, text)]
+        else:
+            raise MalformedFile(path, lineno, "records carry neither 'annotation' nor 'entities'")
+        break
+    if not numbered:
+        raise MalformedFile(path, None, "contains no examples")
+    return numbered
 
 
-def split_corpus(
-    corpus: list[AnnotatedExample], train_fraction: float, seed: int
-) -> tuple[list[AnnotatedExample], list[AnnotatedExample]]:
+def split_corpus(corpus: list, train_fraction: float, seed: int) -> tuple[list, list]:
     """Deterministically shuffle and partition a corpus.
 
-    The first floor(n * train_fraction) shuffled examples become the training
+    The first floor(n * train_fraction) shuffled items become the training
     half; together the two halves are exactly the input. A corpus too small
-    to leave the training half any example is rejected.
+    to leave the training half any item raises ValueError. The shuffle
+    depends only on n and ``seed``: (line, example) pairs split as examples.
     """
-    if not corpus:
-        raise EmptyCorpus()
     if not 0 < train_fraction < 1:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
     items = list(corpus)
@@ -222,7 +219,7 @@ def split_corpus(
     # integer they equal mathematically.
     cut = int(len(items) * train_fraction + 1e-9)
     if cut == 0:
-        raise EmptyCorpus(
+        raise ValueError(
             f"training split is empty: train_fraction {train_fraction} of "
             f"{len(items)} example(s) leaves none to train on"
         )

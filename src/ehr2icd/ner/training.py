@@ -52,7 +52,7 @@ import random
 from functools import cache
 
 from ..config import PipelineConfig
-from ..errors import EmptyCorpus, EncodingError
+from ..errors import EncodingError
 from .biluo import B, I, L, O, TAGS, U
 from .spans import AnnotatedExample
 from .tagger import (
@@ -225,7 +225,7 @@ def train_tagger(
 ) -> TaggerModel:
     """Train on annotated examples; identical inputs and seed give identical weights."""
     if not train:
-        raise EmptyCorpus()
+        raise ValueError("no examples to train on")
     names, examples = _training_steps(train)
     tokens = sum(map(len, examples))
     width = _field_width(epochs, tokens)

@@ -352,12 +352,12 @@ def test_train_names_file_line_of_misaligned_span(tmp_path, capsys):
 
 
 def test_train_names_the_position_of_a_misaligned_span_read_from_a_pipe(tmp_path):
-    # A pipe cannot be read a second time to find the example's file line.
+    # A pipe can be read only once: the line comes from that one read.
     argv = ["train", "--corpus", "/dev/stdin", "--model-out", "m.model"]
     proc = _run_in(tmp_path, argv, _misaligned_corpus().encode())
     assert (proc.returncode, proc.stdout) == (2, b"")
     assert proc.stderr == (
-        b"error: /dev/stdin: example 8: span (1, 5) 'ever' does not align with "
+        b"error: /dev/stdin: row 9: span (1, 5) 'ever' does not align with "
         b"token boundaries\n"
     )
     assert list(tmp_path.iterdir()) == []
@@ -404,9 +404,10 @@ def test_train_on_too_small_corpus_names_the_empty_split(tmp_path, capsys):
     corpus = _write(tmp_path, "corpus.jsonl", one_line)
     model = tmp_path / "m.model"
     assert main(["train", "--corpus", str(corpus), "--model-out", str(model)]) == 2
-    err = capsys.readouterr().err
-    assert "training split is empty" in err
-    assert "train_fraction 0.7 of 1 example" in err
+    assert capsys.readouterr().err == (
+        f"error: {corpus}: training split is empty: train_fraction 0.7 of 1 example(s) "
+        "leaves none to train on\n"
+    )
     assert not model.exists()
 
 
@@ -642,7 +643,7 @@ def test_evaluate_empty_corpus_exits_2(
         ]
     )
     assert rc == 2
-    assert capsys.readouterr().err != ""
+    assert capsys.readouterr().err == f"error: {empty}: contains no examples\n"
 
 
 def test_failed_evaluate_keeps_previous_outcome_files(
@@ -1543,6 +1544,7 @@ MALFORMED_INPUTS = {
         b'{"row_index": 3, "content": "Hypertension", "entities": []}\n',
         2,
     ),
+    "corpus-empty": (TRAIN, b"", 2),
     "corpus-lone-surrogate": (
         TRAIN,
         b'{"content": "\\ud800 Cystitis", "entities": [[2, 10]]}\n'
@@ -1645,6 +1647,7 @@ MALFORMED_DETAILS = {
     "kb-duplicate-code": "row 2: duplicate code 'E10.9', first on row 1",
     "kb-invalid-code": "row 2: invalid ICD-10 code 'NOPE'",
     "model-features-v2": "row 2: model uses unknown feature-template version 'v2'",
+    "corpus-empty": "contains no examples",
 }
 
 

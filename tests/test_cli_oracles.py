@@ -7,15 +7,19 @@ export from the benchmark's generator (``perfbench/gen.py``), whose mixed
 case, misspellings and few-hundred-entry KB miss and hit every memo.
 """
 
+import contextlib
 import csv
+import io
 import random
 import re
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
 import pytest
 from conftest import bypass_memos
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ehr2icd import linker, normalization, standard
 from ehr2icd.cli import main
@@ -393,3 +397,72 @@ def test_a_blank_diagnosis_row_changes_only_the_missing_count(export, tmp_path, 
     for key in ("input_rows", "dropped", "missing"):
         counts[key] += 1
     assert _summary(after_err) == counts
+
+
+# Cells for generated exports: valid and invalid forms of each standard
+# column, ages at each bound, and blank cells, which drop the row as missing.
+GENDERS = ["F", "female", "M", "Male", "x", ""]
+AGES = ["1", "9", "10", "29", "89", "90", "0", "2 1/2", "30 yrs", "6 months", "abc", ""]
+DATES = [
+    "9/4/1439", "14-5-1439", "31-12-2020", "1/2/2020", "1/1/1", "0/1/2020", "1/13/2020",
+    "5 years ago", "",
+]
+TEXTS = [
+    "Cystitis",
+    "Tonsillitis",
+    "The disease is Diabetes Mellitus 2",
+    "New discovered hypertension + stroke",
+    "Follow up Diabetes mellitus type I /Primary hypothyroidism",
+    "Routine medical checkup",
+    "Siuisitis",
+    "",
+]
+EXPORT_ROWS = st.lists(
+    st.tuples(*map(st.sampled_from, (GENDERS, AGES, TEXTS, DATES))), min_size=2, max_size=24
+)
+
+
+def _write_export(path: Path, rows, bom: bool, crlf: bool) -> Path:
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\r\n" if crlf else "\n")
+    writer.writerows([("Gender", "Age", "Diagnosis", "Diagnosis Date"), *rows])
+    path.write_bytes(("\ufeff" if bom else "").encode() + text.getvalue().encode())
+    return path
+
+
+def _report_counts(report_dir: Path) -> Counter:
+    """Every count of a CSV report, keyed by its file and key cells."""
+    counts = Counter()
+    for path in report_dir.iterdir():
+        for *key, count in _read_rows(path)[1:]:
+            counts[(path.name, *key)] += int(count)
+    return counts
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(rows=EXPORT_ROWS, data=st.data(), bom=st.booleans(), crlf=st.booleans())
+def test_pipeline_on_two_halves_of_an_export_adds_up_to_the_whole(rows, data, bom, crlf):
+    # A metamorphic relation (Chen et al., ACM CSUR 2018): each row is
+    # worked out on its own, so the standard rows of the export's two halves,
+    # one after the other, are the whole run's, and every count adds up.
+    cut = data.draw(st.integers(1, len(rows) - 1), label="cut")
+    kb = sample_path("sample_kb.tsv")
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = []
+        for name, part in (("first", rows[:cut]), ("second", rows[cut:]), ("whole", rows)):
+            raw = _write_export(Path(tmp, f"{name}.csv"), part, bom, crlf)
+            out_dir = Path(tmp, name)
+            argv = ["pipeline", "--input", str(raw), "--out-dir", str(out_dir)]
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                assert main(argv + ["--kb", str(kb), "--model", str(MODEL)]) == 0
+            header, *standard_rows = _read_rows(out_dir / "standard.csv")
+            counts = _report_counts(out_dir / "report")
+            runs.append((header, standard_rows, counts, _summary(err.getvalue())))
+    (head_a, rows_a, report_a, summary_a), (head_b, rows_b, report_b, summary_b) = runs[:2]
+    head, whole_rows, report, summary = runs[2]
+    assert head_a == head_b == head
+    assert rows_a + rows_b == whole_rows
+    assert report_a + report_b == report
+    assert {key: summary_a[key] + summary_b[key] for key in summary} == summary
+    assert summary["input_rows"] == len(rows)
+    assert summary["standard_rows"] == len(whole_rows)

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from ehr2icd.errors import EmptyCorpus, MalformedFile
+from ehr2icd.errors import MalformedFile
 from ehr2icd.ner.corpus import (
+    numbered_corpus,
     read_annotations,
     read_corpus,
     split_corpus,
@@ -195,8 +196,39 @@ def test_read_corpus_rejects_unknown_schema(tmp_path):
 def test_read_corpus_empty_file(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
-    with pytest.raises(EmptyCorpus):
+    with pytest.raises(MalformedFile) as err:
         read_corpus(path)
+    assert (err.value.path, err.value.row) == (path, None)
+    assert str(err.value) == f"{path}: contains no examples"
+
+
+def test_an_export_with_no_record_done_is_rejected_naming_the_file(tmp_path):
+    path = tmp_path / "empty.jsonl"
+    path.write_text(_external_record("Cystitis", [{"start": 0, "end": 7}], status="todo"))
+    with pytest.raises(MalformedFile) as err:
+        read_corpus(path)
+    assert str(err.value) == f"{path}: contains no examples"
+
+
+def test_numbered_corpus_gives_each_example_its_line(tmp_path):
+    # A blank line and a record not "done" are skipped but still counted.
+    external = tmp_path / "external.jsonl"
+    external.write_text(
+        "\n".join(
+            [
+                _external_record("Cystitis", [{"start": 0, "end": 7}]),
+                "",
+                _external_record("Asthma", [{"start": 0, "end": 5}], status="todo"),
+                _external_record("Asthma", [{"start": 0, "end": 5}]),
+            ]
+        )
+    )
+    assert [line for line, _ in numbered_corpus(external)] == [1, 4]
+    internal = tmp_path / "internal.jsonl"
+    internal.write_text('\n{"content": "Cystitis", "entities": []}\n\n{"content": "Asthma"}\n')
+    assert [line for line, _ in numbered_corpus(internal)] == [2, 4]
+    for path in (external, internal):
+        assert [example for _, example in numbered_corpus(path)] == read_corpus(path)
 
 
 def _corpus(n):
@@ -226,8 +258,22 @@ def test_split_is_exact_partition():
 
 
 def test_split_empty_corpus():
-    with pytest.raises(EmptyCorpus):
+    with pytest.raises(ValueError, match="training split is empty: .* of 0 example"):
         split_corpus([], 0.7, seed=1)
+
+
+def test_a_split_that_leaves_nothing_to_train_on_raises():
+    with pytest.raises(ValueError, match="training split is empty: .* of 1 example"):
+        split_corpus(_corpus(1), 0.7, seed=1)
+
+
+def test_split_depends_only_on_length():
+    # train splits (line number, example) pairs; they must split as the
+    # examples alone do, so every model stays the same.
+    corpus = _corpus(23)
+    numbered = list(enumerate(corpus, start=1))
+    train, test = split_corpus(numbered, 0.7, seed=13)
+    assert ([e for _, e in train], [e for _, e in test]) == split_corpus(corpus, 0.7, seed=13)
 
 
 @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.2, 1.5])

@@ -13,7 +13,7 @@ import pytest
 from conftest import SpanError, bypass_memos, decode_biluo, encode_biluo
 from hypothesis import example, given, settings, strategies as st
 
-from ehr2icd.errors import EmptyCorpus, EncodingError, MalformedFile
+from ehr2icd.errors import EncodingError, MalformedFile
 from ehr2icd.evaluation import evaluate_annotator
 from ehr2icd.frozen import Memo
 from ehr2icd.ner import read_corpus, split_corpus, tagger, tokenizer, training
@@ -85,7 +85,7 @@ def test_garbage_model_file_rejected(tmp_path):
 
 
 def test_empty_corpus_rejected():
-    with pytest.raises(EmptyCorpus):
+    with pytest.raises(ValueError, match="no examples to train on"):
         train_tagger([], epochs=1, seed=1)
 
 
