@@ -68,8 +68,7 @@ def load_lexicon(path, extra_terms: Iterable[str] = ()) -> Lexicon:
     # Imported here: only the commands that read a KB compile that module.
     from . import kbimage
 
-    form = kbimage.Form(".lexicon", _compile_lexicon, _lexicon_fields, _lexicon_from_fields)
-    lexicon = kbimage.load(path, form)
+    lexicon = kbimage.load(path, ".lexicon", _lexicon_fields, _lexicon_from_fields)
     extra = build_lexicon((), extra_terms)
     if not extra.terms:
         return lexicon
@@ -80,14 +79,11 @@ def load_lexicon(path, extra_terms: Iterable[str] = ()) -> Lexicon:
     return Lexicon(lexicon.terms | extra.terms, first_words)
 
 
-def _compile_lexicon(path, data: bytes) -> Lexicon:
+def _lexicon_fields(path, data: bytes) -> list:
     # Imported here: an image hit parses no KB, so it loads no linker.
     from . import linker
 
-    return build_lexicon(linker.read_kb(path, data))
-
-
-def _lexicon_fields(lexicon: Lexicon) -> list:
+    lexicon = build_lexicon(linker.read_kb(path, data))
     # The terms in the set's order, not sorted: sorting the benchmark KB's
     # 12.7k terms would add ~4 ms to every miss. They are stored as a list,
     # not as the frozenset, so that the set is built after the image's bytes

@@ -37,11 +37,11 @@ text repeated across rows is tokenized, ranked and its category derived
 once. The memo holds the index, not the KnowledgeBase, so the two make
 no cycle. ``lookup`` memoizes nothing and returns a fresh list.
 
-``load_kb`` defines the KnowledgeBase's image form (``kbimage.Form``): the
+``load_kb`` stores the KnowledgeBase's image (``kbimage.load``) as the
 index's columns and token numbers as they are, and its three typed arrays
-(offsets, the flat keys and each surface's entry) as bytes. A KB loaded from
-its image, or compiled by ``load_kb``, builds its tuple of ``KBEntry`` from
-the columns only when ``entries`` is first read.
+(offsets, the flat keys and each surface's entry) as bytes. A KB loaded by
+``load_kb``, from its image or not, builds its tuple of ``KBEntry`` from the
+columns only when ``entries`` is first read.
 """
 
 from __future__ import annotations
@@ -210,19 +210,14 @@ def load_kb(path) -> KnowledgeBase:
     # Imported here: only the commands that read a KB compile that module.
     from . import kbimage
 
-    return kbimage.load(path, kbimage.Form(".kbimage", _compile_kb, _kb_fields, _kb_from_fields))
+    return kbimage.load(path, ".kbimage", _kb_fields, _kb_from_fields)
 
 
-def _compile_kb(path: Path, data: bytes) -> KnowledgeBase:
-    # Built from the index alone, as an image loads it.
-    return KnowledgeBase(index=build_index(read_kb(path, data)))
-
-
-def _kb_fields(kb: KnowledgeBase) -> list:
-    """The compiled KB as the plain values ``marshal`` stores: the index's
-    columns and token numbers, the keys' typecode, and its typed arrays as
-    machine words."""
-    codes, names, synonyms, tokens, offsets, keys, entry_of = kb.index
+def _kb_fields(path: Path, data: bytes) -> list:
+    """The KB file's compiled index as the plain values ``marshal`` stores:
+    its columns and token numbers, the keys' typecode, and its typed arrays
+    as machine words."""
+    codes, names, synonyms, tokens, offsets, keys, entry_of = build_index(read_kb(path, data))
     words = offsets.tobytes(), keys.tobytes(), entry_of.tobytes()
     return [codes, names, synonyms, tokens, keys.typecode, *words]
 
@@ -230,14 +225,8 @@ def _kb_fields(kb: KnowledgeBase) -> list:
 def _kb_from_fields(fields: list) -> KnowledgeBase:
     codes, names, synonyms, tokens, typecode, offsets, keys, entry_of = fields
     fields.clear()  # so that each value is freed once it has been used
-    arrays = _words("I", offsets), _words(typecode, keys), _words("I", entry_of)
+    arrays = array("I", offsets), array(typecode, keys), array("I", entry_of)
     return KnowledgeBase(index=SurfaceIndex(codes, names, synonyms, tokens, *arrays))
-
-
-def _words(typecode: str, data: bytes) -> array:
-    words = array(typecode)
-    words.frombytes(data)
-    return words
 
 
 def lookup(term: str, kb: KnowledgeBase, k: int = 4) -> list[LinkCandidate]:

@@ -1474,6 +1474,16 @@ MALFORMED_INPUTS = {
         b"E10.9\tDiabetes\nNOPE\tBad code\n",
         2,
     ),
+    "kb-four-columns": (
+        ["pipeline", "--out-dir", "{out}", "--input", "{ehr}", "--model", "{model}", "--kb"],
+        b"E10.9\tDiabetes\tSugar|DM\tan extra column\n",
+        2,
+    ),
+    "kb-one-column": (
+        ["pipeline", "--out-dir", "{out}", "--input", "{ehr}", "--model", "{model}", "--kb"],
+        b"E10.9\tDiabetes\nE11.9\n",
+        2,
+    ),
     "model": ([*LINK, "--kb", "{kb}", "--model"], NOT_UTF8, 2),
     "model-features-v2": (
         ["pipeline", "--out-dir", "{out}", "--input", "{ehr}", "--kb", "{kb}", "--model"],
@@ -1646,6 +1656,8 @@ MALFORMED_DETAILS = {
     ),
     "kb-duplicate-code": "row 2: duplicate code 'E10.9', first on row 1",
     "kb-invalid-code": "row 2: invalid ICD-10 code 'NOPE'",
+    "kb-four-columns": "row 1: expected 2 or 3 tab-separated columns",
+    "kb-one-column": "row 2: expected 2 or 3 tab-separated columns",
     "model-features-v2": "row 2: model uses unknown feature-template version 'v2'",
     "corpus-empty": "contains no examples",
 }

@@ -280,6 +280,8 @@ def test_lookup_matches_per_candidate_oracle(kb_and_term):
     for k in range(1, max(len(expected) + 3, 7)):
         got = [(c.entry, c.score, c.matched_via) for c in lookup(term, kb, k=k)]
         assert got == expected[:k]
+    # k defaults to 4.
+    assert [(c.entry, c.score, c.matched_via) for c in lookup(term, kb)] == expected[:4]
 
 
 def test_name_wins_a_tie_with_a_shorter_synonym():
@@ -312,6 +314,31 @@ def test_size_window_is_exactly_the_sizes_that_can_reach_t():
                         if Fraction(min(m, s), q + s - min(m, s)) >= Fraction(c, u)
                     ]
                     assert list(keys[pos:end]) == expected, (c, u, q, m)
+
+
+class _CountedReads(list):
+    """A list that counts the items read from it."""
+
+    reads = 0
+
+    def __getitem__(self, at):
+        self.reads += 1
+        return super().__getitem__(at)
+
+
+@pytest.mark.parametrize("n", [100, 999])
+def test_a_top_k_lookup_reads_no_more_of_the_kb_than_it_must(n):
+    # "of" is in every surface and "rare" in one. The rare token's list is
+    # walked first and "rare of" scores 1.0; with k=1 no surface first met
+    # in the list of "of" can reach that, so the search stops before it.
+    # Each surface met reads its entry, so a full scan reads n + 1 or more.
+    common = (KBEntry(f"B{i // 10:02d}.{i % 10}", f"w{i} of") for i in range(n))
+    kb = make_kb(KBEntry("A00", "rare of"), *common)
+    entry_of = _CountedReads(kb.index.entry_of)
+    counted = KnowledgeBase(index=kb.index._replace(entry_of=entry_of))
+    [candidate] = lookup("rare of", counted, k=1)
+    assert (candidate.entry.code, candidate.score) == ("A00", 1.0)
+    assert entry_of.reads < 32  # no faster than log n: bisections only
 
 
 def _postings(kb, token):
@@ -1001,20 +1028,6 @@ def test_a_damaged_image_is_parsed_around_and_replaced(tmp_path, monkeypatch, da
     assert len(parses) == (2 if damage is _replace_with_directory else 1)
 
 
-def test_an_image_of_an_older_format_is_not_read(tmp_path, monkeypatch, form):
-    path = tmp_path / "kb.tsv"
-    path.write_text(TABLE9_FILE)
-    current = kbimage.IMAGE_FORMAT
-    monkeypatch.setattr(kbimage, "IMAGE_FORMAT", current - 1)
-    old = form.load(path)
-    monkeypatch.setattr(kbimage, "IMAGE_FORMAT", current)
-    parses = count_parses(monkeypatch)
-    form.assert_same(form.load(path), old)
-    assert len(parses) == 1
-    form.assert_same(form.load(path), old)
-    assert len(parses) == 1
-
-
 @pytest.mark.parametrize(
     "module",
     [linker, tokenizer, textio, kbimage, dictionary],
@@ -1037,14 +1050,14 @@ def test_edited_code_never_reads_an_old_image(tmp_path, monkeypatch, module, for
     assert len(parses) == 1
 
 
-def _nine_fields(kb):
+def _nine_fields(path, data):
     """The image payload of a KB before names were found from ``entry_of``:
     today's fields, then each entry's name surface."""
     name_surface, surfaces = array("I"), 0
-    for entry in kb.entries:
+    for entry in read_kb(path, data):
         name_surface.append(surfaces)
         surfaces += 1 + len(entry.synonyms)
-    return [*_EIGHT_FIELDS(kb), name_surface.tobytes()]
+    return [*_EIGHT_FIELDS(path, data), name_surface.tobytes()]
 
 
 _EIGHT_FIELDS = linker._kb_fields
@@ -1067,6 +1080,8 @@ def test_an_image_with_each_names_surface_is_not_read(
             code_files = [older if f == source else f for f in kbimage.CODE_FILES]
             patch.setattr(kbimage, "CODE_FILES", tuple(code_files))
         patch.setattr(linker, "_kb_fields", _nine_fields)
+        # The build of the code that wrote nine fields, which read them.
+        patch.setattr(linker, "_kb_from_fields", lambda fields: fields)
         load_kb(path)
     image = KB_FORM.image_of(path)
     assert len(marshal.loads(image.read_bytes()[kbimage._HEAD_END :])) == 9
