@@ -8,7 +8,8 @@ Each mutant changes one place in the module:
 * a comparison swapped: ``<`` and ``<=``, ``>`` and ``>=``, ``==`` and
   ``!=``, ``in`` and ``not in``, ``is`` and ``is not``, each way;
 * an integer constant plus one;
-* a binary ``+`` and ``-`` swapped, each way.
+* a binary ``+`` and ``-`` swapped, each way;
+* a ``raise`` or a ``continue`` statement dropped (replaced by ``pass``).
 
 The change is spliced into the source text, so every other byte, comments
 included, stays as it is. The repository is copied into a temporary
@@ -98,6 +99,11 @@ def mutants(source: bytes) -> list[Mutant]:
                 found.append(swap(op, operands[i], operands[i + 1]))
         elif isinstance(node, ast.BinOp) and type(node.op) in SWAPS:
             found.append(swap(node.op, node.left, node.right))
+        elif isinstance(node, (ast.Raise, ast.Continue)):
+            start = offset(node.lineno, node.col_offset)
+            end = offset(node.end_lineno, node.end_col_offset)
+            what = f"{type(node).__name__.lower()} -> pass"
+            found.append(Mutant(start, end, b"pass", node.lineno, what))
         elif isinstance(node, ast.Constant) and type(node.value) is int:
             start = offset(node.lineno, node.col_offset)
             end = offset(node.end_lineno, node.end_col_offset)

@@ -16,9 +16,21 @@ and its learner (``ner.training``) but not the linker, the KB image code or
 the report writer, and the commands that only tag text load no learner.
 ``json`` is imported only where JSON is read or written (the corpus reader,
 ``evaluate``'s summary and the JSON report), so ``pipeline`` and ``report``
-with CSV output, ``link`` and ``normalize`` load none of it. The parser
-lists every command, for help, usage and errors, but builds the arguments
-only of the command ``argv`` names: each argument costs a help formatter.
+with CSV output, ``link`` and ``normalize`` load none of it.
+
+``_COMMANDS`` declares each command once: the function that runs it, its
+help and its options (flag, help, type, required, choices, default), which
+both parse paths read. ``_parse`` takes the plain form that scripts and the
+docs use, a command name and then exact ``--flag value`` pairs, and gives
+the namespace argparse would give, defaults included. It declines anything
+else (a flag it does not know or given twice, a missing value or required
+option, a value that starts with ``-``, fails its type or is not among its
+choices), and ``argv`` then goes to argparse unchanged: help, ``--version``,
+abbreviations, ``--flag=value``, negative numbers and every usage error.
+``argparse`` (with the ``gettext`` and ``locale`` its messages load) is
+imported only then, and its parser lists every command but builds the
+arguments only of the one ``argv`` names: each argument costs a help
+formatter.
 
 Commands look each callee up on this module when they call it
 (``_cli.predict(model, text)``), never through a name bound at import.
@@ -34,8 +46,8 @@ No collection runs during the command, and the collections at interpreter
 exit skip what the command built; each object is freed or kept exactly as it
 would be otherwise. This is safe because a command makes no reference cycle
 per row, example or text: the cyclic garbage one command leaves is bounded
-whatever the input's size (the argument parser's). Called as a library
-(``main([...])``), the collector is left as the caller set it.
+whatever the input's size. Called as a library (``main([...])``), the
+collector is left as the caller set it.
 
 A command works out each distinct text, span text and cell once, in memos
 that last the command: the model's and the KB's (``frozen.Memo``) go with
@@ -50,12 +62,12 @@ failed write, not an error the interpreter reports at exit.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__, _lazy_attributes
 from .config import PipelineConfig, apply_overrides, load_config
@@ -63,6 +75,8 @@ from .errors import ConfigError, DataError, EncodingError, MalformedFile
 from .textio import atomic_group, atomic_write, csv_line
 
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
     from .ingestion import RawRecord
     from .normalization import NormalizedRecord
     from .standard import StandardRecord
@@ -112,21 +126,75 @@ if getattr(_cli, "__dict__", None) is not globals():
 __getattr__, __dir__ = _lazy_attributes(globals(), _CALLEES)
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with code 2 on usage errors; our contract reserves 2 for
-    # data errors, so route usage problems through ConfigError instead.
-    def error(self, message):
-        raise ConfigError(message)
+class _Option(NamedTuple):
+    """One ``--flag VALUE`` option of a command. Both parse paths read it;
+    every field after ``flag`` is the ``add_argument`` keyword of its name."""
 
-    def exit(self, status=0, message=None):
-        # --help and --version print their text, then exit here.
-        _flush_stdout()
-        super().exit(status, message)
+    flag: str
+    help: str | None = None
+    type: Callable[[str], object] | None = None  # int or float; None keeps the text
+    required: bool = False
+    choices: tuple[str, ...] | None = None
+    default: str | None = None
 
 
-def _build_parser(argv: list[str]) -> _Parser:
-    """The parser of every command, with arguments only for the one
+class _Command(NamedTuple):
+    run: Callable[..., int]
+    help: str
+    options: tuple[_Option, ...]  # in the order help lists them
+
+
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """The arguments argparse gives for ``argv``, when ``argv`` is a command
+    and exact ``--flag value`` pairs of its options: no flag twice, every
+    required one present, and no value that starts with ``-``, fails its
+    option's type or is not among its choices. None for anything else."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    given = dict(zip(argv[1::2], argv[2::2]))
+    # Fewer flags than half of argv: one is given twice, or the last has no value.
+    if len(given) != len(argv) // 2:
+        return None
+    args = {"command": argv[0]}
+    for option in command.options:
+        value = given.pop(option.flag, None)
+        if value is None:
+            if option.required:
+                return None
+            value = option.default
+        elif value.startswith("-"):
+            return None
+        else:
+            if option.type is not None:
+                try:
+                    value = option.type(value)
+                except ValueError:
+                    return None
+            if option.choices is not None and value not in option.choices:
+                return None
+        args[option.flag[2:].replace("-", "_")] = value
+    if given:  # a flag the command does not have
+        return None
+    return SimpleNamespace(**args)
+
+
+def _build_parser(argv: list[str]):
+    """argparse's parser of every command, with arguments only for the one
     ``argv`` names: its first item that is not an option."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        # argparse exits with code 2 on usage errors; our contract reserves 2
+        # for data errors, so route usage problems through ConfigError instead.
+        def error(self, message):
+            raise ConfigError(message)
+
+        def exit(self, status=0, message=None):
+            # --help and --version print their text, then exit here.
+            _flush_stdout()
+            super().exit(status, message)
+
     parser = _Parser(
         prog="ehr2icd",
         description=(
@@ -139,74 +207,13 @@ def _build_parser(argv: list[str]) -> _Parser:
     # Every command is listed, so help, usage and errors name them all, but
     # each argument costs a help formatter, so only the named one gets its.
     named = next((item for item in argv if not item.startswith("-")), None)
-
-    p = sub.add_parser("normalize", help="normalize gender, age, and diagnosis date")
-    if named == "normalize":
-        p.add_argument("--input", required=True, help="raw CSV export")
-        p.add_argument("--output", required=True, help="normalized CSV to write")
-
-    p = sub.add_parser("train", help="train the disease tagger on an annotated corpus")
-    if named == "train":
-        p.add_argument("--corpus", required=True, help="annotation export or internal corpus")
-        p.add_argument("--model-out", required=True, help="model file to write")
-        _add_config_flags(p)
-        defaults = PipelineConfig()
-        p.add_argument("--seed", type=int, help=f"shuffle seed (default {defaults.seed})")
-        p.add_argument("--epochs", type=int, help=f"training epochs (default {defaults.epochs})")
-        p.add_argument(
-            "--train-fraction",
-            type=float,
-            help=f"train split fraction (default {defaults.train_fraction})",
-        )
-        p.add_argument("--stoplist", help="file of vague terms for the held-out report")
-
-    p = sub.add_parser("annotate", help="recognize diseases in normalized records")
-    if named == "annotate":
-        p.add_argument("--input", required=True, help="normalized CSV")
-        p.add_argument("--model", required=True, help="trained tagger model")
-        p.add_argument("--output", required=True, help="annotations JSONL to write")
-
-    p = sub.add_parser("link", help="assign ICD-10 code/name/category to records")
-    if named == "link":
-        p.add_argument("--input", required=True, help="normalized CSV")
-        p.add_argument("--output", required=True, help="standard CSV to write")
-        p.add_argument("--kb", help="knowledge base TSV")
-        p.add_argument("--model", help="tagger model (when no --annotations)")
-        p.add_argument("--annotations", help="annotations JSONL from the annotate step")
-        _add_config_flags(p)
-        p.add_argument("--score-threshold", type=float, help="minimum link score (default 0)")
-
-    p = sub.add_parser("evaluate", help="compare the tagger against the dictionary baseline")
-    if named == "evaluate":
-        p.add_argument("--corpus", required=True, help="gold corpus")
-        p.add_argument("--kb", help="knowledge base TSV (builds the baseline lexicon)")
-        p.add_argument("--model", help="trained tagger model")
-        p.add_argument("--out-dir", required=True, help="directory for outcome files")
-        _add_config_flags(p)
-        p.add_argument("--stoplist", help="file of vague terms (one per line)")
-        p.add_argument("--extra-terms", help="extra lexicon terms file")
-
-    p = sub.add_parser("report", help="aggregate a standard file into statistics")
-    if named == "report":
-        p.add_argument("--input", required=True, help="standard CSV")
-        p.add_argument("--out-dir", required=True, help="directory for report files")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    p = sub.add_parser("pipeline", help="run normalize, annotate, link, and report")
-    if named == "pipeline":
-        p.add_argument("--input", required=True, help="raw CSV export")
-        p.add_argument("--out-dir", required=True, help="directory for all outputs")
-        p.add_argument("--kb", help="knowledge base TSV")
-        p.add_argument("--model", help="trained tagger model")
-        _add_config_flags(p)
-        p.add_argument("--score-threshold", type=float)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        if name == named:
+            for option in command.options:
+                keywords = option._asdict()
+                p.add_argument(keywords.pop("flag"), **keywords)
     return parser
-
-
-def _add_config_flags(p) -> None:
-    p.add_argument("--config", help="key=value config file; flags override it")
 
 
 def _effective_config(args, **overrides) -> PipelineConfig:
@@ -459,14 +466,66 @@ def cmd_pipeline(args) -> int:
     return 0
 
 
+_CONFIG = _Option("--config", "key=value config file; flags override it")
+_FORMAT = _Option("--format", choices=("csv", "json"), default="csv")
+_DEFAULTS = PipelineConfig()
+
+# Each command, its help and its options, in the order help lists them.
 _COMMANDS = {
-    "normalize": cmd_normalize,
-    "train": cmd_train,
-    "annotate": cmd_annotate,
-    "link": cmd_link,
-    "evaluate": cmd_evaluate,
-    "report": cmd_report,
-    "pipeline": cmd_pipeline,
+    "normalize": _Command(cmd_normalize, "normalize gender, age, and diagnosis date", (
+        _Option("--input", "raw CSV export", required=True),
+        _Option("--output", "normalized CSV to write", required=True),
+    )),
+    "train": _Command(cmd_train, "train the disease tagger on an annotated corpus", (
+        _Option("--corpus", "annotation export or internal corpus", required=True),
+        _Option("--model-out", "model file to write", required=True),
+        _CONFIG,
+        _Option("--seed", f"shuffle seed (default {_DEFAULTS.seed})", int),
+        _Option("--epochs", f"training epochs (default {_DEFAULTS.epochs})", int),
+        _Option(
+            "--train-fraction",
+            f"train split fraction (default {_DEFAULTS.train_fraction})",
+            float,
+        ),
+        _Option("--stoplist", "file of vague terms for the held-out report"),
+    )),
+    "annotate": _Command(cmd_annotate, "recognize diseases in normalized records", (
+        _Option("--input", "normalized CSV", required=True),
+        _Option("--model", "trained tagger model", required=True),
+        _Option("--output", "annotations JSONL to write", required=True),
+    )),
+    "link": _Command(cmd_link, "assign ICD-10 code/name/category to records", (
+        _Option("--input", "normalized CSV", required=True),
+        _Option("--output", "standard CSV to write", required=True),
+        _Option("--kb", "knowledge base TSV"),
+        _Option("--model", "tagger model (when no --annotations)"),
+        _Option("--annotations", "annotations JSONL from the annotate step"),
+        _CONFIG,
+        _Option("--score-threshold", "minimum link score (default 0)", float),
+    )),
+    "evaluate": _Command(cmd_evaluate, "compare the tagger against the dictionary baseline", (
+        _Option("--corpus", "gold corpus", required=True),
+        _Option("--kb", "knowledge base TSV (builds the baseline lexicon)"),
+        _Option("--model", "trained tagger model"),
+        _Option("--out-dir", "directory for outcome files", required=True),
+        _CONFIG,
+        _Option("--stoplist", "file of vague terms (one per line)"),
+        _Option("--extra-terms", "extra lexicon terms file"),
+    )),
+    "report": _Command(cmd_report, "aggregate a standard file into statistics", (
+        _Option("--input", "standard CSV", required=True),
+        _Option("--out-dir", "directory for report files", required=True),
+        _FORMAT,
+    )),
+    "pipeline": _Command(cmd_pipeline, "run normalize, annotate, link, and report", (
+        _Option("--input", "raw CSV export", required=True),
+        _Option("--out-dir", "directory for all outputs", required=True),
+        _Option("--kb", "knowledge base TSV"),
+        _Option("--model", "trained tagger model"),
+        _CONFIG,
+        _Option("--score-threshold", type=float),
+        _FORMAT,
+    )),
 }
 
 
@@ -485,10 +544,11 @@ def main(argv=None) -> int:
 
 def _run(argv) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser(argv)
     try:
-        args = parser.parse_args(argv)
-        code = _COMMANDS[args.command](args)
+        args = _parse(argv)
+        if args is None:
+            args = _build_parser(argv).parse_args(argv)
+        code = _COMMANDS[args.command].run(args)
         _flush_stdout()
         return code
     except ConfigError as exc:

@@ -5,6 +5,7 @@ import inspect
 import io
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -304,6 +305,168 @@ def test_help_and_usage_match_their_goldens(name, monkeypatch, capsys):
     monkeypatch.setenv("COLUMNS", "80")
     transcript = _help_transcript(HELP_CASES[name], capsys)
     assert transcript.encode() == (DATA_DIR / "help" / f"{name}.txt").read_bytes()
+
+
+def _argparse_args(argv):
+    """argparse's arguments for ``argv``, or None if it exits or rejects them."""
+    try:
+        with redirect_stdout(io.StringIO()):  # the text of --help and --version
+            return cli._build_parser(argv).parse_args(argv)
+    except (ConfigError, SystemExit):
+        return None
+
+
+def _comparable(args) -> dict:
+    # By type and repr, so that a NaN equals a NaN and 1 does not equal 1.0.
+    return {key: (type(value), repr(value)) for key, value in vars(args).items()}
+
+
+def _assert_parses_as_argparse(argv, accepted: bool) -> None:
+    """``cli._parse`` declines ``argv`` or gives argparse's arguments, and
+    takes it if ``accepted``."""
+    fast, expected = cli._parse(argv), _argparse_args(argv)
+    if fast is not None:
+        assert expected is not None, argv
+        assert _comparable(fast) == _comparable(expected), argv
+    assert fast is not None or not accepted, argv
+
+
+def _usage_lines() -> list[list[str]]:
+    """The ``ehr2icd`` command lines under the README's "CLI" heading."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n")[1].split("\n## ")[0]
+    lines = section.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("ehr2icd ")]
+
+
+# The command lines of perfbench/bench.py's cli_job.
+BENCH_LINES = [
+    ["train", "--corpus", "in/corpus.jsonl", "--model-out", "out/model.txt"],
+    [
+        "evaluate", "--corpus", "in/heldout.jsonl", "--kb", "in/kb.tsv",
+        "--model", "out/model.txt", "--out-dir", "out/evaluate",
+    ],
+    [
+        "pipeline", "--input", "in/raw.csv", "--kb", "in/kb.tsv",
+        "--model", "out/model.txt", "--out-dir", "out/pipeline",
+    ],
+]
+
+
+def test_the_readme_shows_every_command():
+    assert {argv[0] for argv in _usage_lines()} == set(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("argv", _usage_lines() + BENCH_LINES, ids=" ".join)
+def test_plain_command_lines_take_the_fast_path(argv):
+    _assert_parses_as_argparse(argv, accepted=True)
+
+
+REQUIRED_REPORT = ["report", "--input", "a", "--out-dir", "b"]
+REQUIRED_TRAIN = ["train", "--corpus", "c", "--model-out", "m"]
+# Argument lists that only argparse parses, one for each reason the fast path
+# declines, and the forms it leaves to argparse that argparse takes.
+DECLINED = {
+    "no-argv": [],
+    "version": ["--version"],
+    "option-first": ["--input", "a", *REQUIRED_REPORT],
+    "unknown-command": ["frobnicate", "--input", "a"],
+    "no-last-value": [*REQUIRED_REPORT, "--format"],
+    "repeated": [*REQUIRED_REPORT, "--input", "c"],
+    "repeated-bad-first": [*REQUIRED_TRAIN, "--epochs", "ten", "--epochs", "5"],
+    "missing-required": ["report", "--input", "a"],
+    "option-as-value": ["report", "--input", "-x", "--out-dir", "b"],
+    "negative": [*REQUIRED_TRAIN, "--seed", "-1"],
+    "dash": ["report", "--input", "-", "--out-dir", "b"],
+    "bad-type": [*REQUIRED_TRAIN, "--epochs", "ten"],
+    "bad-choice": [*REQUIRED_REPORT, "--format", "xml"],
+    "unknown-option": [*REQUIRED_REPORT, "--bogus", "x"],
+    "abbreviated": ["report", "--in", "a", "--out-dir", "b"],
+    "equals": ["report", "--input=a", "--out-dir", "b", "--format", "json"],
+    "help": [*REQUIRED_REPORT, "-h"],
+}
+
+
+@pytest.mark.parametrize("argv", DECLINED.values(), ids=DECLINED)
+def test_the_fast_path_declines_what_only_argparse_parses(argv):
+    assert cli._parse(argv) is None
+
+
+def test_argparse_takes_the_forms_the_fast_path_declines():
+    for name in ("repeated", "negative", "dash", "abbreviated", "equals"):
+        assert _argparse_args(DECLINED[name]) is not None, name
+
+
+# Option values by type: (taken by the fast path, left to argparse).
+VALUES = {
+    None: (
+        ["", " ", "a b", "x=y", "٣", " 5", "5_0", "nan", "report", "in.csv"],
+        ["-", "-1", "-x", "--input"],
+    ),
+    int: (["5", "٣", " 5", "5_0", "+7", "0"], ["ten", "", "5.0", "nan", "-1", "-"]),
+    float: (["0.5", "nan", "٣", " 5", "5_0", "1e3", "inf"], ["x", "", "-1", "-0.5", "-"]),
+    "choices": (["csv", "json"], ["xml", "", "CSV", "-"]),
+}
+
+
+@st.composite
+def _command_lines(draw):
+    """An argument list drawn from the option table, and whether the fast path
+    must take it: every required option and some others, in any order, with
+    valid values. A third are left so; a third have one value made invalid;
+    a third are perturbed in one way."""
+    name = draw(st.sampled_from(list(cli._COMMANDS)))
+    options = cli._COMMANDS[name].options
+    kind = draw(st.sampled_from(["plain", "invalid", "perturbed"]))
+    invalid = None
+    if kind == "invalid":  # an option with a type, with choices, or any option
+        sort = draw(st.sampled_from(["type", "choices", None]))
+        of_sort = [o for o in options if sort is None or getattr(o, sort) is not None]
+        invalid = draw(st.sampled_from(of_sort or options))
+    chosen = draw(st.lists(st.sampled_from(options), unique=True))
+    chosen += [o for o in options if (o.required or o == invalid) and o not in chosen]
+    chosen = draw(st.permutations(chosen))
+    pairs = []
+    for option in chosen:
+        good, bad = VALUES["choices" if option.choices else option.type]
+        values = st.sampled_from(bad if option == invalid else good)
+        if option != invalid and option.type is None and option.choices is None:
+            free = st.text(max_size=8).filter(lambda v: not v.startswith("-"))
+            values = st.one_of(values, free)
+        pairs.append([option.flag, draw(values)])
+    perturbations = [
+        "abbreviate", "equals", "repeat", "unknown", "help", "no-value", "no-required",
+        "option-first",
+    ]
+    perturbation = draw(st.sampled_from(perturbations)) if kind == "perturbed" else None
+    at = draw(st.integers(0, len(pairs) - 1))
+    if perturbation == "abbreviate":
+        flag = pairs[at][0]
+        pairs[at][0] = flag[: draw(st.integers(3, len(flag) - 1))]
+    elif perturbation == "equals":
+        pairs[at] = ["=".join(pairs[at])]
+    elif perturbation == "repeat":  # first with any value, valid or not
+        flag = pairs[at][0]
+        pairs.insert(at, [flag, draw(st.sampled_from(["5", "ten", "json", "xml", "-x"]))])
+    elif perturbation == "unknown":
+        pairs.insert(at, ["--bogus", "x"])
+    elif perturbation == "help":
+        pairs.insert(at, [draw(st.sampled_from(["-h", "--help"]))])
+    elif perturbation == "no-value":
+        pairs[-1].pop()
+    elif perturbation == "no-required":
+        pairs = [pair for pair in pairs if pair[0] != options[0].flag]  # always required
+    argv = [name, *(item for pair in pairs for item in pair)]
+    if perturbation == "option-first":
+        argv = [*argv[1:3], name, *argv[3:]]
+    return argv, kind == "plain"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_command_lines())
+def test_the_fast_path_gives_argparses_arguments_or_declines(case):
+    argv, accepted = case
+    _assert_parses_as_argparse(argv, accepted)
 
 
 def test_train_reports_split_and_is_deterministic(tmp_path, capsys):
@@ -1329,6 +1492,52 @@ def test_tagger_and_linker_called_once_per_normalized_record(
     assert main(argv + common) == 0
     assert predicted == texts
     assert assigned == texts
+
+
+def test_pipeline_counts_every_input_row_on_standard_error(
+    tmp_path, capsys, sample_kb_path, sample_model_path
+):
+    raw = _write(tmp_path, "raw.csv", RAW_CSV)
+    argv = _pipeline_argv(tmp_path / "out", raw, sample_kb_path, sample_model_path)
+    assert main(argv) == 0
+    assert "input_rows=4 normalized=3 dropped=1 (missing=0, gender=0, age=0, date=1)" in (
+        capsys.readouterr().err
+    )
+
+
+def test_pipeline_checks_one_standard_row_per_span_or_record(
+    tmp_path, monkeypatch, sample_ehr_path, sample_kb_path, sample_model_path
+):
+    # A broken assign that drops a record's rows is caught, not written.
+    monkeypatch.setattr(cli, "assign", lambda record, spans, kb, threshold: [])
+    argv = _pipeline_argv(tmp_path / "out", sample_ehr_path, sample_kb_path, sample_model_path)
+    with pytest.raises(RuntimeError, match="row accounting violated: 0 standard rows"):
+        main(argv)
+    assert not (tmp_path / "out" / "standard.csv").exists()
+
+
+def test_link_names_the_first_five_rows_without_annotations(tmp_path, capsys, sample_kb_path):
+    rows = "".join(f"Female,{20 + i},Disease {i},8/4/1439\n" for i in range(7))
+    normalized = _write(tmp_path, "n.csv", "Gender,Age,Diagnosis,Diagnosis Date\n" + rows)
+    annotations = _write(
+        tmp_path, "a.jsonl", '{"row_index": 1, "content": "Other", "entities": []}\n'
+    )
+    argv = [
+        "link", "--input", str(normalized), "--kb", str(sample_kb_path),
+        "--annotations", str(annotations), "--output", str(tmp_path / "s.csv"),
+    ]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {annotations}: no annotations of the input's Diagnosis for rows "
+        "[1, 2, 3, 4, 5] (and possibly more)\n"
+    )
+
+
+def test_evaluate_writes_its_summary_indented_with_sorted_keys(tmp_path, sample_kb_path):
+    assert main(_evaluate_argv(tmp_path, sample_kb_path)) == 0
+    text = (tmp_path / "summary.json").read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    assert text.startswith('{\n  "dictionary": {\n    "')
 
 
 def test_config_file_and_flag_override(tmp_path, sample_kb_path, sample_model_path):

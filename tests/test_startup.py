@@ -19,12 +19,14 @@ from ehr2icd.samples import sample_path
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 FLAGS = pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+# The standard library's argument parser and the modules its first use loads.
+PARSER_MODULES = {"argparse", "gettext", "locale"}
 # Prints the ehr2icd modules loaded so far, without the package prefix, and
-# "json" if the standard library's json module was loaded before it imports it.
+# each of json (before it imports it) and PARSER_MODULES that was loaded.
 PRINT_LOADED = (
     "\nimport sys\n"
     "loaded = [m[8:] for m in sys.modules if m.startswith('ehr2icd.')]\n"
-    "loaded += ['json'] * ('json' in sys.modules)\n"
+    f"loaded += [m for m in {sorted(PARSER_MODULES | {'json'})} if m in sys.modules]\n"
     "import json\n"
     "print(json.dumps(loaded))\n"
 )
@@ -239,6 +241,44 @@ def test_annotate_loads_the_tagger_but_not_the_learner(flags, tmp_path):
     loaded = _loaded(flags, _main(argv))
     assert {"ner.tagger", "ner.corpus"} <= loaded
     assert "ner.training" not in loaded
+
+
+@FLAGS
+def test_importing_the_cli_loads_no_argument_parser(flags):
+    assert not _loaded(flags, "import ehr2icd.cli") & PARSER_MODULES
+
+
+@FLAGS
+def test_commands_with_plain_options_load_no_argument_parser(flags, tmp_path):
+    ehr, kb, model = (
+        sample_path(name) for name in ("sample_ehr.csv", "sample_kb.tsv", "sample_model.txt")
+    )
+    corpus = sample_path("sample_corpus.jsonl")
+    normalized, annotations = tmp_path / "normalized.csv", tmp_path / "annotations.jsonl"
+    commands = [
+        ["normalize", "--input", ehr, "--output", normalized],
+        ["train", "--corpus", corpus, "--model-out", tmp_path / "m.model", "--epochs", "1"],
+        ["annotate", "--input", normalized, "--model", model, "--output", annotations],
+        [
+            "link", "--input", normalized, "--kb", kb, "--annotations", annotations,
+            "--output", tmp_path / "linked.csv", "--score-threshold", "0.5",
+        ],
+        ["evaluate", "--corpus", corpus, "--kb", kb, "--model", model, "--out-dir", tmp_path],
+        [
+            "pipeline", "--input", ehr, "--kb", kb, "--model", model,
+            "--out-dir", tmp_path / "out", "--format", "json",
+        ],
+        ["report", "--input", tmp_path / "out" / "standard.csv", "--out-dir", tmp_path / "r"],
+    ]
+    for argv in commands:
+        assert not _loaded(flags, _main(argv)) & PARSER_MODULES, argv[0]
+
+
+@FLAGS
+def test_a_form_only_argparse_parses_loads_it(flags, tmp_path):
+    standard = Path(__file__).parent / "golden" / "standard.csv"
+    argv = ["report", f"--input={standard}", "--out-dir", tmp_path]
+    assert "argparse" in _loaded(flags, _main(argv))
 
 
 @FLAGS
